@@ -58,7 +58,7 @@ func NewWireAdapter(r *Registry, peers int) *WireAdapter {
 		inflight:    r.Gauge("wire_inflight_frames", "frames sent but not yet acknowledged"),
 		rtt:         r.Histogram("wire_rtt_ns", "clock-probe round-trip time to peer nodes, ns"),
 
-		batchFrames:   r.Counter("wire_batch_frames_total", "v3 Batch container frames written, by peer node"),
+		batchFrames:   r.Counter("wire_batch_frames_total", "Batch container frames written, by peer node"),
 		batchMessages: r.Counter("wire_batch_messages_total", "sequenced frames coalesced into Batch containers, by peer node"),
 		batchFill:     r.Histogram("wire_batch_fill", "sub-frames per Batch container (mean fill = batch_messages/batch_frames)"),
 	}

@@ -191,8 +191,8 @@ func (n *netLayer) isendRemote(t *Task, msg *message, worldDst int, op string) *
 		DstWorld: int32(worldDst),
 		Tag:      int32(msg.tag),
 		Elems:    int32(msg.elems),
-		// Trace context rides the frame extension (v2 connections only;
-		// zero when tracing is off, which elides the extension entirely).
+		// Trace context rides the frame extension (zero when tracing is
+		// off, which elides the extension entirely).
 		Span:   msg.span,
 		SendTS: msg.sendNs,
 	}
@@ -516,17 +516,16 @@ func (n *netLayer) onCTS(f *wire.Frame) {
 // large strided transfer never exists fully packed on either side.
 const wireTypedChunk = 64 << 10
 
-// sendTypedData is onCTS's tail for a typed rendezvous send. Against a
-// v4 peer the payload streams as pipelined packed segments; against an
-// older peer (or under Config.ForcePack, the ablation knob) it is packed
-// whole into a pooled buffer and shipped as a single Data frame, exactly
-// like a contiguous send.
+// sendTypedData is onCTS's tail for a typed rendezvous send. The payload
+// streams as pipelined packed segments; under Config.ForcePack (the
+// ablation knob) it is packed whole into a pooled buffer and shipped as a
+// single Data frame instead, exactly like a contiguous send.
 func (n *netLayer) sendTypedData(ps *wirePendingSend, msg *message, xid uint64) {
 	w := n.w
 	node := n.nodeOf[ps.dst]
 	esz := int(msg.etype.Size())
 	var err error
-	if w.cfg.ForcePack || n.peerVersion(node) < 4 {
+	if w.cfg.ForcePack {
 		b := w.pool.get(poolNoRank, msg.bytes)
 		dtPack(b.data[:msg.bytes], msg.sdata, msg.sdt, esz)
 		h := wire.Header{
@@ -577,18 +576,6 @@ func (n *netLayer) sendTypedData(ps *wirePendingSend, msg *message, xid uint64) 
 		msg.sreq.complete(Status{})
 	}
 	putMessage(msg)
-}
-
-// peerVersion reports the negotiated frame version toward node via the
-// transport's optional PeerVersion extension. Transports without it —
-// and links still handshaking — report MinVersion, the conservative
-// answer: typed payloads then fall back to whole-pack Data frames the
-// peer certainly understands.
-func (n *netLayer) peerVersion(node int) uint8 {
-	if pv, ok := n.tr.(interface{ PeerVersion(int) uint8 }); ok {
-		return pv.PeerVersion(node)
-	}
-	return wire.MinVersion
 }
 
 func (n *netLayer) onData(f *wire.Frame) {

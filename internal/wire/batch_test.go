@@ -3,14 +3,13 @@ package wire
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"testing"
 	"time"
 )
 
 // TestBatchCoalescesSmallFrames bursts small eager frames through a
-// batching v3 connection: every frame must arrive individually and in
+// batching connection: every frame must arrive individually and in
 // order at the sink (batching is invisible above the transport), and
 // the sender's stats must show real coalescing — far fewer Batch
 // containers than sub-frames.
@@ -47,91 +46,57 @@ func TestBatchCoalescesSmallFrames(t *testing.T) {
 	waitFor(t, "acks drain inflight", func() bool { return tr0.Stats().Inflight == 0 })
 }
 
-// TestBatchSenderDowngradesToV2Peer plays a version-2 binary against a
-// batching sender: the fake peer advertises v2 in its Hello, and every
-// frame it then reads must be an individually framed v2 frame — never a
-// TypeBatch container the old binary could not parse.
-func TestBatchSenderDowngradesToV2Peer(t *testing.T) {
-	ln0, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln1, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln1.Close()
-	addrs := []string{ln0.Addr().String(), ln1.Addr().String()}
-	tr0, err := NewTCP(Config{
-		Addrs: addrs, Self: 0, WorldKey: 9,
-		BatchWindow: time.Millisecond,
-	}, ln0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr0.Close()
-	tr0.Bind(newTestSink())
-
-	// Trigger the dial.
-	if err := tr0.Send(1, &Header{Type: TypeEager, Tag: 0, DstWorld: 1}, []byte("m-0")); err != nil {
-		t.Fatal(err)
-	}
-	conn, err := ln1.Accept()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
-
-	var scratch [maxFrameRead]byte
-	var hello Header
-	if _, err := readHeader(conn, &hello, &scratch); err != nil {
-		t.Fatal(err)
-	}
-	if hello.Type != TypeHello || hello.Elems != Version {
-		t.Fatalf("hello advertises %d, want %d: %+v", hello.Elems, Version, hello)
-	}
-	// Answer as a v2 binary: version advertisement 2, same world key.
-	reply := AppendFrame(nil, &Header{
-		Type: TypeHello, Version: MinVersion, Xid: 9, SrcWorld: 1, Elems: 2,
-	}, nil)
-	if _, err := conn.Write(reply); err != nil {
-		t.Fatal(err)
-	}
-
-	// More small frames after negotiation — prime batching candidates,
-	// which must all arrive unbatched.
-	const n = 20
-	for i := 1; i < n; i++ {
-		h := Header{Type: TypeEager, Tag: int32(i), DstWorld: 1}
-		if err := tr0.Send(1, &h, []byte(fmt.Sprintf("m-%d", i))); err != nil {
+// TestBatchCapsFlushWithoutWindow: under a window no test outlives, every
+// frame must still arrive, because the fixed caps flush a batch on their
+// own — the frame count cap, the byte cap, and a frame too large to join
+// (which flushes what is pending ahead of itself to keep order). The
+// sender's counters pin exactly which flush fired when.
+func TestBatchCapsFlushWithoutWindow(t *testing.T) {
+	tr0, _, _, s1 := newPair(t, Config{BatchWindow: time.Hour}, Config{})
+	send := func(tag int, payload []byte) {
+		t.Helper()
+		if err := tr0.Send(1, &Header{Type: TypeEager, Tag: int32(tag)}, payload); err != nil {
 			t.Fatal(err)
 		}
 	}
-	next := int32(0)
-	for next < n {
-		var h Header
-		plen, err := readHeader(conn, &h, &scratch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf := make([]byte, plen)
-		if _, err := io.ReadFull(conn, buf); err != nil {
-			t.Fatal(err)
-		}
-		if h.Type == TypeBatch {
-			t.Fatalf("batch container sent to a v2 peer (after %d frames)", next)
-		}
-		if h.Type != TypeEager {
-			continue // ack or other control frame
-		}
-		if h.Version != 2 || h.Tag != next || string(buf) != fmt.Sprintf("m-%d", next) {
-			t.Fatalf("frame %d: version=%d tag=%d payload=%q", next, h.Version, h.Tag, buf)
-		}
-		next++
+	// The pre-handshake kick is retransmitted from the unacked ring on
+	// Hello, never batched.
+	send(0, []byte("kick"))
+	waitFor(t, "handshake", func() bool { return s1.count() == 1 })
+	tag := 1
+
+	// Count cap: batchMaxFrames tiny frames make exactly one full batch.
+	for i := 0; i < batchMaxFrames; i++ {
+		send(tag, []byte{byte(i)})
+		tag++
 	}
-	if st := tr0.Stats(); st.BatchesSent != 0 || st.BatchedFrames != 0 {
-		t.Fatalf("batching engaged on a v2 connection: %+v", st)
+	waitFor(t, "count-capped batch", func() bool { return s1.count() == tag })
+
+	// Cutoff: one pending tiny frame, then one too large to batch.
+	send(tag, []byte("pending"))
+	tag++
+	send(tag, make([]byte, batchCutoff))
+	tag++
+	waitFor(t, "flush ahead of an oversized frame", func() bool { return s1.count() == tag })
+
+	// Byte cap: frames just under the cutoff fill batchMaxBytes before
+	// the count cap.
+	mid := make([]byte, batchCutoff-frameOverhead)
+	perBatch := (batchMaxBytes + batchCutoff - 1) / batchCutoff
+	for i := 0; i < perBatch; i++ {
+		send(tag, mid)
+		tag++
+	}
+	waitFor(t, "byte-capped batch", func() bool { return s1.count() == tag })
+
+	for i := 0; i < tag; i++ {
+		if f := s1.frame(i); f.Tag != int32(i) {
+			t.Fatalf("frame %d carries tag %d: batching reordered delivery", i, f.Tag)
+		}
+	}
+	st := tr0.Stats()
+	if want := uint64(batchMaxFrames + 1 + perBatch); st.BatchesSent != 3 || st.BatchedFrames != want {
+		t.Fatalf("batches=%d sub-frames=%d, want 3 and %d", st.BatchesSent, st.BatchedFrames, want)
 	}
 }
 
@@ -209,38 +174,19 @@ func TestDecodeBatchFaults(t *testing.T) {
 	}
 }
 
-// TestCorruptBatchSeversConnection dials the transport as a v3 peer and
+// TestCorruptBatchSeversConnection dials the transport as node 1 and
 // sends a batch with a truncated payload: the transport must sever the
 // connection promptly (the fake peer reads EOF) instead of hanging or
 // desynchronizing its frame stream.
 func TestCorruptBatchSeversConnection(t *testing.T) {
-	ln0, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln1, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln1.Close()
-	addrs := []string{ln0.Addr().String(), ln1.Addr().String()}
-	tr0, err := NewTCP(Config{Addrs: addrs, Self: 0, WorldKey: 5}, ln0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr0.Close()
-	tr0.Bind(newTestSink())
-
-	conn, err := net.Dial("tcp", addrs[0])
+	tr0, _, _ := newLoneTCP(t, Config{WorldKey: 7})
+	conn, err := net.Dial("tcp", tr0.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
-	hello := AppendFrame(nil, &Header{
-		Type: TypeHello, Version: MinVersion, Xid: 5, SrcWorld: 1, Elems: Version,
-	}, nil)
-	if _, err := conn.Write(hello); err != nil {
+	if _, err := conn.Write(helloAt(Version)); err != nil {
 		t.Fatal(err)
 	}
 	var scratch [maxFrameRead]byte
@@ -251,7 +197,7 @@ func TestCorruptBatchSeversConnection(t *testing.T) {
 
 	// A batch whose payload is ten garbage bytes: too short for even one
 	// sub-frame header.
-	bad := AppendFrame(nil, &Header{Type: TypeBatch, Version: Version}, make([]byte, 10))
+	bad := AppendFrame(nil, &Header{Type: TypeBatch}, make([]byte, 10))
 	if _, err := conn.Write(bad); err != nil {
 		t.Fatal(err)
 	}

@@ -19,24 +19,12 @@ import (
 	"io"
 )
 
-// Version is the highest frame-format version this build speaks.
-// Version 2 adds an optional header extension (announced by a flag bit)
-// carrying a trace span id and send timestamp, plus the Ping/Pong clock
-// frames. Version 3 adds the Batch container frame that coalesces small
-// sequenced frames (and their piggybacked acks) into one wire write.
-// Version 4 adds the DataSeg frame that streams a rendezvous payload of
-// a derived datatype as pipelined packed segments, so a large strided
-// transfer never materializes fully packed on either side.
-// Versions are negotiated per connection: the Hello frame is always
-// encoded at MinVersion and advertises the speaker's Version, and each
-// side then frames at min(its own, the peer's) — so a v4 node
-// interoperates with a v3 node by sending rendezvous payloads whole,
-// with a v2 node by additionally never batching, and with a v1 node by
-// additionally dropping the span extension.
-const (
-	Version    = 4
-	MinVersion = 1
-)
+// Version is the frame-format version of this build, stamped on every
+// frame. A world is always built from one source tree, so there is no
+// negotiation: every frame kind and the span extension are always
+// available, and a frame carrying any other version byte is refused
+// with a *VersionError (see the Hello handshake in tcp.go).
+const Version = 5
 
 // Type enumerates the frame kinds of the protocol.
 type Type uint8
@@ -68,15 +56,15 @@ const (
 	// TypeControl carries collective control payloads for layers above
 	// the runtime (reserved; collectives built on p2p use Eager/RTS).
 	TypeControl
-	// TypePing is an unsequenced clock probe (v2+): Xid carries the
+	// TypePing is an unsequenced clock probe: Xid carries the
 	// sender's wall clock in unix nanoseconds (t1). The receiver answers
 	// immediately with TypePong.
 	TypePing
-	// TypePong answers a ping (v2+): Xid echoes t1, Ctx carries the
+	// TypePong answers a ping: Xid echoes t1, Ctx carries the
 	// receive time t2, and the SendTS extension field carries the reply
 	// time t3 — everything an NTP-style offset/RTT estimate needs.
 	TypePong
-	// TypeBatch (v3+) is an unsequenced container: its payload is a
+	// TypeBatch is an unsequenced container: its payload is a
 	// concatenation of complete encoded frames, each keeping its own
 	// sequence number, so many small eager messages cost one wire write
 	// and one length-prefixed read. The container's Ack field carries the
@@ -84,7 +72,7 @@ const (
 	// retransmitted as batches — the sub-frames live individually in the
 	// unacked ring and are resent one by one after a reconnect.
 	TypeBatch
-	// TypeDataSeg (v4+) carries one packed segment of a typed rendezvous
+	// TypeDataSeg carries one packed segment of a typed rendezvous
 	// payload, correlated by Xid like TypeData. Elems holds the segment's
 	// element offset within the packed message; the payload length gives
 	// its span. Segments of one transfer arrive in order (the transport
@@ -135,11 +123,6 @@ type Header struct {
 	// Datatype matching across processes is by kind: a named scalar type
 	// matches its underlying kind on the far side.
 	Kind uint8
-	// Version is the frame-format version to encode at (0 = Version).
-	// Decoders set it to the version byte they read. Senders set it to
-	// the negotiated per-connection version, so frames to a v1 peer are
-	// framed without the span extension.
-	Version uint8
 	// Seq is the transport-level sequence number of the frame on its
 	// (sender, peer) stream; 0 marks an unsequenced control frame
 	// (hello, ack, ping, pong) that is never retransmitted.
@@ -161,17 +144,15 @@ type Header struct {
 	DstWorld int32
 	Tag      int32
 	// Elems is the element count of the message (eager and RTS frames).
-	// Hello frames reuse it to advertise the speaker's protocol Version.
 	Elems int32
 	// PayloadLen is the byte length of the payload following the header.
 	PayloadLen uint32
 
-	// Span and SendTS travel in the version-2 header extension, present
-	// only when at least one is nonzero (and the connection negotiated
-	// v2): the sender's trace span id and send timestamp, linking this
-	// frame's message into the cross-process trace flow graph. Zero on
-	// v1 frames and when tracing is off — the extension costs nothing
-	// unless used.
+	// Span and SendTS travel in the header extension, present only when
+	// at least one is nonzero: the sender's trace span id and send
+	// timestamp, linking this frame's message into the cross-process
+	// trace flow graph. Zero when tracing is off — the extension costs
+	// nothing unless used.
 	Span   uint64
 	SendTS int64
 }
@@ -192,7 +173,7 @@ type Frame struct {
 //	u8   version
 //	u8   type
 //	u8   kind
-//	u8   flags (v2+: bit 0 = span extension present)
+//	u8   flags (bit 0 = span extension present)
 //	u64  seq
 //	u64  ack
 //	u64  xid
@@ -211,7 +192,7 @@ const (
 	frameOverhead = lenPrefixSize + headerSize
 
 	// flagSpanExt announces the 16-byte span/timestamp extension between
-	// the fixed header and the payload. Valid only on v2+ frames.
+	// the fixed header and the payload.
 	flagSpanExt = 0x01
 	extSize     = 8 + 8
 
@@ -226,20 +207,14 @@ const (
 )
 
 // AppendFrame encodes header h and payload into dst and returns the
-// extended slice. PayloadLen is taken from len(payload). The frame is
-// encoded at h.Version (default Version); the span extension is emitted
-// only at v2+ and only when h.Span or h.SendTS is nonzero, so frames
-// from untraced runs are byte-identical to version-1 frames apart from
-// the version byte.
+// extended slice. PayloadLen is taken from len(payload). The span
+// extension is emitted only when h.Span or h.SendTS is nonzero, so
+// frames from untraced runs carry the fixed header alone.
 func AppendFrame(dst []byte, h *Header, payload []byte) []byte {
 	if len(payload) > MaxPayload {
 		panic(fmt.Sprintf("wire: payload %d exceeds MaxPayload", len(payload)))
 	}
-	v := h.Version
-	if v == 0 {
-		v = Version
-	}
-	ext := v >= 2 && (h.Span != 0 || h.SendTS != 0)
+	ext := h.Span != 0 || h.SendTS != 0
 	var flags byte
 	frameLen := headerSize + len(payload)
 	if ext {
@@ -247,7 +222,7 @@ func AppendFrame(dst []byte, h *Header, payload []byte) []byte {
 		frameLen += extSize
 	}
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(frameLen))
-	dst = append(dst, v, byte(h.Type), h.Kind, flags)
+	dst = append(dst, Version, byte(h.Type), h.Kind, flags)
 	dst = binary.LittleEndian.AppendUint64(dst, h.Seq)
 	dst = binary.LittleEndian.AppendUint64(dst, h.Ack)
 	dst = binary.LittleEndian.AppendUint64(dst, h.Xid)
@@ -265,22 +240,30 @@ func AppendFrame(dst []byte, h *Header, payload []byte) []byte {
 	return append(dst, payload...)
 }
 
+// VersionError reports a frame whose version byte is not this build's
+// Version: the peer runs a different build of the protocol. The version
+// byte sits at the same offset in every revision, so this is the one
+// check that holds across builds; the transport declares such a peer
+// down rather than redialing it (see runReader and handleAccept).
+type VersionError struct {
+	Got uint8
+}
+
+func (e *VersionError) Error() string {
+	return fmt.Sprintf("wire: peer frames at version %d, this build speaks version %d", e.Got, Version)
+}
+
 // decodeHeader parses the fixed header from buf (headerSize bytes, after
 // the length prefix). It reports whether the span extension follows the
 // fixed header; the caller consumes it with decodeExt.
 func decodeHeader(h *Header, buf []byte) (ext bool, err error) {
-	v := buf[0]
-	if v < MinVersion || v > Version {
-		return false, fmt.Errorf("wire: frame version %d, want %d..%d", v, MinVersion, Version)
+	if v := buf[0]; v != Version {
+		return false, &VersionError{Got: v}
 	}
 	flags := buf[3]
-	if flags&flagSpanExt != 0 && v < 2 {
-		return false, fmt.Errorf("wire: v%d frame carries a v2 extension flag", v)
-	}
 	if flags&^byte(flagSpanExt) != 0 {
 		return false, fmt.Errorf("wire: unknown frame flags %#x", flags)
 	}
-	h.Version = v
 	h.Type = Type(buf[1])
 	h.Kind = buf[2]
 	h.Seq = binary.LittleEndian.Uint64(buf[4:])
@@ -411,37 +394,4 @@ func DecodeBatch(payload []byte, fn func(h *Header, sub []byte) error) (int, err
 		return 0, &BatchError{Reason: "empty batch"}
 	}
 	return n, nil
-}
-
-// downgradeFrame rewrites an encoded frame in place for a peer that
-// negotiated down to ver: the version byte is lowered to ver, and below
-// v2 the span extension is also stripped. Returns the possibly-shortened
-// slice.
-func downgradeFrame(buf []byte, ver uint8) []byte {
-	if ver < 2 {
-		return stripSpanExt(buf)
-	}
-	if len(buf) > lenPrefixSize && buf[lenPrefixSize] > ver {
-		buf[lenPrefixSize] = ver
-	}
-	return buf
-}
-
-// stripSpanExt rewrites an encoded frame for a version-1 peer in place:
-// the version byte drops to 1 and the span extension, if present, is
-// removed (the span id does not survive a downgrade — tracing degrades,
-// traffic does not). Returns the possibly-shortened slice.
-func stripSpanExt(buf []byte) []byte {
-	if len(buf) < frameOverhead {
-		return buf
-	}
-	buf[lenPrefixSize] = 1 // version byte
-	if buf[lenPrefixSize+3]&flagSpanExt == 0 {
-		return buf
-	}
-	buf[lenPrefixSize+3] &^= flagSpanExt
-	frameLen := binary.LittleEndian.Uint32(buf) - extSize
-	binary.LittleEndian.PutUint32(buf, frameLen)
-	copy(buf[frameOverhead:], buf[frameOverhead+extSize:])
-	return buf[:len(buf)-extSize]
 }

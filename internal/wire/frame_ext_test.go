@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -30,7 +29,6 @@ func TestFrameSpanExtRoundTrip(t *testing.T) {
 		t.Fatalf("payload length %d, want %d", plen, len(payload))
 	}
 	h.PayloadLen = uint32(len(payload))
-	h.Version = Version
 	if got != h {
 		t.Fatalf("header mismatch:\n got  %+v\n want %+v", got, h)
 	}
@@ -47,57 +45,6 @@ func TestFrameSpanExtOmittedWhenUnused(t *testing.T) {
 	enc := AppendFrame(nil, &Header{Type: TypeEager, Tag: 5}, []byte("x"))
 	if len(enc) != frameOverhead+1 {
 		t.Fatalf("extension emitted for a span-less frame: %d bytes", len(enc))
-	}
-}
-
-func TestFrameV1EncodeDropsSpan(t *testing.T) {
-	// Encoding at version 1 (a downgraded connection) silently drops the
-	// span: the frame must parse as a clean v1 frame.
-	h := Header{Type: TypeEager, Version: 1, Tag: 9, Span: 77, SendTS: 88}
-	payload := []byte("v1")
-	enc := AppendFrame(nil, &h, payload)
-	if len(enc) != frameOverhead+len(payload) {
-		t.Fatalf("v1 frame length %d, want %d", len(enc), frameOverhead+len(payload))
-	}
-	var got Header
-	var scratch [maxFrameRead]byte
-	if _, err := readHeader(bytes.NewReader(enc), &got, &scratch); err != nil {
-		t.Fatal(err)
-	}
-	if got.Version != 1 || got.Span != 0 || got.SendTS != 0 || got.Tag != 9 {
-		t.Fatalf("bad v1 decode: %+v", got)
-	}
-}
-
-func TestStripSpanExt(t *testing.T) {
-	h := Header{Type: TypeEager, Seq: 12, Tag: 3, Span: 55, SendTS: 66}
-	payload := []byte("keep this payload")
-	enc := AppendFrame(nil, &h, payload)
-	stripped := stripSpanExt(append([]byte(nil), enc...))
-	if len(stripped) != frameOverhead+len(payload) {
-		t.Fatalf("stripped length %d, want %d", len(stripped), frameOverhead+len(payload))
-	}
-	var got Header
-	var scratch [maxFrameRead]byte
-	r := bytes.NewReader(stripped)
-	plen, err := readHeader(r, &got, &scratch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Version != 1 || got.Span != 0 || got.SendTS != 0 || got.Seq != 12 || got.Tag != 3 {
-		t.Fatalf("bad stripped decode: %+v", got)
-	}
-	buf := make([]byte, plen)
-	r.Read(buf) //nolint:errcheck
-	if !bytes.Equal(buf, payload) {
-		t.Fatalf("payload damaged by strip: %q", buf)
-	}
-
-	// Stripping an extension-less frame only rewrites the version byte.
-	plain := AppendFrame(nil, &Header{Type: TypeAck, Ack: 4}, nil)
-	restrip := stripSpanExt(append([]byte(nil), plain...))
-	if len(restrip) != len(plain) || restrip[lenPrefixSize] != 1 {
-		t.Fatalf("plain-frame strip: len %d version %d", len(restrip), restrip[lenPrefixSize])
 	}
 }
 
@@ -149,93 +96,4 @@ func TestTCPPingPongClockSamples(t *testing.T) {
 	// The handshake fires an immediate ping and the loop keeps probing:
 	// at least two full round trips must produce rtt-bearing samples.
 	waitFor(t, "clock samples", func() bool { return clk.rttCount() >= 2 })
-}
-
-// TestTCPDowngradesToV1Peer plays an old (version-1) binary against the
-// current transport: the fake peer answers Hello without a version
-// advertisement, and every frame it then receives — including frames
-// encoded into the retransmit ring with span extensions BEFORE the
-// handshake revealed the peer's age — must arrive as clean v1 frames.
-func TestTCPDowngradesToV1Peer(t *testing.T) {
-	ln0, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln1, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln1.Close()
-	addrs := []string{ln0.Addr().String(), ln1.Addr().String()}
-	tr0, err := NewTCP(Config{Addrs: addrs, Self: 0, WorldKey: 7}, ln0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr0.Close()
-	tr0.Bind(newTestSink())
-
-	// Queue a traced frame first: it is encoded (with the v2 extension)
-	// into the unacked ring before any connection exists.
-	h := Header{Type: TypeEager, Tag: 11, SrcWorld: 0, DstWorld: 1, Span: 31337, SendTS: 1234}
-	if err := tr0.Send(1, &h, []byte("old peer")); err != nil {
-		t.Fatal(err)
-	}
-
-	// The transport dials us; act like a v1 binary.
-	conn, err := ln1.Accept()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
-
-	var scratch [maxFrameRead]byte
-	var hello Header
-	if _, err := readHeader(conn, &hello, &scratch); err != nil {
-		t.Fatal(err)
-	}
-	if hello.Type != TypeHello || hello.Version != 1 {
-		t.Fatalf("hello not v1-parsable: %+v", hello)
-	}
-	if hello.Elems != Version {
-		t.Fatalf("hello advertises version %d, want %d", hello.Elems, Version)
-	}
-	// Old binaries echo a Hello with no version advertisement (Elems 0).
-	reply := AppendFrame(nil, &Header{Type: TypeHello, Version: 1, Xid: 7, SrcWorld: 1}, nil)
-	if _, err := conn.Write(reply); err != nil {
-		t.Fatal(err)
-	}
-
-	var got Header
-	plen, err := readHeader(conn, &got, &scratch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Version != 1 || got.Span != 0 || got.SendTS != 0 {
-		t.Fatalf("frame not downgraded for v1 peer: %+v", got)
-	}
-	buf := make([]byte, plen)
-	if _, err := conn.Read(buf); err != nil {
-		t.Fatal(err)
-	}
-	if string(buf) != "old peer" {
-		t.Fatalf("payload damaged by downgrade: %q", buf)
-	}
-
-	// A frame sent AFTER negotiation must also be framed at v1.
-	h2 := Header{Type: TypeEager, Tag: 12, SrcWorld: 0, DstWorld: 1, Span: 999, SendTS: 888}
-	if err := tr0.Send(1, &h2, []byte("later")); err != nil {
-		t.Fatal(err)
-	}
-	var got2 Header
-	plen2, err := readHeader(conn, &got2, &scratch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got2.Version != 1 || got2.Span != 0 || got2.Tag != 12 {
-		t.Fatalf("post-negotiation frame not v1: %+v", got2)
-	}
-	if _, err := conn.Read(make([]byte, plen2)); err != nil {
-		t.Fatal(err)
-	}
 }

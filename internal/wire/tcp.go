@@ -47,6 +47,16 @@ type TCP struct {
 // standalone cumulative ack is emitted.
 const ackEvery = 32
 
+// Batching policy (engaged by Config.BatchWindow): an eager frame whose
+// encoding exceeds batchCutoff goes out alone, and a pending batch is
+// flushed as soon as it holds batchMaxBytes of encoded sub-frames or
+// batchMaxFrames of them, whichever comes first.
+const (
+	batchCutoff    = 1 << 10
+	batchMaxBytes  = 16 << 10
+	batchMaxFrames = 64
+)
+
 // maxPooledEnc bounds the encode buffers kept in the pool.
 const maxPooledEnc = 64 << 10
 
@@ -84,8 +94,7 @@ type tcpPeer struct {
 	conn         net.Conn
 	bw           *bufio.Writer
 	ready        bool   // Hello exchange complete on conn; writes allowed
-	ver          uint8  // negotiated frame version: min(ours, peer's)
-	inc          uint64 // highest incarnation seen from this peer (0 = unknown/legacy)
+	inc          uint64 // highest incarnation seen from this peer (0 = none announced)
 	sendSeq      uint64
 	unacked      []encFrame
 	dialing      bool
@@ -94,7 +103,7 @@ type tcpPeer struct {
 	hadConn      bool
 	pendingSends atomic.Int32
 
-	// Pending v3 batch (guarded by sendMu): small sequenced frames are
+	// Pending batch (guarded by sendMu): small sequenced frames are
 	// copied here instead of written, and flushed as one TypeBatch
 	// container on a size threshold, the window deadline, or before any
 	// frame that cannot join the batch (ordering). The sub-frames also
@@ -127,7 +136,7 @@ func NewTCP(cfg Config, ln net.Listener) (*TCP, error) {
 	t := &TCP{cfg: c, ln: ln}
 	t.peers = make([]*tcpPeer, len(c.Addrs))
 	for i := range t.peers {
-		t.peers[i] = &tcpPeer{id: i, tr: t, ver: Version}
+		t.peers[i] = &tcpPeer{id: i, tr: t}
 	}
 	return t, nil
 }
@@ -140,24 +149,6 @@ func (t *TCP) Peers() int { return len(t.peers) }
 
 // Addr returns the actual listen address (resolves port 0).
 func (t *TCP) Addr() net.Addr { return t.ln.Addr() }
-
-// PeerVersion reports the negotiated frame-format version toward peer.
-// Before the handshake completes (or while the link is down) it returns
-// MinVersion — the conservative answer, so callers gate version-
-// dependent frame kinds on capabilities the peer has actually
-// advertised.
-func (t *TCP) PeerVersion(peer int) uint8 {
-	if peer < 0 || peer >= len(t.peers) || peer == t.cfg.Self {
-		return MinVersion
-	}
-	p := t.peers[peer]
-	p.sendMu.Lock()
-	defer p.sendMu.Unlock()
-	if p.conn == nil || !p.ready || p.down {
-		return MinVersion
-	}
-	return p.ver
-}
 
 // Bind installs the sink and starts the accept loop (and, when
 // configured, the periodic clock-probe loop).
@@ -252,7 +243,6 @@ func (t *TCP) Send(peer int, h *Header, payload []byte) error {
 	}
 	p.sendSeq++
 	hh := *h
-	hh.Version = p.ver
 	hh.Seq = p.sendSeq
 	hh.Ack = p.recvSeq.Load()
 	buf := AppendFrame(getEnc(), &hh, payload)
@@ -265,10 +255,10 @@ func (t *TCP) Send(peer int, h *Header, payload []byte) error {
 		p.ensureDialLocked()
 		return nil
 	}
-	if t.cfg.BatchWindow > 0 && p.ver >= 3 && hh.Type == TypeEager && len(buf) <= t.cfg.BatchCutoff {
+	if t.cfg.BatchWindow > 0 && hh.Type == TypeEager && len(buf) <= batchCutoff {
 		p.batchBuf = append(p.batchBuf, buf...)
 		p.batchFrames++
-		if len(p.batchBuf) >= t.cfg.BatchBytes || p.batchFrames >= t.cfg.BatchFrames {
+		if len(p.batchBuf) >= batchMaxBytes || p.batchFrames >= batchMaxFrames {
 			if err := p.flushBatchLocked(); err != nil {
 				p.severLocked(err)
 			}
@@ -321,7 +311,7 @@ func (p *tcpPeer) flushBatchLocked() error {
 		return nil
 	}
 	t := p.tr
-	h := Header{Type: TypeBatch, Version: p.ver, Ack: p.recvSeq.Load()}
+	h := Header{Type: TypeBatch, Ack: p.recvSeq.Load()}
 	buf := AppendFrame(getEnc(), &h, payload)
 	p.batchBuf = p.batchBuf[:0]
 	t.batchesSent.Add(1)
@@ -501,7 +491,7 @@ func (p *tcpPeer) adoptDialed(conn net.Conn) bool {
 		p.sever(conn, err)
 		return false
 	}
-	go p.runReader(conn, true)
+	go p.runReader(conn, bufio.NewReader(conn))
 	return true
 }
 
@@ -524,37 +514,40 @@ func (p *tcpPeer) installLocked(conn net.Conn) {
 
 // writeHelloLocked sends the handshake frame: our node id, the world
 // key, and our resume point (highest in-order seq received from peer).
-// Hello frames are always encoded at MinVersion — the lowest common
-// denominator, so an old peer can still parse them — with our real
-// protocol version advertised in Elems (old binaries leave it 0), our
-// wall clock in Ctx as a crude one-way clock sample, and our process
-// incarnation in Seq (sequence numbering starts after the handshake,
-// so the field is free here; old binaries send 0).
+// Like every frame it carries our Version, which the peer demands be
+// equal to its own. Ctx holds our wall clock as a crude one-way clock
+// sample, and Seq our process incarnation (sequence numbering starts
+// after the handshake, so the field is free here).
 func (p *tcpPeer) writeHelloLocked() error {
-	h := Header{
-		Type:     TypeHello,
-		Version:  MinVersion,
-		Xid:      p.tr.cfg.WorldKey,
-		SrcWorld: int32(p.tr.cfg.Self),
-		Seq:      p.tr.cfg.Incarnation,
-		Ack:      p.recvSeq.Load(),
-		Elems:    Version,
-		Ctx:      time.Now().UnixNano(),
-	}
+	h := p.tr.hello()
+	h.Ack = p.recvSeq.Load()
 	buf := AppendFrame(getEnc(), &h, nil)
 	err := p.writeLocked(buf, TypeHello, false)
 	putEnc(buf)
 	return err
 }
 
+// hello is the Hello header this transport announces itself with; the
+// caller fills in the resume point (Ack).
+func (t *TCP) hello() Header {
+	return Header{
+		Type:     TypeHello,
+		Xid:      t.cfg.WorldKey,
+		SrcWorld: int32(t.cfg.Self),
+		Seq:      t.cfg.Incarnation,
+		Ctx:      time.Now().UnixNano(),
+	}
+}
+
 // noteHelloLocked records the peer's incarnation from its Hello (the Seq
-// field; 0 marks an incarnation-unaware binary and never triggers a
-// reset). When the incarnation advances past one we had already met — or
-// past a peer we had declared down — the old sequence space belongs to a
-// dead process: the per-peer stream is reset so the handshake starts
-// fresh, and a down peer is revived. Frames still queued for the old
-// incarnation are dropped; across a respawn the application-level
-// recovery (checkpoint restore) owns redelivery, not the wire.
+// field; 0 marks a process that announces no incarnation and never
+// triggers a reset). When the incarnation advances past one we had
+// already met — or past a peer we had declared down — the old sequence
+// space belongs to a dead process: the per-peer stream is reset so the
+// handshake starts fresh, and a down peer is revived. Frames still
+// queued for the old incarnation are dropped; across a respawn the
+// application-level recovery (checkpoint restore) owns redelivery, not
+// the wire.
 //
 // Caller holds recvMu AND sendMu (in that order) — the reset touches
 // state under both. Returns whether the incarnation advanced (bumped)
@@ -581,9 +574,8 @@ func (p *tcpPeer) noteHelloLocked(h *Header) (bumped, revived bool) {
 }
 
 // resetStreamLocked discards the per-peer sequence space: queued unacked
-// frames are freed, send/receive sequences and the ack watermark return
-// to zero, and the frame version reopens for negotiation. Caller holds
-// recvMu and sendMu.
+// frames are freed, and send/receive sequences and the ack watermark
+// return to zero. Caller holds recvMu and sendMu.
 func (p *tcpPeer) resetStreamLocked() {
 	p.clearBatchLocked()
 	p.sendSeq = 0
@@ -600,13 +592,13 @@ func (p *tcpPeer) resetStreamLocked() {
 	}
 	p.recvSeq.Store(0)
 	p.lastAck = 0
-	p.ver = Version
 }
 
 // handleHello processes the peer's Hello on connection c: note the
-// peer's incarnation (resetting the stream if it restarted), negotiate
-// the frame version, acknowledge through the peer's resume point,
-// retransmit the unacked tail, and open the connection for new writes.
+// peer's incarnation (resetting the stream if it restarted), acknowledge
+// through the peer's resume point, retransmit the unacked tail, and open
+// the connection for new writes. The Hello's version already matched
+// ours, or readHeader would have refused it.
 func (p *tcpPeer) handleHello(c net.Conn, h *Header) {
 	now := time.Now().UnixNano()
 	p.recvMu.Lock()
@@ -617,21 +609,6 @@ func (p *tcpPeer) handleHello(c net.Conn, h *Header) {
 		return // stale connection
 	}
 	p.noteHelloLocked(h)
-	peerVer := uint8(MinVersion)
-	if h.Elems > int32(MinVersion) {
-		peerVer = uint8(h.Elems)
-	}
-	if peerVer < p.ver {
-		// Downgrade: frames already encoded into the unacked ring (Send
-		// encodes before the handshake) carry a version byte — and, below
-		// v2, possibly the span extension — the peer cannot parse; rewrite
-		// them in place. Batching stays off for the connection's lifetime
-		// (Send checks p.ver per frame).
-		p.ver = peerVer
-		for i := range p.unacked {
-			p.unacked[i].buf = downgradeFrame(p.unacked[i].buf, p.ver)
-		}
-	}
 	p.trimAckedLocked(h.Ack)
 	for _, ef := range p.unacked {
 		if err := p.writeLocked(ef.buf, TypeEager, false); err != nil {
@@ -648,7 +625,7 @@ func (p *tcpPeer) handleHello(c net.Conn, h *Header) {
 		return
 	}
 	p.ready = true
-	if p.tr.cfg.PingInterval > 0 && p.ver >= 2 {
+	if p.tr.cfg.PingInterval > 0 {
 		p.writePingLocked() // immediate probe: short runs get a real RTT
 	}
 	p.sendMu.Unlock()
@@ -664,10 +641,9 @@ func (p *tcpPeer) handleHello(c net.Conn, h *Header) {
 // the next write will sever a genuinely broken connection.
 func (p *tcpPeer) writePingLocked() {
 	h := Header{
-		Type:    TypePing,
-		Version: p.ver,
-		Xid:     uint64(time.Now().UnixNano()),
-		Ack:     p.recvSeq.Load(),
+		Type: TypePing,
+		Xid:  uint64(time.Now().UnixNano()),
+		Ack:  p.recvSeq.Load(),
 	}
 	buf := AppendFrame(getEnc(), &h, nil)
 	err := p.writeLocked(buf, TypePing, false)
@@ -677,32 +653,30 @@ func (p *tcpPeer) writePingLocked() {
 	}
 }
 
-// sendPing emits a clock probe if the connection is up and the peer
-// speaks v2.
+// sendPing emits a clock probe if the connection is up.
 func (p *tcpPeer) sendPing() {
 	p.sendMu.Lock()
 	defer p.sendMu.Unlock()
-	if p.conn == nil || !p.ready || p.down || p.ver < 2 {
+	if p.conn == nil || !p.ready || p.down {
 		return
 	}
 	p.writePingLocked()
 }
 
 // sendPong answers a clock probe: echo t1 (Xid), report our receive
-// time t2 (Ctx) and our send time t3 (SendTS, in the v2 extension).
+// time t2 (Ctx) and our send time t3 (SendTS, in the span extension).
 func (p *tcpPeer) sendPong(t1 uint64, t2 int64) {
 	p.sendMu.Lock()
 	defer p.sendMu.Unlock()
-	if p.conn == nil || !p.ready || p.down || p.ver < 2 {
+	if p.conn == nil || !p.ready || p.down {
 		return
 	}
 	h := Header{
-		Type:    TypePong,
-		Version: p.ver,
-		Xid:     t1,
-		Ctx:     t2,
-		Ack:     p.recvSeq.Load(),
-		SendTS:  time.Now().UnixNano(),
+		Type:   TypePong,
+		Xid:    t1,
+		Ctx:    t2,
+		Ack:    p.recvSeq.Load(),
+		SendTS: time.Now().UnixNano(),
 	}
 	buf := AppendFrame(getEnc(), &h, nil)
 	err := p.writeLocked(buf, TypePong, false)
@@ -860,6 +834,15 @@ func (t *TCP) handleAccept(conn net.Conn) {
 	var scratch [maxFrameRead]byte
 	var h Header
 	plen, err := readHeader(br, &h, &scratch)
+	var ve *VersionError
+	if errors.As(err, &ve) {
+		// A different build dialed us. Answer with our own Hello before
+		// closing, so its reader fails with the same typed error and
+		// declares us down instead of redialing a silent close forever.
+		hello := t.hello()
+		conn.SetWriteDeadline(time.Now().Add(t.cfg.WriteTimeout)) //nolint:errcheck
+		conn.Write(AppendFrame(nil, &hello, nil))                 //nolint:errcheck // best effort
+	}
 	if err != nil || h.Type != TypeHello || plen != 0 {
 		conn.Close()
 		return
@@ -900,19 +883,15 @@ func (t *TCP) handleAccept(conn net.Conn) {
 	}
 	// Complete the handshake from their resume point, then read.
 	p.handleHello(conn, &h)
-	p.runReaderWith(conn, br, false)
+	p.runReader(conn, br)
 }
 
-// runReader is the per-connection progress goroutine (dialer side).
-func (p *tcpPeer) runReader(c net.Conn, dialer bool) {
-	p.runReaderWith(c, bufio.NewReader(c), dialer)
-}
-
-// runReaderWith decodes frames off the connection and routes them:
-// Hello completes handshakes, Ack trims the ring, everything else is
-// claimed in order and delivered to the sink.
-func (p *tcpPeer) runReaderWith(c net.Conn, br *bufio.Reader, dialer bool) {
-	_ = dialer
+// runReader is the per-connection progress goroutine: it decodes frames
+// off the connection and routes them. Hello completes handshakes, Ack
+// trims the ring, everything else is claimed in order and delivered to
+// the sink. A frame of another protocol version means the peer runs a
+// different build, which no reconnect can fix: the peer is declared down.
+func (p *tcpPeer) runReader(c net.Conn, br *bufio.Reader) {
 	t := p.tr
 	var scratch [maxFrameRead]byte
 	for {
@@ -922,6 +901,12 @@ func (p *tcpPeer) runReaderWith(c net.Conn, br *bufio.Reader, dialer bool) {
 		var h Header
 		plen, err := readHeader(br, &h, &scratch)
 		if err != nil {
+			var ve *VersionError
+			if errors.As(err, &ve) {
+				c.Close()
+				p.markDown(err)
+				return
+			}
 			if !errors.Is(err, io.EOF) || !t.closed.Load() {
 				p.sever(c, err)
 			}

@@ -74,7 +74,7 @@ type Stats struct {
 	Reconnects     uint64
 	// Inflight is the number of sent-but-unacked frames at snapshot time.
 	Inflight uint64
-	// BatchesSent counts v3 Batch container frames written; each is
+	// BatchesSent counts Batch container frames written; each is
 	// included once in FramesSent. BatchedFrames counts the sequenced
 	// sub-frames they carried, so BatchedFrames/BatchesSent is the mean
 	// batch fill.
@@ -189,22 +189,13 @@ type Config struct {
 	// handshake, so a short-lived world still gets real RTT samples.
 	PingInterval time.Duration
 
-	// BatchWindow enables v3 frame batching when > 0: small sequenced
-	// frames to a peer are coalesced into one Batch container, flushed
-	// when BatchBytes or BatchFrames is reached, when the window expires,
-	// or before any frame that cannot join the batch (large payloads,
-	// rendezvous data) so per-peer ordering is preserved. Batching only
-	// engages on connections that negotiated v3; a v2 peer transparently
-	// gets individual frames.
+	// BatchWindow enables frame batching when > 0: small eager frames to
+	// a peer are coalesced into one Batch container, flushed when it
+	// holds 16 KiB or 64 sub-frames, when the window expires, or before
+	// any frame that cannot join the batch (eager frames over 1 KiB
+	// encoded, rendezvous and control frames) so per-peer ordering is
+	// preserved.
 	BatchWindow time.Duration
-	// BatchBytes caps the pending batch payload before a forced flush
-	// (default 16KiB when batching is on).
-	BatchBytes int
-	// BatchFrames caps the sub-frame count per batch (default 64).
-	BatchFrames int
-	// BatchCutoff is the largest encoded frame eligible for batching
-	// (default 1KiB); bigger frames flush the batch and go out alone.
-	BatchCutoff int
 
 	Observer Observer
 	Fault    FaultInjector
@@ -225,17 +216,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.ReconnectBackoff <= 0 {
 		out.ReconnectBackoff = 50 * time.Millisecond
-	}
-	if out.BatchWindow > 0 {
-		if out.BatchBytes <= 0 {
-			out.BatchBytes = 16 << 10
-		}
-		if out.BatchFrames <= 0 {
-			out.BatchFrames = 64
-		}
-		if out.BatchCutoff <= 0 {
-			out.BatchCutoff = 1 << 10
-		}
 	}
 	return out
 }
@@ -272,6 +252,10 @@ type PeerDownError struct {
 func (e *PeerDownError) Error() string {
 	return fmt.Sprintf("wire: peer %d down: %v", e.Peer, e.Last)
 }
+
+// Unwrap exposes the last failure, so errors.As can tell a peer running
+// another protocol version (*VersionError) from an unreachable one.
+func (e *PeerDownError) Unwrap() error { return e.Last }
 
 // ParseHosts splits a comma-separated host list ("addr0,addr1,...") into
 // an address slice, trimming whitespace. It is the bootstrap format of

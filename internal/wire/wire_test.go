@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -31,7 +32,6 @@ func TestFrameRoundTrip(t *testing.T) {
 		t.Fatalf("payload length %d, want %d", plen, len(payload))
 	}
 	h.PayloadLen = uint32(len(payload))
-	h.Version = Version
 	if got != h {
 		t.Fatalf("header mismatch:\n got  %+v\n want %+v", got, h)
 	}
@@ -42,13 +42,20 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFrameRejectsBadVersion: there is one protocol version, so a frame
+// from an older or a newer build is refused alike, with a typed error
+// naming the version it carried.
 func TestFrameRejectsBadVersion(t *testing.T) {
-	enc := AppendFrame(nil, &Header{Type: TypeAck}, nil)
-	enc[lenPrefixSize] = Version + 1
-	var h Header
-	var scratch [maxFrameRead]byte
-	if _, err := readHeader(bytes.NewReader(enc), &h, &scratch); err == nil {
-		t.Fatal("expected version error")
+	for _, v := range []uint8{Version - 1, Version + 1} {
+		enc := AppendFrame(nil, &Header{Type: TypeAck}, nil)
+		enc[lenPrefixSize] = v
+		var h Header
+		var scratch [maxFrameRead]byte
+		_, err := readHeader(bytes.NewReader(enc), &h, &scratch)
+		var ve *VersionError
+		if !errors.As(err, &ve) || ve.Got != v {
+			t.Fatalf("version %d: want *VersionError{Got: %d}, got %v", v, v, err)
+		}
 	}
 }
 
