@@ -25,21 +25,16 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: table1|fig3|table2|table3|table4|micro|rma|faults|sync|p2p|net|coll|trace|recover|halo|all")
+	exp := flag.String("exp", "all", "experiment: table1|fig3|table2|table3|table4|micro|rma|faults|sync|coll|recover|halo|all")
 	full := flag.Bool("full", false, "run the paper-shaped sweep instead of the quick profile")
 	seed := flag.Int64("seed", 1, "chaos seed for -exp faults and -exp recover (fixes the whole fault schedule)")
 	csvDir := flag.String("csv", "", "also write machine-readable CSVs into this directory")
 	syncOut := flag.String("out", "BENCH_sync.json", "where -exp sync writes its JSON snapshot (empty to skip)")
-	p2pOut := flag.String("p2pout", "BENCH_p2p.json", "where -exp p2p writes its JSON snapshot (empty to skip)")
-	netOut := flag.String("netout", "BENCH_net.json", "where -exp net writes its JSON snapshot (empty to skip)")
 	collOut := flag.String("collout", "BENCH_coll.json", "where -exp coll writes its JSON snapshot (empty to skip)")
-	traceOut := flag.String("traceout", "BENCH_trace.json", "where -exp trace writes its JSON snapshot (empty to skip)")
 	recoverOut := flag.String("recoverout", "BENCH_recover.json", "where -exp recover writes its JSON snapshot (empty to skip)")
 	haloOut := flag.String("haloout", "BENCH_halo.json", "where -exp halo writes its JSON snapshot (empty to skip)")
 	haloWidth := flag.Int("halo-width", 0, "pin -exp halo to one ghost-layer width (0 sweeps the profile's ladder)")
-	traceFile := flag.String("tracefile", "", "where -exp trace writes the Perfetto-loadable event file for hlstrace (empty to skip)")
-	eagerLimit := flag.Int("eager-limit", 0, "pin -exp p2p to one eager/rendezvous threshold in bytes (0 sweeps a ladder around the default)")
-	compare := flag.String("compare", "", "baseline JSON snapshot to compare against, for -exp sync or -exp p2p (exit 1 on check regressions)")
+	compare := flag.String("compare", "", "baseline JSON snapshot to compare against, for -exp sync, coll, recover or halo run alone (exit 1 on check regressions)")
 	serve := flag.String("serve", "", "serve live /metrics, /metrics.json and /debug/pprof/ on this address (e.g. :8080 or :0) while experiments run")
 	linger := flag.Duration("linger", 0, "keep the -serve endpoint up this long after the experiments finish")
 	flag.Parse()
@@ -190,56 +185,6 @@ func main() {
 		}
 		fmt.Println()
 	}
-	if want("p2p") {
-		ran = true
-		fmt.Printf("== P2P datapath: pooled buffers + single-copy delivery (%s profile) ==\n", profile)
-		res, err := bench.RunP2P(profile, *eagerLimit)
-		exitOn(err)
-		bench.PrintP2P(os.Stdout, res)
-		writeCSV("p2p.csv", func(w io.Writer) error { return bench.WriteP2PCSV(w, res) })
-		if *p2pOut != "" {
-			f, err := os.Create(*p2pOut)
-			exitOn(err)
-			err = bench.WriteP2PJSON(f, res)
-			f.Close()
-			exitOn(err)
-			fmt.Println("wrote", *p2pOut)
-		}
-		if *compare != "" && *exp == "p2p" {
-			f, err := os.Open(*compare)
-			exitOn(err)
-			base, err := bench.ReadP2PJSON(f)
-			f.Close()
-			exitOn(err)
-			exitOn(bench.CompareP2P(os.Stdout, base, res))
-		}
-		fmt.Println()
-	}
-	if want("net") {
-		ran = true
-		fmt.Printf("== Wire transport: in-process vs loopback TCP (%s profile) ==\n", profile)
-		res, err := bench.RunNet(profile)
-		exitOn(err)
-		bench.PrintNet(os.Stdout, res)
-		writeCSV("net.csv", func(w io.Writer) error { return bench.WriteNetCSV(w, res) })
-		if *netOut != "" {
-			f, err := os.Create(*netOut)
-			exitOn(err)
-			err = bench.WriteNetJSON(f, res)
-			f.Close()
-			exitOn(err)
-			fmt.Println("wrote", *netOut)
-		}
-		if *compare != "" && *exp == "net" {
-			f, err := os.Open(*compare)
-			exitOn(err)
-			base, err := bench.ReadNetJSON(f)
-			f.Close()
-			exitOn(err)
-			exitOn(bench.CompareNet(os.Stdout, base, res))
-		}
-		fmt.Println()
-	}
 	if want("coll") {
 		ran = true
 		fmt.Printf("== Collectives: two-level + frame batching vs flat (%s profile) ==\n", profile)
@@ -262,39 +207,6 @@ func main() {
 			f.Close()
 			exitOn(err)
 			exitOn(bench.CompareColl(os.Stdout, base, res))
-		}
-		fmt.Println()
-	}
-	if want("trace") {
-		ran = true
-		fmt.Printf("== Tracing plane: wait attribution vs ground truth (%s profile) ==\n", profile)
-		res, err := bench.RunTrace(profile)
-		exitOn(err)
-		bench.PrintTrace(os.Stdout, res)
-		writeCSV("trace.csv", func(w io.Writer) error { return bench.WriteTraceCSV(w, res) })
-		if *traceOut != "" {
-			f, err := os.Create(*traceOut)
-			exitOn(err)
-			err = bench.WriteTraceJSON(f, res)
-			f.Close()
-			exitOn(err)
-			fmt.Println("wrote", *traceOut)
-		}
-		if *traceFile != "" {
-			f, err := os.Create(*traceFile)
-			exitOn(err)
-			err = bench.WriteTraceEvents(f, res)
-			f.Close()
-			exitOn(err)
-			fmt.Println("wrote", *traceFile)
-		}
-		if *compare != "" && *exp == "trace" {
-			f, err := os.Open(*compare)
-			exitOn(err)
-			base, err := bench.ReadTraceJSON(f)
-			f.Close()
-			exitOn(err)
-			exitOn(bench.CompareTrace(os.Stdout, base, res))
 		}
 		fmt.Println()
 	}

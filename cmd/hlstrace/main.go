@@ -1,6 +1,6 @@
 // Command hlstrace analyzes a trace written by the observability plane —
-// a single process's recorder dump, hlsbench -exp trace -tracefile, or
-// the world-merged file a traced hlsworker run leaves behind — and
+// a single process's recorder dump or the world-merged file a traced
+// hlsworker run leaves behind — and
 // prints where each rank's blocked time went and the run's critical
 // path.
 //

@@ -11,7 +11,6 @@ import (
 	"hls/internal/hls"
 	"hls/internal/metrics"
 	"hls/internal/mpi"
-	"hls/internal/obs"
 	"hls/internal/rma"
 )
 
@@ -25,12 +24,6 @@ type Telemetry struct {
 	MPI      *metrics.MPIAdapter
 	HLS      *metrics.HLSAdapter
 	RMA      *metrics.RMAAdapter
-
-	// Trace is set by runners that enable the tracing plane (-exp
-	// trace); its recorder-drop count surfaces in the summary and as
-	// the trace_events_dropped_total counter.
-	Trace        *obs.Tracer
-	TraceDropped *metrics.Counter
 }
 
 // NewTelemetry builds a registry sharded for up to `shards` ranks and
@@ -42,17 +35,7 @@ func NewTelemetry(shards int) *Telemetry {
 		MPI:      metrics.NewMPIAdapter(reg),
 		HLS:      metrics.NewHLSAdapter(reg),
 		RMA:      metrics.NewRMAAdapter(reg),
-		TraceDropped: reg.Counter("trace_events_dropped_total",
-			"trace events overwritten because a recorder ring filled up"),
 	}
-}
-
-// AttachTracer publishes tr's state through this telemetry sink: the
-// summary gains a trace line and the dropped counter tracks tr's
-// recorder ring.
-func (t *Telemetry) AttachTracer(tr *obs.Tracer) {
-	t.Trace = tr
-	tr.PublishDropped(t.TraceDropped)
 }
 
 // active is the harness-wide telemetry sink. The runners consult it
@@ -193,16 +176,9 @@ func PrintTelemetry(w io.Writer, t *Telemetry) {
 	if t == nil {
 		return
 	}
-	if t.Trace != nil {
-		t.Trace.PublishDropped(t.TraceDropped)
-	}
 	snap := t.Registry.Snapshot(metrics.WithPerShard())
 
 	fprintf(w, "== Telemetry summary ==\n")
-	if t.Trace != nil {
-		fprintf(w, "trace: %d events held, %d dropped (ring full)\n",
-			t.Trace.Recorder().Len(), sumSeries(snap.Counters, "trace_events_dropped_total"))
-	}
 
 	// MPI point-to-point and collectives.
 	sends := sumSeries(snap.Counters, "mpi_sends_total")

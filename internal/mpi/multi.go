@@ -39,6 +39,9 @@ func MultiHooks(hooks ...Hooks) Hooks {
 		if th, ok := h.(TypedHooks); ok {
 			m.typed = append(m.typed, th)
 		}
+		if th, ok := h.(TwoLevelCollHooks); ok {
+			m.tl = append(m.tl, th)
+		}
 		// The composition allows the shared-collective fast path only if
 		// every member does: one message-watching member (the hb tracker)
 		// vetoes it for the whole world.
@@ -119,10 +122,11 @@ func (m *multiFaultHooks) FaultP2P(worldSrc, worldDst, bytes int, rendezvous boo
 
 type multiHooks struct {
 	hooks []Hooks
-	msg   []MessageHooks    // the subset implementing MessageHooks
-	shm   []SharedCollHooks // the subset that opted into shared collectives
-	typed []TypedHooks      // the subset implementing TypedHooks
-	shmOK bool              // every member opted in
+	msg   []MessageHooks      // the subset implementing MessageHooks
+	shm   []SharedCollHooks   // the subset that opted into shared collectives
+	typed []TypedHooks        // the subset implementing TypedHooks
+	tl    []TwoLevelCollHooks // the subset implementing TwoLevelCollHooks
+	shmOK bool                // every member opted in
 }
 
 // OnSend implements Hooks, gathering every member's metadata.
@@ -182,5 +186,12 @@ func (m *multiHooks) SharedCollectivesOK() bool { return m.shmOK }
 func (m *multiHooks) OnSharedCollective(worldRank int, op string) {
 	for _, h := range m.shm {
 		h.OnSharedCollective(worldRank, op)
+	}
+}
+
+// OnTwoLevelCollective implements TwoLevelCollHooks.
+func (m *multiHooks) OnTwoLevelCollective(worldRank int, op string) {
+	for _, h := range m.tl {
+		h.OnTwoLevelCollective(worldRank, op)
 	}
 }

@@ -134,3 +134,48 @@ func TestMessageHooksDirect(t *testing.T) {
 		t.Fatalf("collective starts = %d, want 2 (one per task)", got)
 	}
 }
+
+// tlRecHooks opts into shared collectives and counts two-level
+// completions.
+type tlRecHooks struct {
+	recHooks
+	twoLevel atomic.Int64
+}
+
+func (h *tlRecHooks) SharedCollectivesOK() bool                { return true }
+func (h *tlRecHooks) OnSharedCollective(int, string)           {}
+func (h *tlRecHooks) OnTwoLevelCollective(rank int, op string) { h.twoLevel.Add(1) }
+
+// TestMultiHooksForwardsTwoLevel: a composition of members that all
+// implement TwoLevelCollHooks hands every two-level completion to each of
+// them, so their counts match the world's own.
+func TestMultiHooksForwardsTwoLevel(t *testing.T) {
+	const perNode = 2
+	members := [2][2]*tlRecHooks{}
+	var hooks []Hooks
+	for i := range members {
+		members[i] = [2]*tlRecHooks{{recHooks: recHooks{id: 1}}, {recHooks: recHooks{id: 2}}}
+		hooks = append(hooks, MultiHooks(members[i][0], members[i][1]))
+	}
+	fn := func(task *Task) error {
+		Barrier(task, nil)
+		out := []int64{0}
+		Allreduce(task, nil, []int64{1}, out, OpSum)
+		return nil
+	}
+	w0, w1, err0, err1 := runWirePairMode(t, perNode, CollTwoLevel, fn, hooks...)
+	if err0 != nil || err1 != nil {
+		t.Fatalf("err0=%v err1=%v", err0, err1)
+	}
+	for i, w := range []*World{w0, w1} {
+		want := w.Stats().TwoLevelCollectives
+		if want == 0 {
+			t.Fatalf("world %d: two-level path never engaged", i)
+		}
+		for _, m := range members[i] {
+			if got := m.twoLevel.Load(); got != want {
+				t.Errorf("world %d member %d: %d two-level callbacks, Stats says %d", i, m.id, got, want)
+			}
+		}
+	}
+}

@@ -502,30 +502,35 @@ func TestNonOvertakingMixedWildcards(t *testing.T) {
 }
 
 // TestMatchProbesBounded: exact-match traffic costs O(1) probes per
-// message. A ping-pong's probe count must stay within a small constant
-// of its message count — the linear scans this replaced grew with every
-// pending operation on the endpoint.
+// message. Concurrent ping-pong pairs' probe count must stay within a
+// small constant of their message count at every world size — the linear
+// scans this replaced grew with every pending operation on the endpoint.
 func TestMatchProbesBounded(t *testing.T) {
 	const rounds = 200
-	w := run(t, 2, func(task *Task) error {
-		buf := []int{0}
-		for i := 0; i < rounds; i++ {
-			if task.Rank() == 0 {
-				Send(task, nil, buf, 1, 0)
-				Recv(task, nil, buf, 1, 0)
-			} else {
-				Recv(task, nil, buf, 0, 0)
-				Send(task, nil, buf, 0, 0)
+	for _, tasks := range []int{2, 8, 32} {
+		t.Run(fmt.Sprintf("tasks=%d", tasks), func(t *testing.T) {
+			w := run(t, tasks, func(task *Task) error {
+				buf := []int{0}
+				peer := task.Rank() ^ 1
+				for i := 0; i < rounds; i++ {
+					if task.Rank()%2 == 0 {
+						Send(task, nil, buf, peer, 0)
+						Recv(task, nil, buf, peer, 0)
+					} else {
+						Recv(task, nil, buf, peer, 0)
+						Send(task, nil, buf, peer, 0)
+					}
+				}
+				return nil
+			})
+			s := w.Stats()
+			if s.Messages == 0 {
+				t.Fatal("no messages")
 			}
-		}
-		return nil
-	})
-	s := w.Stats()
-	if s.Messages == 0 {
-		t.Fatal("no messages")
-	}
-	if perMsg := float64(s.MatchProbes) / float64(s.Messages); perMsg > 2 {
-		t.Errorf("match probes per message = %.2f (%d/%d), want <= 2",
-			perMsg, s.MatchProbes, s.Messages)
+			if perMsg := float64(s.MatchProbes) / float64(s.Messages); perMsg > 2 {
+				t.Errorf("match probes per message = %.2f (%d/%d), want <= 2",
+					perMsg, s.MatchProbes, s.Messages)
+			}
+		})
 	}
 }

@@ -29,8 +29,9 @@ func runWirePair(t *testing.T, perNode int, fn func(*Task) error) (w0, w1 *World
 
 // runWirePairMode is runWirePair with an explicit collective-mode
 // selection, so tests can pin the flat channel algorithms or the
-// two-level decomposition.
-func runWirePairMode(t *testing.T, perNode int, mode CollectiveMode, fn func(*Task) error) (w0, w1 *World, err0, err1 error) {
+// two-level decomposition. hooks[i], when given, is world i's
+// Config.Hooks.
+func runWirePairMode(t *testing.T, perNode int, mode CollectiveMode, fn func(*Task) error, hooks ...Hooks) (w0, w1 *World, err0, err1 error) {
 	t.Helper()
 	m, err := topology.New(topology.Spec{
 		Name:           "wiretest",
@@ -56,11 +57,16 @@ func runWirePairMode(t *testing.T, perNode int, mode CollectiveMode, fn func(*Ta
 		if err != nil {
 			t.Fatal(err)
 		}
+		var h Hooks
+		if self < len(hooks) {
+			h = hooks[self]
+		}
 		w, err := NewWorld(Config{
 			NumTasks:    2 * perNode,
 			Machine:     m,
 			Wire:        &WireConfig{Transport: tr},
 			Collectives: mode,
+			Hooks:       h,
 			Timeout:     20 * time.Second,
 		})
 		if err != nil {
