@@ -47,6 +47,47 @@ func TestPingPongZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestWirePingPongAllocs: a 64 B eager ping-pong between two worlds
+// over loopback TCP makes at most 2 allocations per round trip once
+// warm. Frames, encode buffers and acks add none; the 2 are the
+// wire.Header each remote send lets escape.
+func TestWirePingPongAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing-sensitive wire test")
+	}
+	if raceEnabled {
+		t.Skip("race detector makes sync.Pool drop puts; the count cannot hold")
+	}
+	const warm, runs = 200, 1000
+	var allocs float64
+	_, _, err0, err1 := runWirePair(t, 1, func(task *Task) error {
+		buf := make([]float64, 8) // 64 B: eager
+		if task.Rank() == 1 {
+			// AllocsPerRun calls its function once more than runs.
+			for i := 0; i < warm+runs+1; i++ {
+				Recv(task, nil, buf, 0, 0)
+				Send(task, nil, buf, 0, 1)
+			}
+			return nil
+		}
+		roundTrip := func() {
+			Send(task, nil, buf, 1, 0)
+			Recv(task, nil, buf, 1, 1)
+		}
+		for i := 0; i < warm; i++ {
+			roundTrip()
+		}
+		allocs = testing.AllocsPerRun(runs, roundTrip)
+		return nil
+	})
+	if err0 != nil || err1 != nil {
+		t.Fatalf("world errors: %v / %v", err0, err1)
+	}
+	if allocs > 2 {
+		t.Errorf("wire ping-pong allocs per round trip = %v, want <= 2", allocs)
+	}
+}
+
 // TestPoolClassBoundaries pins the size-class selection at the exact
 // class edges: a payload of exactly a class's capacity belongs to that
 // class (not the next), and only payloads beyond the largest class —

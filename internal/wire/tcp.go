@@ -16,8 +16,8 @@ import (
 // Reliability model: every sequenced frame (eager, RTS, CTS, data,
 // failure) gets a per-peer monotonically increasing sequence number and
 // is retained in an unacked ring until the peer acknowledges it —
-// cumulatively, piggybacked on every frame it sends back, plus a
-// standalone ack every ackEvery frames of one-way traffic. When a
+// cumulatively, piggybacked on every frame, standalone only after
+// ackDelay of quiescence or every ackEvery one-way frames. When a
 // connection drops, nothing is lost: the next connection's Hello
 // handshake carries each side's resume point (highest in-order sequence
 // received) and the unacked tail is retransmitted. The receiver claims
@@ -47,6 +47,11 @@ type TCP struct {
 // standalone cumulative ack is emitted.
 const ackEvery = 32
 
+// ackDelay is how long a received frame's ack may wait for reverse
+// traffic to carry it before maybeAck sends it alone: long against a
+// loopback reply, short against the mpi layer's 1 s shutdown drain.
+const ackDelay = 2 * time.Millisecond
+
 // Batching policy (engaged by Config.BatchWindow): an eager frame whose
 // encoding exceeds batchCutoff goes out alone, and a pending batch is
 // flushed as soon as it holds batchMaxBytes of encoded sub-frames or
@@ -60,25 +65,28 @@ const (
 // maxPooledEnc bounds the encode buffers kept in the pool.
 const maxPooledEnc = 64 << 10
 
+// encPool holds encode buffers by pointer; the pointer travels with its
+// buffer, so a Put needs no fresh box.
 var encPool sync.Pool
 
-func getEnc() []byte {
+func getEnc() *[]byte {
 	if v := encPool.Get(); v != nil {
-		return (*v.(*[]byte))[:0]
+		b := v.(*[]byte)
+		*b = (*b)[:0]
+		return b
 	}
-	return nil
+	return new([]byte)
 }
 
-func putEnc(b []byte) {
-	if cap(b) > 0 && cap(b) <= maxPooledEnc {
-		b = b[:0]
-		encPool.Put(&b)
+func putEnc(b *[]byte) {
+	if c := cap(*b); c > 0 && c <= maxPooledEnc {
+		encPool.Put(b)
 	}
 }
 
 type encFrame struct {
 	seq uint64
-	buf []byte
+	buf *[]byte
 }
 
 // tcpPeer is the per-peer connection state. Two mutexes with a strict
@@ -116,6 +124,9 @@ type tcpPeer struct {
 	recvMu  sync.Mutex
 	recvSeq atomic.Uint64 // highest in-order seq received (atomic: read by send path for piggyback)
 	lastAck uint64        // recvSeq value last standalone-acked
+
+	ackedOut atomic.Uint64 // highest Ack written on the connection (stored under sendMu)
+	ackTimer *time.Timer   // fires maybeAck after ackDelay of quiescence
 }
 
 // NewTCP builds a TCP transport listening on cfg.Addrs[cfg.Self] (or on
@@ -136,7 +147,10 @@ func NewTCP(cfg Config, ln net.Listener) (*TCP, error) {
 	t := &TCP{cfg: c, ln: ln}
 	t.peers = make([]*tcpPeer, len(c.Addrs))
 	for i := range t.peers {
-		t.peers[i] = &tcpPeer{id: i, tr: t}
+		p := &tcpPeer{id: i, tr: t}
+		p.ackTimer = time.AfterFunc(ackDelay, p.maybeAck)
+		p.ackTimer.Stop()
+		t.peers[i] = p
 	}
 	return t, nil
 }
@@ -183,6 +197,10 @@ func (t *TCP) Close() error {
 	}
 	err := t.ln.Close()
 	for _, p := range t.peers {
+		// Ack what we owe before the connection goes, so the peer's
+		// inflight drains now instead of when its redials give up.
+		p.ackTimer.Stop()
+		p.maybeAck()
 		p.sendMu.Lock()
 		if p.conn != nil {
 			p.conn.Close()
@@ -245,8 +263,10 @@ func (t *TCP) Send(peer int, h *Header, payload []byte) error {
 	hh := *h
 	hh.Seq = p.sendSeq
 	hh.Ack = p.recvSeq.Load()
-	buf := AppendFrame(getEnc(), &hh, payload)
-	p.unacked = append(p.unacked, encFrame{seq: hh.Seq, buf: buf})
+	enc := getEnc()
+	*enc = AppendFrame(*enc, &hh, payload)
+	buf := *enc
+	p.unacked = append(p.unacked, encFrame{seq: hh.Seq, buf: enc})
 	t.inflight.Add(1)
 	if ob := t.cfg.Observer; ob != nil {
 		ob.InflightChanged(1)
@@ -279,7 +299,9 @@ func (t *TCP) Send(peer int, h *Header, payload []byte) error {
 	}
 	if err := p.writeLocked(buf, hh.Type, true); err != nil {
 		p.severLocked(err)
+		return nil
 	}
+	p.noteAckedLocked(hh.Ack)
 	return nil
 }
 
@@ -311,17 +333,35 @@ func (p *tcpPeer) flushBatchLocked() error {
 		return nil
 	}
 	t := p.tr
-	h := Header{Type: TypeBatch, Ack: p.recvSeq.Load()}
-	buf := AppendFrame(getEnc(), &h, payload)
-	p.batchBuf = p.batchBuf[:0]
 	t.batchesSent.Add(1)
 	t.batchedFrames.Add(uint64(n))
 	if bo, ok := t.cfg.Observer.(BatchObserver); ok {
 		bo.BatchFlushed(p.id, n, len(payload))
 	}
-	err := p.writeLocked(buf, TypeBatch, true)
-	putEnc(buf)
+	err := p.writeFrameLocked(&Header{Type: TypeBatch, Ack: p.recvSeq.Load()}, payload, true)
+	p.batchBuf = p.batchBuf[:0]
 	return err
+}
+
+// writeFrameLocked encodes an unsequenced frame into a pooled buffer and
+// writes it, noting the cumulative ack it carries.
+func (p *tcpPeer) writeFrameLocked(h *Header, payload []byte, coalesce bool) error {
+	enc := getEnc()
+	*enc = AppendFrame(*enc, h, payload)
+	err := p.writeLocked(*enc, h.Type, coalesce)
+	putEnc(enc)
+	if err == nil {
+		p.noteAckedLocked(h.Ack)
+	}
+	return err
+}
+
+// noteAckedLocked records that a frame carrying cumulative ack a went
+// out, so a standalone ack through a would be redundant.
+func (p *tcpPeer) noteAckedLocked(a uint64) {
+	if a > p.ackedOut.Load() {
+		p.ackedOut.Store(a)
+	}
 }
 
 // clearBatchLocked drops the pending batch without writing it (the
@@ -521,10 +561,7 @@ func (p *tcpPeer) installLocked(conn net.Conn) {
 func (p *tcpPeer) writeHelloLocked() error {
 	h := p.tr.hello()
 	h.Ack = p.recvSeq.Load()
-	buf := AppendFrame(getEnc(), &h, nil)
-	err := p.writeLocked(buf, TypeHello, false)
-	putEnc(buf)
-	return err
+	return p.writeFrameLocked(&h, nil, false)
 }
 
 // hello is the Hello header this transport announces itself with; the
@@ -578,6 +615,7 @@ func (p *tcpPeer) noteHelloLocked(h *Header) (bumped, revived bool) {
 // return to zero. Caller holds recvMu and sendMu.
 func (p *tcpPeer) resetStreamLocked() {
 	p.clearBatchLocked()
+	p.ackTimer.Stop()
 	p.sendSeq = 0
 	n := len(p.unacked)
 	for _, ef := range p.unacked {
@@ -592,6 +630,7 @@ func (p *tcpPeer) resetStreamLocked() {
 	}
 	p.recvSeq.Store(0)
 	p.lastAck = 0
+	p.ackedOut.Store(0)
 }
 
 // handleHello processes the peer's Hello on connection c: note the
@@ -611,7 +650,7 @@ func (p *tcpPeer) handleHello(c net.Conn, h *Header) {
 	p.noteHelloLocked(h)
 	p.trimAckedLocked(h.Ack)
 	for _, ef := range p.unacked {
-		if err := p.writeLocked(ef.buf, TypeEager, false); err != nil {
+		if err := p.writeLocked(*ef.buf, TypeEager, false); err != nil {
 			p.severLocked(err)
 			p.sendMu.Unlock()
 			p.recvMu.Unlock()
@@ -645,10 +684,7 @@ func (p *tcpPeer) writePingLocked() {
 		Xid:  uint64(time.Now().UnixNano()),
 		Ack:  p.recvSeq.Load(),
 	}
-	buf := AppendFrame(getEnc(), &h, nil)
-	err := p.writeLocked(buf, TypePing, false)
-	putEnc(buf)
-	if err != nil {
+	if err := p.writeFrameLocked(&h, nil, false); err != nil {
 		p.severLocked(err)
 	}
 }
@@ -678,10 +714,7 @@ func (p *tcpPeer) sendPong(t1 uint64, t2 int64) {
 		Ack:    p.recvSeq.Load(),
 		SendTS: time.Now().UnixNano(),
 	}
-	buf := AppendFrame(getEnc(), &h, nil)
-	err := p.writeLocked(buf, TypePong, false)
-	putEnc(buf)
-	if err != nil {
+	if err := p.writeFrameLocked(&h, nil, false); err != nil {
 		p.severLocked(err)
 	}
 }
@@ -751,20 +784,24 @@ func (p *tcpPeer) sendAck() {
 		return
 	}
 	h := Header{Type: TypeAck, Ack: p.recvSeq.Load()}
-	buf := AppendFrame(getEnc(), &h, nil)
-	err := p.writeLocked(buf, TypeAck, false)
-	putEnc(buf)
-	if err != nil {
+	if err := p.writeFrameLocked(&h, nil, false); err != nil {
 		p.severLocked(err)
 	}
 }
 
-// maybeAck emits a standalone cumulative ack if any received frames are
-// still unacknowledged.
+// deferAck re-arms the quiescence ack: a frame sent back within ackDelay
+// carries the ack, and only a stream that stays silent gets a
+// standalone one.
+func (p *tcpPeer) deferAck() {
+	p.ackTimer.Reset(ackDelay)
+}
+
+// maybeAck emits a standalone cumulative ack if received frames are
+// still unacknowledged by both standalone and piggybacked acks.
 func (p *tcpPeer) maybeAck() {
 	p.recvMu.Lock()
 	cur := p.recvSeq.Load()
-	send := cur > p.lastAck
+	send := cur > max(p.lastAck, p.ackedOut.Load())
 	if send {
 		p.lastAck = cur
 	}
@@ -785,6 +822,7 @@ func (p *tcpPeer) markDown(err error) {
 	p.downErr = err
 	p.dialing = false
 	p.clearBatchLocked()
+	p.ackTimer.Stop()
 	if p.conn != nil {
 		p.conn.Close()
 		p.conn = nil
@@ -894,12 +932,13 @@ func (t *TCP) handleAccept(conn net.Conn) {
 func (p *tcpPeer) runReader(c net.Conn, br *bufio.Reader) {
 	t := p.tr
 	var scratch [maxFrameRead]byte
+	var f Frame // every frame is decoded into f: Sink.Frame does not keep it
+	h := &f.Header
 	for {
 		if t.cfg.ReadIdleTimeout > 0 {
 			c.SetReadDeadline(time.Now().Add(t.cfg.ReadIdleTimeout)) //nolint:errcheck
 		}
-		var h Header
-		plen, err := readHeader(br, &h, &scratch)
+		plen, err := readHeader(br, h, &scratch)
 		if err != nil {
 			var ve *VersionError
 			if errors.As(err, &ve) {
@@ -916,7 +955,7 @@ func (p *tcpPeer) runReader(c net.Conn, br *bufio.Reader) {
 		var token any
 		if plen > 0 {
 			if t.sink != nil && (h.Type == TypeEager || h.Type == TypeData || h.Type == TypeDataSeg) {
-				payload, token = t.sink.Alloc(p.id, &h)
+				payload, token = t.sink.Alloc(p.id, h)
 			}
 			if len(payload) != plen {
 				if token != nil {
@@ -940,7 +979,7 @@ func (p *tcpPeer) runReader(c net.Conn, br *bufio.Reader) {
 		}
 		switch h.Type {
 		case TypeHello:
-			p.handleHello(c, &h)
+			p.handleHello(c, h)
 		case TypeAck:
 			p.handleAck(h.Ack)
 		case TypePing:
@@ -950,25 +989,26 @@ func (p *tcpPeer) runReader(c net.Conn, br *bufio.Reader) {
 			p.sendPong(h.Xid, time.Now().UnixNano())
 		case TypePong:
 			p.handleAck(h.Ack)
-			p.handlePong(&h)
+			p.handlePong(h)
 		case TypeBatch:
 			p.handleAck(h.Ack)
-			if !p.handleBatch(c, payload) {
+			if !p.handleBatch(c, payload, &f) {
 				return
 			}
 			if br.Buffered() == 0 {
-				p.maybeAck()
+				p.deferAck()
 			}
 		default:
 			p.handleAck(h.Ack) // piggybacked cumulative ack
-			if !p.claimAndDeliver(c, &h, payload, token) {
+			f.Payload, f.Token = payload, token
+			if !p.claimAndDeliver(c, &f) {
 				return // connection severed on protocol error
 			}
 			if br.Buffered() == 0 {
-				// The stream went quiescent: ack what we have now, so the
-				// sender's inflight count drains promptly (world shutdown
-				// waits on it) instead of waiting out the ackEvery stride.
-				p.maybeAck()
+				// The stream went quiescent: a reply within ackDelay
+				// carries the ack, else the timer sends it, so the sender's
+				// inflight count drains (world shutdown waits on it).
+				p.deferAck()
 			}
 		}
 	}
@@ -979,8 +1019,11 @@ func (p *tcpPeer) runReader(c net.Conn, br *bufio.Reader) {
 // even across connection replacement. Duplicates (retransmission
 // overlap) and frames from stale connections are dropped. A sequence gap
 // severs the connection to force a resume handshake; it reports false.
-func (p *tcpPeer) claimAndDeliver(c net.Conn, h *Header, payload []byte, token any) bool {
+// f is the reader's reused frame; its payload and token are cleared.
+func (p *tcpPeer) claimAndDeliver(c net.Conn, f *Frame) bool {
 	t := p.tr
+	h, token := &f.Header, f.Token
+	defer func() { f.Payload, f.Token = nil, nil }()
 	p.recvMu.Lock()
 	p.sendMu.Lock()
 	cur := p.conn
@@ -1001,8 +1044,8 @@ func (p *tcpPeer) claimAndDeliver(c net.Conn, h *Header, payload []byte, token a
 		return false
 	}
 	p.recvSeq.Store(h.Seq)
-	t.sink.Frame(p.id, &Frame{Header: *h, Payload: payload, Token: token})
-	needAck := h.Seq-p.lastAck >= ackEvery
+	t.sink.Frame(p.id, f)
+	needAck := h.Seq-max(p.lastAck, p.ackedOut.Load()) >= ackEvery
 	if needAck {
 		p.lastAck = h.Seq
 	}
@@ -1022,8 +1065,9 @@ var errBatchSevered = errors.New("wire: batch delivery severed")
 // the same Alloc / ack / in-order claim path as an individually framed
 // message, so the MPI layer cannot tell batched and unbatched delivery
 // apart. A structurally corrupt batch severs the connection with the
-// typed *BatchError.
-func (p *tcpPeer) handleBatch(c net.Conn, payload []byte) bool {
+// typed *BatchError. Each sub-frame is delivered through f, the
+// reader's reused frame.
+func (p *tcpPeer) handleBatch(c net.Conn, payload []byte, f *Frame) bool {
 	t := p.tr
 	severed := false
 	_, err := DecodeBatch(payload, func(h *Header, sub []byte) error {
@@ -1043,7 +1087,8 @@ func (p *tcpPeer) handleBatch(c net.Conn, payload []byte) bool {
 			copy(body, sub)
 		}
 		p.handleAck(h.Ack)
-		if !p.claimAndDeliver(c, h, body, token) {
+		f.Header, f.Payload, f.Token = *h, body, token
+		if !p.claimAndDeliver(c, f) {
 			severed = true
 			return errBatchSevered
 		}

@@ -20,7 +20,8 @@ type Sink interface {
 	// use internal scratch space.
 	Alloc(peer int, h *Header) ([]byte, any)
 	// Frame delivers one decoded frame from peer. The payload buffer is
-	// owned by the sink after the call.
+	// owned by the sink after the call; f is valid only for the duration
+	// of the call.
 	Frame(peer int, f *Frame)
 	// Free returns an Alloc'd buffer whose frame was dropped by the
 	// transport (duplicate after retransmission, stale connection)

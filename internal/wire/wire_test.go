@@ -133,6 +133,14 @@ func (s *testSink) frame(i int) *Frame {
 // newPair builds two bound transports talking over loopback.
 func newPair(t *testing.T, cfg0, cfg1 Config) (*TCP, *TCP, *testSink, *testSink) {
 	t.Helper()
+	s0, s1 := newTestSink(), newTestSink()
+	tr0, tr1 := newPairWith(t, cfg0, cfg1, s0, s1)
+	return tr0, tr1, s0, s1
+}
+
+// newPairWith is newPair with caller-supplied sinks.
+func newPairWith(t *testing.T, cfg0, cfg1 Config, s0, s1 Sink) (*TCP, *TCP) {
+	t.Helper()
 	ln0, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -152,11 +160,10 @@ func newPair(t *testing.T, cfg0, cfg1 Config) (*TCP, *TCP, *testSink, *testSink)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s0, s1 := newTestSink(), newTestSink()
 	tr0.Bind(s0)
 	tr1.Bind(s1)
 	t.Cleanup(func() { tr0.Close(); tr1.Close() })
-	return tr0, tr1, s0, s1
+	return tr0, tr1
 }
 
 func waitFor(t *testing.T, what string, cond func() bool) {
