@@ -67,7 +67,7 @@ func main() {
 	rounds := flag.Int("rounds", 3, "workload iterations")
 	serve := flag.String("serve", "", "serve /metrics, /metrics.json and pprof on this address while running")
 	collMode := flag.String("coll", "auto", "collective algorithms: auto|flat|two-level (flat = single-level channel algorithms; two-level = node-local fast path + leaders-only wire exchange)")
-	batchWindow := flag.Duration("batch", 0, "wire frame-batching flush window, e.g. 200us (0 = off): small eager frames to the same peer within the window coalesce into one Batch container")
+	batchWindow := flag.Duration("batch", 0, "wire frame batching, e.g. 200us (0 = off): small eager frames to the same peer coalesce into one Batch container, flushed once every local task is blocked and at the latest after this window")
 	traceFile := flag.String("trace", "", "record a distributed trace; rank 0's process writes the world-merged Perfetto file here (plus <file>.metrics.json)")
 	traceEvents := flag.Int("trace-events", 1<<16, "per-process trace ring capacity (0 = unbounded)")
 	linger := flag.Duration("linger", 0, "keep the process (and -serve endpoint) up this long after the workload")

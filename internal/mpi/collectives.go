@@ -1,7 +1,5 @@
 package mpi
 
-import "fmt"
-
 // Collective operations. All of them are implemented on top of the
 // point-to-point layer on the communicator's private collective context,
 // so every synchronization a collective implies is visible to the
@@ -45,12 +43,40 @@ func collStart(t *Task, c *Comm) (comm *Comm, baseTag int) {
 	return c, int(st.collSeq << collStepBits)
 }
 
+// collLabels holds the pre-boxed blocked-on labels of csend and crecv
+// for every collective that uses them, indexed by op name, so a
+// collective hop publishes its wait without allocating; blockedDesc
+// adds the peer and tag on the diagnostic path only.
+var collLabels = func() map[string]*[2]any {
+	m := make(map[string]*[2]any)
+	for _, op := range []string{
+		"Allgather", "Allgatherv", "AllreduceRD", "Alltoall", "Alltoallv", "Barrier",
+		"Bcast", "Gather", "Gatherv", "Reduce", "Scan", "Scatter", "Scatterv",
+	} {
+		m[op] = collLabel(op)
+	}
+	return m
+}()
+
+func collLabel(op string) *[2]any {
+	return &[2]any{op + " rendezvous send", op + " recv"}
+}
+
+// collLabelsFor returns op's labels: [0] for a rendezvous send, [1] for
+// a receive.
+func collLabelsFor(op string) *[2]any {
+	if l := collLabels[op]; l != nil {
+		return l
+	}
+	return collLabel(op)
+}
+
 // csend / crecv are collective-context point-to-point helpers. op names
 // the collective ("Barrier", "Bcast", ...) so failures surface as typed
 // errors attributed to it.
 func csend[T Scalar](t *Task, c *Comm, op string, buf []T, dst, tag int) {
 	if req := isend(t, c, c.ctxColl, buf, dst, tag, op); req != nil {
-		t.blockOn(fmt.Sprintf("%s rendezvous send(dst=%d)", op, dst))
+		t.blockOnP2P(collLabelsFor(op)[0], dst, tag)
 		req.Wait()
 		t.unblock()
 		t.checkReq(op, req)
@@ -68,7 +94,7 @@ func cisend[T Scalar](t *Task, c *Comm, op string, buf []T, dst, tag int) *Reque
 
 func crecv[T Scalar](t *Task, c *Comm, op string, buf []T, src, tag int) {
 	req := irecv(t, c, c.ctxColl, buf, src, tag, op)
-	t.blockOn(fmt.Sprintf("%s recv(src=%d)", op, src))
+	t.blockOnP2P(collLabelsFor(op)[1], src, tag)
 	req.Wait()
 	t.unblock()
 	t.checkReq(op, req)

@@ -1,10 +1,13 @@
 package mpi
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestBarrierOrdering(t *testing.T) {
@@ -388,6 +391,39 @@ func TestOpString(t *testing.T) {
 	for _, op := range []Op{OpSum, OpProd, OpMax, OpMin} {
 		if op.String() == "" {
 			t.Errorf("empty name for op %d", op)
+		}
+	}
+}
+
+// TestCollectiveWaitNamesOpAndPeer: a rank stuck in a channel
+// collective's hop is reported by the deadlock watchdog with the
+// collective's name, the direction and the peer, for a receive and for
+// a rendezvous send.
+func TestCollectiveWaitNamesOpAndPeer(t *testing.T) {
+	big := make([]int64, DefaultEagerLimit) // 8x the eager limit in bytes: rendezvous
+	for _, tc := range []struct {
+		name  string
+		stuck int // the rank blocked in the collective
+		want  string
+	}{
+		{"recv", 0, "Bcast recv(src=1, tag="},
+		{"rendezvous send", 1, "Bcast rendezvous send(dst=0, tag="},
+	} {
+		_, err := Run(Config{NumTasks: 2, Collectives: CollChannels, Watchdog: 10 * time.Millisecond, Timeout: 10 * time.Second},
+			func(tk *Task) error {
+				if tk.Rank() == tc.stuck {
+					Bcast(tk, nil, big, 1)
+				} else {
+					Recv(tk, nil, big[:1], tc.stuck, 5) // never sent
+				}
+				return nil
+			})
+		var de *DeadlockError
+		if !errors.As(err, &de) {
+			t.Fatalf("%s: err = %v, want *DeadlockError", tc.name, err)
+		}
+		if got := de.Tasks[tc.stuck].BlockedOn; !strings.HasPrefix(got, tc.want) {
+			t.Errorf("%s: rank %d blocked on %q, want prefix %q", tc.name, tc.stuck, got, tc.want)
 		}
 	}
 }

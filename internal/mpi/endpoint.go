@@ -3,9 +3,12 @@ package mpi
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"unsafe"
+
+	"hls/internal/wire"
 )
 
 // Status describes a completed receive.
@@ -268,6 +271,11 @@ type endpoint struct {
 	// progress.
 	progress atomic.Int64
 
+	// wireHdr is the frame header of this rank's remote sends, reused:
+	// only the rank's own task goroutine writes it, and Transport.Send
+	// copies it, so a send lets no header escape to the heap.
+	wireHdr wire.Header
+
 	// statistics, updated under mu
 	unexpectedBytes     int
 	peakUnexpectedBytes int
@@ -297,9 +305,11 @@ func (ep *endpoint) blockedDesc() string {
 		return label
 	}
 	tag := ep.blockTag.Load()
-	switch label {
-	case "Send":
+	switch {
+	case label == "Send":
 		return fmt.Sprintf("Send(dst=%d, tag=%d) rendezvous", peer, tag)
+	case strings.HasSuffix(label, " send"):
+		return fmt.Sprintf("%s(dst=%d, tag=%d)", label, peer, tag)
 	default:
 		return fmt.Sprintf("%s(src=%d, tag=%d)", label, peer, tag)
 	}

@@ -1,0 +1,187 @@
+package mpi
+
+import (
+	"fmt"
+	"sync"
+	"testing"
+	"time"
+)
+
+// The idle-flush tests run batched wire worlds under a BatchWindow no
+// test outlives, so every small frame waits in a batch until the world
+// flushes it because all its local tasks are blocked (or a cap fills).
+// Without that flush each hop would wait out the window, and the
+// world's 20 s Timeout would fail the test instead.
+const neverWindow = time.Hour
+
+// TestIdleFlushBatchedOps: 200 rounds of a cross-node ping-pong, a
+// Barrier, an 8 B Allreduce and a small Bcast over two-level collectives
+// finish in seconds with batching on, and the frames really went out in
+// batches.
+func TestIdleFlushBatchedOps(t *testing.T) {
+	const rounds = 200
+	start := time.Now()
+	w0, w1, err0, err1 := runWirePairWindow(t, 2, CollAuto, neverWindow, func(task *Task) error {
+		n, r := task.Size(), task.Rank()
+		peer := (r + n/2) % n // on the other node
+		ping := make([]int64, 1)
+		bc := make([]int64, 8)
+		for i := 0; i < rounds; i++ {
+			if r < n/2 {
+				ping[0] = int64(i)
+				Send(task, nil, ping, peer, i)
+				Recv(task, nil, ping, peer, i)
+			} else {
+				Recv(task, nil, ping, peer, i)
+				Send(task, nil, ping, peer, i)
+			}
+			if ping[0] != int64(i) {
+				return fmt.Errorf("round %d: ping-pong carried %d", i, ping[0])
+			}
+			Barrier(task, nil)
+			sum := []int64{0}
+			Allreduce(task, nil, []int64{int64(r + 1)}, sum, OpSum)
+			if want := int64(n * (n + 1) / 2); sum[0] != want {
+				return fmt.Errorf("round %d: allreduce = %d, want %d", i, sum[0], want)
+			}
+			root := i % n
+			if r == root {
+				bc[0] = int64(i)
+			}
+			Bcast(task, nil, bc, root)
+			if bc[0] != int64(i) {
+				return fmt.Errorf("round %d: bcast from %d carried %d", i, root, bc[0])
+			}
+		}
+		return nil
+	})
+	if err0 != nil || err1 != nil {
+		t.Fatalf("world errors after %v: %v / %v", time.Since(start), err0, err1)
+	}
+	for i, w := range []*World{w0, w1} {
+		st, _ := w.WireStats()
+		if st.BatchesSent == 0 {
+			t.Errorf("world %d sent no batches: %+v", i, st)
+		}
+	}
+}
+
+// TestIdleFlushBatchFill: flat channel collectives over 8 ranks per node
+// put many small frames on the wire at once. Because a completer counts
+// the waiter it wakes as busy before it runs, the flush waits until the
+// whole burst of woken tasks has sent and blocked again, so batches carry
+// several frames each instead of one.
+func TestIdleFlushBatchFill(t *testing.T) {
+	const rounds = 50
+	w0, w1, err0, err1 := runWirePairWindow(t, 8, CollChannels, neverWindow, func(task *Task) error {
+		n := task.Size()
+		for i := 0; i < rounds; i++ {
+			buf := []int64{0}
+			if task.Rank() == i%n {
+				buf[0] = int64(i)
+			}
+			Bcast(task, nil, buf, i%n)
+			if buf[0] != int64(i) {
+				return fmt.Errorf("round %d: bcast carried %d", i, buf[0])
+			}
+			sum := []int64{0}
+			Allreduce(task, nil, []int64{1}, sum, OpSum)
+			if sum[0] != int64(n) {
+				return fmt.Errorf("round %d: allreduce = %d, want %d", i, sum[0], n)
+			}
+		}
+		return nil
+	})
+	if err0 != nil || err1 != nil {
+		t.Fatalf("world errors: %v / %v", err0, err1)
+	}
+	for i, w := range []*World{w0, w1} {
+		st, _ := w.WireStats()
+		if st.BatchesSent == 0 || st.BatchedFrames < 2*st.BatchesSent {
+			t.Errorf("world %d: batch fill %d/%d, want >= 2", i, st.BatchedFrames, st.BatchesSent)
+		}
+	}
+}
+
+// TestIdleFlushCountNoDrift runs Waitall/Waitany completion races in a
+// batched wire world — receives completed by the transport's reader and
+// by the other local task, in every interleaving the scheduler finds —
+// and checks the busy count afterwards: exactly the local task count
+// while both tasks run outside the runtime, and zero once they returned.
+// A leaked or doubled wake-up count would show as drift.
+func TestIdleFlushCountNoDrift(t *testing.T) {
+	const rounds = 300
+	var mu sync.Mutex
+	var inGate []int32
+	var arrive, leave [2]sync.WaitGroup // one two-task meeting per world
+	for i := range arrive {
+		arrive[i].Add(2)
+		leave[i].Add(2)
+	}
+	w0, w1, err0, err1 := runWirePairWindow(t, 2, CollAuto, neverWindow, func(task *Task) error {
+		err := driftRounds(task, rounds)
+		// Both tasks of this world meet outside the runtime: neither is
+		// parked, so the count must read exactly 2.
+		g := task.Rank() / 2
+		arrive[g].Done()
+		arrive[g].Wait()
+		mu.Lock()
+		inGate = append(inGate, task.world.idle.busy.Load())
+		mu.Unlock()
+		leave[g].Done()
+		leave[g].Wait()
+		return err
+	})
+	if err0 != nil || err1 != nil {
+		t.Fatalf("world errors: %v / %v", err0, err1)
+	}
+	for _, b := range inGate {
+		if b != 2 {
+			t.Errorf("busy count with both local tasks running = %v, want 2", inGate)
+			break
+		}
+	}
+	for i, w := range []*World{w0, w1} {
+		if b := w.idle.busy.Load(); b != 0 {
+			t.Errorf("world %d: busy count after Run = %d, want 0", i, b)
+		}
+	}
+}
+
+// driftRounds exchanges one message with every other rank per round and
+// completes the round alternately with Waitall and a Waitany loop.
+func driftRounds(task *Task, rounds int) error {
+	n, r := task.Size(), task.Rank()
+	reqs := make([]*Request, 0, 2*(n-1))
+	bufs := make([][]int64, n)
+	for i := range bufs {
+		bufs[i] = make([]int64, 1)
+	}
+	for i := 0; i < rounds; i++ {
+		reqs = reqs[:0]
+		for p := 0; p < n; p++ {
+			if p != r {
+				reqs = append(reqs, Irecv(task, nil, bufs[p], p, i))
+			}
+		}
+		for p := 0; p < n; p++ {
+			if p != r {
+				reqs = append(reqs, Isend(task, nil, []int64{int64(r*rounds + i)}, p, i))
+			}
+		}
+		if i%2 == 0 {
+			Waitall(reqs)
+		} else {
+			for pending := reqs; len(pending) > 0; {
+				j, _ := Waitany(pending)
+				pending = append(pending[:j], pending[j+1:]...)
+			}
+		}
+		for p := 0; p < n; p++ {
+			if p != r && bufs[p][0] != int64(p*rounds+i) {
+				return fmt.Errorf("round %d: from %d got %d", i, p, bufs[p][0])
+			}
+		}
+	}
+	return nil
+}

@@ -205,6 +205,9 @@ type World struct {
 	// net is the inter-node layer of a distributed world (see wire.go),
 	// nil for the ordinary single-process case.
 	net *netLayer
+	// idle triggers the idle flush of a world whose transport batches
+	// (see idleFlush), nil otherwise.
+	idle *idleFlush
 
 	// shmOn selects the shared-address-space collective fast path,
 	// resolved once from cfg.Collectives and the installed hooks (see
@@ -471,6 +474,9 @@ func (w *World) Run(fn func(*Task) error) error {
 	errs := make([]error, w.cfg.NumTasks)
 	w.rankErrs = errs
 	local := w.localRanks()
+	if w.idle != nil {
+		w.idle.busy.Store(int32(len(local)))
+	}
 	var wg sync.WaitGroup
 	wg.Add(len(local))
 	for _, r := range local {
@@ -483,6 +489,9 @@ func (w *World) Run(fn func(*Task) error) error {
 					w.rankFailed(r, errs[r])
 				}
 				w.fail.finished[r].Store(true)
+				if w.idle != nil {
+					w.idle.add(-1)
+				}
 			}()
 			errs[r] = fn(t)
 		}(r)

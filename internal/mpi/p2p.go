@@ -142,6 +142,7 @@ func isendDT[T Scalar](t *Task, comm *Comm, ctx int64, buf []T, dt *Datatype, ds
 		// sender's request completes at delivery time and Send blocks on it.
 		msg.rendezvous = true
 		sreq = newRequest(false)
+		sreq.idle = w.idle
 		msg.sreq = sreq
 		w.stats.rendezvous.Add(1)
 	}
@@ -301,6 +302,7 @@ func irecvDT[T Scalar](t *Task, comm *Comm, ctx int64, buf []T, dt *Datatype, sr
 		}
 	}
 	req := newRequest(true)
+	req.idle = w.idle
 	pr := getPostedRecv()
 	pr.ctx = ctx
 	pr.src = src
@@ -405,6 +407,9 @@ func probe(t *Task, comm *Comm, src, tag int, block bool) (Status, bool) {
 		// only when it has waiters, so unrelated traffic no longer wakes
 		// every blocked probe on the endpoint.
 		t.blockOnP2P(labelProbe, src, tag)
+		if w.idle != nil {
+			w.idle.add(-1)
+		}
 		if src == AnySource {
 			ep.wildWaiters++
 			ep.wildCond.Wait()
@@ -417,6 +422,9 @@ func probe(t *Task, comm *Comm, src, tag int, block bool) (Status, bool) {
 			b.waiters++
 			b.cond.Wait()
 			b.waiters--
+		}
+		if w.idle != nil {
+			w.idle.add(1)
 		}
 		t.unblock()
 	}

@@ -48,9 +48,9 @@ func TestPingPongZeroAllocs(t *testing.T) {
 }
 
 // TestWirePingPongAllocs: a 64 B eager ping-pong between two worlds
-// over loopback TCP makes at most 2 allocations per round trip once
-// warm. Frames, encode buffers and acks add none; the 2 are the
-// wire.Header each remote send lets escape.
+// over loopback TCP makes no allocation per round trip once warm:
+// frames, encode buffers and acks are pooled, and each remote send
+// frames through its endpoint's reused header.
 func TestWirePingPongAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive wire test")
@@ -83,8 +83,8 @@ func TestWirePingPongAllocs(t *testing.T) {
 	if err0 != nil || err1 != nil {
 		t.Fatalf("world errors: %v / %v", err0, err1)
 	}
-	if allocs > 2 {
-		t.Errorf("wire ping-pong allocs per round trip = %v, want <= 2", allocs)
+	if allocs != 0 {
+		t.Errorf("wire ping-pong allocs per round trip = %v, want 0", allocs)
 	}
 }
 

@@ -9,17 +9,19 @@ import (
 // done-channel, which meant one channel allocation per operation and
 // forced Waitany through reflect.Select. The zero-allocation datapath
 // replaces both: completion is a three-state atomic (pending → claimed →
-// done) and waiters park on a pooled, reusable notification channel they
-// register on the request. Requests created by the blocking wrappers
-// (Send, Recv, the collectives' helpers) are recycled through a
-// sync.Pool once their caller has consumed the status; requests returned
-// to the user by Isend/Irecv are left to the garbage collector, since
-// the runtime cannot know when the caller is done with them.
+// done; a batched wire world adds parked, see park) and waiters park on a
+// pooled, reusable notification channel they register on the request.
+// Requests created by the blocking wrappers (Send, Recv, the
+// collectives' helpers) are recycled through a sync.Pool once their
+// caller has consumed the status; requests returned to the user by
+// Isend/Irecv are left to the garbage collector, since the runtime
+// cannot know when the caller is done with them.
 
 const (
 	reqPending = 0 // operation in flight
 	reqClaimed = 1 // a completer is writing status/err
 	reqDone    = 2 // status/err published
+	reqParked  = 3 // in flight, and its waiter is counted blocked (see park)
 )
 
 // Request is the handle of a nonblocking operation. A Request may be
@@ -42,6 +44,9 @@ type Request struct {
 	// waiter is the notification box of the goroutine blocked on this
 	// request, nil when nobody waits. Completion sends one token into it.
 	waiter atomic.Pointer[notifyBox]
+	// idle is the busy count of a batched wire world (nil elsewhere),
+	// set before the request is published.
+	idle *idleFlush
 }
 
 // notifyBox is a reusable single-token notification channel. Boxes are
@@ -74,6 +79,7 @@ func newRequest(recvSide bool) *Request {
 	r.recvSide = recvSide
 	r.span = 0
 	r.sendNs = 0
+	r.idle = nil
 	r.waiter.Store(nil)
 	r.state.Store(reqPending)
 	return r
@@ -94,7 +100,7 @@ func putRequest(r *Request) {
 // complete-vs-fail race (a message arriving just as its sender is
 // declared dead) does nothing.
 func (r *Request) finish(st Status, err error) {
-	if !r.state.CompareAndSwap(reqPending, reqClaimed) {
+	if !r.state.CompareAndSwap(reqPending, reqClaimed) && (r.idle == nil || !r.claimParked()) {
 		return
 	}
 	r.status = st
@@ -104,6 +110,30 @@ func (r *Request) finish(st Status, err error) {
 		select {
 		case nb.ch <- struct{}{}:
 		default:
+		}
+	}
+}
+
+// claimParked is finish's claim in a batched wire world, where the
+// waiter flips the state between pending and parked around each park:
+// it retries until the claim is ours or another completer's. Claiming a
+// parked request wakes its waiter, so it is counted busy now, before it
+// runs, and the idle flush waits for it to block again (a burst of
+// deliveries wakes a burst of tasks at once).
+func (r *Request) claimParked() bool {
+	for {
+		switch r.state.Load() {
+		case reqPending:
+			if r.state.CompareAndSwap(reqPending, reqClaimed) {
+				return true
+			}
+		case reqParked:
+			if r.state.CompareAndSwap(reqParked, reqClaimed) {
+				r.idle.add(1)
+				return true
+			}
+		default:
+			return false
 		}
 	}
 }
@@ -125,7 +155,11 @@ func (r *Request) Wait() Status {
 	nb := getNotifier()
 	r.waiter.Store(nb)
 	for r.state.Load() != reqDone {
-		<-nb.ch
+		if r.idle == nil {
+			<-nb.ch
+		} else {
+			park(nb, []*Request{r})
+		}
 	}
 	r.waiter.Store(nil)
 	putNotifier(nb)
@@ -187,7 +221,7 @@ func waitallInto(reqs []*Request, out []Status) {
 			nb = getNotifier()
 			continue
 		}
-		<-nb.ch
+		park(nb, reqs)
 	}
 	for i, r := range reqs {
 		out[i] = r.status
@@ -230,6 +264,39 @@ func Waitany(reqs []*Request) (int, Status) {
 			nb = getNotifier()
 			continue
 		}
+		park(nb, reqs)
+	}
+}
+
+// park blocks on nb, registered on reqs, until a token arrives. In a
+// batched wire world it first marks every pending request parked and
+// counts the task blocked; each completer that claims a parked request
+// counts it woken. On return the marks are cleared and the count is
+// corrected to exactly one for the running task: a stale token (no
+// claim) adds the one back, several claims in one wake give the extras
+// back.
+func park(nb *notifyBox, reqs []*Request) {
+	var f *idleFlush
+	marked := 0
+	for _, r := range reqs {
+		if r.idle != nil && r.state.CompareAndSwap(reqPending, reqParked) {
+			f = r.idle
+			marked++
+		}
+	}
+	if f == nil {
 		<-nb.ch
+		return
+	}
+	f.add(-1)
+	<-nb.ch
+	claimed := marked
+	for _, r := range reqs {
+		if r.state.CompareAndSwap(reqParked, reqPending) {
+			claimed--
+		}
+	}
+	if claimed != 1 {
+		f.add(int32(1 - claimed))
 	}
 }

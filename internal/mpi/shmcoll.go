@@ -370,14 +370,33 @@ var (
 	boxShmAllgather any = "Allgather (shm)"
 )
 
+// blockOnShm publishes a fast-path phase as the task's blocked-on state
+// and counts the task blocked for a batched world's idle flush: a member
+// parked in a node-local tree (a non-leader waiting out its leader's
+// cross-node phase) must not hold the flush back. unblockShm reverses
+// both once the phase is over.
+func (t *Task) blockOnShm(what any) {
+	t.BlockOnBoxed(what)
+	if f := t.world.idle; f != nil {
+		f.add(-1)
+	}
+}
+
+func (t *Task) unblockShm() {
+	if f := t.world.idle; f != nil {
+		f.add(1)
+	}
+	t.unblock()
+}
+
 func shmBarrier(t *Task, c *Comm, seq int) {
 	sc := c.shm
 	me := c.Rank(t)
 	s := &sc.slots[me]
 	*s = shmSlot{seq: seq, kind: shmKindBarrier}
-	t.BlockOnBoxed(boxShmBarrier)
+	t.blockOnShm(boxShmBarrier)
 	sc.await(t, "Barrier", me, sc.verifyFn)
-	t.unblock()
+	t.unblockShm()
 	sc.check(t, "Barrier")
 	sc.done(t, "Barrier")
 }
@@ -391,7 +410,7 @@ func shmBcast[T Scalar](t *Task, c *Comm, buf []T, root, seq int) {
 		typ: shmType[T](), elem: elemSize[T](),
 		seq: seq, kind: shmKindBcast, root: root,
 	}
-	t.BlockOnBoxed(boxShmBcast)
+	t.blockOnShm(boxShmBcast)
 	sc.await(t, "Bcast", me, sc.verifyFn)
 	sc.check(t, "Bcast")
 	if me != root && len(buf) > 0 {
@@ -403,7 +422,7 @@ func shmBcast[T Scalar](t *Task, c *Comm, buf []T, root, seq int) {
 		}
 	}
 	sc.await(t, "Bcast", me, nil) // nobody reuses buf while peers copy
-	t.unblock()
+	t.unblockShm()
 	sc.done(t, "Bcast")
 }
 
@@ -424,11 +443,11 @@ func shmReduce[T Scalar](t *Task, c *Comm, sendBuf, recvBuf []T, op Op, root, se
 		s.recv = unsafe.Pointer(unsafe.SliceData(recvBuf))
 		s.recvLen = len(recvBuf)
 	}
-	t.BlockOnBoxed(boxShmReduce)
+	t.blockOnShm(boxShmReduce)
 	// The leader folds inside the entry barrier, so when it releases the
 	// result is complete and every send buffer is free: no exit barrier.
 	sc.await(t, "Reduce", me, sc.verifyFn)
-	t.unblock()
+	t.unblockShm()
 	sc.check(t, "Reduce")
 	sc.done(t, "Reduce")
 }
@@ -444,7 +463,7 @@ func shmAllreduce[T Scalar](t *Task, c *Comm, sendBuf, recvBuf []T, op Op, seq i
 		typ: typ, fold: shmFoldFor[T](typ), elem: elemSize[T](),
 		seq: seq, kind: shmKindAllreduce, op: op,
 	}
-	t.BlockOnBoxed(boxShmAllreduce)
+	t.blockOnShm(boxShmAllreduce)
 	sc.await(t, "Allreduce", me, sc.verifyFn) // leader folds into rank 0's recv
 	sc.check(t, "Allreduce")
 	k := len(sendBuf)
@@ -457,7 +476,7 @@ func shmAllreduce[T Scalar](t *Task, c *Comm, sendBuf, recvBuf []T, op Op, seq i
 		}
 	}
 	sc.await(t, "Allreduce", me, nil) // rank 0's recv stays stable until all copied
-	t.unblock()
+	t.unblockShm()
 	sc.done(t, "Allreduce")
 }
 
@@ -473,7 +492,7 @@ func shmAllgather[T Scalar](t *Task, c *Comm, sendBuf, recvBuf []T, seq int) {
 		typ: shmType[T](), elem: elemSize[T](),
 		seq: seq, kind: shmKindAllgather,
 	}
-	t.BlockOnBoxed(boxShmAllgather)
+	t.blockOnShm(boxShmAllgather)
 	sc.await(t, "Allgather", me, sc.verifyFn)
 	sc.check(t, "Allgather")
 	if k > 0 {
@@ -488,6 +507,6 @@ func shmAllgather[T Scalar](t *Task, c *Comm, sendBuf, recvBuf []T, seq int) {
 		}
 	}
 	sc.await(t, "Allgather", me, nil) // send buffers stay stable until all copied
-	t.unblock()
+	t.unblockShm()
 	sc.done(t, "Allgather")
 }

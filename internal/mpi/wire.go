@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hls/internal/wire"
@@ -100,7 +101,33 @@ func (w *World) initWire(cfg *WireConfig) error {
 		return fmt.Errorf("mpi: no rank is pinned to node %d under this machine/pin policy", n.self)
 	}
 	w.net = n
+	if tr.Batching() {
+		w.idle = &idleFlush{tr: tr}
+	}
 	return nil
+}
+
+// idleFlush flushes a batched world's pending batches the moment every
+// local task is blocked: after that no batch can grow, so waiting out
+// the window would only add latency. busy counts the local tasks that
+// are running or have been woken but have not run yet. Run starts it at
+// the local task count; a returning task and every park site take one
+// off (Request waits in park, Probe's cond waits, the fast-path
+// collective phases); the completer that claims a parked request adds
+// its waiter back before the waiter runs, and the other wake-ups (cond
+// broadcasts, tree releases) are added back by the woken task itself.
+// Whoever moves the count to zero flushes. The window still bounds every
+// batch, so a miscount can only flush early or fall back to the window:
+// it cannot lose, reorder or strand a frame.
+type idleFlush struct {
+	busy atomic.Int32
+	tr   wire.Transport
+}
+
+func (f *idleFlush) add(d int32) {
+	if f.busy.Add(d) == 0 {
+		f.tr.Flush()
+	}
 }
 
 // localRank reports whether world rank r runs in this process.
@@ -183,7 +210,8 @@ func (n *netLayer) isendRemote(t *Task, msg *message, worldDst int, op string) *
 	w.stats.messages.Add(1)
 	w.stats.bytes.Add(int64(msg.bytes))
 	node := n.nodeOf[worldDst]
-	h := wire.Header{
+	h := &w.eps[t.rank].wireHdr
+	*h = wire.Header{
 		Kind:     uint8(msg.etype.Kind()),
 		Ctx:      msg.ctx,
 		SrcComm:  int32(msg.src),
@@ -216,7 +244,7 @@ func (n *netLayer) isendRemote(t *Task, msg *message, worldDst int, op string) *
 		h.Xid = xid
 		n.sends[xid] = &wirePendingSend{msg: msg, src: t.rank, dst: worldDst}
 		n.mu.Unlock()
-		if err := n.tr.Send(node, &h, nil); err != nil {
+		if err := n.tr.Send(node, h, nil); err != nil {
 			n.mu.Lock()
 			delete(n.sends, xid)
 			n.mu.Unlock()
@@ -236,9 +264,9 @@ func (n *netLayer) isendRemote(t *Task, msg *message, worldDst int, op string) *
 		msg.sdata = pb.data[:msg.bytes]
 		msg.sdt = nil
 	}
-	err := n.tr.Send(node, &h, msg.sdata)
+	err := n.tr.Send(node, h, msg.sdata)
 	if err == nil && dup {
-		err = n.tr.Send(node, &h, msg.sdata)
+		err = n.tr.Send(node, h, msg.sdata)
 	}
 	if pb != nil {
 		w.pool.release(t.rank, pb)

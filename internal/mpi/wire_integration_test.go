@@ -33,6 +33,13 @@ func runWirePair(t *testing.T, perNode int, fn func(*Task) error) (w0, w1 *World
 // Config.Hooks.
 func runWirePairMode(t *testing.T, perNode int, mode CollectiveMode, fn func(*Task) error, hooks ...Hooks) (w0, w1 *World, err0, err1 error) {
 	t.Helper()
+	return runWirePairWindow(t, perNode, mode, 0, fn, hooks...)
+}
+
+// runWirePairWindow is runWirePairMode with the transports' BatchWindow
+// set to window (0 = batching off).
+func runWirePairWindow(t *testing.T, perNode int, mode CollectiveMode, window time.Duration, fn func(*Task) error, hooks ...Hooks) (w0, w1 *World, err0, err1 error) {
+	t.Helper()
 	m, err := topology.New(topology.Spec{
 		Name:           "wiretest",
 		Nodes:          2,
@@ -53,7 +60,7 @@ func runWirePairMode(t *testing.T, perNode int, mode CollectiveMode, fn func(*Ta
 	}
 	addrs := []string{ln0.Addr().String(), ln1.Addr().String()}
 	mk := func(self int, ln net.Listener) *World {
-		tr, err := wire.NewTCP(wire.Config{Addrs: addrs, Self: self, WorldKey: 42}, ln)
+		tr, err := wire.NewTCP(wire.Config{Addrs: addrs, Self: self, WorldKey: 42, BatchWindow: window}, ln)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -100,6 +100,66 @@ func TestBatchCapsFlushWithoutWindow(t *testing.T) {
 	}
 }
 
+// TestFlushWritesPendingBatch: under a window no test outlives, pending
+// frames stay in their batch until Flush, which writes them as one
+// container before it returns. Flush with nothing pending, or on a
+// transport that does not batch, writes nothing.
+func TestFlushWritesPendingBatch(t *testing.T) {
+	tr0, _, _, s1 := newPair(t, Config{BatchWindow: time.Hour}, Config{})
+	if !tr0.Batching() {
+		t.Fatal("Batching() = false with BatchWindow set")
+	}
+	if err := tr0.Send(1, &Header{Type: TypeEager, Tag: 0}, []byte("kick")); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "handshake", func() bool { return s1.count() == 1 })
+	sent := func() uint64 { return tr0.Stats().FramesSent }
+
+	before := sent()
+	tr0.Flush()
+	if got := sent(); got != before {
+		t.Fatalf("Flush with nothing pending wrote %d frames", got-before)
+	}
+	const n = 3
+	for i := 1; i <= n; i++ {
+		if err := tr0.Send(1, &Header{Type: TypeEager, Tag: int32(i)}, []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := tr0.Stats(); st.BatchesSent != 0 || st.FramesSent != before {
+		t.Fatalf("batch left before Flush: %+v", st)
+	}
+	tr0.Flush()
+	if st := tr0.Stats(); st.BatchesSent != 1 || st.BatchedFrames != n || st.FramesSent != before+1 {
+		t.Fatalf("after Flush: %+v, want one batch of %d frames", st, n)
+	}
+	waitFor(t, "flushed delivery", func() bool { return s1.count() == n+1 })
+	for i := 1; i <= n; i++ {
+		if f := s1.frame(i); f.Tag != int32(i) {
+			t.Fatalf("frame %d carries tag %d", i, f.Tag)
+		}
+	}
+	before = sent()
+	tr0.Flush()
+	if got := sent(); got != before {
+		t.Fatalf("second Flush wrote %d frames", got-before)
+	}
+
+	off, _, _, s3 := newPair(t, Config{}, Config{})
+	if off.Batching() {
+		t.Fatal("Batching() = true without BatchWindow")
+	}
+	if err := off.Send(1, &Header{Type: TypeEager}, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "unbatched delivery", func() bool { return s3.count() == 1 })
+	before = off.Stats().FramesSent
+	off.Flush()
+	if st := off.Stats(); st.FramesSent != before || st.BatchesSent != 0 {
+		t.Fatalf("Flush without batching wrote frames: %+v", st)
+	}
+}
+
 // TestDecodeBatchRoundTrip packs three frames — including one carrying
 // the span extension — into a batch payload and walks it back out.
 func TestDecodeBatchRoundTrip(t *testing.T) {

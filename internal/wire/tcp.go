@@ -41,6 +41,9 @@ type TCP struct {
 	inflight      atomic.Int64
 	batchesSent   atomic.Uint64
 	batchedFrames atomic.Uint64
+	// batchPending counts the peers holding a pending batch, so Flush
+	// with nothing to write is one load.
+	batchPending atomic.Int32
 }
 
 // ackEvery is the one-way-traffic interval (in frames) at which a
@@ -55,7 +58,7 @@ const ackDelay = 2 * time.Millisecond
 // Batching policy (engaged by Config.BatchWindow): an eager frame whose
 // encoding exceeds batchCutoff goes out alone, and a pending batch is
 // flushed as soon as it holds batchMaxBytes of encoded sub-frames or
-// batchMaxFrames of them, whichever comes first.
+// batchMaxFrames of them, whichever comes first — or earlier, on Flush.
 const (
 	batchCutoff    = 1 << 10
 	batchMaxBytes  = 16 << 10
@@ -113,10 +116,10 @@ type tcpPeer struct {
 
 	// Pending batch (guarded by sendMu): small sequenced frames are
 	// copied here instead of written, and flushed as one TypeBatch
-	// container on a size threshold, the window deadline, or before any
-	// frame that cannot join the batch (ordering). The sub-frames also
-	// live individually in the unacked ring, so reconnect retransmission
-	// ignores batching entirely.
+	// container on Flush, a size threshold, the window deadline, or
+	// before any frame that cannot join the batch (ordering). The
+	// sub-frames also live individually in the unacked ring, so
+	// reconnect retransmission ignores batching entirely.
 	batchBuf    []byte
 	batchFrames int
 	batchTimer  *time.Timer
@@ -278,6 +281,9 @@ func (t *TCP) Send(peer int, h *Header, payload []byte) error {
 	if t.cfg.BatchWindow > 0 && hh.Type == TypeEager && len(buf) <= batchCutoff {
 		p.batchBuf = append(p.batchBuf, buf...)
 		p.batchFrames++
+		if p.batchFrames == 1 {
+			t.batchPending.Add(1)
+		}
 		if len(p.batchBuf) >= batchMaxBytes || p.batchFrames >= batchMaxFrames {
 			if err := p.flushBatchLocked(); err != nil {
 				p.severLocked(err)
@@ -305,7 +311,23 @@ func (t *TCP) Send(peer int, h *Header, payload []byte) error {
 	return nil
 }
 
-// flushBatch is the window-deadline callback.
+// Flush writes every peer's pending batch now.
+func (t *TCP) Flush() {
+	if t.batchPending.Load() == 0 {
+		return
+	}
+	for i, p := range t.peers {
+		if i != t.cfg.Self {
+			p.flushBatch()
+		}
+	}
+}
+
+// Batching reports whether Send coalesces small frames.
+func (t *TCP) Batching() bool { return t.cfg.BatchWindow > 0 }
+
+// flushBatch writes the peer's pending batch, if any: the window-deadline
+// callback, and Flush's per-peer step.
 func (p *tcpPeer) flushBatch() {
 	p.sendMu.Lock()
 	if err := p.flushBatchLocked(); err != nil {
@@ -328,6 +350,7 @@ func (p *tcpPeer) flushBatchLocked() error {
 	n := p.batchFrames
 	payload := p.batchBuf
 	p.batchFrames = 0
+	p.tr.batchPending.Add(-1)
 	if p.conn == nil || !p.ready {
 		p.batchBuf = p.batchBuf[:0]
 		return nil
@@ -367,6 +390,9 @@ func (p *tcpPeer) noteAckedLocked(a uint64) {
 // clearBatchLocked drops the pending batch without writing it (the
 // sub-frames stay in the unacked ring for retransmission).
 func (p *tcpPeer) clearBatchLocked() {
+	if p.batchFrames > 0 {
+		p.tr.batchPending.Add(-1)
+	}
 	p.batchBuf = p.batchBuf[:0]
 	p.batchFrames = 0
 	if p.batchTimer != nil {

@@ -59,6 +59,14 @@ type Transport interface {
 	// permanently down or the transport is closed; transient connection
 	// failures are absorbed by the reliability layer.
 	Send(peer int, h *Header, payload []byte) error
+	// Flush writes every pending batch now instead of at the end of its
+	// window. The runtime calls it once every local task is blocked, the
+	// moment no batch can grow any further; with nothing pending it
+	// costs one atomic load.
+	Flush()
+	// Batching reports whether Send may hold frames back until a Flush,
+	// a batch cap, or the batch window.
+	Batching() bool
 	// Close shuts the transport down: the listener stops, connections
 	// close, and pending sends are abandoned.
 	Close() error
@@ -191,11 +199,13 @@ type Config struct {
 	PingInterval time.Duration
 
 	// BatchWindow enables frame batching when > 0: small eager frames to
-	// a peer are coalesced into one Batch container, flushed when it
-	// holds 16 KiB or 64 sub-frames, when the window expires, or before
-	// any frame that cannot join the batch (eager frames over 1 KiB
-	// encoded, rendezvous and control frames) so per-peer ordering is
-	// preserved.
+	// a peer are coalesced into one Batch container. A batch is flushed
+	// by Flush — which the runtime calls as soon as every local task is
+	// blocked — when it holds 16 KiB or 64 sub-frames, before any frame
+	// that cannot join it (eager frames over 1 KiB encoded, rendezvous and
+	// control frames, so per-peer ordering is preserved), and at the
+	// latest when the window expires. The window is a cap on the latency
+	// batching may add, not the trigger.
 	BatchWindow time.Duration
 
 	Observer Observer
