@@ -110,8 +110,11 @@ func newBufPool(ranks, eagerLimit int) *bufPool {
 }
 
 // get acquires a buffer of capacity >= n for the given world rank, with
-// refs = 1. Buffers larger than the largest class (possible only on the
-// chaos duplicate path for rendezvous messages) are allocated unpooled.
+// refs = 1. Buffers larger than the largest class are allocated
+// unpooled. They serve rendezvous-sized payloads: a ForcePack packed
+// intermediate (in-process or a whole-pack wire Data send), a wire Data
+// frame that cannot land in its posted receive (strided, or nothing to
+// claim), and a chaos duplicate of a rendezvous message.
 func (p *bufPool) get(rank, n int) *eagerBuf {
 	if n > p.maxSize {
 		p.misses.Add(1)

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -85,6 +86,56 @@ func TestWirePingPongAllocs(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Errorf("wire ping-pong allocs per round trip = %v, want 0", allocs)
+	}
+}
+
+// TestWireRendezvousAllocs: a 256 KiB rendezvous ping-pong between two
+// worlds over loopback TCP makes no allocation per round trip once warm,
+// so it never triggers a GC: encode buffers come from the wire's size
+// classes, the rendezvous records and their headers from pools, and the
+// data lands in the posted receive.
+func TestWireRendezvousAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timing-sensitive wire test")
+	}
+	if raceEnabled {
+		t.Skip("race detector makes sync.Pool drop puts; the count cannot hold")
+	}
+	const warm, runs = 200, 1000
+	var mallocs, gcs uint64
+	_, _, err0, err1 := runWirePair(t, 1, func(task *Task) error {
+		buf := make([]byte, 256<<10) // above the eager limit: RTS/CTS/Data
+		if task.Rank() == 1 {
+			for i := 0; i < warm+runs; i++ {
+				Recv(task, nil, buf, 0, 0)
+				Send(task, nil, buf, 0, 1)
+			}
+			return nil
+		}
+		for i := 0; i < warm; i++ {
+			Send(task, nil, buf, 1, 0)
+			Recv(task, nil, buf, 1, 1)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			Send(task, nil, buf, 1, 0)
+			Recv(task, nil, buf, 1, 1)
+		}
+		runtime.ReadMemStats(&after)
+		mallocs = after.Mallocs - before.Mallocs
+		gcs = uint64(after.NumGC - before.NumGC)
+		return nil
+	})
+	if err0 != nil || err1 != nil {
+		t.Fatalf("world errors: %v / %v", err0, err1)
+	}
+	t.Logf("%d mallocs, %d GC cycles over %d round trips", mallocs, gcs, runs)
+	if perOp := mallocs / runs; perOp != 0 {
+		t.Errorf("wire rendezvous allocs per round trip = %d (%d over %d), want 0", perOp, mallocs, runs)
+	}
+	if gcs != 0 {
+		t.Errorf("wire rendezvous ran %d GC cycles over %d round trips, want 0", gcs, runs)
 	}
 }
 

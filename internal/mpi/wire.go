@@ -24,15 +24,33 @@ type WireConfig struct {
 	Transport wire.Transport
 }
 
-// wirePendingSend is a rendezvous send parked on its CTS.
+// wirePendingSend is a rendezvous send parked on its CTS. Pooled: onCTS
+// recycles it once the data has gone to the transport; a record taken
+// off the table by a failure is left to the GC.
 type wirePendingSend struct {
 	msg      *message
 	src, dst int // world ranks
+
+	// h frames the data. It lives in the record so the transport call
+	// boxes no fresh header per transfer.
+	h wire.Header
+}
+
+var wireSendPool = sync.Pool{New: func() any { return new(wirePendingSend) }}
+
+func putWireSend(ps *wirePendingSend) {
+	*ps = wirePendingSend{}
+	wireSendPool.Put(ps)
 }
 
 // wirePendingRecv is a matched remote rendezvous waiting for its data
 // frame; the payload is read off the socket directly into pr's buffer.
+// Pooled like wirePendingSend: completeWireRecv recycles it, and the
+// failure paths leave it to the GC together with pr.
 type wirePendingRecv struct {
+	// h frames the CTS answering the RTS.
+	h wire.Header
+
 	xid     uint64
 	pr      *postedRecv
 	src     int // world rank of the sender
@@ -51,6 +69,13 @@ type wirePendingRecv struct {
 	// data frame completes the receive.
 	span   uint64
 	sendNs int64
+}
+
+var wireRecvPool = sync.Pool{New: func() any { return new(wirePendingRecv) }}
+
+func putWireRecv(wr *wirePendingRecv) {
+	*wr = wirePendingRecv{}
+	wireRecvPool.Put(wr)
 }
 
 // netLayer implements wire.Sink and owns the world's distributed state:
@@ -242,7 +267,9 @@ func (n *netLayer) isendRemote(t *Task, msg *message, worldDst int, op string) *
 		// from different processes can never collide at the receiver.
 		xid := uint64(n.self+1)<<48 | n.xidSeq
 		h.Xid = xid
-		n.sends[xid] = &wirePendingSend{msg: msg, src: t.rank, dst: worldDst}
+		ps := wireSendPool.Get().(*wirePendingSend)
+		ps.msg, ps.src, ps.dst = msg, t.rank, worldDst
+		n.sends[xid] = ps
 		n.mu.Unlock()
 		if err := n.tr.Send(node, h, nil); err != nil {
 			n.mu.Lock()
@@ -447,7 +474,7 @@ func (n *netLayer) matchedRTS(msg *message, pr *postedRecv) {
 		err = &Error{Rank: pr.recvRank, Op: "Recv",
 			Msg: fmt.Sprintf("message truncated: %d elements into buffer of %d", msg.elems, pr.relems)}
 	}
-	h := wire.Header{
+	cts := wire.Header{
 		Type:     wire.TypeCTS,
 		Xid:      msg.wireXid,
 		SrcWorld: int32(pr.recvRank),
@@ -455,6 +482,8 @@ func (n *netLayer) matchedRTS(msg *message, pr *postedRecv) {
 	}
 	node := msg.wireNode
 	if err != nil {
+		// A copy escapes to the transport, so only this path boxes one.
+		h := cts
 		n.tr.Send(node, &h, nil) //nolint:errcheck // receive already failed
 		pr.req.fail(err)
 		putMessage(msg)
@@ -464,10 +493,13 @@ func (n *netLayer) matchedRTS(msg *message, pr *postedRecv) {
 		putPostedRecv(pr)
 		return
 	}
-	wr := &wirePendingRecv{
-		xid:     msg.wireXid,
+	xid, src := msg.wireXid, msg.wireSrc
+	wr := wireRecvPool.Get().(*wirePendingRecv)
+	*wr = wirePendingRecv{
+		h:       cts,
+		xid:     xid,
 		pr:      pr,
-		src:     msg.wireSrc,
+		src:     src,
 		srcComm: msg.src,
 		tag:     msg.tag,
 		elems:   msg.elems,
@@ -475,22 +507,24 @@ func (n *netLayer) matchedRTS(msg *message, pr *postedRecv) {
 		span:    msg.span,
 		sendNs:  msg.sendNs,
 	}
+	putMessage(msg)
 	n.mu.Lock()
-	if n.draining || w.rankDead(wr.src) {
+	if n.draining || w.rankDead(src) {
 		n.mu.Unlock()
-		pr.req.fail(&DeadRankError{Rank: pr.recvRank, Op: "Recv", Dead: wr.src})
-		putMessage(msg)
+		pr.req.fail(&DeadRankError{Rank: pr.recvRank, Op: "Recv", Dead: src})
 		return
 	}
-	n.recvs[wr.xid] = wr
+	n.recvs[xid] = wr
 	n.mu.Unlock()
-	putMessage(msg)
-	if serr := n.tr.Send(node, &h, nil); serr != nil {
+	// Once the CTS is out, the data frame may complete and recycle wr
+	// before Send returns; only the locals are read after it. Send copies
+	// the header before it writes.
+	if serr := n.tr.Send(node, &wr.h, nil); serr != nil {
 		n.mu.Lock()
-		if n.recvs[wr.xid] == wr {
-			delete(n.recvs, wr.xid)
+		if n.recvs[xid] == wr {
+			delete(n.recvs, xid)
 			n.mu.Unlock()
-			pr.req.fail(&DeadRankError{Rank: pr.recvRank, Op: "Recv", Dead: wr.src})
+			pr.req.fail(&DeadRankError{Rank: pr.recvRank, Op: "Recv", Dead: src})
 			return
 		}
 		n.mu.Unlock()
@@ -511,11 +545,7 @@ func (n *netLayer) onCTS(f *wire.Frame) {
 		// transfer time, not late-receiver time.
 		th.SpanCts(ps.src, msg.span)
 	}
-	if msg.sdt != nil {
-		n.sendTypedData(ps, msg, f.Xid)
-		return
-	}
-	h := wire.Header{
+	ps.h = wire.Header{
 		Type:     wire.TypeData,
 		Kind:     uint8(msg.etype.Kind()),
 		Xid:      f.Xid,
@@ -526,16 +556,22 @@ func (n *netLayer) onCTS(f *wire.Frame) {
 		Tag:      int32(msg.tag),
 		Elems:    int32(msg.elems),
 	}
-	// msg.sdata still views the sender's buffer: the sending task is
-	// blocked on sreq, which completes only below, after the transport
-	// has copied the payload into its frame.
-	err := n.tr.Send(n.nodeOf[ps.dst], &h, msg.sdata)
+	var err error
+	if msg.sdt != nil {
+		err = n.sendTypedData(ps, msg)
+	} else {
+		// msg.sdata still views the sender's buffer: the sending task is
+		// blocked on sreq, which completes only below, after the transport
+		// has copied the payload into its frame.
+		err = n.tr.Send(n.nodeOf[ps.dst], &ps.h, msg.sdata)
+	}
 	if err != nil {
 		msg.sreq.fail(&DeadRankError{Rank: ps.src, Op: "Send", Dead: ps.dst})
 	} else {
 		msg.sreq.complete(Status{})
 	}
 	putMessage(msg)
+	putWireSend(ps)
 }
 
 // wireTypedChunk is the packed segment size of the pipelined typed
@@ -544,66 +580,38 @@ func (n *netLayer) onCTS(f *wire.Frame) {
 // large strided transfer never exists fully packed on either side.
 const wireTypedChunk = 64 << 10
 
-// sendTypedData is onCTS's tail for a typed rendezvous send. The payload
-// streams as pipelined packed segments; under Config.ForcePack (the
-// ablation knob) it is packed whole into a pooled buffer and shipped as a
-// single Data frame instead, exactly like a contiguous send.
-func (n *netLayer) sendTypedData(ps *wirePendingSend, msg *message, xid uint64) {
+// sendTypedData is onCTS's tail for a typed rendezvous send, framed
+// through ps.h (already set up as the Data header). The payload streams
+// as pipelined packed segments; under Config.ForcePack (the ablation
+// knob) it is packed whole into a pooled buffer and shipped as a single
+// Data frame instead, exactly like a contiguous send.
+func (n *netLayer) sendTypedData(ps *wirePendingSend, msg *message) error {
 	w := n.w
 	node := n.nodeOf[ps.dst]
 	esz := int(msg.etype.Size())
-	var err error
 	if w.cfg.ForcePack {
 		b := w.pool.get(poolNoRank, msg.bytes)
 		dtPack(b.data[:msg.bytes], msg.sdata, msg.sdt, esz)
-		h := wire.Header{
-			Type:     wire.TypeData,
-			Kind:     uint8(msg.etype.Kind()),
-			Xid:      xid,
-			Ctx:      msg.ctx,
-			SrcComm:  int32(msg.src),
-			SrcWorld: int32(ps.src),
-			DstWorld: int32(ps.dst),
-			Tag:      int32(msg.tag),
-			Elems:    int32(msg.elems),
-		}
-		err = n.tr.Send(node, &h, b.data[:msg.bytes])
+		err := n.tr.Send(node, &ps.h, b.data[:msg.bytes])
 		w.pool.release(poolNoRank, b)
-	} else {
-		chunkElems := wireTypedChunk / esz
-		if chunkElems < 1 {
-			chunkElems = 1
-		}
-		scratch := w.pool.get(poolNoRank, chunkElems*esz)
-		for off := 0; off < msg.elems; off += chunkElems {
-			nel := min(chunkElems, msg.elems-off)
-			seg := scratch.data[:nel*esz]
-			dtPackRange(seg, msg.sdata, msg.sdt, esz, off, off+nel)
-			h := wire.Header{
-				Type:     wire.TypeDataSeg,
-				Kind:     uint8(msg.etype.Kind()),
-				Xid:      xid,
-				Ctx:      msg.ctx,
-				SrcComm:  int32(msg.src),
-				SrcWorld: int32(ps.src),
-				DstWorld: int32(ps.dst),
-				Tag:      int32(msg.tag),
-				// Elems carries the segment's element offset within the
-				// packed message; the total rode the RTS.
-				Elems: int32(off),
-			}
-			if err = n.tr.Send(node, &h, seg); err != nil {
-				break
-			}
-		}
-		w.pool.release(poolNoRank, scratch)
+		return err
 	}
-	if err != nil {
-		msg.sreq.fail(&DeadRankError{Rank: ps.src, Op: "Send", Dead: ps.dst})
-	} else {
-		msg.sreq.complete(Status{})
+	chunkElems := max(wireTypedChunk/esz, 1)
+	scratch := w.pool.get(poolNoRank, chunkElems*esz)
+	defer w.pool.release(poolNoRank, scratch)
+	ps.h.Type = wire.TypeDataSeg
+	for off := 0; off < msg.elems; off += chunkElems {
+		nel := min(chunkElems, msg.elems-off)
+		seg := scratch.data[:nel*esz]
+		dtPackRange(seg, msg.sdata, msg.sdt, esz, off, off+nel)
+		// Elems carries the segment's element offset within the packed
+		// message; the total rode the RTS.
+		ps.h.Elems = int32(off)
+		if err := n.tr.Send(node, &ps.h, seg); err != nil {
+			return err
+		}
 	}
-	putMessage(msg)
+	return nil
 }
 
 func (n *netLayer) onData(f *wire.Frame) {
@@ -699,6 +707,7 @@ func (n *netLayer) completeWireRecv(wr *wirePendingRecv) {
 		w.traceHooks.SpanDeliver(pr.recvRank, wr.span, wr.sendNs, pr.postNs, 0, wr.bytes, true, true)
 	}
 	putPostedRecv(pr)
+	putWireRecv(wr)
 }
 
 func (n *netLayer) onFailure(f *wire.Frame) {

@@ -214,14 +214,12 @@ func AppendFrame(dst []byte, h *Header, payload []byte) []byte {
 	if len(payload) > MaxPayload {
 		panic(fmt.Sprintf("wire: payload %d exceeds MaxPayload", len(payload)))
 	}
-	ext := h.Span != 0 || h.SendTS != 0
+	ext := hasExt(h)
 	var flags byte
-	frameLen := headerSize + len(payload)
 	if ext {
 		flags |= flagSpanExt
-		frameLen += extSize
 	}
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(frameLen))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(encodedSize(h, len(payload))-lenPrefixSize))
 	dst = append(dst, Version, byte(h.Type), h.Kind, flags)
 	dst = binary.LittleEndian.AppendUint64(dst, h.Seq)
 	dst = binary.LittleEndian.AppendUint64(dst, h.Ack)
@@ -238,6 +236,18 @@ func AppendFrame(dst []byte, h *Header, payload []byte) []byte {
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(h.SendTS))
 	}
 	return append(dst, payload...)
+}
+
+// hasExt reports whether h's encoding carries the span extension.
+func hasExt(h *Header) bool { return h.Span != 0 || h.SendTS != 0 }
+
+// encodedSize is the exact length AppendFrame adds for header h and an
+// n-byte payload, length prefix included.
+func encodedSize(h *Header, n int) int {
+	if hasExt(h) {
+		return frameOverhead + extSize + n
+	}
+	return frameOverhead + n
 }
 
 // VersionError reports a frame whose version byte is not this build's

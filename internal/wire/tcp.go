@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -65,25 +66,62 @@ const (
 	batchMaxFrames = 64
 )
 
-// maxPooledEnc bounds the encode buffers kept in the pool.
-const maxPooledEnc = 64 << 10
+// Encode staging. Every frame is encoded into a buffer drawn from one
+// sync.Pool per power-of-two size class, from 1<<encMinClassBits up to
+// 1<<encMaxClassBits. getEnc takes the exact encoded size, so a buffer
+// never grows while a frame is appended to it. A sequenced frame's buffer
+// goes back to its class only when it leaves the unacked ring (ack trim,
+// stream reset, peer down), since a reconnect retransmits from the ring;
+// an unsequenced frame's buffer goes back as soon as it is written.
+// Frames beyond the top class are allocated and left to the GC.
+const (
+	encMinClassBits = 8  // 256 B, class 0
+	encMaxClassBits = 20 // 1 MiB, the top class
+)
 
-// encPool holds encode buffers by pointer; the pointer travels with its
-// buffer, so a Put needs no fresh box.
-var encPool sync.Pool
+// encPools holds encode buffers by pointer, one pool per class; the
+// pointer travels with its buffer, so a Put needs no fresh box.
+var encPools [encMaxClassBits - encMinClassBits + 1]sync.Pool
 
-func getEnc() *[]byte {
-	if v := encPool.Get(); v != nil {
-		b := v.(*[]byte)
-		*b = (*b)[:0]
-		return b
+// encClass returns the smallest class holding n bytes, or -1 when n
+// exceeds the top class.
+func encClass(n int) int {
+	switch {
+	case n > 1<<encMaxClassBits:
+		return -1
+	case n <= 1<<encMinClassBits:
+		return 0
 	}
-	return new([]byte)
+	return bits.Len(uint(n-1)) - encMinClassBits
 }
 
+// getEnc returns an empty buffer with capacity for n bytes.
+func getEnc(n int) *[]byte {
+	if c := encClass(n); c >= 0 {
+		if v := encPools[c].Get(); v != nil {
+			b := v.(*[]byte)
+			*b = (*b)[:0]
+			return b
+		}
+		n = 1 << (encMinClassBits + c)
+	}
+	b := make([]byte, 0, n)
+	return &b
+}
+
+// encFit returns the class whose size is exactly c, or -1.
+func encFit(c int) int {
+	if k := encClass(c); k >= 0 && c == 1<<(encMinClassBits+k) {
+		return k
+	}
+	return -1
+}
+
+// putEnc returns b to the class its capacity exactly fits; any other
+// buffer is left to the GC.
 func putEnc(b *[]byte) {
-	if c := cap(*b); c > 0 && c <= maxPooledEnc {
-		encPool.Put(b)
+	if k := encFit(cap(*b)); k >= 0 {
+		encPools[k].Put(b)
 	}
 }
 
@@ -266,7 +304,7 @@ func (t *TCP) Send(peer int, h *Header, payload []byte) error {
 	hh := *h
 	hh.Seq = p.sendSeq
 	hh.Ack = p.recvSeq.Load()
-	enc := getEnc()
+	enc := getEnc(encodedSize(&hh, len(payload)))
 	*enc = AppendFrame(*enc, &hh, payload)
 	buf := *enc
 	p.unacked = append(p.unacked, encFrame{seq: hh.Seq, buf: enc})
@@ -369,7 +407,7 @@ func (p *tcpPeer) flushBatchLocked() error {
 // writeFrameLocked encodes an unsequenced frame into a pooled buffer and
 // writes it, noting the cumulative ack it carries.
 func (p *tcpPeer) writeFrameLocked(h *Header, payload []byte, coalesce bool) error {
-	enc := getEnc()
+	enc := getEnc(encodedSize(h, len(payload)))
 	*enc = AppendFrame(*enc, h, payload)
 	err := p.writeLocked(*enc, h.Type, coalesce)
 	putEnc(enc)
@@ -960,6 +998,9 @@ func (p *tcpPeer) runReader(c net.Conn, br *bufio.Reader) {
 	var scratch [maxFrameRead]byte
 	var f Frame // every frame is decoded into f: Sink.Frame does not keep it
 	h := &f.Header
+	// batch holds batch containers, grown on demand: the container never
+	// reaches the sink, and handleBatch copies every sub-frame out of it.
+	var batch []byte
 	for {
 		if t.cfg.ReadIdleTimeout > 0 {
 			c.SetReadDeadline(time.Now().Add(t.cfg.ReadIdleTimeout)) //nolint:errcheck
@@ -988,7 +1029,14 @@ func (p *tcpPeer) runReader(c net.Conn, br *bufio.Reader) {
 					t.sink.Free(p.id, token)
 					token = nil
 				}
-				payload = make([]byte, plen)
+				if h.Type == TypeBatch {
+					if cap(batch) < plen {
+						batch = make([]byte, plen)
+					}
+					payload = batch[:plen]
+				} else {
+					payload = make([]byte, plen)
+				}
 			}
 			if _, err := io.ReadFull(br, payload); err != nil {
 				if token != nil {

@@ -54,8 +54,10 @@ type Transport interface {
 	// Must be called exactly once before Send.
 	Bind(s Sink)
 	// Send queues frame f for delivery to peer, dialing lazily if no
-	// connection exists. The payload is copied before Send returns, so
-	// the caller may reuse it. Send returns an error only if the peer is
+	// connection exists. Send copies the header and payload before it
+	// writes any byte of the frame, so the caller may reuse both once
+	// Send returns, and the header even earlier: as soon as the peer may
+	// have answered the frame. Send returns an error only if the peer is
 	// permanently down or the transport is closed; transient connection
 	// failures are absorbed by the reliability layer.
 	Send(peer int, h *Header, payload []byte) error
