@@ -149,7 +149,7 @@ func main() {
 
 	g := &genCfg{
 		hosts: *hosts, addrs: addrs, node: *node, perNode: *perNode,
-		numTasks: numTasks, machine: machine, reg: reg,
+		numTasks: numTasks, machine: machine, reg: reg, mpiMetrics: metrics.NewMPIAdapter(reg),
 		coll: coll, batch: *batchWindow,
 		rounds: *rounds, roundSleep: *roundSleep,
 		tracer: tracer, traceFile: *traceFile, timeout: *timeout,
@@ -221,8 +221,11 @@ type genCfg struct {
 	numTasks int
 	machine  *topology.Machine
 	reg      *metrics.Registry
-	coll     mpi.CollectiveMode
-	batch    time.Duration
+	// mpiMetrics outlives the generations: each generation's world is
+	// watched while it runs, so the MPI series sum across restarts.
+	mpiMetrics *metrics.MPIAdapter
+	coll       mpi.CollectiveMode
+	batch      time.Duration
 
 	rounds     int
 	roundSleep time.Duration
@@ -281,7 +284,6 @@ func runGeneration(g *genCfg) error {
 		Pin:         topology.PinCorePerTask,
 		Wire:        &mpi.WireConfig{Transport: tr},
 		Collectives: g.coll,
-		Hooks:       metrics.NewMPIAdapter(g.reg),
 		Trace:       traceHooks(g.tracer),
 		Timeout:     g.timeout,
 	})
@@ -289,6 +291,7 @@ func runGeneration(g *genCfg) error {
 		tr.Close()
 		return err
 	}
+	defer g.mpiMetrics.Watch(world)()
 
 	// The epoch watcher turns a replacement process's arrival into a
 	// prompt, deterministic teardown: the moment the restart epoch moves

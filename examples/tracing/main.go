@@ -3,9 +3,9 @@
 //
 // One instrumented execution, three artifacts: the fan-out helpers
 // (mpi.MultiHooks, hls.MultiObserver) feed the same run to the trace
-// recorder, the happens-before tracker (the §III eligibility analysis)
-// and the metrics registry simultaneously — no hand-written Inner
-// chains.
+// recorder and the happens-before tracker (the §III eligibility
+// analysis) — no hand-written Inner chains — while the metrics registry
+// reads the world's own counters and the HLS directive events.
 //
 // Run with: go run ./examples/tracing   (writes trace.json)
 package main
@@ -39,11 +39,14 @@ func main() {
 		NumTasks: tasks,
 		Machine:  machine,
 		Pin:      topology.PinCorePerTask,
-		Hooks:    mpi.MultiHooks(&trace.MPIAdapter{R: rec}, clocks, mpiMetrics),
+		Hooks:    mpi.MultiHooks(&trace.MPIAdapter{R: rec}, clocks),
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	// The metrics adapter is not a hook: it reads the world's own Stats
+	// whenever the registry is scraped, for as long as the watch lasts.
+	stopMetrics := mpiMetrics.Watch(world)
 	reghls := hls.New(world, hls.WithObserver(
 		hls.MultiObserver(&trace.SyncAdapter{R: rec}, clocks, hlsMetrics)))
 	table := hls.Declare[float64](reghls, "table", topology.Node, 512)
@@ -69,6 +72,7 @@ func main() {
 		}
 		return nil
 	})
+	stopMetrics()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -142,7 +142,7 @@ func runCollPoint(op string, perNode, nbytes, iters int, mode mpi.CollectiveMode
 			NumTasks: numTasks, Machine: m, Pin: topology.PinCyclicNodes,
 			Wire:        &mpi.WireConfig{Transport: tr},
 			Collectives: mode,
-			Timeout:     5 * time.Minute, Hooks: telemetryHooks(),
+			Timeout:     5 * time.Minute,
 		})
 		if err != nil {
 			return CollPoint{}, err
@@ -243,7 +243,7 @@ func runCollPoint(op string, perNode, nbytes, iters int, mode mpi.CollectiveMode
 		wg.Add(1)
 		go func(i int, w *mpi.World) {
 			defer wg.Done()
-			errs[i] = w.Run(body)
+			errs[i] = runWorld(w, body)
 		}(i, w)
 	}
 	wg.Wait()

@@ -77,15 +77,10 @@ func RunFaults(p Profile, seed int64) (*FaultsResult, error) {
 		var hooks mpi.Hooks
 		obs := []hls.SyncObserver{localHLS}
 		if t := ActiveTelemetry(); t != nil {
-			hooks = t.MPI
 			obs = append(obs, t.HLS)
 		}
 		if inj != nil {
-			if hooks != nil {
-				hooks = mpi.MultiHooks(hooks, inj)
-			} else {
-				hooks = inj
-			}
+			hooks = inj
 			obs = append(obs, inj)
 		}
 		w, err := mpi.NewWorld(mpi.Config{NumTasks: tasks, Machine: machine,
@@ -103,7 +98,7 @@ func RunFaults(p Profile, seed int64) (*FaultsResult, error) {
 			}))
 		results := make([]float64, iters)
 		start := time.Now()
-		runErr := w.Run(func(task *mpi.Task) error {
+		runErr := runWorld(w, func(task *mpi.Task) error {
 			sum := []float64{0}
 			out := []float64{0}
 			for i := 0; i < iters; i++ {

@@ -339,7 +339,7 @@ func runHaloPoint(mode, ablation string, n, h, iters int) (HaloPoint, error) {
 	case "inproc":
 		w, err := mpi.NewWorld(mpi.Config{
 			NumTasks: haloRanks, ForcePack: forcePack,
-			Timeout: 5 * time.Minute, Hooks: telemetryHooks(),
+			Timeout: 5 * time.Minute,
 		})
 		if err != nil {
 			return pt, err
@@ -372,7 +372,7 @@ func runHaloPoint(mode, ablation string, n, h, iters int) (HaloPoint, error) {
 			worlds[self], err = mpi.NewWorld(mpi.Config{
 				NumTasks: haloRanks, ForcePack: forcePack, Machine: m,
 				Wire:    &mpi.WireConfig{Transport: tr},
-				Timeout: 5 * time.Minute, Hooks: telemetryHooks(),
+				Timeout: 5 * time.Minute,
 			})
 			if err != nil {
 				return pt, err
@@ -388,7 +388,7 @@ func runHaloPoint(mode, ablation string, n, h, iters int) (HaloPoint, error) {
 		wg.Add(1)
 		go func(i int, w *mpi.World) {
 			defer wg.Done()
-			errs[i] = w.Run(func(tk *mpi.Task) error {
+			errs[i] = runWorld(w, func(tk *mpi.Task) error {
 				return haloBody(tk, n, h, iters, dirs, digests, &perOp, &allocs)
 			})
 		}(i, w)

@@ -74,8 +74,7 @@ func RunHybridAblation(p Profile) (HybridResult, error) {
 	// max over tasks of (their compute + their comm).
 	{
 		w, err := mpi.NewWorld(mpi.Config{NumTasks: nCores, Machine: machine,
-			Pin: topology.PinCorePerTask, Timeout: 10 * time.Minute,
-			Hooks: telemetryHooks()})
+			Pin: topology.PinCorePerTask, Timeout: 10 * time.Minute})
 		if err != nil {
 			return res, err
 		}
@@ -83,7 +82,7 @@ func RunHybridAblation(p Profile) (HybridResult, error) {
 		table := hls.Declare[float64](reg, "hyb_table", topology.Node, 4096)
 		perTaskWork := make([]int64, nCores)
 		start := time.Now()
-		if err := w.Run(func(task *mpi.Task) error {
+		if err := runWorld(w, func(task *mpi.Task) error {
 			table.Single(task, func(d []float64) {
 				for i := range d {
 					d[i] = 1
@@ -115,14 +114,13 @@ func RunHybridAblation(p Profile) (HybridResult, error) {
 	// while the team waits. Critical path per step = compute/8 + comm.
 	{
 		w, err := mpi.NewWorld(mpi.Config{NumTasks: 1, Machine: machine,
-			Pin: topology.PinCorePerTask, Timeout: 10 * time.Minute,
-			Hooks: telemetryHooks()})
+			Pin: topology.PinCorePerTask, Timeout: 10 * time.Minute})
 		if err != nil {
 			return res, err
 		}
 		perThreadWork := make([]int64, nCores)
 		start := time.Now()
-		if err := w.Run(func(task *mpi.Task) error {
+		if err := runWorld(w, func(task *mpi.Task) error {
 			local := make([]float64, cells)
 			comm := make([]float64, 1024)
 			omp.Parallel(task, nCores, func(tc *omp.ThreadCtx) {

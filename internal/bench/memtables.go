@@ -93,7 +93,6 @@ func newMemEnv(cores int, variant Variant) (*memEnv, error) {
 		Machine:  machine,
 		Pin:      topology.PinCorePerTask,
 		Timeout:  10 * time.Minute,
-		Hooks:    telemetryHooks(),
 	})
 	if err != nil {
 		return nil, err
@@ -150,7 +149,7 @@ func RunTableII(p Profile) ([]MemRow, error) {
 				return nil, err
 			}
 			start := time.Now()
-			if err := env.world.Run(func(task *mpi.Task) error {
+			if err := runWorld(env.world, func(task *mpi.Task) error {
 				_, err := app.Run(task)
 				return err
 			}); err != nil {
@@ -193,7 +192,7 @@ func RunTableIII(p Profile) ([]MemRow, error) {
 				return nil, err
 			}
 			start := time.Now()
-			if err := env.world.Run(func(task *mpi.Task) error {
+			if err := runWorld(env.world, func(task *mpi.Task) error {
 				_, err := app.Run(task)
 				return err
 			}); err != nil {
@@ -251,7 +250,7 @@ func RunTableIV(p Profile) (TableIVResult, error) {
 				return out, err
 			}
 			start := time.Now()
-			if err := env.world.Run(func(task *mpi.Task) error {
+			if err := runWorld(env.world, func(task *mpi.Task) error {
 				_, err := app.Run(task)
 				return err
 			}); err != nil {

@@ -82,7 +82,6 @@ func microWorld(opts ...hls.Option) (*mpi.World, *hls.Registry, error) {
 		Machine:  machine,
 		Pin:      topology.PinCorePerTask,
 		Timeout:  5 * time.Minute,
-		Hooks:    telemetryHooks(),
 	})
 	if err != nil {
 		return nil, nil, err
@@ -98,7 +97,7 @@ func microGetAddr() (MicroResult, error) {
 	v := hls.Declare[float64](reg, "m_addr", topology.Node, 8)
 	const n = 2_000_000
 	var perOp float64
-	err = w.Run(func(task *mpi.Task) error {
+	err = runWorld(w, func(task *mpi.Task) error {
 		if task.Rank() != 0 {
 			return nil
 		}
@@ -128,7 +127,7 @@ func microBarrier(iters int, flat bool) (MicroResult, error) {
 	}
 	v := hls.Declare[int](reg, "m_bar", topology.Node, 1)
 	var elapsed time.Duration
-	err = w.Run(func(task *mpi.Task) error {
+	err = runWorld(w, func(task *mpi.Task) error {
 		mpi.Barrier(task, nil)
 		start := time.Now()
 		for i := 0; i < iters; i++ {
@@ -155,7 +154,7 @@ func microSinglePattern(iters int, listing2 bool) (MicroResult, error) {
 		anyVars[i] = vars[i]
 	}
 	var elapsed time.Duration
-	err = w.Run(func(task *mpi.Task) error {
+	err = runWorld(w, func(task *mpi.Task) error {
 		mpi.Barrier(task, nil)
 		start := time.Now()
 		for i := 0; i < iters; i++ {

@@ -145,15 +145,10 @@ func RunRecover(p Profile, seed int64) (*RecoverResult, error) {
 		var hooks mpi.Hooks
 		var hlsObs []hls.SyncObserver
 		if t := ActiveTelemetry(); t != nil {
-			hooks = t.MPI
 			hlsObs = append(hlsObs, t.HLS)
 		}
 		if inj != nil {
-			if hooks != nil {
-				hooks = mpi.MultiHooks(hooks, inj)
-			} else {
-				hooks = inj
-			}
+			hooks = inj
 			hlsObs = append(hlsObs, inj)
 		}
 		w, err := mpi.NewWorld(mpi.Config{NumTasks: tasks, Machine: machine,
@@ -185,7 +180,7 @@ func RunRecover(p Profile, seed int64) (*RecoverResult, error) {
 		to := &trialOut{run: RecoverRun{Mode: mode}}
 		var regOnce sync.Once
 		start := time.Now()
-		runErr := w.Run(func(task *mpi.Task) error {
+		runErr := runWorld(w, func(task *mpi.Task) error {
 			win := rma.WinAllocate[float64](task, nil, 32,
 				rma.WithName("recwin"), rma.WithPersist(winDir))
 			regOnce.Do(func() {

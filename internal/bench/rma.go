@@ -115,8 +115,7 @@ func rmaMemory() ([]RMAMemRow, error) {
 	tasks := machine.TotalCores()
 	newEnv := func() (*mpi.World, *memsim.Tracker, error) {
 		w, err := mpi.NewWorld(mpi.Config{NumTasks: tasks, Machine: machine,
-			Pin: topology.PinCorePerTask, Timeout: 5 * time.Minute,
-			Hooks: telemetryHooks()})
+			Pin: topology.PinCorePerTask, Timeout: 5 * time.Minute})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -143,7 +142,7 @@ func rmaMemory() ([]RMAMemRow, error) {
 	reg := hls.New(w, append(telemetryHLSOptions(), hls.WithTracker(tr))...)
 	v := hls.Declare[float64](reg, "rma_mem_table", topology.Node, tableITableEntries,
 		hls.WithAccountBytes[float64](tableBytes))
-	if err := w.Run(func(task *mpi.Task) error { v.Slice(task); return nil }); err != nil {
+	if err := runWorld(w, func(task *mpi.Task) error { v.Slice(task); return nil }); err != nil {
 		return nil, err
 	}
 	rows = append(rows, RMAMemRow{Mode: "HLS node", TableMB: memsim.MB(float64(tr.CurrentBytes(0))),
@@ -154,7 +153,7 @@ func rmaMemory() ([]RMAMemRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := w.Run(func(task *mpi.Task) error {
+	if err := runWorld(w, func(task *mpi.Task) error {
 		mine := 0
 		if task.Rank() == 0 {
 			mine = tableITableEntries
@@ -192,8 +191,7 @@ func rmaSync(p Profile) ([]MicroResult, error) {
 	machine := topology.NehalemEX4()
 	newWorld := func() (*mpi.World, error) {
 		return mpi.NewWorld(mpi.Config{NumTasks: machine.TotalCores(), Machine: machine,
-			Pin: topology.PinCorePerTask, Timeout: 5 * time.Minute,
-			Hooks: telemetryHooks()})
+			Pin: topology.PinCorePerTask, Timeout: 5 * time.Minute})
 	}
 
 	// Window fence: the collective closing every shared-window update.
@@ -202,7 +200,7 @@ func rmaSync(p Profile) ([]MicroResult, error) {
 		return nil, err
 	}
 	var elapsed time.Duration
-	if err := w.Run(func(task *mpi.Task) error {
+	if err := runWorld(w, func(task *mpi.Task) error {
 		win := rma.WinAllocate[int](task, nil, 1, telemetryWinOptions()...)
 		mpi.Barrier(task, nil)
 		start := time.Now()
@@ -228,7 +226,7 @@ func rmaSync(p Profile) ([]MicroResult, error) {
 			return nil, err
 		}
 		var elapsed time.Duration
-		if err := w.Run(func(task *mpi.Task) error {
+		if err := runWorld(w, func(task *mpi.Task) error {
 			win := rma.WinAllocate[int](task, nil, 1, telemetryWinOptions()...)
 			target := task.Rank()
 			if contended {

@@ -56,13 +56,15 @@ func SetTelemetry(t *Telemetry) { active = t }
 // ActiveTelemetry returns the currently installed sink, or nil.
 func ActiveTelemetry() *Telemetry { return active }
 
-// telemetryHooks returns the mpi.Hooks new worlds should install: the
-// MPI adapter when telemetry is on, a true nil interface otherwise.
-func telemetryHooks() mpi.Hooks {
-	if active == nil {
-		return nil
+// runWorld runs fn on every task of w, with w's Stats feeding the MPI
+// telemetry for the duration when telemetry is on. The watch stops when
+// Run returns, so the finished world's counts stay in the totals and the
+// world itself is not kept alive.
+func runWorld(w *mpi.World, fn func(*mpi.Task) error) error {
+	if active != nil {
+		defer active.MPI.Watch(w)()
 	}
-	return active.MPI
+	return w.Run(fn)
 }
 
 // telemetryHLSOptions returns the hls.Option slice new registries
@@ -182,13 +184,12 @@ func PrintTelemetry(w io.Writer, t *Telemetry) {
 
 	// MPI point-to-point and collectives.
 	sends := sumSeries(snap.Counters, "mpi_sends_total")
-	fprintf(w, "mpi: %d msgs (eager %d / rendezvous %d), %s; copies elided %d (%s); collective starts %d\n",
+	fprintf(w, "mpi: %d msgs (eager %d / rendezvous %d), %s; copies elided %d; collective starts %d\n",
 		sends,
 		sumSeries(snap.Counters, "mpi_messages_protocol_total", "protocol", "eager"),
 		sumSeries(snap.Counters, "mpi_messages_protocol_total", "protocol", "rendezvous"),
 		fmtBytes(sumSeries(snap.Counters, "mpi_bytes_total")),
 		sumSeries(snap.Counters, "mpi_copies_elided_total"),
-		fmtBytes(sumSeries(snap.Counters, "mpi_copy_bytes_elided_total")),
 		sumSeries(snap.Counters, "mpi_collectives_total"))
 	if gets := sumSeries(snap.Counters, "mpi_eager_pool_hits_total") +
 		sumSeries(snap.Counters, "mpi_eager_pool_misses_total"); gets > 0 {

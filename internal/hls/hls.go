@@ -129,6 +129,7 @@ type Registry struct {
 
 	mu       sync.Mutex
 	vars     []varMeta
+	declared []instanceCounter // the same vars, type-erased for Report
 	barriers map[scopeKey]*barrierNode
 	nowaits  map[scopeKey]*nowaitState
 
@@ -340,8 +341,8 @@ func Declare[T any](r *Registry, name string, scope topology.Scope, n int, opts 
 	r.mu.Lock()
 	v.id = len(r.vars)
 	r.vars = append(r.vars, varMeta{name: name, scope: scope})
+	r.declared = append(r.declared, v)
 	r.mu.Unlock()
-	registerForReport(r, v)
 	return v
 }
 

@@ -5,7 +5,6 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"sync"
 
 	"hls/internal/topology"
 )
@@ -46,27 +45,13 @@ func (v *Var[T]) countInstances() int         { return v.Instances() }
 func (v *Var[T]) bytesPerInstance() int64     { return v.accountBytes }
 func (v *Var[T]) demotionStats() (int, int64) { return v.Demotions() }
 
-// declared tracks the concrete vars per registry for reporting. Keyed by
-// registry to keep Registry itself free of type parameters.
-var declared struct {
-	mu sync.Mutex
-	m  map[*Registry][]instanceCounter
-}
-
-func registerForReport(r *Registry, v instanceCounter) {
-	declared.mu.Lock()
-	defer declared.mu.Unlock()
-	if declared.m == nil {
-		declared.m = make(map[*Registry][]instanceCounter)
-	}
-	declared.m[r] = append(declared.m[r], v)
-}
-
 // Report returns the inventory of declared variables, sorted by name.
 func (r *Registry) Report() []VarInfo {
-	declared.mu.Lock()
-	vars := append([]instanceCounter(nil), declared.m[r]...)
-	declared.mu.Unlock()
+	// Copy under the lock, then read the vars unlocked: they take their
+	// own locks.
+	r.mu.Lock()
+	vars := append([]instanceCounter(nil), r.declared...)
+	r.mu.Unlock()
 	out := make([]VarInfo, 0, len(vars))
 	for _, v := range vars {
 		s := v.Scope()

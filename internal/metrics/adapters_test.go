@@ -2,86 +2,179 @@ package metrics
 
 import (
 	"errors"
+	"slices"
+	"strings"
 	"testing"
 	"time"
+
+	"hls/internal/mpi"
 )
 
+// mpiTestWorld runs a 4-rank world that exercises every MPI family: a
+// ring of eager sends, an Allreduce, a typed strided exchange whose
+// packing is elided, and one rendezvous send.
+func mpiTestWorld(t *testing.T, a *MPIAdapter) *mpi.World {
+	t.Helper()
+	w, err := mpi.NewWorld(mpi.Config{NumTasks: 4, Timeout: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := a.Watch(w)
+	defer stop()
+	col := mpi.TypeVector(64, 1, 2).Commit() // every other element: strided
+	err = w.Run(func(task *mpi.Task) error {
+		me, n := task.Rank(), task.Size()
+		in := make([]int64, 1)
+		mpi.Sendrecv(task, nil, []int64{int64(me)}, (me+1)%n, 0, in, (me+n-1)%n, 0)
+		mpi.Allreduce(task, nil, []int64{1}, in, mpi.OpSum)
+		src, dst := make([]float64, 128), make([]float64, 128)
+		mpi.SendrecvTyped(task, nil, src, col, (me+1)%n, 1, dst, col, (me+n-1)%n, 1)
+		switch me {
+		case 0:
+			mpi.Send(task, nil, make([]byte, 64<<10), 1, 2)
+		case 1:
+			mpi.Recv(task, nil, make([]byte, 64<<10), 0, 2)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// TestMPIAdapter: after a world that touches every family, each exposed
+// MPI series equals the value derived from the world's own Stats.
 func TestMPIAdapter(t *testing.T) {
 	r := New(4)
 	a := NewMPIAdapter(r)
-
-	meta := a.OnSend(0, 1)
-	if meta != nil {
-		t.Fatal("MPIAdapter carries no metadata")
+	w := mpiTestWorld(t, a)
+	st := w.Stats()
+	if st.Rendezvous == 0 || st.PackElisions == 0 || st.Collectives == 0 {
+		t.Fatalf("test world missed a path: %+v", st)
 	}
-	a.OnMessage(0, 1, 64, false)
-	a.OnDeliver(1, meta)
-	a.OnSend(2, 3)
-	a.OnMessage(2, 3, 1<<20, true)
-	a.OnCopyElided(3, 512)
-	a.OnCollective(0)
-	a.OnCollective(1)
-
-	if got := a.sends.Value(); got != 2 {
-		t.Errorf("sends = %d", got)
+	want := map[string]int64{
+		"mpi_sends_total": st.Messages,
+		"mpi_bytes_total": st.Bytes,
+		`mpi_messages_protocol_total{protocol="eager"}`:      st.Messages - st.Rendezvous,
+		`mpi_messages_protocol_total{protocol="rendezvous"}`: st.Rendezvous,
+		"mpi_copies_elided_total":                            st.SameAddrSkips + st.DirectDeliveries,
+		"mpi_pack_elisions_total":                            st.PackElisions,
+		"mpi_collectives_total":                              st.Collectives,
+		"mpi_shared_collectives_total":                       st.SharedCollectives,
+		"mpi_two_level_collectives_total":                    st.TwoLevelCollectives,
+		"mpi_eager_pool_hits_total":                          st.EagerPoolHits,
+		"mpi_eager_pool_misses_total":                        st.EagerPoolMisses,
+		"mpi_eager_pool_recycled_bytes_total":                st.EagerPoolRecycledBytes,
+		"mpi_eager_pool_outstanding":                         st.EagerPoolOutstanding,
+		"mpi_match_probes_total":                             st.MatchProbes,
 	}
-	if got := a.deliveries.Value(); got != 1 {
-		t.Errorf("deliveries = %d", got)
+	snap := r.Snapshot(WithPerShard())
+	got := make(map[string]int64)
+	for _, s := range append(snap.Counters, snap.Gauges...) {
+		got[seriesKey(s.Name, s.Labels)] = s.Value
+		if len(s.PerShard) != 1 || s.PerShard[0] != s.Value {
+			t.Errorf("%s: per-shard %v, want the single shard [%d]", s.Name, s.PerShard, s.Value)
+		}
 	}
-	if got := a.inFlight.Value(); got != 1 {
-		t.Errorf("in flight = %d, want 1 (one undelivered)", got)
+	for k, v := range want {
+		if got[k] != v {
+			t.Errorf("%s = %d, want %d from Stats", k, got[k], v)
+		}
 	}
-	if a.eager.Value() != 1 || a.rendezvous.Value() != 1 {
-		t.Errorf("protocol split: eager %d rendezvous %d", a.eager.Value(), a.rendezvous.Value())
-	}
-	if got := a.bytes.Value(); got != 64+1<<20 {
-		t.Errorf("bytes = %d", got)
-	}
-	if a.elided.Value() != 1 || a.elidedBytes.Value() != 512 {
-		t.Errorf("elided: %d / %d B", a.elided.Value(), a.elidedBytes.Value())
-	}
-	if got := a.collectives.Value(); got != 2 {
-		t.Errorf("collectives = %d", got)
-	}
-
-	a.OnSharedCollective(0, "barrier")
-	a.OnTwoLevelCollective(0, "allreduce")
-	a.OnTwoLevelCollective(1, "allreduce")
-	if a.sharedColl.Value() != 1 || a.twoLevel.Value() != 2 {
-		t.Errorf("collective fast paths: shared %d two-level %d", a.sharedColl.Value(), a.twoLevel.Value())
+	if len(got) != len(want) {
+		t.Errorf("exposed %d MPI series, want %d", len(got), len(want))
 	}
 
-	// Eager-buffer pool and matching-engine families (mpi.PoolHooks).
-	a.OnPoolGet(0, 64, false) // allocates
-	a.OnPoolGet(0, 64, true)  // served by the pool
-	a.OnPoolGet(1, 128, true)
-	a.OnPoolPut(0, 64)
-	a.OnMatchProbes(0, 1)
-	a.OnMatchProbes(1, 3)
-	if a.poolHits.Value() != 2 || a.poolMisses.Value() != 1 {
-		t.Errorf("pool hit/miss = %d/%d, want 2/1", a.poolHits.Value(), a.poolMisses.Value())
-	}
-	if got := a.poolRecycled.Value(); got != 64 {
-		t.Errorf("pool recycled bytes = %d, want 64", got)
-	}
-	if got := a.poolOutstanding.Value(); got != 2 {
-		t.Errorf("pool outstanding = %d, want 2 (three gets, one put)", got)
-	}
-	if got := a.matchProbes.Value(); got != 4 {
-		t.Errorf("match probes = %d, want 4", got)
-	}
-
-	// Nil-registry adapter: every method is a no-op.
+	// A nil registry registers nothing, and watching still works.
 	d := NewMPIAdapter(nil)
-	d.OnDeliver(0, d.OnSend(0, 1))
-	d.OnMessage(0, 1, 8, false)
-	d.OnCopyElided(0, 8)
-	d.OnCollective(0)
-	d.OnPoolGet(0, 64, true)
-	d.OnPoolPut(0, 64)
-	d.OnMatchProbes(0, 1)
-	d.OnSharedCollective(0, "barrier")
-	d.OnTwoLevelCollective(0, "barrier")
+	d.Watch(w)()
+}
+
+// TestMPIFamilyNames pins the exposed mpi_* family names: exactly the
+// families fed from World.Stats.
+func TestMPIFamilyNames(t *testing.T) {
+	r := New(1)
+	NewMPIAdapter(r)
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, line := range strings.Split(b.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[1] == "TYPE" {
+			got = append(got, f[2]+" "+f[3])
+		}
+	}
+	want := []string{
+		"mpi_sends_total counter",
+		"mpi_bytes_total counter",
+		"mpi_messages_protocol_total counter",
+		"mpi_copies_elided_total counter",
+		"mpi_pack_elisions_total counter",
+		"mpi_collectives_total counter",
+		"mpi_shared_collectives_total counter",
+		"mpi_two_level_collectives_total counter",
+		"mpi_eager_pool_hits_total counter",
+		"mpi_eager_pool_misses_total counter",
+		"mpi_eager_pool_recycled_bytes_total counter",
+		"mpi_match_probes_total counter",
+		"mpi_eager_pool_outstanding gauge",
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("mpi families:\n got %q\nwant %q", got, want)
+	}
+}
+
+// TestMPIAdapterSequentialWorlds: worlds watched one after another add
+// up after each stop, and a stopped world no longer contributes.
+func TestMPIAdapterSequentialWorlds(t *testing.T) {
+	r := New(4)
+	a := NewMPIAdapter(r)
+	sends := func() int64 {
+		for _, c := range r.Snapshot().Counters {
+			if c.Name == "mpi_sends_total" {
+				return c.Value
+			}
+		}
+		t.Fatal("mpi_sends_total not exposed")
+		return 0
+	}
+	w1 := mpiTestWorld(t, a)
+	after1 := sends()
+	if after1 != w1.Stats().Messages || after1 == 0 {
+		t.Fatalf("after world 1: %d sends, Stats says %d", after1, w1.Stats().Messages)
+	}
+	w2 := mpiTestWorld(t, a)
+	if got, want := sends(), w1.Stats().Messages+w2.Stats().Messages; got != want {
+		t.Fatalf("after world 2: %d sends, want %d", got, want)
+	}
+
+	// A live watch counts as the world runs; its stop keeps the total.
+	w3, err := mpi.NewWorld(mpi.Config{NumTasks: 2, Timeout: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := a.Watch(w3)
+	before := sends()
+	if err := w3.Run(func(task *mpi.Task) error {
+		if task.Rank() == 0 {
+			mpi.Send(task, nil, []int{1}, 1, 0)
+		} else {
+			mpi.Recv(task, nil, make([]int, 1), 0, 0)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := sends(); got != before+1 {
+		t.Fatalf("live watch: %d sends, want %d", got, before+1)
+	}
+	stop()
+	stop()
+	if got := sends(); got != before+1 {
+		t.Fatalf("after stop: %d sends, want %d", got, before+1)
+	}
 }
 
 func TestWireAdapterBatch(t *testing.T) {

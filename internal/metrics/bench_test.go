@@ -14,7 +14,6 @@ func TestNilPathZeroAllocs(t *testing.T) {
 	c := r.Counter("c", "")
 	g := r.Gauge("g", "")
 	h := r.Histogram("h", "")
-	mpiAd := NewMPIAdapter(nil)
 	hlsAd := NewHLSAdapter(nil)
 	rmaAd := NewRMAAdapter(nil)
 
@@ -25,7 +24,6 @@ func TestNilPathZeroAllocs(t *testing.T) {
 		{"Counter.Inc", func() { c.Inc(3) }},
 		{"Gauge.Add", func() { g.Add(1, -2) }},
 		{"Histogram.Observe", func() { h.Observe(0, 12345) }},
-		{"MPIAdapter", func() { mpiAd.OnDeliver(1, mpiAd.OnSend(0, 1)); mpiAd.OnMessage(0, 1, 64, false) }},
 		{"HLSAdapter", func() { hlsAd.Arrive("barrier/node:0/0", 2); hlsAd.Depart("barrier/node:0/0", 2) }},
 		{"RMAAdapter", func() { rmaAd.EpochOpen("w", "fence", 0); rmaAd.EpochClose("w", "fence", 0) }},
 	}

@@ -1,8 +1,11 @@
 // Package metrics is the runtime telemetry registry: low-overhead
-// counters, gauges and log-scale histograms that the runtime's extension
-// points (mpi.Hooks, hls.SyncObserver, rma.Observer/Tracer) feed while a
-// program runs, exported as Prometheus text exposition, JSON snapshots,
-// and a live HTTP endpoint (see http.go).
+// counters, gauges and log-scale histograms, exported as Prometheus text
+// exposition, JSON snapshots, and a live HTTP endpoint (see http.go).
+// Two kinds of source fill it. The observer interfaces of hls, rma, ckpt
+// and wire push their events into sharded counters while a program runs.
+// MPI's counts are not pushed: mpi.World.Stats already keeps them, so
+// MPIAdapter registers CounterFunc/GaugeFunc series that read the watched
+// worlds' Stats when the registry is scraped.
 //
 // The paper's evaluation (§V) is an observability exercise — cache
 // footprints, memory per node, directive synchronization cost — and
@@ -57,8 +60,8 @@ type Registry struct {
 	shards int
 
 	mu         sync.Mutex
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
+	counters   map[string]*cells
+	gauges     map[string]*cells
 	histograms map[string]*Histogram
 	order      []family // exposition order = registration order
 }
@@ -77,8 +80,8 @@ func New(shards int) *Registry {
 	}
 	return &Registry{
 		shards:     shards,
-		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
+		counters:   make(map[string]*cells),
+		gauges:     make(map[string]*cells),
 		histograms: make(map[string]*Histogram),
 	}
 }
@@ -129,22 +132,7 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	if r == nil {
 		return nil
 	}
-	id := seriesID(name, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c, ok := r.counters[id]; ok {
-		return c
-	}
-	c := &Counter{
-		name:   name,
-		help:   help,
-		labels: sortedLabels(labels),
-		cells:  make([]int64, r.shards*cacheLine),
-		shards: r.shards,
-	}
-	r.counters[id] = c
-	r.order = append(r.order, family{kind: "counter", id: id})
-	return c
+	return (*Counter)(r.series(r.counters, "counter", name, help, nil, labels))
 }
 
 // Gauge returns (creating on first use) the gauge of the given name and
@@ -154,22 +142,46 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	if r == nil {
 		return nil
 	}
+	return (*Gauge)(r.series(r.gauges, "gauge", name, help, nil, labels))
+}
+
+// CounterFunc registers a counter whose value is read from fn whenever
+// the registry is snapshotted or exposed — the pattern for counts a
+// runtime layer already keeps (mpi.World.Stats), so the hot path pays
+// for them once. The series has one shard. If the series already
+// exists, the first registration wins and fn is ignored. No-op on a nil
+// registry.
+func (r *Registry) CounterFunc(name, help string, fn func() int64, labels ...Label) {
+	if r != nil {
+		r.series(r.counters, "counter", name, help, fn, labels)
+	}
+}
+
+// GaugeFunc is CounterFunc for a gauge: fn is read at snapshot time.
+func (r *Registry) GaugeFunc(name, help string, fn func() int64, labels ...Label) {
+	if r != nil {
+		r.series(r.gauges, "gauge", name, help, fn, labels)
+	}
+}
+
+// series interns one counter or gauge series in m (r.counters or
+// r.gauges), creating it on first use.
+func (r *Registry) series(m map[string]*cells, kind, name, help string, fn func() int64, labels []Label) *cells {
 	id := seriesID(name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if g, ok := r.gauges[id]; ok {
-		return g
+	if c, ok := m[id]; ok {
+		return c
 	}
-	g := &Gauge{
-		name:   name,
-		help:   help,
-		labels: sortedLabels(labels),
-		cells:  make([]int64, r.shards*cacheLine),
-		shards: r.shards,
+	shards := r.shards
+	if fn != nil {
+		shards = 1
 	}
-	r.gauges[id] = g
-	r.order = append(r.order, family{kind: "gauge", id: id})
-	return g
+	c := &cells{name: name, help: help, labels: sortedLabels(labels),
+		v: make([]int64, shards*cacheLine), shards: shards, fn: fn}
+	m[id] = c
+	r.order = append(r.order, family{kind: kind, id: id})
+	return c
 }
 
 // Histogram returns (creating on first use) the log-scale histogram of
@@ -190,71 +202,76 @@ func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
 	return h
 }
 
-// Counter is a monotonically increasing sharded counter. A nil *Counter
-// is the disabled fast path: every method is a no-op (Value returns 0).
-type Counter struct {
+// cells is the storage behind a Counter or a Gauge: one value per shard.
+type cells struct {
 	name   string
 	help   string
 	labels []Label
 	shards int
-	// cells holds one value per shard at stride cacheLine, so shards
-	// never share a cache line.
-	cells []int64
+	// v holds one value per shard at stride cacheLine, so shards never
+	// share a cache line.
+	v []int64
+	// fn, if set (CounterFunc/GaugeFunc), supplies the value instead.
+	fn func() int64
 }
 
-// Add adds v (which must be >= 0) to the shard's cell.
-func (c *Counter) Add(shard int, v int64) {
-	if c == nil {
-		return
+func (c *cells) add(shard int, d int64) {
+	if c != nil {
+		atomic.AddInt64(&c.v[int(uint(shard)%uint(c.shards))*cacheLine], d)
 	}
-	atomic.AddInt64(&c.cells[int(uint(shard)%uint(c.shards))*cacheLine], v)
 }
+
+func (c *cells) value() int64 {
+	if c == nil {
+		return 0
+	}
+	if c.fn != nil {
+		return c.fn()
+	}
+	var sum int64
+	for s := 0; s < c.shards; s++ {
+		sum += atomic.LoadInt64(&c.v[s*cacheLine])
+	}
+	return sum
+}
+
+func (c *cells) perShard() []int64 {
+	if c == nil {
+		return nil
+	}
+	if c.fn != nil {
+		return []int64{c.fn()}
+	}
+	out := make([]int64, c.shards)
+	for s := range out {
+		out[s] = atomic.LoadInt64(&c.v[s*cacheLine])
+	}
+	return out
+}
+
+// Counter is a monotonically increasing sharded counter. A nil *Counter
+// is the disabled fast path: every method is a no-op (Value returns 0).
+type Counter cells
+
+// Add adds v (which must be >= 0) to the shard's cell.
+func (c *Counter) Add(shard int, v int64) { (*cells)(c).add(shard, v) }
 
 // Inc adds 1 to the shard's cell.
 func (c *Counter) Inc(shard int) { c.Add(shard, 1) }
 
 // Value returns the sum over shards.
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	var sum int64
-	for s := 0; s < c.shards; s++ {
-		sum += atomic.LoadInt64(&c.cells[s*cacheLine])
-	}
-	return sum
-}
+func (c *Counter) Value() int64 { return (*cells)(c).value() }
 
 // PerShard returns the per-shard values — per-rank breakdowns for
 // imbalance analysis. Returns nil on a nil counter.
-func (c *Counter) PerShard() []int64 {
-	if c == nil {
-		return nil
-	}
-	out := make([]int64, c.shards)
-	for s := range out {
-		out[s] = atomic.LoadInt64(&c.cells[s*cacheLine])
-	}
-	return out
-}
+func (c *Counter) PerShard() []int64 { return (*cells)(c).perShard() }
 
 // Gauge is a sharded gauge: the value is the sum of per-shard deltas.
 // A nil *Gauge is the disabled fast path.
-type Gauge struct {
-	name   string
-	help   string
-	labels []Label
-	shards int
-	cells  []int64
-}
+type Gauge cells
 
 // Add adds v (possibly negative) to the shard's cell.
-func (g *Gauge) Add(shard int, v int64) {
-	if g == nil {
-		return
-	}
-	atomic.AddInt64(&g.cells[int(uint(shard)%uint(g.shards))*cacheLine], v)
-}
+func (g *Gauge) Add(shard int, v int64) { (*cells)(g).add(shard, v) }
 
 // Inc adds 1 to the shard's cell.
 func (g *Gauge) Inc(shard int) { g.Add(shard, 1) }
@@ -264,33 +281,10 @@ func (g *Gauge) Dec(shard int) { g.Add(shard, -1) }
 
 // Set makes the gauge read v by adjusting shard 0 (intended for
 // single-writer gauges like configuration values).
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.Add(0, v-g.Value())
-}
+func (g *Gauge) Set(v int64) { g.Add(0, v-g.Value()) }
 
 // PerShard returns the per-shard deltas. Returns nil on a nil gauge.
-func (g *Gauge) PerShard() []int64 {
-	if g == nil {
-		return nil
-	}
-	out := make([]int64, g.shards)
-	for s := range out {
-		out[s] = atomic.LoadInt64(&g.cells[s*cacheLine])
-	}
-	return out
-}
+func (g *Gauge) PerShard() []int64 { return (*cells)(g).perShard() }
 
 // Value returns the sum over shards.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	var sum int64
-	for s := 0; s < g.shards; s++ {
-		sum += atomic.LoadInt64(&g.cells[s*cacheLine])
-	}
-	return sum
-}
+func (g *Gauge) Value() int64 { return (*cells)(g).value() }

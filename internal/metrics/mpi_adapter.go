@@ -1,145 +1,119 @@
 package metrics
 
-// MPIAdapter implements mpi.Hooks, mpi.MessageHooks and mpi.PoolHooks
-// (structurally, so this package needs no runtime imports), counting the
-// point-to-point layer's work: sends and deliveries per rank, bytes
-// moved, the eager-vs-rendezvous protocol split, elided intra-node
-// copies (MPC's §V-B3 optimization), collective starts, the eager-buffer
-// pool's hit/miss/recycle traffic and the matching engine's probe
-// counts. Install it with
-//
-//	mpi.Config{Hooks: metrics.NewMPIAdapter(reg)}
-//
-// or combine it with the happens-before tracker and the trace recorder
-// through mpi.MultiHooks. Constructed over a nil registry every method
-// is a cheap no-op (the disabled fast path).
-type MPIAdapter struct {
-	sends       *Counter
-	deliveries  *Counter
-	bytes       *Counter
-	eager       *Counter
-	rendezvous  *Counter
-	elided      *Counter
-	elidedBytes *Counter
-	packElided  *Counter
-	packBytes   *Counter
-	collectives *Counter
-	sharedColl  *Counter
-	twoLevel    *Counter
-	inFlight    *Gauge
-	msgBytes    *Histogram
+import (
+	"slices"
+	"sync"
 
-	poolHits        *Counter
-	poolMisses      *Counter
-	poolRecycled    *Counter
-	poolOutstanding *Gauge
-	matchProbes     *Counter
+	"hls/internal/mpi"
+)
+
+// MPIAdapter exports the point-to-point and collective layer's counts:
+// messages and bytes, the eager-vs-rendezvous protocol split, elided
+// intra-node copies (MPC's §V-B3 optimization) and pack elisions,
+// collective starts and the paths they took, the eager-buffer pool's
+// traffic and the matching engine's probe counts. It pushes nothing and
+// is not an mpi.Hooks: every series is a CounterFunc/GaugeFunc that sums
+// mpi.World.Stats over the worlds it watches, so the runtime counts each
+// event once and a world with metrics still takes every fast path a
+// hook-less world takes. Use it as
+//
+//	a := metrics.NewMPIAdapter(reg)
+//	w, _ := mpi.NewWorld(cfg)
+//	stop := a.Watch(w)
+//	defer stop()
+//
+// Constructed over a nil registry it registers nothing.
+type MPIAdapter struct {
+	mu     sync.Mutex
+	worlds []*mpi.World
+	// base[i] is family i's total over worlds whose watch has stopped.
+	base [len(mpiFamilies)]int64
+}
+
+// mpiFamilies maps each exported MPI series to its Stats source.
+var mpiFamilies = [...]struct {
+	name, help string
+	label      []Label
+	gauge      bool
+	value      func(*mpi.Stats) int64
+}{
+	{name: "mpi_sends_total", help: "point-to-point messages sent",
+		value: func(s *mpi.Stats) int64 { return s.Messages }},
+	{name: "mpi_bytes_total", help: "payload bytes carried by point-to-point messages",
+		value: func(s *mpi.Stats) int64 { return s.Bytes }},
+	{name: "mpi_messages_protocol_total", help: "messages by wire protocol", label: []Label{L("protocol", "eager")},
+		value: func(s *mpi.Stats) int64 { return s.Messages - s.Rendezvous }},
+	{name: "mpi_messages_protocol_total", help: "messages by wire protocol", label: []Label{L("protocol", "rendezvous")},
+		value: func(s *mpi.Stats) int64 { return s.Rendezvous }},
+	{name: "mpi_copies_elided_total", help: "payload copies skipped: send and receive buffers were the same memory (HLS intra-node elision), or an eager message landed straight in its posted receive",
+		value: func(s *mpi.Stats) int64 { return s.SameAddrSkips + s.DirectDeliveries }},
+	{name: "mpi_pack_elisions_total", help: "typed transfers that moved strided-to-strided with no intermediate packed buffer",
+		value: func(s *mpi.Stats) int64 { return s.PackElisions }},
+	{name: "mpi_collectives_total", help: "collective operations started, per participating task",
+		value: func(s *mpi.Stats) int64 { return s.Collectives }},
+	{name: "mpi_shared_collectives_total", help: "collectives completed on the shared-address-space fast path, per participating task",
+		value: func(s *mpi.Stats) int64 { return s.SharedCollectives }},
+	{name: "mpi_two_level_collectives_total", help: "collectives completed through the topology-aware two-level decomposition, per participating task",
+		value: func(s *mpi.Stats) int64 { return s.TwoLevelCollectives }},
+	{name: "mpi_eager_pool_hits_total", help: "eager-payload acquisitions served by the buffer pool",
+		value: func(s *mpi.Stats) int64 { return s.EagerPoolHits }},
+	{name: "mpi_eager_pool_misses_total", help: "eager-payload acquisitions that had to allocate",
+		value: func(s *mpi.Stats) int64 { return s.EagerPoolMisses }},
+	{name: "mpi_eager_pool_recycled_bytes_total", help: "bytes of eager-buffer capacity returned to a free list for reuse",
+		value: func(s *mpi.Stats) int64 { return s.EagerPoolRecycledBytes }},
+	{name: "mpi_eager_pool_outstanding", help: "pooled eager buffers pinned by in-flight messages", gauge: true,
+		value: func(s *mpi.Stats) int64 { return s.EagerPoolOutstanding }},
+	{name: "mpi_match_probes_total", help: "matching-queue entries examined by the p2p engine",
+		value: func(s *mpi.Stats) int64 { return s.MatchProbes }},
 }
 
 // NewMPIAdapter creates the adapter and registers its metric families.
-// Passing a nil registry yields a disabled adapter.
+// Passing a nil registry yields an adapter that exports nothing.
 func NewMPIAdapter(r *Registry) *MPIAdapter {
-	return &MPIAdapter{
-		sends:       r.Counter("mpi_sends_total", "point-to-point messages sent, by sending rank"),
-		deliveries:  r.Counter("mpi_deliveries_total", "point-to-point messages delivered, by receiving rank"),
-		bytes:       r.Counter("mpi_bytes_total", "payload bytes carried by point-to-point messages"),
-		eager:       r.Counter("mpi_messages_protocol_total", "messages by wire protocol", L("protocol", "eager")),
-		rendezvous:  r.Counter("mpi_messages_protocol_total", "messages by wire protocol", L("protocol", "rendezvous")),
-		elided:      r.Counter("mpi_copies_elided_total", "deliveries skipped because send and receive buffers were the same memory (HLS intra-node elision)"),
-		elidedBytes: r.Counter("mpi_copy_bytes_elided_total", "payload bytes not copied thanks to same-buffer elision"),
-		packElided:  r.Counter("mpi_pack_elisions_total", "typed transfers that moved strided-to-strided with no intermediate packed buffer"),
-		packBytes:   r.Counter("mpi_pack_elided_bytes_total", "payload bytes whose packing was elided on typed transfers"),
-		collectives: r.Counter("mpi_collectives_total", "collective operations started, per participating task"),
-		sharedColl:  r.Counter("mpi_shared_collectives_total", "collectives completed on the shared-address-space fast path, per participating task"),
-		twoLevel:    r.Counter("mpi_two_level_collectives_total", "collectives completed through the topology-aware two-level decomposition, per participating task"),
-		inFlight:    r.Gauge("mpi_messages_in_flight", "messages sent but not yet delivered"),
-		msgBytes:    r.Histogram("mpi_message_bytes", "point-to-point message size distribution"),
+	a := &MPIAdapter{}
+	for i, f := range mpiFamilies {
+		read := func() int64 { return a.read(i) }
+		if f.gauge {
+			r.GaugeFunc(f.name, f.help, read, f.label...)
+		} else {
+			r.CounterFunc(f.name, f.help, read, f.label...)
+		}
+	}
+	return a
+}
 
-		poolHits:        r.Counter("mpi_eager_pool_hits_total", "eager-payload acquisitions served by the buffer pool"),
-		poolMisses:      r.Counter("mpi_eager_pool_misses_total", "eager-payload acquisitions that had to allocate"),
-		poolRecycled:    r.Counter("mpi_eager_pool_recycled_bytes_total", "bytes of eager-buffer capacity returned to the pool for reuse"),
-		poolOutstanding: r.Gauge("mpi_eager_pool_outstanding", "pooled eager buffers pinned by in-flight messages"),
-		matchProbes:     r.Counter("mpi_match_probes_total", "matching-queue entries examined by the p2p engine"),
+// Watch adds w's Stats to every series from now on. stop folds w's
+// final Stats into the series' base and drops the reference, so a
+// finished world is neither lost from the totals nor kept alive; call
+// it once w.Run has returned. Extra stop calls do nothing.
+func (a *MPIAdapter) Watch(w *mpi.World) (stop func()) {
+	a.mu.Lock()
+	a.worlds = append(a.worlds, w)
+	a.mu.Unlock()
+	var once sync.Once
+	return func() {
+		once.Do(func() {
+			st := w.Stats()
+			a.mu.Lock()
+			defer a.mu.Unlock()
+			for i, f := range mpiFamilies {
+				a.base[i] += f.value(&st)
+			}
+			if j := slices.Index(a.worlds, w); j >= 0 {
+				a.worlds = slices.Delete(a.worlds, j, j+1)
+			}
+		})
 	}
 }
 
-// OnSend implements mpi.Hooks. It carries no metadata (returns nil).
-func (a *MPIAdapter) OnSend(worldSrc, worldDst int) any {
-	a.sends.Inc(worldSrc)
-	a.inFlight.Inc(worldSrc)
-	return nil
-}
-
-// OnDeliver implements mpi.Hooks.
-func (a *MPIAdapter) OnDeliver(worldDst int, meta any) {
-	a.deliveries.Inc(worldDst)
-	a.inFlight.Dec(worldDst)
-}
-
-// OnMessage implements mpi.MessageHooks.
-func (a *MPIAdapter) OnMessage(worldSrc, worldDst, bytes int, rendezvous bool) {
-	a.bytes.Add(worldSrc, int64(bytes))
-	a.msgBytes.Observe(worldSrc, int64(bytes))
-	if rendezvous {
-		a.rendezvous.Inc(worldSrc)
-	} else {
-		a.eager.Inc(worldSrc)
+// read returns family i's value: its base plus every live world's share.
+func (a *MPIAdapter) read(i int) int64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	v := a.base[i]
+	for _, w := range a.worlds {
+		st := w.Stats()
+		v += mpiFamilies[i].value(&st)
 	}
-}
-
-// OnCopyElided implements mpi.MessageHooks.
-func (a *MPIAdapter) OnCopyElided(worldDst, bytes int) {
-	a.elided.Inc(worldDst)
-	a.elidedBytes.Add(worldDst, int64(bytes))
-}
-
-// OnPackElided implements mpi.TypedHooks: a derived-datatype transfer
-// skipped its intermediate packed buffer (shared address space pack
-// elision, the typed analogue of OnCopyElided).
-func (a *MPIAdapter) OnPackElided(worldDst, bytes int) {
-	a.packElided.Inc(worldDst)
-	a.packBytes.Add(worldDst, int64(bytes))
-}
-
-// OnCollective implements mpi.MessageHooks.
-func (a *MPIAdapter) OnCollective(worldRank int) {
-	a.collectives.Inc(worldRank)
-}
-
-// OnPoolGet implements mpi.PoolHooks.
-func (a *MPIAdapter) OnPoolGet(worldRank, bytes int, hit bool) {
-	if hit {
-		a.poolHits.Inc(worldRank)
-	} else {
-		a.poolMisses.Inc(worldRank)
-	}
-	a.poolOutstanding.Inc(worldRank)
-}
-
-// OnPoolPut implements mpi.PoolHooks.
-func (a *MPIAdapter) OnPoolPut(worldRank, bytes int) {
-	a.poolRecycled.Add(worldRank, int64(bytes))
-	a.poolOutstanding.Dec(worldRank)
-}
-
-// OnMatchProbes implements mpi.PoolHooks.
-func (a *MPIAdapter) OnMatchProbes(worldRank, probes int) {
-	a.matchProbes.Add(worldRank, int64(probes))
-}
-
-// SharedCollectivesOK implements mpi.SharedCollHooks: the adapter only
-// counts, it derives nothing from message edges, so collectives may
-// bypass the message layer.
-func (a *MPIAdapter) SharedCollectivesOK() bool { return true }
-
-// OnSharedCollective implements mpi.SharedCollHooks.
-func (a *MPIAdapter) OnSharedCollective(worldRank int, op string) {
-	a.sharedColl.Inc(worldRank)
-}
-
-// OnTwoLevelCollective implements mpi.TwoLevelCollHooks. The node-local
-// phases of the same collective also tick OnSharedCollective, so the two
-// families stay independently meaningful.
-func (a *MPIAdapter) OnTwoLevelCollective(worldRank int, op string) {
-	a.twoLevel.Inc(worldRank)
+	return v
 }

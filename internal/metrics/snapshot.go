@@ -75,11 +75,11 @@ func (r *Registry) Snapshot(opts ...SnapshotOption) Snapshot {
 	}
 	r.mu.Lock()
 	order := append([]family(nil), r.order...)
-	counters := make(map[string]*Counter, len(r.counters))
+	counters := make(map[string]*cells, len(r.counters))
 	for id, c := range r.counters {
 		counters[id] = c
 	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
+	gauges := make(map[string]*cells, len(r.gauges))
 	for id, g := range r.gauges {
 		gauges[id] = g
 	}
@@ -89,22 +89,19 @@ func (r *Registry) Snapshot(opts ...SnapshotOption) Snapshot {
 	}
 	r.mu.Unlock()
 
+	seriesValue := func(c *cells) SeriesValue {
+		sv := SeriesValue{Name: c.name, Labels: labelMap(c.labels), Value: c.value()}
+		if cfg.perShard {
+			sv.PerShard = c.perShard()
+		}
+		return sv
+	}
 	for _, f := range order {
 		switch f.kind {
 		case "counter":
-			c := counters[f.id]
-			sv := SeriesValue{Name: c.name, Labels: labelMap(c.labels), Value: c.Value()}
-			if cfg.perShard {
-				sv.PerShard = c.PerShard()
-			}
-			snap.Counters = append(snap.Counters, sv)
+			snap.Counters = append(snap.Counters, seriesValue(counters[f.id]))
 		case "gauge":
-			g := gauges[f.id]
-			sv := SeriesValue{Name: g.name, Labels: labelMap(g.labels), Value: g.Value()}
-			if cfg.perShard {
-				sv.PerShard = g.PerShard()
-			}
-			snap.Gauges = append(snap.Gauges, sv)
+			snap.Gauges = append(snap.Gauges, seriesValue(gauges[f.id]))
 		case "histogram":
 			h := histograms[f.id]
 			hv := HistogramValue{Name: h.name, Labels: labelMap(h.labels), Count: h.Count(), Sum: h.Sum()}

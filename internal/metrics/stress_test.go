@@ -41,10 +41,12 @@ func (c *countingObserver) Depart(key string, rank int) { c.departs.Add(1) }
 // TestStressAllAdapters drives all three metrics adapters from one
 // 32-task world under load — point-to-point rings, barriers, singles,
 // nowaits, a lazy HLS allocation, and an RMA window with fences, locks
-// and one-sided ops — each adapter fanned out alongside a plain second
-// member through MultiHooks / MultiObserver / MultiTracer. Run with
-// -race: the sharded cells, the striped open-span maps and the fan-out
-// helpers are all exercised concurrently.
+// and one-sided ops. The MPI adapter watches the world's Stats while two
+// plain hooks share the world through MultiHooks; the HLS and RMA
+// adapters each sit alongside a plain second member through
+// MultiObserver / MultiTracer. Run with -race: the sharded cells, the
+// striped open-span maps and the fan-out helpers are all exercised
+// concurrently.
 func TestStressAllAdapters(t *testing.T) {
 	const iters = 40
 	reg := metrics.New(32)
@@ -61,11 +63,12 @@ func TestStressAllAdapters(t *testing.T) {
 		Machine:  machine,
 		Pin:      topology.PinCorePerTask,
 		Timeout:  2 * time.Minute,
-		Hooks:    mpi.MultiHooks(mpiAd, nil, extraHooks),
+		Hooks:    mpi.MultiHooks(extraHooks, nil, &countingHooks{}),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer mpiAd.Watch(w)()
 	if w.Size() < 32 {
 		t.Fatalf("want >= 32 tasks, got %d", w.Size())
 	}

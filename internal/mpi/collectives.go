@@ -24,9 +24,6 @@ func collStart(t *Task, c *Comm) (comm *Comm, baseTag int) {
 	st := t.stateFor(c)
 	st.collSeq++
 	t.world.stats.collectives.Add(1)
-	if t.world.msgHooks != nil {
-		t.world.msgHooks.OnCollective(t.rank)
-	}
 	if th := t.world.traceHooks; th != nil {
 		// (collective context, sequence) is world-agreed: every member
 		// executes collectives on c in the same order, so the pair

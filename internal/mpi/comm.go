@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
-	"sync"
 
 	"hls/internal/topology"
 )
@@ -76,15 +75,6 @@ func (t *Task) stateFor(c *Comm) *commTaskState {
 	return st
 }
 
-// commRegistry interns derived communicators so that every member of a
-// Dup/Split obtains the same *Comm without pointer-passing messages: all
-// members compute the same deterministic key and the first one to arrive
-// creates the communicator.
-var commRegistry struct {
-	mu sync.Mutex
-	m  map[*World]map[string]*Comm
-}
-
 // commBase derives a communicator's id and context base from its intern
 // key. In a single process a counter would do, but a distributed world
 // has one World instance per process and no counter synchronization:
@@ -104,22 +94,21 @@ func commBase(key string) int64 {
 	return int64(h.Sum64()<<commCtxStride&^(1<<63)) | 1<<62
 }
 
+// internComm interns derived communicators so that every member of a
+// Dup/Split obtains the same *Comm without pointer-passing messages: all
+// members compute the same deterministic key and the first one to arrive
+// creates the communicator.
 func (w *World) internComm(key string, build func() *Comm) *Comm {
-	commRegistry.mu.Lock()
-	defer commRegistry.mu.Unlock()
-	if commRegistry.m == nil {
-		commRegistry.m = make(map[*World]map[string]*Comm)
-	}
-	byKey, ok := commRegistry.m[w]
-	if !ok {
-		byKey = make(map[string]*Comm)
-		commRegistry.m[w] = byKey
-	}
-	if c, ok := byKey[key]; ok {
+	w.comms.mu.Lock()
+	defer w.comms.mu.Unlock()
+	if c, ok := w.comms.byKey[key]; ok {
 		return c
 	}
+	if w.comms.byKey == nil {
+		w.comms.byKey = make(map[string]*Comm)
+	}
 	c := build()
-	byKey[key] = c
+	w.comms.byKey[key] = c
 	return c
 }
 

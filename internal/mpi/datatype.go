@@ -11,7 +11,7 @@ package mpi
 //  2. pack elision on the shared address space: when sender and receiver
 //     live in one process, the payload moves strided-to-strided between
 //     the two user buffers with no intermediate at all, counted by
-//     Stats().PackElisions and the OnPackElided hook — the HLS paper's
+//     Stats().PackElisions — the HLS paper's
 //     copy-removal argument applied to datatype packing;
 //  3. on the wire, rendezvous payloads stream as pipelined packed chunks
 //     (TypeDataSeg frames), so a large subarray never materializes fully
@@ -400,27 +400,6 @@ func dtCopy(dst []byte, ddt *Datatype, src []byte, sdt *Datatype, esz int) {
 	}
 }
 
-// TypedHooks is an optional extension of Hooks: implementations that
-// also satisfy it are told each time a typed transfer skipped the
-// intermediate packed buffer and moved strided-to-strided between the
-// task buffers (pack elision). Resolved once at world creation, like
-// MessageHooks; internal/metrics exports it as mpi_pack_elisions_total.
-type TypedHooks interface {
-	Hooks
-	// OnPackElided is called on the delivery path with the receiving
-	// world rank and the payload size whose packing was elided.
-	OnPackElided(worldDst, bytes int)
-}
-
-// notePackElided records one pack elision: a typed payload moved between
-// the task buffers without an intermediate packed copy.
-func (w *World) notePackElided(worldDst, bytes int) {
-	w.stats.packElisions.Add(1)
-	if w.typedHooks != nil {
-		w.typedHooks.OnPackElided(worldDst, bytes)
-	}
-}
-
 // TypedCopy copies sdt's selection of src into ddt's selection of dst
 // within one address space — the building block layers above the
 // runtime (internal/rma's typed Put/Get) use to move strided data
@@ -459,7 +438,7 @@ func TypedCopy[T Scalar](t *Task, dst []T, ddt *Datatype, src []T, sdt *Datatype
 		copy(db[dLo*esz:(dLo+dElems)*esz], sb[sLo*esz:(sLo+sElems)*esz])
 	default:
 		dtCopy(db, ddt, sb, sdt, esz)
-		t.world.notePackElided(t.rank, sElems*esz)
+		t.world.stats.packElisions.Add(1)
 	}
 	return sElems
 }
@@ -525,6 +504,6 @@ func TypedApply[T Scalar](t *Task, dst []T, ddt *Datatype, src []T, sdt *Datatyp
 			dOff, dLen = di.next()
 		}
 	}
-	t.world.notePackElided(t.rank, sElems*elemSize[T]())
+	t.world.stats.packElisions.Add(1)
 	return sElems
 }

@@ -331,7 +331,7 @@ func (ep *endpoint) bucket(key epKey) *epBucket {
 // message matches the first receive, in post order, whose source and tag
 // patterns accept it. Returns nil if no posted receive matches. Caller
 // holds ep.mu.
-func (ep *endpoint) matchRecvLocked(ctx int64, src, tag int) (*postedRecv, int) {
+func (ep *endpoint) matchRecvLocked(ctx int64, src, tag int) *postedRecv {
 	probes := 0
 	b := ep.buckets[epKey{ctx, src}]
 	bIdx := -1
@@ -363,13 +363,13 @@ func (ep *endpoint) matchRecvLocked(ctx int64, src, tag int) (*postedRecv, int) 
 	ep.matchProbes += int64(probes)
 	switch {
 	case bIdx < 0 && wIdx < 0:
-		return nil, probes
+		return nil
 	case wIdx < 0 || (bIdx >= 0 && b.recvs[bIdx].seq < ep.wild.items[wIdx].seq):
 		ep.recvCount++
-		return b.takeRecv(bIdx), probes
+		return b.takeRecv(bIdx)
 	default:
 		ep.recvCount++
-		return ep.wild.take(wIdx), probes
+		return ep.wild.take(wIdx)
 	}
 }
 
@@ -377,23 +377,23 @@ func (ep *endpoint) matchRecvLocked(ctx int64, src, tag int) (*postedRecv, int) 
 // unexpected message matching a newly posted receive: the (ctx, src)
 // bucket for a specific source, or the minimum arrival sequence across
 // the context's buckets for AnySource. Caller holds ep.mu.
-func (ep *endpoint) matchUnexpectedLocked(ctx int64, src, tag int) (*message, int) {
+func (ep *endpoint) matchUnexpectedLocked(ctx int64, src, tag int) *message {
 	probes := 0
 	defer func() { ep.matchProbes += int64(probes) }()
 	if src != AnySource {
 		b := ep.buckets[epKey{ctx, src}]
 		if b == nil {
-			return nil, probes
+			return nil
 		}
 		for i := b.mhead; i < len(b.msgs); i++ {
 			probes++
 			m := b.msgs[i]
 			if tag == AnyTag || tag == m.tag {
 				ep.dequeuedUnexpected(m)
-				return b.takeMsg(i), probes
+				return b.takeMsg(i)
 			}
 		}
-		return nil, probes
+		return nil
 	}
 	// AnySource: the earliest matching arrival across every bucket of
 	// this context. Buckets exist only for (ctx, src) pairs that have
@@ -417,11 +417,11 @@ func (ep *endpoint) matchUnexpectedLocked(ctx int64, src, tag int) (*message, in
 		}
 	}
 	if bestI < 0 {
-		return nil, probes
+		return nil
 	}
 	m := bestB.msgs[bestI]
 	ep.dequeuedUnexpected(m)
-	return bestB.takeMsg(bestI), probes
+	return bestB.takeMsg(bestI)
 }
 
 // findUnexpectedLocked is matchUnexpectedLocked without removal: the
@@ -558,7 +558,9 @@ type worldStats struct {
 	twoLevelCollectives atomic.Int64
 }
 
-// Stats is a snapshot of runtime communication statistics.
+// Stats is a snapshot of runtime communication statistics. The world's
+// counters are the runtime's only store of these counts: internal/metrics
+// exports them by reading Stats, not through hooks.
 type Stats struct {
 	Messages      int64 // point-to-point messages delivered
 	Bytes         int64 // payload bytes carried
@@ -578,8 +580,8 @@ type Stats struct {
 
 	// SharedCollectives counts collectives completed (per task) on the
 	// shared-address-space fast path, i.e. without point-to-point
-	// messages. Zero when the world runs with CollChannels or hooks that
-	// did not opt in. In a two-level world the node-local phases run on
+	// messages. Zero when the world runs with CollChannels, or with hooks
+	// under CollAuto. In a two-level world the node-local phases run on
 	// the fast path, so this also counts once per phase per task.
 	SharedCollectives int64
 
@@ -664,17 +666,13 @@ func (w *World) inject(msg *message, srcWorld, dstWorld int) bool {
 	}
 	w.stats.messages.Add(1)
 	w.stats.bytes.Add(int64(msg.bytes))
-	pr, probes := ep.matchRecvLocked(msg.ctx, msg.src, msg.tag)
+	pr := ep.matchRecvLocked(msg.ctx, msg.src, msg.tag)
 	if pr != nil {
 		ep.mu.Unlock()
-		probeHook(w, dstWorld, probes)
 		if msg.payload == nil && !msg.rendezvous && msg.bytes > 0 {
 			// The intermediate eager copy never happened: count the
 			// elision the same way the same-address skip is counted.
 			w.stats.directDeliveries.Add(1)
-			if w.msgHooks != nil {
-				w.msgHooks.OnCopyElided(dstWorld, msg.bytes)
-			}
 		}
 		w.deliverTo(msg, pr)
 		return true
@@ -697,18 +695,7 @@ func (w *World) inject(msg *message, srcWorld, dstWorld int) bool {
 	}
 	ep.enqueueUnexpected(b, msg)
 	ep.mu.Unlock()
-	probeHook(w, dstWorld, probes)
 	return true
-}
-
-// probeHook forwards a match-probe count to the PoolHooks extension; the
-// exact totals also live in ep.matchProbes (updated under the lock), the
-// hook adds rank attribution. Split out so the no-hooks fast path is a
-// nil check.
-func probeHook(w *World, rank, probes int) {
-	if w.poolHooks != nil {
-		w.poolHooks.OnMatchProbes(rank, probes)
-	}
 }
 
 // deliverTo copies the payload into the posted receive's buffer, completes
@@ -749,9 +736,6 @@ func (w *World) deliverTo(msg *message, pr *postedRecv) {
 		// intra-node optimization that removes Tachyon's rank-0 image
 		// copies once the image is an HLS variable.
 		w.stats.sameAddrSkips.Add(1)
-		if w.msgHooks != nil {
-			w.msgHooks.OnCopyElided(pr.recvRank, msg.bytes)
-		}
 	case msg.sdt == nil && pr.rdt == nil:
 		copy(pr.rdata, msg.sdata)
 	default:
@@ -763,14 +747,14 @@ func (w *World) deliverTo(msg *message, pr *postedRecv) {
 		// already nil) only the unpack side runs.
 		dtCopy(pr.rdata, pr.rdt, msg.sdata, msg.sdt, int(pr.etype.Size()))
 		if msg.payload == nil && !msg.kindOnly {
-			w.notePackElided(pr.recvRank, msg.bytes)
+			w.stats.packElisions.Add(1)
 		}
 	}
 	if msg.rendezvous && msg.sreq != nil {
 		msg.sreq.complete(Status{})
 	}
 	if msg.payload != nil {
-		w.pool.release(pr.recvRank, msg.payload)
+		w.pool.release(msg.payload)
 	}
 	if err != nil {
 		pr.req.fail(err)
@@ -824,7 +808,7 @@ func (w *World) drainEndpoints() {
 				m := b.msgs[i]
 				ep.unexpectedBytes -= m.bytes
 				if m.payload != nil {
-					w.pool.release(ep.rank, m.payload)
+					w.pool.release(m.payload)
 				}
 				putMessage(m)
 				b.msgs[i] = nil

@@ -17,6 +17,8 @@
 //     point-to-point layer;
 //   - hooks to piggyback metadata on messages, used by the happens-before
 //     tracker (internal/hb) for the paper's §III eligibility analysis;
+//   - one store of communication counters, World.Stats, which
+//     internal/metrics reads when its registry is scraped;
 //   - intra-node copy elision when the send and receive buffers are the
 //     same memory, the effect that speeds up Tachyon's rank-0 node once
 //     the image is an HLS variable (§V-B3).
@@ -78,28 +80,6 @@ type Hooks interface {
 	OnDeliver(worldDst int, meta any)
 }
 
-// MessageHooks is an optional extension of Hooks: implementations that
-// also satisfy it receive the runtime events beyond the metadata
-// piggyback — per-message sizes and protocol choices, elided intra-node
-// copies, collective starts. The runtime detects the extension once at
-// world creation, so the per-message cost when it is absent is a single
-// nil check. internal/metrics' MPI adapter implements it; MultiHooks
-// forwards it to every member that does.
-type MessageHooks interface {
-	Hooks
-	// OnMessage is called by the sending task for every point-to-point
-	// message (including those carrying collectives), after the
-	// eager-vs-rendezvous decision.
-	OnMessage(worldSrc, worldDst, bytes int, rendezvous bool)
-	// OnCopyElided is called on the delivery path when the send and
-	// receive buffers were the same memory and the copy was skipped
-	// (MPC's intra-node optimization, §V-B3).
-	OnCopyElided(worldDst, bytes int)
-	// OnCollective is called by each task starting a collective
-	// operation.
-	OnCollective(worldRank int)
-}
-
 // FaultAction tells the runtime what the fault-injection layer decided
 // for one point-to-point message. The zero value delivers normally.
 type FaultAction struct {
@@ -120,9 +100,9 @@ type FaultAction struct {
 // FaultHooks is an optional extension of Hooks for fault injection:
 // implementations that also satisfy it are consulted once per
 // point-to-point message on the send path, before the message becomes
-// visible, and their FaultAction is applied. Like MessageHooks, the
-// extension is resolved once at world creation, so the per-message cost
-// when absent is a single nil check. internal/chaos implements it.
+// visible, and their FaultAction is applied. The extension is resolved
+// once at world creation, so the per-message cost when absent is a
+// single nil check. internal/chaos implements it.
 type FaultHooks interface {
 	Hooks
 	FaultP2P(worldSrc, worldDst, bytes int, rendezvous bool) FaultAction
@@ -145,7 +125,9 @@ type Config struct {
 	// ablation knob for the halo benchmark (packed vs zero-copy) and
 	// should stay false in production use.
 	ForcePack bool
-	// Hooks, if non-nil, is invoked on every message.
+	// Hooks, if non-nil, is invoked on every message. Under CollAuto it
+	// also keeps collectives on the message-sending channel algorithms,
+	// which the hooks observe. Counting needs no hooks: see Stats.
 	Hooks Hooks
 	// Trace, if non-nil, receives tracing callbacks on every message and
 	// collective (span ids, timestamps, blocking waits). Kept separate
@@ -186,17 +168,18 @@ type World struct {
 	world      *Comm
 	ctxCounter atomic.Int64
 	commID     atomic.Int64
+	// comms holds the derived communicators by intern key (internComm).
+	comms struct {
+		mu    sync.Mutex
+		byKey map[string]*Comm
+	}
 
-	// msgHooks / faultHooks / poolHooks are cfg.Hooks when it also
-	// implements the MessageHooks / FaultHooks / PoolHooks extensions,
+	// faultHooks is cfg.Hooks when it also implements FaultHooks,
 	// resolved once so hot paths pay one nil check, not an interface
 	// assertion per message.
-	msgHooks   MessageHooks
 	faultHooks FaultHooks
-	poolHooks  PoolHooks
-	typedHooks TypedHooks
-	// traceHooks is cfg.Trace, copied next to the other resolved hooks
-	// so the datapath reads one field.
+	// traceHooks is cfg.Trace, copied next to faultHooks so the datapath
+	// reads one field.
 	traceHooks TraceHooks
 
 	// pool recycles eager payload buffers across sends (see pool.go).
@@ -211,16 +194,12 @@ type World struct {
 
 	// shmOn selects the shared-address-space collective fast path,
 	// resolved once from cfg.Collectives and the installed hooks (see
-	// CollectiveMode); shmHooks is cfg.Hooks when it opted in through
-	// SharedCollHooks.
-	shmOn    bool
-	shmHooks SharedCollHooks
+	// CollectiveMode).
+	shmOn bool
 
 	// twoLevel selects the hierarchy-aware two-level collective
-	// decomposition of a distributed world (see twolevel.go); tlHooks is
-	// cfg.Hooks when it also implements TwoLevelCollHooks.
+	// decomposition of a distributed world (see twolevel.go).
 	twoLevel bool
-	tlHooks  TwoLevelCollHooks
 
 	fail     failureState
 	rankErrs []error // per-rank outcome of Run (nil entries = success)
@@ -333,26 +312,10 @@ func NewWorld(cfg Config) (*World, error) {
 	}
 	w := &World{cfg: cfg, machine: m, pin: pin}
 	w.traceHooks = cfg.Trace
-	if mh, ok := cfg.Hooks.(MessageHooks); ok {
-		w.msgHooks = mh
-	}
 	if fh, ok := cfg.Hooks.(FaultHooks); ok {
 		w.faultHooks = fh
 	}
-	if ph, ok := cfg.Hooks.(PoolHooks); ok {
-		w.poolHooks = ph
-	}
-	if th, ok := cfg.Hooks.(TypedHooks); ok {
-		w.typedHooks = th
-	}
 	w.pool = newBufPool(cfg.NumTasks, cfg.EagerLimit)
-	w.pool.hooks = w.poolHooks
-	if sh, ok := cfg.Hooks.(SharedCollHooks); ok && sh.SharedCollectivesOK() {
-		w.shmHooks = sh
-	}
-	if th, ok := cfg.Hooks.(TwoLevelCollHooks); ok {
-		w.tlHooks = th
-	}
 	switch cfg.Collectives {
 	case CollChannels:
 		w.shmOn = false
@@ -362,10 +325,9 @@ func NewWorld(cfg Config) (*World, error) {
 		w.shmOn = true
 	default:
 		// Auto: the fast path completes collectives without per-step
-		// messages, so it must not engage when fault injection wants to
-		// perturb those messages or when hooks that watch them have not
-		// opted in.
-		w.shmOn = w.faultHooks == nil && (cfg.Hooks == nil || w.shmHooks != nil)
+		// messages, so it must not engage when any hooks watch (or, for
+		// fault injection, perturb) those messages.
+		w.shmOn = cfg.Hooks == nil
 	}
 	if cfg.Wire != nil {
 		// The shared-address-space fast path needs every rank of a
@@ -381,7 +343,7 @@ func NewWorld(cfg Config) (*World, error) {
 		case CollTwoLevel:
 			w.twoLevel = true
 		case CollAuto:
-			w.twoLevel = w.faultHooks == nil && (cfg.Hooks == nil || w.shmHooks != nil)
+			w.twoLevel = cfg.Hooks == nil
 		}
 	}
 	w.initFailure()

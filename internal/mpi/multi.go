@@ -1,11 +1,11 @@
 package mpi
 
 // MultiHooks combines several Hooks into one, so a world can feed the
-// happens-before tracker, the trace recorder and the metrics adapters
+// happens-before tracker, the trace recorder and a fault injector
 // simultaneously without hand-written Inner chains. Each member's
 // OnSend metadata travels with the message independently and is handed
-// back to that member's OnDeliver. Members implementing MessageHooks
-// also receive the extended events.
+// back to that member's OnDeliver. Members implementing FaultHooks are
+// all consulted, and their actions merge.
 //
 // Nil members are dropped; with zero non-nil members MultiHooks returns
 // nil (no hooks), and with exactly one it returns that member unchanged,
@@ -23,82 +23,19 @@ func MultiHooks(hooks ...Hooks) Hooks {
 	case 1:
 		return hs[0]
 	}
-	m := &multiHooks{hooks: hs, shmOK: true}
+	m := &multiHooks{hooks: hs}
 	var faults []FaultHooks
-	var pools poolFan
 	for _, h := range hs {
-		if mh, ok := h.(MessageHooks); ok {
-			m.msg = append(m.msg, mh)
-		}
 		if fh, ok := h.(FaultHooks); ok {
 			faults = append(faults, fh)
 		}
-		if ph, ok := h.(PoolHooks); ok {
-			pools = append(pools, ph)
-		}
-		if th, ok := h.(TypedHooks); ok {
-			m.typed = append(m.typed, th)
-		}
-		if th, ok := h.(TwoLevelCollHooks); ok {
-			m.tl = append(m.tl, th)
-		}
-		// The composition allows the shared-collective fast path only if
-		// every member does: one message-watching member (the hb tracker)
-		// vetoes it for the whole world.
-		if sh, ok := h.(SharedCollHooks); ok && sh.SharedCollectivesOK() {
-			m.shm = append(m.shm, sh)
-		} else {
-			m.shmOK = false
-		}
 	}
-	// Only the wrapper types assert FaultHooks / PoolHooks, so a
-	// composition with no fault-injecting (or pool-watching) member keeps
-	// the corresponding nil fast path in the world.
-	switch {
-	case len(faults) > 0 && len(pools) > 0:
-		return &multiFaultPoolHooks{
-			multiFaultHooks: multiFaultHooks{multiHooks: m, faults: faults},
-			poolFan:         pools,
-		}
-	case len(faults) > 0:
+	// Only the wrapper type asserts FaultHooks, so a composition with no
+	// fault-injecting member keeps the world's nil fast path.
+	if len(faults) > 0 {
 		return &multiFaultHooks{multiHooks: m, faults: faults}
-	case len(pools) > 0:
-		return &multiPoolHooks{multiHooks: m, poolFan: pools}
 	}
 	return m
-}
-
-// poolFan fans the PoolHooks events out to every pool-watching member.
-type poolFan []PoolHooks
-
-func (p poolFan) OnPoolGet(worldRank, bytes int, hit bool) {
-	for _, h := range p {
-		h.OnPoolGet(worldRank, bytes, hit)
-	}
-}
-
-func (p poolFan) OnPoolPut(worldRank, bytes int) {
-	for _, h := range p {
-		h.OnPoolPut(worldRank, bytes)
-	}
-}
-
-func (p poolFan) OnMatchProbes(worldRank, probes int) {
-	for _, h := range p {
-		h.OnMatchProbes(worldRank, probes)
-	}
-}
-
-// multiPoolHooks extends multiHooks with PoolHooks fan-out.
-type multiPoolHooks struct {
-	*multiHooks
-	poolFan
-}
-
-// multiFaultPoolHooks combines both extensions.
-type multiFaultPoolHooks struct {
-	multiFaultHooks
-	poolFan
 }
 
 // multiFaultHooks extends multiHooks with FaultP2P fan-out. Members'
@@ -122,11 +59,6 @@ func (m *multiFaultHooks) FaultP2P(worldSrc, worldDst, bytes int, rendezvous boo
 
 type multiHooks struct {
 	hooks []Hooks
-	msg   []MessageHooks      // the subset implementing MessageHooks
-	shm   []SharedCollHooks   // the subset that opted into shared collectives
-	typed []TypedHooks        // the subset implementing TypedHooks
-	tl    []TwoLevelCollHooks // the subset implementing TwoLevelCollHooks
-	shmOK bool                // every member opted in
 }
 
 // OnSend implements Hooks, gathering every member's metadata.
@@ -147,51 +79,5 @@ func (m *multiHooks) OnDeliver(worldDst int, meta any) {
 			mi = metas[i]
 		}
 		h.OnDeliver(worldDst, mi)
-	}
-}
-
-// OnMessage implements MessageHooks.
-func (m *multiHooks) OnMessage(worldSrc, worldDst, bytes int, rendezvous bool) {
-	for _, h := range m.msg {
-		h.OnMessage(worldSrc, worldDst, bytes, rendezvous)
-	}
-}
-
-// OnCopyElided implements MessageHooks.
-func (m *multiHooks) OnCopyElided(worldDst, bytes int) {
-	for _, h := range m.msg {
-		h.OnCopyElided(worldDst, bytes)
-	}
-}
-
-// OnCollective implements MessageHooks.
-func (m *multiHooks) OnCollective(worldRank int) {
-	for _, h := range m.msg {
-		h.OnCollective(worldRank)
-	}
-}
-
-// OnPackElided implements TypedHooks.
-func (m *multiHooks) OnPackElided(worldDst, bytes int) {
-	for _, h := range m.typed {
-		h.OnPackElided(worldDst, bytes)
-	}
-}
-
-// SharedCollectivesOK implements SharedCollHooks: the composition opts
-// into the fast path only when every member did.
-func (m *multiHooks) SharedCollectivesOK() bool { return m.shmOK }
-
-// OnSharedCollective implements SharedCollHooks.
-func (m *multiHooks) OnSharedCollective(worldRank int, op string) {
-	for _, h := range m.shm {
-		h.OnSharedCollective(worldRank, op)
-	}
-}
-
-// OnTwoLevelCollective implements TwoLevelCollHooks.
-func (m *multiHooks) OnTwoLevelCollective(worldRank int, op string) {
-	for _, h := range m.tl {
-		h.OnTwoLevelCollective(worldRank, op)
 	}
 }

@@ -154,9 +154,6 @@ func isendDT[T Scalar](t *Task, comm *Comm, ctx int64, buf []T, dt *Datatype, ds
 			sreq.sendNs = msg.sendNs
 		}
 	}
-	if w.msgHooks != nil {
-		w.msgHooks.OnMessage(t.rank, worldDst, bytes, msg.rendezvous)
-	}
 	if w.net != nil && !w.net.localRank(worldDst) {
 		// The destination runs in another process: hand the message to
 		// the wire layer (which applies its own fault actions — the block
@@ -188,7 +185,7 @@ func isendDT[T Scalar](t *Task, comm *Comm, ctx int64, buf []T, dt *Datatype, ds
 				sreq.complete(Status{})
 			}
 			if msg.payload != nil {
-				w.pool.release(t.rank, msg.payload)
+				w.pool.release(msg.payload)
 			}
 			putMessage(msg)
 			return sreq
@@ -224,10 +221,10 @@ func isendDT[T Scalar](t *Task, comm *Comm, ctx int64, buf []T, dt *Datatype, ds
 				dup.sptr = nil
 			}
 			if !w.inject(dup, t.rank, worldDst) {
-				w.pool.release(t.rank, dup.payload)
+				w.pool.release(dup.payload)
 				putMessage(dup)
 				if msg.payload != nil {
-					w.pool.release(t.rank, msg.payload)
+					w.pool.release(msg.payload)
 				}
 				putMessage(msg)
 				panic(&DeadRankError{Rank: t.rank, Op: op, Dead: worldDst})
@@ -236,7 +233,7 @@ func isendDT[T Scalar](t *Task, comm *Comm, ctx int64, buf []T, dt *Datatype, ds
 	}
 	if !w.inject(msg, t.rank, worldDst) {
 		if msg.payload != nil {
-			w.pool.release(t.rank, msg.payload)
+			w.pool.release(msg.payload)
 		}
 		putMessage(msg)
 		panic(&DeadRankError{Rank: t.rank, Op: op, Dead: worldDst})
@@ -320,11 +317,8 @@ func irecvDT[T Scalar](t *Task, comm *Comm, ctx int64, buf []T, dt *Datatype, sr
 	}
 	ep := w.eps[t.rank]
 	ep.mu.Lock()
-	if msg, probes := ep.matchUnexpectedLocked(ctx, src, tag); msg != nil {
+	if msg := ep.matchUnexpectedLocked(ctx, src, tag); msg != nil {
 		ep.mu.Unlock()
-		if w.poolHooks != nil {
-			w.poolHooks.OnMatchProbes(t.rank, probes)
-		}
 		w.deliverTo(msg, pr)
 		return req
 	}

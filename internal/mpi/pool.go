@@ -76,8 +76,6 @@ type bufPool struct {
 	minSize int // size of class 0
 	maxSize int // size of the largest class (>= EagerLimit)
 
-	hooks PoolHooks // resolved once at world creation, may be nil
-
 	hits     atomic.Int64 // gets served from a cache or the shared pool
 	misses   atomic.Int64 // gets that had to allocate
 	puts     atomic.Int64 // releases (buffer consumed by its last message)
@@ -118,9 +116,6 @@ func newBufPool(ranks, eagerLimit int) *bufPool {
 func (p *bufPool) get(rank, n int) *eagerBuf {
 	if n > p.maxSize {
 		p.misses.Add(1)
-		if p.hooks != nil {
-			p.hooks.OnPoolGet(rank, n, false)
-		}
 		b := &eagerBuf{data: make([]byte, n), class: -1, home: rank}
 		b.refs.Store(1)
 		return b
@@ -135,9 +130,6 @@ func (p *bufPool) get(rank, n int) *eagerBuf {
 			rc.free[class] = rc.free[class][:l-1]
 			rc.mu.Unlock()
 			p.hits.Add(1)
-			if p.hooks != nil {
-				p.hooks.OnPoolGet(rank, n, true)
-			}
 			b.home = rank
 			b.refs.Store(1)
 			return b
@@ -152,18 +144,12 @@ func (p *bufPool) get(rank, n int) *eagerBuf {
 		sc.free = sc.free[:l-1]
 		sc.mu.Unlock()
 		p.hits.Add(1)
-		if p.hooks != nil {
-			p.hooks.OnPoolGet(rank, n, true)
-		}
 		b.home = rank
 		b.refs.Store(1)
 		return b
 	}
 	sc.mu.Unlock()
 	p.misses.Add(1)
-	if p.hooks != nil {
-		p.hooks.OnPoolGet(rank, n, false)
-	}
 	b := &eagerBuf{data: make([]byte, 1<<(poolMinClassBits+class)), class: class, home: rank}
 	b.refs.Store(1)
 	return b
@@ -172,9 +158,8 @@ func (p *bufPool) get(rank, n int) *eagerBuf {
 // release drops one reference; the last reference returns the buffer to
 // the pool — its home rank's cache first, the shared class on overflow —
 // so the rank that acquires next (typically the same steady sender)
-// finds it again. Safe to call from any goroutine; rank names the
-// releasing side only for hook attribution.
-func (p *bufPool) release(rank int, b *eagerBuf) {
+// finds it again. Safe to call from any goroutine.
+func (p *bufPool) release(b *eagerBuf) {
 	if b == nil {
 		return
 	}
@@ -182,9 +167,6 @@ func (p *bufPool) release(rank int, b *eagerBuf) {
 		return
 	}
 	p.puts.Add(1)
-	if p.hooks != nil {
-		p.hooks.OnPoolPut(rank, len(b.data))
-	}
 	if b.class < 0 {
 		return // oversize: hand to the GC, its capacity is not reusable
 	}
@@ -225,22 +207,4 @@ func (p *bufPool) outstanding() int64 {
 	puts := p.puts.Load()
 	gets := p.hits.Load() + p.misses.Load()
 	return gets - puts
-}
-
-// PoolHooks is an optional extension of Hooks: implementations that also
-// satisfy it receive the eager-buffer pool's traffic and the matching
-// engine's probe counts, which internal/metrics exports as
-// mpi_eager_pool_* and mpi_match_probes_total. Like MessageHooks, the
-// extension is resolved once at world creation.
-type PoolHooks interface {
-	Hooks
-	// OnPoolGet is called for every eager-payload acquisition. hit is
-	// false when the pool had to allocate a fresh buffer.
-	OnPoolGet(worldRank, bytes int, hit bool)
-	// OnPoolPut is called when a payload's last reference is consumed and
-	// its capacity returns to the pool.
-	OnPoolPut(worldRank, bytes int)
-	// OnMatchProbes is called once per matching attempt (message injection
-	// or receive posting) with the number of queue entries examined.
-	OnMatchProbes(worldRank, probes int)
 }

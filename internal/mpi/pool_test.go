@@ -167,14 +167,14 @@ func TestPoolClassBoundaries(t *testing.T) {
 	if b.class < 0 || len(b.data) != DefaultEagerLimit {
 		t.Fatalf("limit-sized get: class %d cap %d, want pooled at %d", b.class, len(b.data), DefaultEagerLimit)
 	}
-	p.release(0, b)
+	p.release(b)
 	if got := p.recycled.Load(); got != int64(DefaultEagerLimit) {
 		t.Errorf("recycled = %d after one pooled release, want %d", got, DefaultEagerLimit)
 	}
 	if again := p.get(0, DefaultEagerLimit); again != b {
 		t.Error("limit-sized buffer did not come back from the rank cache")
 	} else {
-		p.release(0, again)
+		p.release(again)
 	}
 
 	// One byte past the limit is oversize: unpooled, and its release must
@@ -184,7 +184,7 @@ func TestPoolClassBoundaries(t *testing.T) {
 	if ob.class != -1 {
 		t.Fatalf("oversize get: class %d, want -1", ob.class)
 	}
-	p.release(0, ob)
+	p.release(ob)
 	if got := p.recycled.Load(); got != before {
 		t.Errorf("recycled moved by %d on an oversize release, want 0", got-before)
 	}
@@ -204,7 +204,7 @@ func TestPoolCapOverflowNotRecycled(t *testing.T) {
 		bufs = append(bufs, p.get(0, n))
 	}
 	for _, b := range bufs {
-		p.release(0, b)
+		p.release(b)
 	}
 	wantRecycled := int64((poolRankCap + poolSharedCap) * n)
 	if got := p.recycled.Load(); got != wantRecycled {

@@ -119,7 +119,7 @@ func TestMessageMatchingProperty(t *testing.T) {
 		} else {
 			ep.bucket(epKey{pr.ctx, pr.src}).pushRecv(pr)
 		}
-		got, _ := ep.matchRecvLocked(mctx, msrc, mtag)
+		got := ep.matchRecvLocked(mctx, msrc, mtag)
 		ep.mu.Unlock()
 		if got != nil {
 			putPostedRecv(got)

@@ -25,12 +25,13 @@ import (
 //	barrier (only for ops where members read after release, so no buffer
 //	is reused while a peer still copies from it).
 //
-// The fast path is selected per world (see CollectiveMode): it engages
-// only when no hooks are installed or the installed hooks opt in via
-// SharedCollHooks, and never when fault-injection hooks are present —
-// chaos must keep seeing the per-step messages it perturbs. Rank
-// failures are still honored: the world's failure layer aborts the trees
-// of every communicator containing a dead rank, so members blocked in a
+// The fast path is selected per world (see CollectiveMode): under
+// CollAuto it engages only when no hooks are installed — the
+// happens-before tracker, the trace recorder and chaos all need the
+// per-step messages the fast path elides. Counting needs no hooks: the
+// fast path ticks World.Stats like every other path. Rank failures are
+// still honored: the world's failure layer aborts the trees of every
+// communicator containing a dead rank, so members blocked in a
 // collective unwind with the same typed errors the channel path raises.
 //
 // The steady-state path is allocation-free: slots hold raw pointers, the
@@ -42,9 +43,10 @@ type CollectiveMode int
 
 const (
 	// CollAuto (the default) uses the shared-address-space fast path for
-	// Barrier/Bcast/Reduce/Allreduce/Allgather when it is safe: no hooks,
-	// or hooks that opt in through SharedCollHooks, and no fault
-	// injection. Everything else uses the channel algorithms.
+	// Barrier/Bcast/Reduce/Allreduce/Allgather when it is safe, which is
+	// exactly when Config.Hooks is nil: any hooks — message watchers or
+	// fault injection — see the per-step messages only the channel
+	// algorithms send. Everything else uses the channel algorithms.
 	CollAuto CollectiveMode = iota
 	// CollChannels forces the point-to-point algorithms for every
 	// collective (the ablation baseline of hlsbench -exp sync).
@@ -59,22 +61,6 @@ const (
 	// already node-local — it is equivalent to CollShared.
 	CollTwoLevel
 )
-
-// SharedCollHooks is an optional extension of Hooks: implementations
-// that also satisfy it can allow the shared-memory collective fast path,
-// which completes collectives without the per-step point-to-point
-// messages OnSend/OnDeliver would otherwise observe. Hooks that derive
-// correctness from message edges (the happens-before tracker) must not
-// implement it; pure accounting hooks (internal/metrics) do.
-type SharedCollHooks interface {
-	Hooks
-	// SharedCollectivesOK reports whether these hooks stay correct when
-	// collectives bypass the message layer.
-	SharedCollectivesOK() bool
-	// OnSharedCollective is called by each task completing a collective
-	// on the fast path (op is "Barrier", "Bcast", ...).
-	OnSharedCollective(worldRank int, op string)
-}
 
 // Collective kinds published in the slots, so mismatched collectives are
 // detected instead of silently exchanging buffers.
@@ -293,7 +279,7 @@ func (sc *shmColl) verifyAndFold() {
 	if dst != s0.send {
 		fold(opCopy, dst, s0.send, k)
 	} else {
-		sc.w.shmElided(sc.comm.group[target], k*s0.elem)
+		sc.w.stats.sameAddrSkips.Add(1)
 	}
 	for i := 1; i < n; i++ {
 		fold(s0.op, dst, slots[i].send, k)
@@ -343,24 +329,6 @@ func (sc *shmColl) check(t *Task, op string) {
 	}
 }
 
-// done counts a completed fast-path collective.
-func (sc *shmColl) done(t *Task, op string) {
-	t.world.stats.sharedCollectives.Add(1)
-	if h := t.world.shmHooks; h != nil {
-		h.OnSharedCollective(t.rank, op)
-	}
-}
-
-// shmElided counts a copy skipped because source and destination were
-// the same memory — the same accounting the p2p delivery path uses, so
-// internal/metrics' existing adapters see fast-path elisions too.
-func (w *World) shmElided(dstWorld, bytes int) {
-	w.stats.sameAddrSkips.Add(1)
-	if w.msgHooks != nil {
-		w.msgHooks.OnCopyElided(dstWorld, bytes)
-	}
-}
-
 // Pre-boxed blocked-on descriptions: publishing them costs no allocation.
 var (
 	boxShmBarrier   any = "Barrier (shm)"
@@ -398,7 +366,7 @@ func shmBarrier(t *Task, c *Comm, seq int) {
 	sc.await(t, "Barrier", me, sc.verifyFn)
 	t.unblockShm()
 	sc.check(t, "Barrier")
-	sc.done(t, "Barrier")
+	t.world.stats.sharedCollectives.Add(1)
 }
 
 func shmBcast[T Scalar](t *Task, c *Comm, buf []T, root, seq int) {
@@ -416,14 +384,14 @@ func shmBcast[T Scalar](t *Task, c *Comm, buf []T, root, seq int) {
 	if me != root && len(buf) > 0 {
 		src := sc.slots[root].send
 		if s.send == src {
-			t.world.shmElided(t.rank, len(buf)*s.elem)
+			t.world.stats.sameAddrSkips.Add(1)
 		} else {
 			copy(buf, unsafe.Slice((*T)(src), len(buf)))
 		}
 	}
 	sc.await(t, "Bcast", me, nil) // nobody reuses buf while peers copy
 	t.unblockShm()
-	sc.done(t, "Bcast")
+	t.world.stats.sharedCollectives.Add(1)
 }
 
 func shmReduce[T Scalar](t *Task, c *Comm, sendBuf, recvBuf []T, op Op, root, seq int) {
@@ -449,7 +417,7 @@ func shmReduce[T Scalar](t *Task, c *Comm, sendBuf, recvBuf []T, op Op, root, se
 	sc.await(t, "Reduce", me, sc.verifyFn)
 	t.unblockShm()
 	sc.check(t, "Reduce")
-	sc.done(t, "Reduce")
+	t.world.stats.sharedCollectives.Add(1)
 }
 
 func shmAllreduce[T Scalar](t *Task, c *Comm, sendBuf, recvBuf []T, op Op, seq int) {
@@ -470,14 +438,14 @@ func shmAllreduce[T Scalar](t *Task, c *Comm, sendBuf, recvBuf []T, op Op, seq i
 	if me != 0 && k > 0 {
 		src := sc.slots[0].recv
 		if s.recv == src {
-			t.world.shmElided(t.rank, k*s.elem)
+			t.world.stats.sameAddrSkips.Add(1)
 		} else {
 			copy(recvBuf[:k], unsafe.Slice((*T)(src), k))
 		}
 	}
 	sc.await(t, "Allreduce", me, nil) // rank 0's recv stays stable until all copied
 	t.unblockShm()
-	sc.done(t, "Allreduce")
+	t.world.stats.sharedCollectives.Add(1)
 }
 
 func shmAllgather[T Scalar](t *Task, c *Comm, sendBuf, recvBuf []T, seq int) {
@@ -500,7 +468,7 @@ func shmAllgather[T Scalar](t *Task, c *Comm, sendBuf, recvBuf []T, seq int) {
 			dst := recvBuf[r*k : (r+1)*k]
 			src := sc.slots[r].send
 			if unsafe.Pointer(unsafe.SliceData(dst)) == src {
-				t.world.shmElided(t.rank, k*s.elem)
+				t.world.stats.sameAddrSkips.Add(1)
 			} else {
 				copy(dst, unsafe.Slice((*T)(src), k))
 			}
@@ -508,5 +476,5 @@ func shmAllgather[T Scalar](t *Task, c *Comm, sendBuf, recvBuf []T, seq int) {
 	}
 	sc.await(t, "Allgather", me, nil) // send buffers stay stable until all copied
 	t.unblockShm()
-	sc.done(t, "Allgather")
+	t.world.stats.sharedCollectives.Add(1)
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"hls/internal/topology"
 )
@@ -183,43 +184,51 @@ func TestSharedCollectivesTopologyComms(t *testing.T) {
 	}
 }
 
-// TestSharedCollectivesGating checks when CollAuto engages the fast path.
+// TestSharedCollectivesGating is the collective-path engagement table:
+// under CollAuto the shared fast path (one process) and the two-level
+// path (two wire processes) engage iff Config.Hooks is nil, and the
+// CollShared / CollChannels overrides win over any hooks. The hook
+// stand-ins have the shapes of the real installers: hb and the trace
+// recorder are plain Hooks, chaos adds FaultHooks.
 func TestSharedCollectivesGating(t *testing.T) {
-	countShared := func(cfg Config) int64 {
-		t.Helper()
-		w, err := Run(cfg, func(tk *Task) error { Barrier(tk, nil); return nil })
-		if err != nil {
-			t.Fatal(err)
-		}
-		return w.Stats().SharedCollectives
+	hb, trace := &recHooks{id: 1}, &recHooks{id: 2}
+	cases := []struct {
+		name  string
+		hooks func() Hooks // fresh per world: a wire pair needs two
+		mode  CollectiveMode
+		on    bool
+	}{
+		{"nil hooks", func() Hooks { return nil }, CollAuto, true},
+		{"hb", func() Hooks { return hb }, CollAuto, false},
+		{"hb+trace", func() Hooks { return MultiHooks(hb, trace) }, CollAuto, false},
+		{"chaos", func() Hooks { return faultyHooks{} }, CollAuto, false},
+		{"hb+chaos", func() Hooks { return MultiHooks(hb, faultyHooks{}) }, CollAuto, false},
+		{"CollShared with hb", func() Hooks { return hb }, CollShared, true},
+		{"CollChannels", func() Hooks { return nil }, CollChannels, false},
 	}
-	if got := countShared(Config{NumTasks: 4}); got != 4 {
-		t.Errorf("hook-less auto: SharedCollectives = %d, want 4", got)
-	}
-	if got := countShared(Config{NumTasks: 4, Hooks: noopHooks{}}); got != 0 {
-		t.Errorf("non-opted-in hooks: SharedCollectives = %d, want 0", got)
-	}
-	if got := countShared(Config{NumTasks: 4, Hooks: optinHooks{}}); got != 4 {
-		t.Errorf("opted-in hooks: SharedCollectives = %d, want 4", got)
-	}
-	if got := countShared(Config{NumTasks: 4, Hooks: vetoHooks{}}); got != 0 {
-		t.Errorf("vetoing hooks: SharedCollectives = %d, want 0", got)
-	}
-	if got := countShared(Config{NumTasks: 4, Hooks: faultyHooks{}}); got != 0 {
-		t.Errorf("fault hooks: SharedCollectives = %d, want 0", got)
-	}
-	if got := countShared(Config{NumTasks: 4, Hooks: noopHooks{}, Collectives: CollShared}); got != 4 {
-		t.Errorf("CollShared override: SharedCollectives = %d, want 4", got)
-	}
-	if got := countShared(Config{NumTasks: 4, Collectives: CollChannels}); got != 0 {
-		t.Errorf("CollChannels override: SharedCollectives = %d, want 0", got)
-	}
-	// Composition: every member must opt in.
-	if got := countShared(Config{NumTasks: 4, Hooks: MultiHooks(optinHooks{}, optinHooks{})}); got != 4 {
-		t.Errorf("all-opted-in MultiHooks: SharedCollectives = %d, want 4", got)
-	}
-	if got := countShared(Config{NumTasks: 4, Hooks: MultiHooks(optinHooks{}, noopHooks{})}); got != 0 {
-		t.Errorf("mixed MultiHooks: SharedCollectives = %d, want 0", got)
+	fn := func(tk *Task) error { Barrier(tk, nil); return nil }
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			w, err := Run(Config{NumTasks: 4, Hooks: tc.hooks(), Collectives: tc.mode, Timeout: 30 * time.Second}, fn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := w.Stats().SharedCollectives, map[bool]int64{true: 4}[tc.on]; got != want {
+				t.Errorf("one process: SharedCollectives = %d, want %d", got, want)
+			}
+			if tc.mode == CollShared {
+				return // CollShared is a single-process mode
+			}
+			w0, w1, err0, err1 := runWirePairMode(t, 2, tc.mode, fn, tc.hooks(), tc.hooks())
+			if err0 != nil || err1 != nil {
+				t.Fatalf("wire pair: %v / %v", err0, err1)
+			}
+			for i, w := range []*World{w0, w1} {
+				if got, want := w.Stats().TwoLevelCollectives, map[bool]int64{true: 2}[tc.on]; got != want {
+					t.Errorf("wire world %d: TwoLevelCollectives = %d, want %d", i, got, want)
+				}
+			}
+		})
 	}
 }
 
@@ -228,56 +237,10 @@ type noopHooks struct{}
 func (noopHooks) OnSend(worldSrc, worldDst int) any { return nil }
 func (noopHooks) OnDeliver(worldDst int, meta any)  {}
 
-type optinHooks struct{ noopHooks }
-
-func (optinHooks) SharedCollectivesOK() bool                   { return true }
-func (optinHooks) OnSharedCollective(worldRank int, op string) {}
-
-type vetoHooks struct{ noopHooks }
-
-func (vetoHooks) SharedCollectivesOK() bool                   { return false }
-func (vetoHooks) OnSharedCollective(worldRank int, op string) {}
-
 type faultyHooks struct{ noopHooks }
 
 func (faultyHooks) FaultP2P(worldSrc, worldDst, bytes int, rendezvous bool) FaultAction {
 	return FaultAction{}
-}
-
-// TestSharedCollectiveHookNotifications checks opted-in hooks see one
-// OnSharedCollective per task per collective.
-func TestSharedCollectiveHookNotifications(t *testing.T) {
-	h := &countingShmHooks{}
-	_, err := Run(Config{NumTasks: 4, Hooks: h}, func(tk *Task) error {
-		Barrier(tk, nil)
-		buf := make([]int, 1)
-		Bcast(tk, nil, buf, 0)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.counts["Barrier"] != 4 || h.counts["Bcast"] != 4 {
-		t.Errorf("OnSharedCollective counts = %v, want 4 each", h.counts)
-	}
-}
-
-type countingShmHooks struct {
-	noopHooks
-	mu     sync.Mutex
-	counts map[string]int
-}
-
-func (h *countingShmHooks) SharedCollectivesOK() bool { return true }
-func (h *countingShmHooks) OnSharedCollective(worldRank int, op string) {
-	h.mu.Lock()
-	if h.counts == nil {
-		h.counts = make(map[string]int)
-	}
-	h.counts[op]++
-	h.mu.Unlock()
 }
 
 // TestSharedCollectiveElision: when every task passes the same shared

@@ -33,16 +33,6 @@ import "fmt"
 // phase immediately, while leaders blocked in cross-node traffic unwind
 // through the ordinary p2p dead-rank cascade.
 
-// TwoLevelCollHooks is an optional extension of Hooks: implementations
-// receive a callback from each task completing a collective on the
-// two-level path (internal/metrics implements it).
-type TwoLevelCollHooks interface {
-	Hooks
-	// OnTwoLevelCollective is called by each task completing a collective
-	// via the two-level decomposition (op is "Barrier", "Bcast", ...).
-	OnTwoLevelCollective(worldRank int, op string)
-}
-
 // twoLevelColl is one communicator's decomposition: the node-local
 // sub-communicator (shm fast path), the leaders communicator (channel
 // algorithms over the wire), and the node layout every member computed
@@ -108,14 +98,6 @@ func (w *World) buildTwoLevel(c *Comm) *twoLevelColl {
 	}
 }
 
-// tlDone counts a completed two-level collective.
-func tlDone(t *Task, op string) {
-	t.world.stats.twoLevelCollectives.Add(1)
-	if h := t.world.tlHooks; h != nil {
-		h.OnTwoLevelCollective(t.rank, op)
-	}
-}
-
 // twoLevelBarrier: local barrier (all entered on this node), leaders
 // barrier (all nodes entered), local barrier (release).
 func twoLevelBarrier(t *Task, c *Comm, base int) {
@@ -125,7 +107,7 @@ func twoLevelBarrier(t *Task, c *Comm, base int) {
 		chanBarrier(t, tl.leaders, base)
 	}
 	shmBarrier(t, tl.local, base)
-	tlDone(t, "Barrier")
+	t.world.stats.twoLevelCollectives.Add(1)
 }
 
 // twoLevelBcast: on the root's node the buffer fans out locally first,
@@ -147,7 +129,7 @@ func twoLevelBcast[T Scalar](t *Task, c *Comm, buf []T, root, base int) {
 		}
 		shmBcast(t, tl.local, buf, 0, base)
 	}
-	tlDone(t, "Bcast")
+	t.world.stats.twoLevelCollectives.Add(1)
 }
 
 // twoLevelReduce: local reduce to the node leader, binomial tree over
@@ -182,7 +164,7 @@ func twoLevelReduce[T Scalar](t *Task, c *Comm, sendBuf, recvBuf []T, op Op, roo
 			crecv(t, c, "Reduce", recvBuf[:k], rootLeader, base)
 		}
 	}
-	tlDone(t, "Reduce")
+	t.world.stats.twoLevelCollectives.Add(1)
 }
 
 // twoLevelAllreduce: local reduce into the leader's receive buffer,
@@ -197,7 +179,7 @@ func twoLevelAllreduce[T Scalar](t *Task, c *Comm, sendBuf, recvBuf []T, op Op, 
 		shmReduce(t, tl.local, sendBuf, nil, op, 0, base)
 	}
 	shmBcast(t, tl.local, recvBuf[:k], 0, base)
-	tlDone(t, "Allreduce")
+	t.world.stats.twoLevelCollectives.Add(1)
 }
 
 // twoLevelAllgather: local allgather assembles the node's block, the
@@ -230,5 +212,5 @@ func twoLevelAllgather[T Scalar](t *Task, c *Comm, sendBuf, recvBuf []T, base in
 		}
 	}
 	shmBcast(t, tl.local, recvBuf[:n*k], 0, base)
-	tlDone(t, "Allgather")
+	t.world.stats.twoLevelCollectives.Add(1)
 }

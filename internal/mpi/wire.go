@@ -296,7 +296,7 @@ func (n *netLayer) isendRemote(t *Task, msg *message, worldDst int, op string) *
 		err = n.tr.Send(node, h, msg.sdata)
 	}
 	if pb != nil {
-		w.pool.release(t.rank, pb)
+		w.pool.release(pb)
 	}
 	putMessage(msg)
 	if err != nil {
@@ -353,7 +353,7 @@ func (n *netLayer) Alloc(peer int, h *wire.Header) ([]byte, any) {
 func (n *netLayer) Free(peer int, token any) {
 	switch v := token.(type) {
 	case *eagerBuf:
-		n.w.pool.release(poolNoRank, v)
+		n.w.pool.release(v)
 	case *wirePendingRecv:
 		n.mu.Lock()
 		n.recvs[v.xid] = v // un-claim: the data frame will be retransmitted
@@ -397,7 +397,7 @@ func (n *netLayer) onEager(f *wire.Frame) {
 	buf, _ := f.Token.(*eagerBuf)
 	release := func() {
 		if buf != nil {
-			w.pool.release(poolNoRank, buf)
+			w.pool.release(buf)
 		}
 	}
 	dst := n.frameDst(f)
@@ -593,12 +593,12 @@ func (n *netLayer) sendTypedData(ps *wirePendingSend, msg *message) error {
 		b := w.pool.get(poolNoRank, msg.bytes)
 		dtPack(b.data[:msg.bytes], msg.sdata, msg.sdt, esz)
 		err := n.tr.Send(node, &ps.h, b.data[:msg.bytes])
-		w.pool.release(poolNoRank, b)
+		w.pool.release(b)
 		return err
 	}
 	chunkElems := max(wireTypedChunk/esz, 1)
 	scratch := w.pool.get(poolNoRank, chunkElems*esz)
-	defer w.pool.release(poolNoRank, scratch)
+	defer w.pool.release(scratch)
 	ps.h.Type = wire.TypeDataSeg
 	for off := 0; off < msg.elems; off += chunkElems {
 		nel := min(chunkElems, msg.elems-off)
@@ -638,7 +638,7 @@ func (n *netLayer) onData(f *wire.Frame) {
 		dtUnpack(wr.pr.rdata, f.Payload, wr.pr.rdt, int(wr.pr.etype.Size()))
 	}
 	if buf != nil {
-		w.pool.release(poolNoRank, buf)
+		w.pool.release(buf)
 	}
 	if wr != nil {
 		n.completeWireRecv(wr)
@@ -653,7 +653,7 @@ func (n *netLayer) onDataSeg(f *wire.Frame) {
 	buf, _ := f.Token.(*eagerBuf)
 	release := func() {
 		if buf != nil {
-			w.pool.release(poolNoRank, buf)
+			w.pool.release(buf)
 		}
 	}
 	n.mu.Lock()

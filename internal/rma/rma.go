@@ -153,40 +153,41 @@ func elemBytes[T any]() int {
 	return int(reflect.TypeOf((*T)(nil)).Elem().Size())
 }
 
-// winRegistry interns windows per world so that every member of a
-// collective creation call resolves the same *Window. The key is the
+// winRegistry interns windows so that every member of a collective
+// creation call resolves the same *Window. The key is the world plus the
 // ID of the window's private communicator (a fresh Dup per creation),
-// which all members share and no other window can obtain.
+// which all members share and no other window can obtain. Free deletes
+// the entry, so a world whose windows are all freed has none left here
+// and nothing in this package keeps it alive.
 var winRegistry struct {
 	mu sync.Mutex
-	m  map[*mpi.World]map[int64]any
+	m  map[winKey]any
+}
+
+type winKey struct {
+	world *mpi.World
+	id    int64
 }
 
 func internWindow(w *mpi.World, id int64, build func() any) any {
 	winRegistry.mu.Lock()
 	defer winRegistry.mu.Unlock()
-	if winRegistry.m == nil {
-		winRegistry.m = make(map[*mpi.World]map[int64]any)
-	}
-	byID, ok := winRegistry.m[w]
-	if !ok {
-		byID = make(map[int64]any)
-		winRegistry.m[w] = byID
-	}
-	if win, ok := byID[id]; ok {
+	k := winKey{w, id}
+	if win, ok := winRegistry.m[k]; ok {
 		return win
 	}
+	if winRegistry.m == nil {
+		winRegistry.m = make(map[winKey]any)
+	}
 	win := build()
-	byID[id] = win
+	winRegistry.m[k] = win
 	return win
 }
 
 func forgetWindow(w *mpi.World, id int64) {
 	winRegistry.mu.Lock()
 	defer winRegistry.mu.Unlock()
-	if byID, ok := winRegistry.m[w]; ok {
-		delete(byID, id)
-	}
+	delete(winRegistry.m, winKey{w, id})
 }
 
 // pageRound rounds bytes up to whole pages.

@@ -139,17 +139,22 @@ type tcpPeer struct {
 	id int
 	tr *TCP
 
-	sendMu       sync.Mutex
-	conn         net.Conn
-	bw           *bufio.Writer
-	ready        bool   // Hello exchange complete on conn; writes allowed
-	inc          uint64 // highest incarnation seen from this peer (0 = none announced)
-	sendSeq      uint64
-	unacked      []encFrame
-	dialing      bool
-	down         bool
-	downErr      error
+	sendMu  sync.Mutex
+	conn    net.Conn
+	bw      *bufio.Writer
+	ready   bool   // Hello exchange complete on conn; writes allowed
+	inc     uint64 // highest incarnation seen from this peer (0 = none announced)
+	sendSeq uint64
+	unacked []encFrame
+	dialing bool
+	down    bool
+	downErr error
+	// hadConn: a connection was installed before, so a redial backs
+	// off first. handshook: the last installed connection received the
+	// peer's Hello, so replacing it is a reconnect. A connection the
+	// dial tie-break discards before any Hello arrives is not.
 	hadConn      bool
+	handshook    bool
 	pendingSends atomic.Int32
 
 	// Pending batch (guarded by sendMu): small sequenced frames are
@@ -600,6 +605,9 @@ func (p *tcpPeer) adoptDialed(conn net.Conn) bool {
 }
 
 // installLocked makes conn the current connection (closing any old one).
+// It counts a reconnect only when the last installed connection had
+// completed its handshake: a simultaneous first dial from both ends
+// installs twice on the higher node without any connection being lost.
 func (p *tcpPeer) installLocked(conn net.Conn) {
 	if p.conn != nil {
 		p.conn.Close()
@@ -607,12 +615,13 @@ func (p *tcpPeer) installLocked(conn net.Conn) {
 	p.conn = conn
 	p.bw = bufio.NewWriterSize(conn, 64<<10)
 	p.ready = false
-	if p.hadConn {
+	if p.handshook {
 		p.tr.reconnects.Add(1)
 		if ob := p.tr.cfg.Observer; ob != nil {
 			ob.Reconnect(p.id)
 		}
 	}
+	p.handshook = false
 	p.hadConn = true
 }
 
@@ -711,6 +720,9 @@ func (p *tcpPeer) handleHello(c net.Conn, h *Header) {
 		p.recvMu.Unlock()
 		return // stale connection
 	}
+	// The peer's Hello on our current connection completes the exchange:
+	// from here on, losing c is a real loss.
+	p.handshook = true
 	p.noteHelloLocked(h)
 	p.trimAckedLocked(h.Ack)
 	for _, ef := range p.unacked {
