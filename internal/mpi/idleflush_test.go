@@ -2,7 +2,9 @@ package mpi
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -66,14 +68,56 @@ func TestIdleFlushBatchedOps(t *testing.T) {
 	}
 }
 
-// TestIdleFlushBatchFill: flat channel collectives over 8 ranks per node
-// put many small frames on the wire at once. Because a completer counts
-// the waiter it wakes as busy before it runs, the flush waits until the
-// whole burst of woken tasks has sent and blocked again, so batches carry
-// several frames each instead of one.
+// TestIdleFlushBatchFill: when every local task posts its frame of a
+// burst before any of them blocks, the idle flush finds the whole burst
+// pending, so batches carry several frames each instead of one.
+//
+// Each round, all 16 ranks send one message to their peer on the other
+// node. A task spins (it never parks) until its node's other 7 tasks
+// have posted the round, and only then waits. So the busy count can
+// reach zero only when all 8 tasks wait in the same round, after all 8
+// posted it: a batch carries at least one round's 8 frames (the 64-frame
+// cap is a whole number of rounds). An idle flush that missed a woken
+// task, or a wake-up count that leaked, would strand a frame in the
+// hour-long window, and the world's Timeout would fail the test.
+//
+// The collective loop afterwards is the correctness half: flat channel
+// collectives over 8 ranks per node, in a batched world. Its fill
+// depends on how the reader's wake-ups interleave with the woken tasks,
+// so it is not gated.
 func TestIdleFlushBatchFill(t *testing.T) {
 	const rounds = 50
+	var posted [2]atomic.Int32 // per node: round frames posted so far
 	w0, w1, err0, err1 := runWirePairWindow(t, 8, CollChannels, neverWindow, func(task *Task) error {
+		n, r := task.Size(), task.Rank()
+		node, peer := r/(n/2), (r+n/2)%n
+		in, out := []int64{0}, []int64{0}
+		for i := 0; i < rounds; i++ {
+			out[0] = int64(r*rounds + i)
+			reqs := []*Request{Irecv(task, nil, in, peer, i), Isend(task, nil, out, peer, i)}
+			posted[node].Add(1)
+			for posted[node].Load() < int32((i+1)*n/2) {
+				runtime.Gosched()
+			}
+			Waitall(reqs)
+			if in[0] != int64(peer*rounds+i) {
+				return fmt.Errorf("round %d: from %d got %d", i, peer, in[0])
+			}
+		}
+		return nil
+	})
+	if err0 != nil || err1 != nil {
+		t.Fatalf("world errors: %v / %v", err0, err1)
+	}
+	for i, w := range []*World{w0, w1} {
+		st, _ := w.WireStats()
+		t.Logf("world %d: %d frames in %d batches", i, st.BatchedFrames, st.BatchesSent)
+		if st.BatchesSent == 0 || st.BatchedFrames < 2*st.BatchesSent {
+			t.Errorf("world %d: batch fill %d/%d, want >= 2", i, st.BatchedFrames, st.BatchesSent)
+		}
+	}
+
+	w0, w1, err0, err1 = runWirePairWindow(t, 8, CollChannels, neverWindow, func(task *Task) error {
 		n := task.Size()
 		for i := 0; i < rounds; i++ {
 			buf := []int64{0}
@@ -93,12 +137,11 @@ func TestIdleFlushBatchFill(t *testing.T) {
 		return nil
 	})
 	if err0 != nil || err1 != nil {
-		t.Fatalf("world errors: %v / %v", err0, err1)
+		t.Fatalf("collective world errors: %v / %v", err0, err1)
 	}
 	for i, w := range []*World{w0, w1} {
-		st, _ := w.WireStats()
-		if st.BatchesSent == 0 || st.BatchedFrames < 2*st.BatchesSent {
-			t.Errorf("world %d: batch fill %d/%d, want >= 2", i, st.BatchedFrames, st.BatchesSent)
+		if st, _ := w.WireStats(); st.BatchesSent == 0 {
+			t.Errorf("collective world %d sent no batches: %+v", i, st)
 		}
 	}
 }

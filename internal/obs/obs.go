@@ -51,11 +51,29 @@ type Tracer struct {
 	rec        *trace.Recorder
 	seq        atomic.Uint64
 	pubDropped atomic.Int64
+	// The event names, interned once so the per-message emitters
+	// never look one up.
+	msg, cts, wait, sendWait trace.Name
+	algs                     [len(collAlgs)]trace.Name
 }
+
+// collAlgs are the algorithm families mpi reports to SpanCollective.
+var collAlgs = [...]string{"chan", "shm", "2l"}
 
 // NewTracer wraps a recorder. Bound recorders (trace.WithMaxEvents) are
 // recommended for long runs; Dropped reports the overwritten count.
-func NewTracer(rec *trace.Recorder) *Tracer { return &Tracer{rec: rec} }
+func NewTracer(rec *trace.Recorder) *Tracer {
+	t := &Tracer{rec: rec,
+		msg:      rec.Intern("msg", "msg"),
+		cts:      rec.Intern("cts", "msg"),
+		wait:     rec.Intern("wait", "wait"),
+		sendWait: rec.Intern("send-wait", "wait"),
+	}
+	for i, a := range collAlgs {
+		t.algs[i] = rec.Intern(a, "coll")
+	}
+	return t
+}
 
 // Recorder returns the underlying recorder (for dumps and Sync).
 func (t *Tracer) Recorder() *trace.Recorder { return t.rec }
@@ -98,7 +116,7 @@ func (t *Tracer) SpanStart(worldSrc, worldDst, bytes int, rendezvous, remote boo
 	}
 	span = uint64(worldSrc+1)<<spanSrcShift | (seq & (1<<spanSrcShift - 1))
 	if remote {
-		t.rec.FlowStartNs(worldSrc, "msg", "msg", span, sendNs, flowAux(bytes, rendezvous))
+		t.rec.FlowStartNs(worldSrc, t.msg, span, sendNs, flowAux(bytes, rendezvous))
 	}
 	return span, sendNs
 }
@@ -126,10 +144,10 @@ func (t *Tracer) SpanDeliver(worldDst int, span uint64, sendNs, postNs, deliverN
 	}
 	if remote {
 		// The matching "s" was recorded by the sending process.
-		t.rec.FlowEndNs(worldDst, "msg", "msg", span, deliverNs, postNs)
+		t.rec.FlowEndNs(worldDst, t.msg, span, deliverNs, postNs)
 		return
 	}
-	t.rec.FlowPairNs("msg", "msg", span, SpanSrc(span), sendNs, flowAux(bytes, rendezvous), worldDst, deliverNs, postNs)
+	t.rec.FlowPairNs(t.msg, span, SpanSrc(span), sendNs, flowAux(bytes, rendezvous), worldDst, deliverNs, postNs)
 }
 
 // minWaitNs filters wait slices below one microsecond: an eager send's
@@ -140,17 +158,18 @@ const minWaitNs = 1000
 // SpanWait implements mpi.TraceHooks: a blocking op's wait slice,
 // tagged with the span it waited on (0 when unknown). Sub-microsecond
 // waits are dropped (see minWaitNs). The event name is selected from
-// static strings — concatenation here would allocate per blocking send.
+// names interned up front — concatenation here would allocate per
+// blocking send.
 func (t *Tracer) SpanWait(rank int, op string, span uint64, beginNs int64) {
 	end := t.rec.NowNs()
 	if end-beginNs < minWaitNs {
 		return
 	}
-	name := "wait"
+	name := t.wait
 	if op == "send" {
-		name = "send-wait"
+		name = t.sendWait
 	}
-	t.rec.WaitSliceNs(rank, name, "wait", span, beginNs, end)
+	t.rec.WaitSliceNs(rank, name, span, beginNs, end)
 }
 
 // SpanCts implements mpi.TraceHooks: the sender observed the receiver's
@@ -158,7 +177,7 @@ func (t *Tracer) SpanWait(rank int, op string, span uint64, beginNs int64) {
 // span id, splitting the sender's wait into late-receiver (before CTS)
 // and wire-stall (after).
 func (t *Tracer) SpanCts(worldSrc int, span uint64) {
-	t.rec.InstantNs(worldSrc, "cts", "msg", t.rec.NowNs(), int64(span))
+	t.rec.InstantNs(worldSrc, t.cts, t.rec.NowNs(), int64(span))
 }
 
 // SpanCollective implements mpi.TraceHooks: a rank entered collective
@@ -167,10 +186,22 @@ func (t *Tracer) SpanCts(worldSrc int, span uint64) {
 // one collective across processes without exchanging ids; alg labels
 // the algorithm family the runtime selected ("chan", "shm", "2l").
 // Sampling keys on the world-agreed seq, so either every rank records a
-// given collective or none does.
+// given collective or none does. The event carries trace.CollArgs, which
+// the recorder rebuilds from the record's fields on export.
 func (t *Tracer) SpanCollective(rank int, ctx, seq int64, alg string) {
 	if n := t.rec.SampleEvery(); n > 1 && seq%int64(n) != 0 {
 		return
 	}
-	t.rec.Instant(rank, "collective", "coll", trace.CollArgs{Ctx: ctx, Seq: seq, Alg: alg})
+	t.rec.CollectiveNs(rank, t.algName(alg), t.rec.NowNs(), ctx, seq)
+}
+
+// algName returns alg's interned name, interning one mpi has not
+// reported before.
+func (t *Tracer) algName(alg string) trace.Name {
+	for i, a := range collAlgs {
+		if a == alg {
+			return t.algs[i]
+		}
+	}
+	return t.rec.Intern(alg, "coll")
 }

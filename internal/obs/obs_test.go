@@ -2,6 +2,7 @@ package obs_test
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"hls/internal/obs"
@@ -21,6 +22,38 @@ func TestSpanSrcRoundTrip(t *testing.T) {
 	b, _ := tr.SpanStart(3, 0, 8, false, false)
 	if a == b {
 		t.Errorf("two spans from one source collided: %#x", a)
+	}
+}
+
+// A traced collective boxes nothing: ctx, seq and the algorithm ride
+// the ring record, and the export rebuilds the same CollArgs JSON.
+func TestSpanCollectiveDoesNotAllocate(t *testing.T) {
+	rec := trace.NewRecorder(trace.WithMaxEvents(64))
+	tr := obs.NewTracer(rec)
+	if allocs := testing.AllocsPerRun(100, func() { tr.SpanCollective(1, 7, 42, "shm") }); allocs != 0 {
+		t.Errorf("SpanCollective made %v allocs, want 0", allocs)
+	}
+	tr.SpanCollective(2, -1, 3, "custom") // an algorithm not interned up front
+	var got []trace.Event
+	for _, e := range rec.Events() {
+		if e.Tid == 2 {
+			got = append(got, e)
+		}
+	}
+	want := trace.Event{Name: "collective", Cat: "coll", Ph: "i", Tid: 2,
+		Args: trace.CollArgs{Ctx: -1, Seq: 3, Alg: "custom"}}
+	if len(got) != 1 {
+		t.Fatalf("tid 2 holds %d events, want 1", len(got))
+	}
+	if got[0].Ts = 0; got[0] != want {
+		t.Errorf("collective event = %+v, want %+v", got[0], want)
+	}
+	var buf bytes.Buffer
+	if err := rec.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `"args":{"ctx":7,"seq":42,"alg":"shm"}`) {
+		t.Errorf("trace JSON lacks the CollArgs payload: %s", buf.String())
 	}
 }
 

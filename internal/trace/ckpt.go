@@ -13,7 +13,7 @@ type CkptAdapter struct {
 	R *Recorder
 
 	mu   sync.Mutex
-	open map[ckptKey]float64
+	open map[ckptKey]int64 // begin, ns
 }
 
 type ckptKey struct {
@@ -26,9 +26,9 @@ type ckptKey struct {
 func (a *CkptAdapter) CkptBegin(op string, gen uint64, worldRank int) {
 	a.mu.Lock()
 	if a.open == nil {
-		a.open = make(map[ckptKey]float64)
+		a.open = make(map[ckptKey]int64)
 	}
-	a.open[ckptKey{op, worldRank}] = a.R.now()
+	a.open[ckptKey{op, worldRank}] = a.R.clockNs()
 	a.mu.Unlock()
 }
 
@@ -44,6 +44,5 @@ func (a *CkptAdapter) CkptEnd(op string, gen uint64, worldRank int) {
 		a.R.Instant(worldRank, name, "ckpt", nil)
 		return
 	}
-	a.R.add(Event{Name: name, Cat: "ckpt", Ph: "X", Ts: begin, Tid: worldRank,
-		Dur: a.R.now() - begin, Args: map[string]any{"generation": gen}})
+	a.R.SliceNs(worldRank, name, "ckpt", begin, a.R.clockNs(), map[string]any{"generation": gen})
 }

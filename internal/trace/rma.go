@@ -15,7 +15,7 @@ type RMAAdapter struct {
 	R *Recorder
 
 	mu     sync.Mutex
-	epochs map[rmaKey]float64
+	epochs map[rmaKey]int64 // begin, ns
 	ops    map[rmaKey]rmaOp
 }
 
@@ -26,7 +26,7 @@ type rmaKey struct {
 }
 
 type rmaOp struct {
-	begin  float64
+	begin  int64 // ns
 	target int
 	bytes  int
 }
@@ -37,9 +37,9 @@ type rmaOp struct {
 func (a *RMAAdapter) EpochOpen(win, kind string, worldRank int) {
 	a.mu.Lock()
 	if a.epochs == nil {
-		a.epochs = make(map[rmaKey]float64)
+		a.epochs = make(map[rmaKey]int64)
 	}
-	a.epochs[rmaKey{win, kind, worldRank}] = a.R.now()
+	a.epochs[rmaKey{win, kind, worldRank}] = a.R.clockNs()
 	a.mu.Unlock()
 }
 
@@ -52,7 +52,7 @@ func (a *RMAAdapter) EpochClose(win, kind string, worldRank int) {
 	a.mu.Unlock()
 	name := fmt.Sprintf("%s/%s", win, kind)
 	if ok {
-		a.R.add(Event{Name: name, Cat: "rma-epoch", Ph: "X", Ts: begin, Tid: worldRank, Dur: a.R.now() - begin})
+		a.R.SliceNs(worldRank, name, "rma-epoch", begin, a.R.clockNs(), nil)
 	} else {
 		a.R.Instant(worldRank, name, "rma-epoch", nil)
 	}
@@ -65,7 +65,7 @@ func (a *RMAAdapter) BeginOp(win, op string, worldRank, targetWorldRank, bytes i
 	if a.ops == nil {
 		a.ops = make(map[rmaKey]rmaOp)
 	}
-	a.ops[rmaKey{win, op, worldRank}] = rmaOp{begin: a.R.now(), target: targetWorldRank, bytes: bytes}
+	a.ops[rmaKey{win, op, worldRank}] = rmaOp{begin: a.R.clockNs(), target: targetWorldRank, bytes: bytes}
 	a.mu.Unlock()
 }
 
@@ -79,6 +79,6 @@ func (a *RMAAdapter) EndOp(win, op string, worldRank int) {
 	if !ok {
 		return
 	}
-	a.R.add(Event{Name: fmt.Sprintf("%s/%s", win, op), Cat: "rma", Ph: "X", Ts: o.begin, Tid: worldRank,
-		Dur: a.R.now() - o.begin, Args: map[string]any{"target": o.target, "bytes": o.bytes}})
+	a.R.SliceNs(worldRank, fmt.Sprintf("%s/%s", win, op), "rma", o.begin, a.R.clockNs(),
+		map[string]any{"target": o.target, "bytes": o.bytes})
 }

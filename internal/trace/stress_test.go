@@ -13,6 +13,7 @@ import (
 // -race in CI.
 func TestRecorderConcurrentFlushAppend(t *testing.T) {
 	r := NewRecorder(WithMaxEvents(256))
+	send, msg, cts := r.Intern("send", "msg"), r.Intern("msg", "msg"), r.Intern("cts", "msg")
 	const writers = 8
 	const perWriter = 500
 	var wg sync.WaitGroup
@@ -25,15 +26,15 @@ func TestRecorderConcurrentFlushAppend(t *testing.T) {
 			for i := 0; i < perWriter; i++ {
 				switch i % 5 {
 				case 0:
-					r.FlowStartNs(tid, "send", "msg", uint64(tid*perWriter+i), r.NowNs(), 64)
+					r.FlowStartNs(tid, send, uint64(tid*perWriter+i), r.NowNs(), 64)
 				case 1:
-					r.FlowEndNs(tid, "send", "msg", uint64(tid*perWriter+i), r.NowNs(), 0)
+					r.FlowEndNs(tid, send, uint64(tid*perWriter+i), r.NowNs(), 0)
 				case 2:
-					r.FlowPairNs("msg", "msg", uint64(tid*perWriter+i), tid, r.NowNs(), 8, tid+1, r.NowNs(), 0)
+					r.FlowPairNs(msg, uint64(tid*perWriter+i), tid, r.NowNs(), 8, tid+1, r.NowNs(), 0)
 				case 3:
 					r.SliceNs(tid, "wait", "wait", r.NowNs()-10, r.NowNs(), nil)
 				case 4:
-					r.InstantNs(tid, "cts", "msg", r.NowNs(), 1)
+					r.InstantNs(tid, cts, r.NowNs(), 1)
 				}
 			}
 		}(w)

@@ -11,12 +11,15 @@ package trace
 import (
 	"encoding/json"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 )
 
-// Event is one trace-event entry (Chrome "traceEvents" schema).
+// Event is one trace-event entry (Chrome "traceEvents" schema). The
+// recorder keeps events as compact ring records and decodes them to
+// Events when they are read (Events, WriteJSON).
 type Event struct {
 	Name string  `json:"name"`
 	Cat  string  `json:"cat"`
@@ -69,9 +72,78 @@ type (
 // storage shard, chosen by the emitting event's tid.
 const recorderStripes = 8
 
+// Name is an interned (name, cat) pair, the handle a ring record stores
+// instead of two strings. Hot-path callers intern their fixed names once
+// (Recorder.Intern) and pass the handle to the *Ns emitters, which then
+// never look a name up.
+type Name uint16
+
+// maxNames is how many pairs a record's Name can index. The cold
+// emitters intern into the first half only, so the table always has
+// room for a hot-path caller's fixed names.
+const (
+	maxNames     = 1 << 16
+	maxColdNames = maxNames / 2
+)
+
+type nameCat struct{ name, cat string }
+
+// A record's ph indexes phases. X records keep Dur in val; the others
+// keep Aux. A flow end always binds to its enclosing slice (bp "e").
+const phases = "Xisf"
+
+const (
+	phX uint8 = iota // complete slice
+	phI              // instant
+	phS              // flow start
+	phF              // flow end
+)
+
+const (
+	// flagArgs: the stripe's side slot holds the event's Args.
+	flagArgs uint8 = 1 << iota
+	// flagColl: a collective instant. id is the context, val the
+	// sequence and Name the algorithm; decodes to CollArgs.
+	flagColl
+	// flagSideName: the cold half of the intern table was full, so the
+	// side slot holds a sideName carrying the event's name, cat and Args.
+	flagSideName
+)
+
+// record is one ring slot: the compact form an Event is stored in until
+// Events decodes it. The layout is fixed at 32 bytes (see
+// TestRecordIs32Bytes), a quarter of an Event.
+type record struct {
+	ts    int64  // ns since the recorder started
+	val   int64  // Dur in ns on X records, Aux otherwise
+	id    uint64 // flow/span id
+	tid   int32
+	name  Name
+	ph    uint8
+	flags uint8
+}
+
+// set writes every field in place: building the record on the stack and
+// copying it would load the narrow fields back as one wide word, which
+// stalls store forwarding on the per-message path.
+func (rec *record) set(ts, val int64, id uint64, tid int, n Name, ph, flags uint8) {
+	rec.ts, rec.val, rec.id, rec.tid, rec.name, rec.ph, rec.flags = ts, val, id, int32(tid), n, ph, flags
+}
+
+type sideName struct {
+	nameCat
+	args any
+}
+
 type recorderStripe struct {
-	mu      sync.Mutex
-	events  []Event
+	mu sync.Mutex
+	// ring is allocated on the stripe's first event, so the stripes no
+	// rank writes cost nothing.
+	ring []record
+	// side holds the rare Args payloads (and overflowed names) by ring
+	// index. It is allocated on the first event that carries one, and a
+	// slot is cleared when the ring overwrites it.
+	side    []any
 	next    int   // ring write position when the buffer is full
 	dropped int64 // events overwritten because the buffer was full
 	// Keep adjacent stripes off one cache line: neighbouring ranks
@@ -87,9 +159,17 @@ type Recorder struct {
 	// delta from it (see clock.go), equal to time.Since(start) without
 	// the per-read time.Time round trip.
 	startMono int64
-	max       int // total event bound requested (0 = unbounded)
-	perMax    int // per-stripe ring bound derived from max
-	sample    int // span sampling rate (record 1 in sample; <= 1 = all)
+	// clock, when set, replaces NowNs for the emitters that read the
+	// time themselves (Span, Instant and the adapters), so a test can
+	// replay them deterministically.
+	clock  func() int64
+	max    int // total event bound requested (0 = unbounded)
+	perMax int // per-stripe ring bound derived from max
+	sample int // span sampling rate (record 1 in sample; <= 1 = all)
+
+	namesMu sync.Mutex
+	names   []nameCat // by Name; append-only
+	nameIDs map[nameCat]Name
 }
 
 // RecorderOption tunes a Recorder.
@@ -97,11 +177,13 @@ type RecorderOption func(*Recorder)
 
 // WithMaxEvents bounds the recorder to roughly the most recent n
 // events: the bound is divided across the internal stripes, each of
-// which becomes a ring buffer once full, overwriting its oldest event
-// and counting the overwritten ones (see Dropped), so long runs cannot
-// grow the recorder without limit. A workload whose events all land on
-// one stripe retains n/8 rather than n — callers size rings with
-// headroom, not to the byte. n <= 0 means unbounded.
+// which becomes a ring buffer of n/8 events once full, overwriting its
+// oldest event and counting the overwritten ones (see Dropped), so long
+// runs cannot grow the recorder without limit. A workload whose events
+// all land on one stripe retains n/8 rather than n — callers size rings
+// with headroom, not to the byte. A stripe's ring (32 bytes an event)
+// is allocated when the stripe records its first event. n <= 0 means
+// unbounded.
 func WithMaxEvents(n int) RecorderOption {
 	return func(r *Recorder) { r.max = n }
 }
@@ -133,9 +215,10 @@ func (r *Recorder) SampleEvery() int {
 }
 
 // NewRecorder starts a recorder; timestamps are relative to this call.
-// Bounded recorders allocate their full rings up front, so the
-// recording hot path never reallocates (append growth would
-// periodically zero and copy megabytes inside a stripe lock).
+// A bounded recorder allocates each stripe's full ring on that stripe's
+// first event, so the recording hot path never reallocates (append
+// growth would periodically zero and copy inside a stripe lock) and the
+// stripes no rank writes cost nothing.
 func NewRecorder(opts ...RecorderOption) *Recorder {
 	r := &Recorder{start: time.Now(), startMono: nanotime()}
 	for _, o := range opts {
@@ -143,15 +226,8 @@ func NewRecorder(opts ...RecorderOption) *Recorder {
 	}
 	if r.max > 0 {
 		r.perMax = (r.max + recorderStripes - 1) / recorderStripes
-		for i := range r.stripes {
-			r.stripes[i].events = make([]Event, 0, r.perMax)
-		}
 	}
 	return r
-}
-
-func (r *Recorder) now() float64 {
-	return float64(r.NowNs()) / 1e3
 }
 
 // NowNs returns nanoseconds since the recorder started — the integer
@@ -159,6 +235,14 @@ func (r *Recorder) now() float64 {
 // capture timestamps without floating-point conversion on every call.
 func (r *Recorder) NowNs() int64 {
 	return nanotime() - r.startMono
+}
+
+// clockNs is the clock of the emitters that read the time themselves.
+func (r *Recorder) clockNs() int64 {
+	if r.clock != nil {
+		return r.clock()
+	}
+	return r.NowNs()
 }
 
 // EpochUnixNano anchors the recorder's relative clock: event timestamp 0
@@ -169,115 +253,209 @@ func (r *Recorder) EpochUnixNano() int64 {
 	return r.start.UnixNano()
 }
 
+// Intern returns the handle of the (name, cat) pair for the *Ns
+// emitters. Intern a fixed set of names once, at setup: the table holds
+// 65 536 pairs, at least half of them for Intern, which panics when the
+// table is full.
+func (r *Recorder) Intern(name, cat string) Name {
+	n, ok := r.intern(name, cat, maxNames)
+	if !ok {
+		panic("trace: more than 65536 distinct event names")
+	}
+	return n
+}
+
+// intern looks the pair up, adding it while the table holds fewer than
+// limit pairs; ok is false when the pair is new and the table is that
+// full.
+func (r *Recorder) intern(name, cat string, limit int) (n Name, ok bool) {
+	k := nameCat{name, cat}
+	r.namesMu.Lock()
+	defer r.namesMu.Unlock()
+	if n, ok = r.nameIDs[k]; ok {
+		return n, true
+	}
+	if len(r.names) >= limit {
+		return 0, false
+	}
+	if r.nameIDs == nil {
+		r.nameIDs = make(map[nameCat]Name)
+	}
+	n = Name(len(r.names))
+	r.names = append(r.names, k)
+	r.nameIDs[k] = n
+	return n, true
+}
+
 // stripe picks the storage shard for events emitted on behalf of tid.
 func (r *Recorder) stripe(tid int) *recorderStripe {
 	return &r.stripes[uint(tid)%recorderStripes]
 }
 
-func (r *Recorder) add(e Event) {
-	st := r.stripe(e.Tid)
-	st.mu.Lock()
-	*r.slotLocked(st) = e
-	st.mu.Unlock()
+// slotLocked hands out the index of st's next ring slot; the caller
+// writes the whole record. A bounded stripe allocates its ring here on
+// its first event and, once full, overwrites its oldest slot.
+func (r *Recorder) slotLocked(st *recorderStripe) int {
+	if r.perMax == 0 {
+		st.ring = append(st.ring, record{})
+		return len(st.ring) - 1
+	}
+	if n := len(st.ring); n < r.perMax {
+		if st.ring == nil {
+			st.ring = make([]record, 0, r.perMax)
+		}
+		st.ring = st.ring[:n+1]
+		return n
+	}
+	i := st.next
+	if st.next++; st.next == r.perMax {
+		st.next = 0
+	}
+	st.dropped++
+	if i < len(st.side) {
+		st.side[i] = nil
+	}
+	return i
 }
 
-// slotLocked hands out st's next event slot, zeroed, for in-place field
-// writes: an Event is ~136 bytes, and the hot-path emitters would
-// otherwise build one on the stack and copy it whole into the slice.
-// The returned pointer is only valid until the next slotLocked call
-// (unbounded stripes may reallocate on append) — fill it immediately.
-func (r *Recorder) slotLocked(st *recorderStripe) *Event {
-	if r.perMax > 0 && len(st.events) >= r.perMax {
-		e := &st.events[st.next]
-		st.next = (st.next + 1) % r.perMax
-		st.dropped++
-		*e = Event{}
-		return e
+// setSideLocked parks v in side slot i, growing the side slice to the
+// ring's capacity (its final size, for a bounded stripe).
+func (st *recorderStripe) setSideLocked(i int, v any) {
+	if i >= len(st.side) {
+		side := make([]any, cap(st.ring))
+		copy(side, st.side)
+		st.side = side
 	}
-	st.events = append(st.events, Event{})
-	return &st.events[len(st.events)-1]
+	st.side[i] = v
+}
+
+// addCold records an event from an emitter off the message datapath: it
+// interns (name, cat) under the table's lock and parks args in the
+// stripe's side slice.
+func (r *Recorder) addCold(tid int, name, cat string, ph uint8, tsNs, val int64, args any) {
+	n, ok := r.intern(name, cat, maxColdNames)
+	var flags uint8
+	side := args
+	switch {
+	case !ok:
+		flags, side = flagSideName, sideName{nameCat{name, cat}, args}
+	case args != nil:
+		flags = flagArgs
+	}
+	st := r.stripe(tid)
+	st.mu.Lock()
+	i := r.slotLocked(st)
+	st.ring[i].set(tsNs, val, 0, tid, n, ph, flags)
+	if flags != 0 {
+		st.setSideLocked(i, side)
+	}
+	st.mu.Unlock()
 }
 
 // Span opens a duration event on task `tid`; the returned func closes it.
 func (r *Recorder) Span(tid int, name, cat string) func() {
-	begin := r.now()
+	begin := r.clockNs()
 	return func() {
-		r.add(Event{Name: name, Cat: cat, Ph: "X", Ts: begin, Pid: 0, Tid: tid, Dur: r.now() - begin})
+		r.SliceNs(tid, name, cat, begin, r.clockNs(), nil)
 	}
 }
 
 // Instant records a point event on task `tid`.
 func (r *Recorder) Instant(tid int, name, cat string, args any) {
-	r.add(Event{Name: name, Cat: cat, Ph: "i", Ts: r.now(), Pid: 0, Tid: tid, Args: args})
+	r.addCold(tid, name, cat, phI, r.clockNs(), 0, args)
 }
 
 // FlowStartNs records a flow-start ("s") event at tsNs on task tid. aux
 // carries the message byte count. Flow events with the same id render as
 // one arrow from the "s" to the "f" event, across processes.
-func (r *Recorder) FlowStartNs(tid int, name, cat string, id uint64, tsNs, aux int64) {
+func (r *Recorder) FlowStartNs(tid int, n Name, id uint64, tsNs, aux int64) {
 	st := r.stripe(tid)
 	st.mu.Lock()
-	s := r.slotLocked(st)
-	s.Name, s.Cat, s.Ph = name, cat, "s"
-	s.Ts, s.Tid, s.ID, s.Aux = float64(tsNs)/1e3, tid, id, aux
+	st.ring[r.slotLocked(st)].set(tsNs, aux, id, tid, n, phS, 0)
 	st.mu.Unlock()
 }
 
 // FlowEndNs records a flow-end ("f", binding to the enclosing slice) at
 // tsNs on task tid. aux carries the receive-post timestamp (ns).
-func (r *Recorder) FlowEndNs(tid int, name, cat string, id uint64, tsNs, aux int64) {
+func (r *Recorder) FlowEndNs(tid int, n Name, id uint64, tsNs, aux int64) {
 	st := r.stripe(tid)
 	st.mu.Lock()
-	f := r.slotLocked(st)
-	f.Name, f.Cat, f.Ph, f.BP = name, cat, "f", "e"
-	f.Ts, f.Tid, f.ID, f.Aux = float64(tsNs)/1e3, tid, id, aux
+	st.ring[r.slotLocked(st)].set(tsNs, aux, id, tid, n, phF, 0)
 	st.mu.Unlock()
 }
 
 // FlowPairNs records a flow start on srcTid and its end on dstTid under
 // one lock acquisition — the in-process delivery fast path, where both
 // halves of the arrow are known the moment the message lands.
-func (r *Recorder) FlowPairNs(name, cat string, id uint64, srcTid int, sendNs, sendAux int64, dstTid int, endNs, endAux int64) {
+func (r *Recorder) FlowPairNs(n Name, id uint64, srcTid int, sendNs, sendAux int64, dstTid int, endNs, endAux int64) {
 	// Both halves go on the receiver's stripe under one lock: a stripe
 	// is storage, not a timeline — each event still carries its tid.
 	st := r.stripe(dstTid)
 	st.mu.Lock()
-	s := r.slotLocked(st)
-	s.Name, s.Cat, s.Ph = name, cat, "s"
-	s.Ts, s.Tid, s.ID, s.Aux = float64(sendNs)/1e3, srcTid, id, sendAux
-	// s is dead before the next slotLocked call — an unbounded append may
-	// move the backing array.
-	f := r.slotLocked(st)
-	f.Name, f.Cat, f.Ph, f.BP = name, cat, "f", "e"
-	f.Ts, f.Tid, f.ID, f.Aux = float64(endNs)/1e3, dstTid, id, endAux
+	st.ring[r.slotLocked(st)].set(sendNs, sendAux, id, srcTid, n, phS, 0)
+	st.ring[r.slotLocked(st)].set(endNs, endAux, id, dstTid, n, phF, 0)
 	st.mu.Unlock()
 }
 
 // WaitSliceNs records a complete ("X") slice tagged with the flow/span
 // id it waited on, so wait attribution can join the slice to its flow.
-func (r *Recorder) WaitSliceNs(tid int, name, cat string, id uint64, beginNs, endNs int64) {
+func (r *Recorder) WaitSliceNs(tid int, n Name, id uint64, beginNs, endNs int64) {
 	st := r.stripe(tid)
 	st.mu.Lock()
-	e := r.slotLocked(st)
-	e.Name, e.Cat, e.Ph = name, cat, "X"
-	e.Ts, e.Dur, e.Tid, e.ID = float64(beginNs)/1e3, float64(endNs-beginNs)/1e3, tid, id
+	st.ring[r.slotLocked(st)].set(beginNs, endNs-beginNs, id, tid, n, phX, 0)
 	st.mu.Unlock()
 }
 
 // SliceNs records a complete ("X") slice from beginNs to endNs on tid.
 func (r *Recorder) SliceNs(tid int, name, cat string, beginNs, endNs int64, args any) {
-	r.add(Event{Name: name, Cat: cat, Ph: "X", Ts: float64(beginNs) / 1e3,
-		Dur: float64(endNs-beginNs) / 1e3, Tid: tid, Args: args})
+	r.addCold(tid, name, cat, phX, beginNs, endNs-beginNs, args)
 }
 
 // InstantNs records a point event at tsNs on tid with an integer payload.
-func (r *Recorder) InstantNs(tid int, name, cat string, tsNs, aux int64) {
+func (r *Recorder) InstantNs(tid int, n Name, tsNs, aux int64) {
 	st := r.stripe(tid)
 	st.mu.Lock()
-	e := r.slotLocked(st)
-	e.Name, e.Cat, e.Ph = name, cat, "i"
-	e.Ts, e.Tid, e.Aux = float64(tsNs)/1e3, tid, aux
+	st.ring[r.slotLocked(st)].set(tsNs, aux, 0, tid, n, phI, 0)
 	st.mu.Unlock()
+}
+
+// CollectiveNs records a collective instant at tsNs on tid: the event
+// named "collective" (cat "coll") whose Args are CollArgs{ctx, seq, alg}.
+// alg is the interned algorithm name (its cat is ignored); the payload
+// rides the record itself, so nothing is boxed per collective.
+func (r *Recorder) CollectiveNs(tid int, alg Name, tsNs, ctx, seq int64) {
+	st := r.stripe(tid)
+	st.mu.Lock()
+	st.ring[r.slotLocked(st)].set(tsNs, seq, uint64(ctx), tid, alg, phI, flagColl)
+	st.mu.Unlock()
+}
+
+// decodeLocked expands ring slot i back into the exported Event.
+func (st *recorderStripe) decodeLocked(i int, names []nameCat) Event {
+	rec := &st.ring[i]
+	e := Event{Ph: phases[rec.ph : rec.ph+1], Ts: float64(rec.ts) / 1e3, Tid: int(rec.tid), ID: rec.id}
+	if rec.ph == phX {
+		e.Dur = float64(rec.val) / 1e3
+	} else {
+		e.Aux = rec.val
+	}
+	if rec.ph == phF {
+		e.BP = "e"
+	}
+	switch {
+	case rec.flags&flagColl != 0:
+		e.Name, e.Cat, e.ID, e.Aux = "collective", "coll", 0, 0
+		e.Args = CollArgs{Ctx: int64(rec.id), Seq: rec.val, Alg: names[rec.name].name}
+	case rec.flags&flagSideName != 0:
+		sn := st.side[i].(sideName)
+		e.Name, e.Cat, e.Args = sn.name, sn.cat, sn.args
+	default:
+		e.Name, e.Cat = names[rec.name].name, names[rec.name].cat
+		if rec.flags&flagArgs != 0 {
+			e.Args = st.side[i]
+		}
+	}
+	return e
 }
 
 // Events snapshots the currently held events (oldest first within each
@@ -288,12 +466,18 @@ func (r *Recorder) Events() []Event {
 	for i := range r.stripes {
 		st := &r.stripes[i]
 		st.mu.Lock()
-		if r.perMax > 0 && len(st.events) >= r.perMax && st.next > 0 {
-			// Ring wrapped: unrotate so the copy is oldest-first.
-			out = append(out, st.events[st.next:]...)
-			out = append(out, st.events[:st.next]...)
-		} else {
-			out = append(out, st.events...)
+		// Read the table after the stripe lock: every name a held
+		// record uses was interned before the record was written.
+		r.namesMu.Lock()
+		names := r.names
+		r.namesMu.Unlock()
+		n, first := len(st.ring), 0
+		if r.perMax > 0 && n == r.perMax {
+			first = st.next // ring wrapped: unrotate, oldest first
+		}
+		out = slices.Grow(out, n)
+		for k := 0; k < n; k++ {
+			out = append(out, st.decodeLocked((first+k)%n, names))
 		}
 		st.mu.Unlock()
 	}
@@ -307,7 +491,7 @@ func (r *Recorder) Len() int {
 	for i := range r.stripes {
 		st := &r.stripes[i]
 		st.mu.Lock()
-		n += len(st.events)
+		n += len(st.ring)
 		st.mu.Unlock()
 	}
 	return n
@@ -363,7 +547,7 @@ type MPIAdapter struct {
 // OnSend implements mpi.Hooks. The event name is static and the peer
 // rides in Aux: no fmt.Sprintf or map boxing on the message hot path.
 func (a *MPIAdapter) OnSend(src, dst int) any {
-	a.R.add(Event{Name: "send", Cat: "msg", Ph: "i", Ts: a.R.now(), Tid: src, Aux: int64(dst)})
+	a.R.addCold(src, "send", "msg", phI, a.R.clockNs(), int64(dst), nil)
 	if a.Inner != nil {
 		return a.Inner.OnSend(src, dst)
 	}
@@ -372,7 +556,7 @@ func (a *MPIAdapter) OnSend(src, dst int) any {
 
 // OnDeliver implements mpi.Hooks.
 func (a *MPIAdapter) OnDeliver(dst int, meta any) {
-	a.R.add(Event{Name: "deliver", Cat: "msg", Ph: "i", Ts: a.R.now(), Tid: dst})
+	a.R.addCold(dst, "deliver", "msg", phI, a.R.clockNs(), 0, nil)
 	if a.Inner != nil {
 		a.Inner.OnDeliver(dst, meta)
 	}
@@ -387,7 +571,7 @@ type SyncAdapter struct {
 	}
 
 	mu   sync.Mutex
-	open map[spanKey]float64
+	open map[spanKey]int64 // begin, ns
 }
 
 type spanKey struct {
@@ -399,9 +583,9 @@ type spanKey struct {
 func (a *SyncAdapter) Arrive(key string, rank int) {
 	a.mu.Lock()
 	if a.open == nil {
-		a.open = make(map[spanKey]float64)
+		a.open = make(map[spanKey]int64)
 	}
-	a.open[spanKey{key, rank}] = a.R.now()
+	a.open[spanKey{key, rank}] = a.R.clockNs()
 	a.mu.Unlock()
 	if a.Inner != nil {
 		a.Inner.Arrive(key, rank)
@@ -415,7 +599,7 @@ func (a *SyncAdapter) Depart(key string, rank int) {
 	delete(a.open, spanKey{key, rank})
 	a.mu.Unlock()
 	if ok {
-		a.R.add(Event{Name: key, Cat: "hls", Ph: "X", Ts: begin, Tid: rank, Dur: a.R.now() - begin})
+		a.R.SliceNs(rank, key, "hls", begin, a.R.clockNs(), nil)
 	} else {
 		// A nowait skipper departs without arriving: record an instant.
 		a.R.Instant(rank, key, "hls", nil)

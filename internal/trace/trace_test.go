@@ -182,9 +182,10 @@ func TestAdaptersWithoutInner(t *testing.T) {
 func TestWriteJSONSortsByTimestamp(t *testing.T) {
 	r := NewRecorder()
 	// Append out of order by hand: concurrent tasks do this naturally.
-	r.add(Event{Name: "late", Ph: "i", Ts: 300})
-	r.add(Event{Name: "early", Ph: "i", Ts: 100})
-	r.add(Event{Name: "mid", Ph: "i", Ts: 200})
+	n := func(name string) Name { return r.Intern(name, "") }
+	r.InstantNs(0, n("late"), 300_000, 0)
+	r.InstantNs(0, n("early"), 100_000, 0)
+	r.InstantNs(0, n("mid"), 200_000, 0)
 	var sb strings.Builder
 	if err := r.WriteJSON(&sb); err != nil {
 		t.Fatal(err)
@@ -212,7 +213,7 @@ func TestRingBufferBoundsEvents(t *testing.T) {
 	// this exercises one stripe's ring exactly.
 	r := NewRecorder(WithMaxEvents(4 * recorderStripes))
 	for i := 0; i < 10; i++ {
-		r.add(Event{Name: "e", Ph: "i", Ts: float64(i)})
+		r.InstantNs(0, r.Intern("e", ""), int64(i)*1000, 0)
 	}
 	if r.Len() != 4 {
 		t.Fatalf("Len = %d, want 4 (bounded)", r.Len())
