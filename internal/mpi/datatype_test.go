@@ -589,3 +589,113 @@ func TestTypedOverWireForcePack(t *testing.T) {
 		t.Fatalf("err0=%v err1=%v", err0, err1)
 	}
 }
+
+func TestDatatypeCanonicalForm(t *testing.T) {
+	// A z-normal face of a 34³ block: the count-1 z dimension drops out,
+	// leaving one outer dimension over 32-element rows.
+	zface := TypeSubarray([]int{34, 34, 34}, []int{1, 32, 32}, []int{1, 1, 1})
+	if len(zface.dims) != 1 || zface.run != 32 {
+		t.Errorf("z-face: %d outer dims, run %d; want 1 dim over runs of 32", len(zface.dims), zface.run)
+	}
+	// Eight single elements 8 apart, built three ways: a vector, and
+	// subarrays whose dimensions fold into one.
+	v := TypeVector(8, 1, 8)
+	for _, s := range []*Datatype{
+		TypeSubarray([]int{4, 2, 8}, []int{4, 2, 1}, []int{0, 0, 0}),
+		TypeSubarray([]int{1, 8, 8}, []int{1, 8, 1}, []int{0, 0, 0}),
+	} {
+		if !sameLayout(v, s) {
+			t.Errorf("subarray dims %v run %d: not the vector's layout (dims %v run %d)", s.dims, s.run, v.dims, v.run)
+		}
+	}
+}
+
+func TestTypedSameAddrSkipAcrossConstructors(t *testing.T) {
+	// A vector and a subarray selecting the same elements of one buffer:
+	// a same-buffer SendrecvTyped is a no-op, and the skip must see it.
+	w := run(t, 1, func(task *Task) error {
+		buf := make([]float64, 64)
+		fillSeq(buf)
+		v := TypeVector(8, 1, 8).Commit()
+		s := TypeSubarray([]int{4, 2, 8}, []int{4, 2, 1}, []int{0, 0, 0}).Commit()
+		SendrecvTyped(task, nil, buf, v, 0, 0, buf, s, 0, 0)
+		for i := range buf {
+			if buf[i] != float64(i+1) {
+				return fmt.Errorf("buf[%d] = %v", i, buf[i])
+			}
+		}
+		return nil
+	})
+	if got := w.Stats().SameAddrSkips; got != 1 {
+		t.Errorf("SameAddrSkips = %d, want 1", got)
+	}
+}
+
+// haloPairs are the 26 send/receive slab pairs of one rank's exchange in
+// a periodic 3D halo of n interior cells per side and width 1.
+func haloPairs(n int) (send, recv []*Datatype) {
+	m := n + 2
+	sizes := []int{m, m, m}
+	for dz := -1; dz <= 1; dz++ {
+		for dy := -1; dy <= 1; dy++ {
+			for dx := -1; dx <= 1; dx++ {
+				if dx == 0 && dy == 0 && dz == 0 {
+					continue
+				}
+				var sub, sstart, rstart [3]int
+				for i, d := range [3]int{dz, dy, dx} {
+					switch d {
+					case 0:
+						sub[i], sstart[i], rstart[i] = n, 1, 1
+					case 1:
+						sub[i], sstart[i], rstart[i] = 1, n, 0
+					case -1:
+						sub[i], sstart[i], rstart[i] = 1, 1, n+1
+					}
+				}
+				send = append(send, TypeSubarray(sizes, sub[:], sstart[:]).Commit())
+				recv = append(recv, TypeSubarray(sizes, sub[:], rstart[:]).Commit())
+			}
+		}
+	}
+	return send, recv
+}
+
+// BenchmarkDatatypeKernels times the kernels on the halo workload's
+// shapes: one rank's 26 strided-to-strided slab copies (the elided
+// path), the same 26 slabs packed (the ForcePack path), and the last
+// 64 KiB segment of a streamed 512×512 x-normal face, one 8-byte element
+// per run.
+func BenchmarkDatatypeKernels(b *testing.B) {
+	const n, esz = 32, 8
+	send, recv := haloPairs(n)
+	src := make([]float64, (n+2)*(n+2)*(n+2))
+	fillSeq(src)
+	dst := make([]float64, len(src))
+	packed := make([]byte, len(src)*esz)
+	b.Run("halo26_copy", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for k := range send {
+				dtCopy(bytesOf(dst), recv[k], bytesOf(src), send[k], esz)
+			}
+		}
+	})
+	b.Run("halo26_pack", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for k := range send {
+				dtPack(packed[:send[k].Size()*esz], bytesOf(src), send[k], esz)
+			}
+		}
+	})
+	b.Run("xface512_lastseg", func(b *testing.B) {
+		face := TypeSubarray([]int{514, 514, 3}, []int{512, 512, 1}, []int{1, 1, 1}).Commit()
+		grid := make([]float64, face.Extent())
+		seg := make([]byte, wireTypedChunk)
+		hi := face.Size()
+		lo := hi - wireTypedChunk/esz
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			dtPackRange(seg, bytesOf(grid), face, esz, lo, hi)
+		}
+	})
+}
