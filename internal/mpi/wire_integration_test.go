@@ -278,3 +278,63 @@ func TestWireConcurrentCrossTraffic(t *testing.T) {
 		t.Fatalf("err0=%v err1=%v", err0, err1)
 	}
 }
+
+// TestWireShortMessageIntoStridedRecv sends rendezvous-size messages
+// shorter than a strided receive's selection across the wire, once as a
+// contiguous Data frame (unpacked whole by onData) and once as a typed
+// send streamed in segments (onDataSeg). Exactly the message's elements
+// must land, in selection order, and every other byte of the receive
+// buffer must stay untouched.
+func TestWireShortMessageIntoStridedRecv(t *testing.T) {
+	// 3000 float64s pack to 24 000 B, past the eager limit; the receive
+	// selects 4000, so unpacking the full selection would read past the
+	// payload.
+	const k, sel = 3000, 4000
+	rdt := TypeVector(sel, 1, 2).Commit()
+	sdt := TypeVector(k, 1, 3).Commit()
+	fn := func(task *Task) error {
+		switch task.Rank() {
+		case 0:
+			msg := make([]float64, k)
+			for i := range msg {
+				msg[i] = float64(i + 1)
+			}
+			Send(task, nil, msg, 2, 1)
+			strided := make([]float64, 3*k)
+			for i := range k {
+				strided[3*i] = float64(i + 1)
+			}
+			SendTyped(task, nil, strided, sdt, 2, 2)
+		case 2:
+			for tag := 1; tag <= 2; tag++ {
+				buf := make([]float64, 2*sel)
+				for i := range buf {
+					buf[i] = -1
+				}
+				st := RecvTyped(task, nil, buf, rdt, 0, tag)
+				if st.Count != k {
+					return fmt.Errorf("tag %d: status count %d, want %d", tag, st.Count, k)
+				}
+				for i, v := range buf {
+					want := -1.0
+					if i%2 == 0 && i/2 < k {
+						want = float64(i/2 + 1)
+					}
+					if v != want {
+						return fmt.Errorf("tag %d: buf[%d] = %v, want %v", tag, i, v, want)
+					}
+				}
+			}
+		}
+		return nil
+	}
+	w0, w1, err0, err1 := runWirePair(t, 2, fn)
+	if err0 != nil || err1 != nil {
+		t.Fatalf("err0=%v err1=%v", err0, err1)
+	}
+	for i, w := range []*World{w0, w1} {
+		if out := w.Stats().EagerPoolOutstanding; out != 0 {
+			t.Fatalf("world %d: %d eager buffers leaked", i, out)
+		}
+	}
+}
