@@ -22,8 +22,8 @@
 // the cache.
 //
 // Synchronization follows §IV-B, generalized: each scope instance gets a
-// multi-level tree of cache-line-padded sense-reversing spin-then-park
-// barriers (internal/spin), nested along every hardware level that
+// multi-level tree of cache-line-padded sense-reversing barriers whose
+// waiters park (internal/spin), nested along every hardware level that
 // actually groups the instance's tasks — core, each shared cache, NUMA
 // (topology.SyncPaths). Tasks sharing the narrowest level synchronize
 // first and a single representative proceeds upward, so locks and
@@ -91,14 +91,14 @@ func WithObserver(o SyncObserver) Option {
 }
 
 // WithFlatBarriers disables the shared-cache-aware hierarchical barrier
-// tree and uses a single flat (but still spin-then-park) barrier for
+// tree and uses a single flat (but still sense-reversing) barrier for
 // every scope — the ablation baseline for §IV-B's design choice.
 func WithFlatBarriers() Option {
 	return func(r *Registry) { r.flatOnly = true }
 }
 
 // WithMutexBarriers swaps every barrier for the flat mutex+condvar
-// algorithm that predated the spin-then-park design — the second ablation
+// algorithm that predated the sense-reversing design — the second ablation
 // baseline of hlsbench -exp sync (flat mutex vs flat spin vs tree).
 func WithMutexBarriers() Option {
 	return func(r *Registry) { r.mutexOnly = true }

@@ -228,3 +228,47 @@ func driftRounds(task *Task, rounds int) error {
 	}
 	return nil
 }
+
+// TestIdleFlushCountsBlockOn: a task waiting in a BlockOn/Unblock
+// bracket counts as blocked, so it does not hold a batched world's
+// flush back. Rank 0 sends 8 B to rank 2 on the other node and then
+// waits, bracketed, on a channel that closes only once rank 2's reply
+// has reached rank 1. Rank 1 is parked in Recv, so rank 0's bracket is
+// what brings node 0's busy count to zero: if the bracket were not
+// counted, the 8 B frame would sit in its batch for the whole window.
+func TestIdleFlushCountsBlockOn(t *testing.T) {
+	const window = 2 * time.Second
+	replied := make(chan struct{})
+	var waited time.Duration
+	_, _, err0, err1 := runWirePairWindow(t, 2, CollAuto, window, func(task *Task) error {
+		// The first frames to a peer go out when its connection comes
+		// up, batched or not; the Barrier makes sure both are up.
+		Barrier(task, nil)
+		buf := []int64{0}
+		switch task.Rank() {
+		case 0:
+			start := time.Now()
+			Send(task, nil, []int64{7}, 2, 0)
+			task.BlockOn("test: reply reached rank 1")
+			<-replied
+			task.Unblock()
+			waited = time.Since(start)
+		case 1:
+			Recv(task, nil, buf, 2, 1)
+			close(replied)
+		case 2:
+			Recv(task, nil, buf, 0, 0)
+			Send(task, nil, buf, 1, 1)
+		}
+		if task.Rank() == 1 && buf[0] != 7 {
+			return fmt.Errorf("rank 1: reply carried %d, want 7", buf[0])
+		}
+		return nil
+	})
+	if err0 != nil || err1 != nil {
+		t.Fatalf("world errors: %v / %v", err0, err1)
+	}
+	if waited >= window/4 {
+		t.Fatalf("rank 0 waited %v for the round trip, want well under the %v window", waited, window)
+	}
+}

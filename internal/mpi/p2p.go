@@ -463,14 +463,18 @@ func (t *Task) unblock() {
 }
 
 // BlockOn publishes a human-readable description of what the task is
-// about to block on, for the deadlock watchdog and timeout diagnostics.
-// Layers built on the runtime (internal/hls barriers, internal/rma
-// epochs) bracket their own blocking waits with BlockOn/Unblock so their
-// stalls are attributed like message-layer ones.
-func (t *Task) BlockOn(what string) { t.blockOn(what) }
-
-// Unblock clears the description published by BlockOn.
-func (t *Task) Unblock() { t.unblock() }
+// about to block on, for the deadlock watchdog and timeout diagnostics,
+// and counts the task blocked for a batched world's idle flush (see
+// idleFlush): a task waiting in such a bracket cannot grow a batch, so
+// it must not hold the flush back. Layers built on the runtime
+// (internal/hls barriers, internal/rma epochs, the fast-path
+// collectives) bracket their own blocking waits with BlockOn/Unblock so
+// their stalls are attributed, and their waits counted, like
+// message-layer ones. Every BlockOn must be matched by exactly one
+// Unblock. Work done inside a bracket (a single block's body, run by the
+// last arriver) counts as idle too: frames it sends go out at the next
+// idle moment or when the window expires.
+func (t *Task) BlockOn(what string) { t.BlockOnBoxed(what) }
 
 // BlockOnBoxed is BlockOn for hot paths: what must be a string already
 // boxed into an any (typically a package- or structure-level constant
@@ -481,6 +485,18 @@ func (t *Task) BlockOnBoxed(what any) {
 	ep.progress.Add(1)
 	ep.blockPeer.Store(blockNone)
 	ep.blockLabel.Store(what)
+	if f := t.world.idle; f != nil {
+		f.add(-1)
+	}
+}
+
+// Unblock clears the description published by BlockOn and counts the
+// task busy again.
+func (t *Task) Unblock() {
+	if f := t.world.idle; f != nil {
+		f.add(1)
+	}
+	t.unblock()
 }
 
 // commOrWorld substitutes the world communicator for a nil comm argument.

@@ -338,33 +338,14 @@ var (
 	boxShmAllgather any = "Allgather (shm)"
 )
 
-// blockOnShm publishes a fast-path phase as the task's blocked-on state
-// and counts the task blocked for a batched world's idle flush: a member
-// parked in a node-local tree (a non-leader waiting out its leader's
-// cross-node phase) must not hold the flush back. unblockShm reverses
-// both once the phase is over.
-func (t *Task) blockOnShm(what any) {
-	t.BlockOnBoxed(what)
-	if f := t.world.idle; f != nil {
-		f.add(-1)
-	}
-}
-
-func (t *Task) unblockShm() {
-	if f := t.world.idle; f != nil {
-		f.add(1)
-	}
-	t.unblock()
-}
-
 func shmBarrier(t *Task, c *Comm, seq int) {
 	sc := c.shm
 	me := c.Rank(t)
 	s := &sc.slots[me]
 	*s = shmSlot{seq: seq, kind: shmKindBarrier}
-	t.blockOnShm(boxShmBarrier)
+	t.BlockOnBoxed(boxShmBarrier)
 	sc.await(t, "Barrier", me, sc.verifyFn)
-	t.unblockShm()
+	t.Unblock()
 	sc.check(t, "Barrier")
 	t.world.stats.sharedCollectives.Add(1)
 }
@@ -378,7 +359,7 @@ func shmBcast[T Scalar](t *Task, c *Comm, buf []T, root, seq int) {
 		typ: shmType[T](), elem: elemSize[T](),
 		seq: seq, kind: shmKindBcast, root: root,
 	}
-	t.blockOnShm(boxShmBcast)
+	t.BlockOnBoxed(boxShmBcast)
 	sc.await(t, "Bcast", me, sc.verifyFn)
 	sc.check(t, "Bcast")
 	if me != root && len(buf) > 0 {
@@ -390,7 +371,7 @@ func shmBcast[T Scalar](t *Task, c *Comm, buf []T, root, seq int) {
 		}
 	}
 	sc.await(t, "Bcast", me, nil) // nobody reuses buf while peers copy
-	t.unblockShm()
+	t.Unblock()
 	t.world.stats.sharedCollectives.Add(1)
 }
 
@@ -411,11 +392,11 @@ func shmReduce[T Scalar](t *Task, c *Comm, sendBuf, recvBuf []T, op Op, root, se
 		s.recv = unsafe.Pointer(unsafe.SliceData(recvBuf))
 		s.recvLen = len(recvBuf)
 	}
-	t.blockOnShm(boxShmReduce)
+	t.BlockOnBoxed(boxShmReduce)
 	// The leader folds inside the entry barrier, so when it releases the
 	// result is complete and every send buffer is free: no exit barrier.
 	sc.await(t, "Reduce", me, sc.verifyFn)
-	t.unblockShm()
+	t.Unblock()
 	sc.check(t, "Reduce")
 	t.world.stats.sharedCollectives.Add(1)
 }
@@ -431,7 +412,7 @@ func shmAllreduce[T Scalar](t *Task, c *Comm, sendBuf, recvBuf []T, op Op, seq i
 		typ: typ, fold: shmFoldFor[T](typ), elem: elemSize[T](),
 		seq: seq, kind: shmKindAllreduce, op: op,
 	}
-	t.blockOnShm(boxShmAllreduce)
+	t.BlockOnBoxed(boxShmAllreduce)
 	sc.await(t, "Allreduce", me, sc.verifyFn) // leader folds into rank 0's recv
 	sc.check(t, "Allreduce")
 	k := len(sendBuf)
@@ -444,7 +425,7 @@ func shmAllreduce[T Scalar](t *Task, c *Comm, sendBuf, recvBuf []T, op Op, seq i
 		}
 	}
 	sc.await(t, "Allreduce", me, nil) // rank 0's recv stays stable until all copied
-	t.unblockShm()
+	t.Unblock()
 	t.world.stats.sharedCollectives.Add(1)
 }
 
@@ -460,7 +441,7 @@ func shmAllgather[T Scalar](t *Task, c *Comm, sendBuf, recvBuf []T, seq int) {
 		typ: shmType[T](), elem: elemSize[T](),
 		seq: seq, kind: shmKindAllgather,
 	}
-	t.blockOnShm(boxShmAllgather)
+	t.BlockOnBoxed(boxShmAllgather)
 	sc.await(t, "Allgather", me, sc.verifyFn)
 	sc.check(t, "Allgather")
 	if k > 0 {
@@ -475,6 +456,6 @@ func shmAllgather[T Scalar](t *Task, c *Comm, sendBuf, recvBuf []T, seq int) {
 		}
 	}
 	sc.await(t, "Allgather", me, nil) // send buffers stay stable until all copied
-	t.unblockShm()
+	t.Unblock()
 	t.world.stats.sharedCollectives.Add(1)
 }

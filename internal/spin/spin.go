@@ -1,8 +1,8 @@
 // Package spin provides the low-level synchronization primitives behind
 // the runtime's cache-aware hierarchical barriers (§IV-B): a
-// cache-line-padded, sense-reversing spin-then-park barrier, a
-// mutex+condvar baseline kept for ablation, and a Tree that nests
-// barriers along the machine's cache hierarchy so synchronization
+// cache-line-padded, sense-reversing barrier whose waiters park at
+// once, a mutex+condvar baseline kept for ablation, and a Tree that
+// nests barriers along the machine's cache hierarchy so synchronization
 // traffic stays inside the smallest shared cache.
 //
 // All primitives share the abort/poison protocol of the HLS runtime's
@@ -13,7 +13,6 @@
 package spin
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -24,34 +23,23 @@ import (
 // barrier scalability killer).
 type pad [64]byte
 
-// Spin phases: arrivers poll the generation word activeSpins times
-// back-to-back, then yieldSpins more times with a scheduler yield
-// between polls, then park on the condvar. The bounds are deliberately
-// modest: with more runnable tasks than Ps, long busy-spins steal the
-// processor from the very task everyone is waiting for.
-const (
-	activeSpins = 128
-	yieldSpins  = 32
-)
-
-// Barrier is a sense-reversing spin-then-park barrier for a fixed set
-// of size participants. The fast path is two atomic operations per
-// arrival (one counter RMW, generation loads while waiting); the mutex
-// and condvar are only touched by waiters that exhausted their spin
-// budget, by the releaser when someone parked, and on abort.
+// Barrier is a sense-reversing barrier for a fixed set of size
+// participants. Arrival is one counter RMW; the last arriver flips the
+// generation word and touches the mutex and condvar only if someone
+// parked (or on abort). Every other arriver parks on the condvar at
+// once, without polling the generation word or yielding first: with
+// more runnable goroutines than Ps (tasks plus wire readers) polling
+// takes the processor from the very task everyone is waiting for
+// (DESIGN.md §8 has the measurements).
 type Barrier struct {
 	size int32
-	// spin is the per-wait spin budget; zero when the barrier is wider
-	// than GOMAXPROCS, where spinning only delays the tasks still
-	// expected to arrive.
-	spin int32
 
 	_       pad
 	arrived atomic.Int32 // arrivals in the current generation
 	_       pad
 	gen     atomic.Uint32 // completed-generation counter (the "sense")
 	_       pad
-	parked  atomic.Int32 // waiters that gave up spinning
+	parked  atomic.Int32 // waiters asleep on cond
 	aborted atomic.Bool  // fast-path mirror of abortErr != nil
 
 	mu       sync.Mutex
@@ -64,10 +52,7 @@ func NewBarrier(size int) *Barrier {
 	if size < 1 {
 		panic("spin: barrier size must be >= 1")
 	}
-	b := &Barrier{size: int32(size), spin: activeSpins}
-	if size > runtime.GOMAXPROCS(0) {
-		b.spin = 0
-	}
+	b := &Barrier{size: int32(size)}
 	b.cond = sync.NewCond(&b.mu)
 	return b
 }
@@ -131,33 +116,10 @@ func (b *Barrier) Release() {
 	b.mu.Unlock()
 }
 
-// wait blocks until generation g completes: bounded spin on the
-// generation word, then park under the mutex.
-func (b *Barrier) wait(g uint32) {
-	for i := b.spin; i > 0; i-- {
-		if b.gen.Load() != g {
-			return
-		}
-		if b.aborted.Load() {
-			break // recheck under mu: completion may have raced the abort
-		}
-	}
-	for i := 0; i < yieldSpins; i++ {
-		if b.gen.Load() != g {
-			return
-		}
-		if b.aborted.Load() {
-			break
-		}
-		runtime.Gosched()
-	}
-	b.park(g)
-}
-
-// park sleeps under the condvar until the generation completes or the
+// wait sleeps under the condvar until generation g completes or the
 // barrier is aborted. A completed generation wins over a concurrent
 // abort.
-func (b *Barrier) park(g uint32) {
+func (b *Barrier) wait(g uint32) {
 	b.mu.Lock()
 	b.parked.Add(1)
 	for b.gen.Load() == g && b.abortErr == nil {

@@ -346,7 +346,8 @@ func TestTreeStressManyGenerations(t *testing.T) {
 }
 
 func BenchmarkBarrierSpin(b *testing.B) {
-	for _, n := range []int{4, 16} {
+	// n=2 is the node-local barrier of a 2x2 two-level collective.
+	for _, n := range []int{2, 4, 16} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			bar := NewBarrier(n)
 			var wg sync.WaitGroup
