@@ -73,11 +73,13 @@ func collLabelsFor(op string) *[2]any {
 // errors attributed to it.
 func csend[T Scalar](t *Task, c *Comm, op string, buf []T, dst, tag int) {
 	if req := isend(t, c, c.ctxColl, buf, dst, tag, op); req != nil {
-		t.blockOnP2P(collLabelsFor(op)[0], dst, tag)
-		req.Wait()
-		t.unblock()
-		t.checkReq(op, req)
+		cwait(t, op, req, dst, tag)
 	}
+}
+
+// cwait waits out a collective send request from isend or cisend.
+func cwait(t *Task, op string, req *Request, dst, tag int) {
+	t.await(req, collLabelsFor(op)[0], dst, tag, op)
 }
 
 func cisend[T Scalar](t *Task, c *Comm, op string, buf []T, dst, tag int) *Request {
@@ -90,11 +92,7 @@ func cisend[T Scalar](t *Task, c *Comm, op string, buf []T, dst, tag int) *Reque
 }
 
 func crecv[T Scalar](t *Task, c *Comm, op string, buf []T, src, tag int) {
-	req := irecv(t, c, c.ctxColl, buf, src, tag, op)
-	t.blockOnP2P(collLabelsFor(op)[1], src, tag)
-	req.Wait()
-	t.unblock()
-	t.checkReq(op, req)
+	t.await(irecv(t, c, c.ctxColl, buf, src, tag, op), collLabelsFor(op)[1], src, tag, op)
 }
 
 // Barrier blocks until every task of the communicator has entered it.
@@ -125,8 +123,7 @@ func chanBarrier(t *Task, c *Comm, base int) {
 		src := (r - k + n) % n
 		sreq := cisend(t, c, "Barrier", token[:], dst, base+step)
 		crecv(t, c, "Barrier", token[:], src, base+step)
-		sreq.Wait()
-		t.checkReq("Barrier", sreq)
+		cwait(t, "Barrier", sreq, dst, base+step)
 	}
 }
 
@@ -380,8 +377,7 @@ func chanAllgather[T Scalar](t *Task, c *Comm, sendBuf, recvBuf []T, base int) {
 		recvBlock := (r - step - 1 + n) % n
 		sreq := cisend(t, c, "Allgather", recvBuf[sendBlock*k:(sendBlock+1)*k], right, base+step)
 		crecv(t, c, "Allgather", recvBuf[recvBlock*k:(recvBlock+1)*k], left, base+step)
-		sreq.Wait()
-		t.checkReq("Allgather", sreq)
+		cwait(t, "Allgather", sreq, right, base+step)
 	}
 }
 
@@ -405,8 +401,7 @@ func Alltoall[T Scalar](t *Task, c *Comm, sendBuf, recvBuf []T) {
 		src := (r - step + n) % n
 		sreq := cisend(t, c, "Alltoall", sendBuf[dst*k:(dst+1)*k], dst, base+step)
 		crecv(t, c, "Alltoall", recvBuf[src*k:(src+1)*k], src, base+step)
-		sreq.Wait()
-		t.checkReq("Alltoall", sreq)
+		cwait(t, "Alltoall", sreq, dst, base+step)
 	}
 }
 

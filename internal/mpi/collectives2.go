@@ -20,11 +20,7 @@ func Ssend[T Scalar](t *Task, comm *Comm, buf []T, dst, tag int) {
 	}
 	Send(t, comm, buf, dst, tag)
 	var token [0]byte
-	req := irecv(t, comm, comm.ctxSync, token[:], dst, tag, "Ssend")
-	t.blockOn("Ssend acknowledgement")
-	req.Wait()
-	t.unblock()
-	t.checkReq("Ssend", req)
+	t.await(irecv(t, comm, comm.ctxSync, token[:], dst, tag, "Ssend"), labelSsendAck, dst, tag, "Ssend")
 }
 
 // RecvSsend matches an Ssend of a small message: Recv plus the
@@ -33,11 +29,10 @@ func RecvSsend[T Scalar](t *Task, comm *Comm, buf []T, src, tag int) Status {
 	comm = t.commOrWorld(comm)
 	st := Recv(t, comm, buf, src, tag)
 	if st.Bytes <= t.world.cfg.EagerLimit {
+		// The 0-byte token is always eager (NewWorld keeps EagerLimit
+		// >= 1), so isend completes it and returns no request.
 		var token [0]byte
-		if req := isend(t, comm, comm.ctxSync, token[:], st.Source, tag, "RecvSsend"); req != nil {
-			req.Wait()
-			t.checkReq("RecvSsend", req)
-		}
+		isend(t, comm, comm.ctxSync, token[:], st.Source, tag, "RecvSsend")
 	}
 	return st
 }
@@ -69,8 +64,7 @@ func chanAllgatherv[T Scalar](t *Task, c *Comm, sendBuf, recvBuf []T, counts, di
 		recvBlock := (r - step - 1 + n) % n
 		sreq := cisend(t, c, "Allgatherv", recvBuf[displs[sendBlock]:displs[sendBlock]+counts[sendBlock]], right, base+step)
 		crecv(t, c, "Allgatherv", recvBuf[displs[recvBlock]:displs[recvBlock]+counts[recvBlock]], left, base+step)
-		sreq.Wait()
-		t.checkReq("Allgatherv", sreq)
+		cwait(t, "Allgatherv", sreq, right, base+step)
 	}
 }
 
@@ -90,8 +84,7 @@ func Alltoallv[T Scalar](t *Task, c *Comm, sendBuf []T, sendCounts, sendDispls [
 		src := (r - step + n) % n
 		sreq := cisend(t, c, "Alltoallv", sendBuf[sendDispls[dst]:sendDispls[dst]+sendCounts[dst]], dst, base+step)
 		crecv(t, c, "Alltoallv", recvBuf[recvDispls[src]:recvDispls[src]+recvCounts[src]], src, base+step)
-		sreq.Wait()
-		t.checkReq("Alltoallv", sreq)
+		cwait(t, "Alltoallv", sreq, dst, base+step)
 	}
 }
 
@@ -169,8 +162,7 @@ func chanAllreduceRD[T Scalar](t *Task, c *Comm, sendBuf, recvBuf []T, op Op, ba
 			}
 			sreq := cisend(t, c, "AllreduceRD", acc, partner, base+1+log2(mask))
 			crecv(t, c, "AllreduceRD", tmp, partner, base+1+log2(mask))
-			sreq.Wait()
-			t.checkReq("AllreduceRD", sreq)
+			cwait(t, "AllreduceRD", sreq, partner, base+1+log2(mask))
 			apply(t.rank, op, acc, tmp)
 		}
 	}

@@ -293,6 +293,16 @@ func newEndpoint(rank int) *endpoint {
 	return ep
 }
 
+// publish stores the blocking state blockedDesc renders and bumps the
+// progress count. Only the endpoint's own task calls it, from await and
+// the enter/leave pair; labelEmpty with blockNone clears the state.
+func (ep *endpoint) publish(label any, peer int64, tag int) {
+	ep.progress.Add(1)
+	ep.blockPeer.Store(peer)
+	ep.blockTag.Store(int64(tag))
+	ep.blockLabel.Store(label)
+}
+
 // blockedDesc renders the endpoint's published blocking state. Runs only
 // on diagnostic paths (watchdog, timeout).
 func (ep *endpoint) blockedDesc() string {

@@ -156,16 +156,26 @@ func TestIdleFlushCountNoDrift(t *testing.T) {
 	const rounds = 300
 	var mu sync.Mutex
 	var inGate []int32
-	var arrive, leave [2]sync.WaitGroup // one two-task meeting per world
+	var done, arrive, leave [2]sync.WaitGroup // two-task meetings, one set per world
 	for i := range arrive {
+		done[i].Add(2)
 		arrive[i].Add(2)
 		leave[i].Add(2)
 	}
 	w0, w1, err0, err1 := runWirePairWindow(t, 2, CollAuto, neverWindow, func(task *Task) error {
 		err := driftRounds(task, rounds)
+		g := task.Rank() / 2
+		// Meet inside a BlockOn bracket first. A task that waited for
+		// its sibling outside the runtime would hold the idle flush
+		// back, stranding a frame the sibling just batched for the
+		// other node (its last Ssend, say); the second task to block
+		// here flushes it.
+		task.BlockOn("test: drift rounds done")
+		done[g].Done()
+		done[g].Wait()
+		task.Unblock()
 		// Both tasks of this world meet outside the runtime: neither is
 		// parked, so the count must read exactly 2.
-		g := task.Rank() / 2
 		arrive[g].Done()
 		arrive[g].Wait()
 		mu.Lock()
@@ -192,7 +202,11 @@ func TestIdleFlushCountNoDrift(t *testing.T) {
 }
 
 // driftRounds exchanges one message with every other rank per round and
-// completes the round alternately with Waitall and a Waitany loop.
+// completes the round alternately with Waitall and a Waitany loop. Each
+// round then passes one message around the ring, received by a blocking
+// Probe and then a Recv, and makes one Ssend/RecvSsend exchange with the
+// peer on the other node: so the request waits (park) and Probe's cond
+// wait (enter/leave) are all under the count check.
 func driftRounds(task *Task, rounds int) error {
 	n, r := task.Size(), task.Rank()
 	reqs := make([]*Request, 0, 2*(n-1))
@@ -224,6 +238,29 @@ func driftRounds(task *Task, rounds int) error {
 			if p != r && bufs[p][0] != int64(p*rounds+i) {
 				return fmt.Errorf("round %d: from %d got %d", i, p, bufs[p][0])
 			}
+		}
+
+		next, prev := (r+1)%n, (r-1+n)%n
+		Send(task, nil, []int64{int64(r*rounds + i)}, next, rounds+i)
+		if st := Probe(task, nil, prev, rounds+i); st.Source != prev || st.Count != 1 {
+			return fmt.Errorf("round %d: probe status %+v, want one element from %d", i, st, prev)
+		}
+		Recv(task, nil, bufs[prev], prev, rounds+i)
+		if bufs[prev][0] != int64(prev*rounds+i) {
+			return fmt.Errorf("round %d: probed message from %d carried %d", i, prev, bufs[prev][0])
+		}
+
+		far := (r + n/2) % n
+		out := []int64{int64(r*rounds + i)}
+		if r < n/2 {
+			Ssend(task, nil, out, far, 2*rounds+i)
+			RecvSsend(task, nil, bufs[far], far, 2*rounds+i)
+		} else {
+			RecvSsend(task, nil, bufs[far], far, 2*rounds+i)
+			Ssend(task, nil, out, far, 2*rounds+i)
+		}
+		if bufs[far][0] != int64(far*rounds+i) {
+			return fmt.Errorf("round %d: Ssend from %d carried %d", i, far, bufs[far][0])
 		}
 	}
 	return nil

@@ -20,7 +20,7 @@ func elemSize[T any]() int {
 }
 
 // Pre-boxed blocking-state labels: the hot paths publish these via
-// blockOnP2P, which stores an already-boxed any plus two atomic ints, so
+// await, which stores an already-boxed any plus two atomic ints, so
 // entering a blocking wait performs no allocation. The full diagnostic
 // string ("Recv(src=1, tag=0)") is rendered by endpoint.blockedDesc only
 // on the watchdog/timeout path.
@@ -29,6 +29,7 @@ var (
 	labelProbe        any = "Probe"
 	labelSend         any = "Send"
 	labelSendrecvRecv any = "Sendrecv recv"
+	labelSsendAck     any = "Ssend acknowledgement"
 	labelEmpty        any = ""
 )
 
@@ -38,28 +39,8 @@ var (
 // has matched the message (synchronizing semantics, like MPI_Ssend).
 func Send[T Scalar](t *Task, comm *Comm, buf []T, dst, tag int) {
 	comm = t.commOrWorld(comm)
-	req := isend(t, comm, comm.ctxUser, buf, dst, tag, "Send")
-	if req != nil {
-		if _, done := req.Test(); done {
-			// The receiver had already posted: the rendezvous completed
-			// inside isend and there is no wait to publish or trace.
-			t.checkReq("Send", req)
-			putRequest(req)
-			return
-		}
-		t.blockOnP2P(labelSend, dst, tag)
-		req.Wait()
-		if th := t.world.traceHooks; th != nil {
-			// The wait effectively began at the send timestamp: isend
-			// returns within nanoseconds of stamping it. The end is read
-			// here, after the park — under load the scheduler wake-up is
-			// a real part of the caller's blocked time, and only this
-			// slice can see it (the flow pair ends at delivery).
-			th.SpanWait(t.rank, "send", req.span, req.sendNs)
-		}
-		t.unblock()
-		t.checkReq("Send", req)
-		putRequest(req)
+	if req := isend(t, comm, comm.ctxUser, buf, dst, tag, "Send"); req != nil {
+		t.await(req, labelSend, dst, tag, "Send")
 	}
 }
 
@@ -246,13 +227,7 @@ func isendDT[T Scalar](t *Task, comm *Comm, ctx int64, buf []T, dt *Datatype, ds
 // The buffer must be at least as long as the incoming message.
 func Recv[T Scalar](t *Task, comm *Comm, buf []T, src, tag int) Status {
 	comm = t.commOrWorld(comm)
-	req := irecv(t, comm, comm.ctxUser, buf, src, tag, "Recv")
-	t.blockOnP2P(labelRecv, src, tag)
-	st := req.Wait()
-	t.unblock()
-	t.checkReq("Recv", req)
-	putRequest(req)
-	return st
+	return t.await(irecv(t, comm, comm.ctxUser, buf, src, tag, "Recv"), labelRecv, src, tag, "Recv")
 }
 
 // Irecv posts a nonblocking receive and returns its Request.
@@ -400,10 +375,7 @@ func probe(t *Task, comm *Comm, src, tag int, block bool) (Status, bool) {
 		// wildcard cond for AnySource. An arrival broadcasts a bucket cond
 		// only when it has waiters, so unrelated traffic no longer wakes
 		// every blocked probe on the endpoint.
-		t.blockOnP2P(labelProbe, src, tag)
-		if w.idle != nil {
-			w.idle.add(-1)
-		}
+		t.enter(labelProbe, int64(src), tag)
 		if src == AnySource {
 			ep.wildWaiters++
 			ep.wildCond.Wait()
@@ -417,10 +389,7 @@ func probe(t *Task, comm *Comm, src, tag int, block bool) (Status, bool) {
 			b.cond.Wait()
 			b.waiters--
 		}
-		if w.idle != nil {
-			w.idle.add(1)
-		}
-		t.unblock()
+		t.leave()
 	}
 }
 
@@ -429,37 +398,63 @@ func probe(t *Task, comm *Comm, src, tag int, block bool) (Status, bool) {
 func Sendrecv[T Scalar](t *Task, comm *Comm, sendBuf []T, dst, sendTag int, recvBuf []T, src, recvTag int) Status {
 	rr := Irecv(t, comm, recvBuf, src, recvTag)
 	Send(t, comm, sendBuf, dst, sendTag)
-	t.blockOnP2P(labelSendrecvRecv, src, recvTag)
-	st := rr.Wait()
-	t.unblock()
-	t.checkReq("Sendrecv", rr)
-	putRequest(rr)
+	return t.await(rr, labelSendrecvRecv, src, recvTag, "Sendrecv")
+}
+
+// await is the runtime's one blocking request wait (its callers are
+// listed in the request.go header); it recycles req afterwards. A
+// request already done returns at once, with nothing published.
+// Otherwise the wait is published for the watchdog — label is a
+// pre-boxed static string, peer and tag ride in atomic ints and are
+// formatted only if a diagnostic needs them, so publishing allocates
+// nothing — and the task parks in Request.Wait, which counts it idle
+// for a batched world's flush (see park). A failed request raises op's
+// typed error.
+func (t *Task) await(req *Request, label any, peer, tag int, op string) Status {
+	st := t.awaitKeep(req, label, peer, tag, op)
+	putRequest(req)
 	return st
 }
 
-// blockOnP2P publishes a point-to-point blocking state without
-// allocating: label is a pre-boxed static string, the peer rank and tag
-// ride in atomic ints and are formatted only if a diagnostic needs them.
-func (t *Task) blockOnP2P(label any, peer, tag int) {
-	ep := t.world.eps[t.rank]
-	ep.progress.Add(1)
-	ep.blockPeer.Store(int64(peer))
-	ep.blockTag.Store(int64(tag))
-	ep.blockLabel.Store(label)
+// awaitKeep is await without the recycling, for a request its caller
+// still reads afterwards (Persistent.Test).
+func (t *Task) awaitKeep(req *Request, label any, peer, tag int, op string) Status {
+	if req.state.Load() != reqDone {
+		ep := t.world.eps[t.rank]
+		ep.publish(label, int64(peer), tag)
+		req.Wait()
+		if th := t.world.traceHooks; th != nil && !req.recvSide && label == labelSend {
+			// A blocking rendezvous Send's wait effectively began at the
+			// send timestamp: isend returns within nanoseconds of
+			// stamping it. The end is read here, after the park — under
+			// load the scheduler wake-up is a real part of the caller's
+			// blocked time, and only this slice can see it (the flow
+			// pair ends at delivery).
+			th.SpanWait(t.rank, "send", req.span, req.sendNs)
+		}
+		ep.publish(labelEmpty, blockNone, 0)
+	}
+	t.checkReq(op, req)
+	return req.status
 }
 
-func (t *Task) blockOn(s string) {
-	ep := t.world.eps[t.rank]
-	ep.progress.Add(1)
-	ep.blockPeer.Store(blockNone)
-	ep.blockLabel.Store(s)
+// enter publishes what the task is about to block on outside a request
+// wait and counts it idle for a batched world's flush (see idleFlush);
+// leave counts it busy again and clears the state. Probe's cond wait
+// and the BlockOn/Unblock bracket use the pair; request waits go
+// through await, where park does the counting.
+func (t *Task) enter(label any, peer int64, tag int) {
+	t.world.eps[t.rank].publish(label, peer, tag)
+	if f := t.world.idle; f != nil {
+		f.add(-1)
+	}
 }
 
-func (t *Task) unblock() {
-	ep := t.world.eps[t.rank]
-	ep.progress.Add(1)
-	ep.blockPeer.Store(blockNone)
-	ep.blockLabel.Store(labelEmpty)
+func (t *Task) leave() {
+	if f := t.world.idle; f != nil {
+		f.add(1)
+	}
+	t.world.eps[t.rank].publish(labelEmpty, blockNone, 0)
 }
 
 // BlockOn publishes a human-readable description of what the task is
@@ -480,24 +475,11 @@ func (t *Task) BlockOn(what string) { t.BlockOnBoxed(what) }
 // boxed into an any (typically a package- or structure-level constant
 // built once), so publishing it does not re-box and therefore does not
 // allocate per call.
-func (t *Task) BlockOnBoxed(what any) {
-	ep := t.world.eps[t.rank]
-	ep.progress.Add(1)
-	ep.blockPeer.Store(blockNone)
-	ep.blockLabel.Store(what)
-	if f := t.world.idle; f != nil {
-		f.add(-1)
-	}
-}
+func (t *Task) BlockOnBoxed(what any) { t.enter(what, blockNone, 0) }
 
 // Unblock clears the description published by BlockOn and counts the
 // task busy again.
-func (t *Task) Unblock() {
-	if f := t.world.idle; f != nil {
-		f.add(1)
-	}
-	t.unblock()
-}
+func (t *Task) Unblock() { t.leave() }
 
 // commOrWorld substitutes the world communicator for a nil comm argument.
 func (t *Task) commOrWorld(c *Comm) *Comm {

@@ -13,21 +13,8 @@ package mpi
 // immediately, rendezvous sends block until the receiver matches.
 func SendTyped[T Scalar](t *Task, comm *Comm, buf []T, dt *Datatype, dst, tag int) {
 	comm = t.commOrWorld(comm)
-	req := isendDT(t, comm, comm.ctxUser, buf, dt, dst, tag, "SendTyped")
-	if req != nil {
-		if _, done := req.Test(); done {
-			t.checkReq("SendTyped", req)
-			putRequest(req)
-			return
-		}
-		t.blockOnP2P(labelSend, dst, tag)
-		req.Wait()
-		if th := t.world.traceHooks; th != nil {
-			th.SpanWait(t.rank, "send", req.span, req.sendNs)
-		}
-		t.unblock()
-		t.checkReq("SendTyped", req)
-		putRequest(req)
+	if req := isendDT(t, comm, comm.ctxUser, buf, dt, dst, tag, "SendTyped"); req != nil {
+		t.await(req, labelSend, dst, tag, "SendTyped")
 	}
 }
 
@@ -47,13 +34,7 @@ func IsendTyped[T Scalar](t *Task, comm *Comm, buf []T, dt *Datatype, dst, tag i
 // selects in buf, and returns the Status.
 func RecvTyped[T Scalar](t *Task, comm *Comm, buf []T, dt *Datatype, src, tag int) Status {
 	comm = t.commOrWorld(comm)
-	req := irecvDT(t, comm, comm.ctxUser, buf, dt, src, tag, "RecvTyped")
-	t.blockOnP2P(labelRecv, src, tag)
-	st := req.Wait()
-	t.unblock()
-	t.checkReq("RecvTyped", req)
-	putRequest(req)
-	return st
+	return t.await(irecvDT(t, comm, comm.ctxUser, buf, dt, src, tag, "RecvTyped"), labelRecv, src, tag, "RecvTyped")
 }
 
 // IrecvTyped posts a nonblocking typed receive and returns its Request.
@@ -68,10 +49,5 @@ func IrecvTyped[T Scalar](t *Task, comm *Comm, buf []T, dt *Datatype, src, tag i
 func SendrecvTyped[T Scalar](t *Task, comm *Comm, sendBuf []T, sdt *Datatype, dst, sendTag int, recvBuf []T, rdt *Datatype, src, recvTag int) Status {
 	rr := IrecvTyped(t, comm, recvBuf, rdt, src, recvTag)
 	SendTyped(t, comm, sendBuf, sdt, dst, sendTag)
-	t.blockOnP2P(labelSendrecvRecv, src, recvTag)
-	st := rr.Wait()
-	t.unblock()
-	t.checkReq("SendrecvTyped", rr)
-	putRequest(rr)
-	return st
+	return t.await(rr, labelSendrecvRecv, src, recvTag, "SendrecvTyped")
 }

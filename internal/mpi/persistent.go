@@ -6,10 +6,13 @@ package mpi
 
 // Persistent is a reusable communication request.
 type Persistent struct {
-	start  func() *Request
-	label  string
-	active *Request
-	task   *Task
+	start func() *Request
+	// label is the watchdog label, boxed once here, and the op of a
+	// failure; peer and tag are the bound operands it is published with.
+	label     any
+	peer, tag int
+	active    *Request
+	task      *Task
 }
 
 // SendInit binds a persistent send of buf to (dst, tag). The buffer
@@ -25,6 +28,8 @@ func SendInit[T Scalar](t *Task, comm *Comm, buf []T, dst, tag int) *Persistent 
 	}
 	return &Persistent{
 		label: "persistent send",
+		peer:  dst,
+		tag:   tag,
 		start: func() *Request { return Isend(t, comm, buf, dst, tag) },
 		task:  t,
 	}
@@ -38,6 +43,8 @@ func RecvInit[T Scalar](t *Task, comm *Comm, buf []T, src, tag int) *Persistent 
 	}
 	return &Persistent{
 		label: "persistent recv",
+		peer:  src,
+		tag:   tag,
 		start: func() *Request { return Irecv(t, comm, buf, src, tag) },
 		task:  t,
 	}
@@ -60,9 +67,7 @@ func (p *Persistent) Wait() Status {
 	if p.active == nil {
 		panic("mpi: Wait on a never-started persistent request")
 	}
-	st := p.active.Wait()
-	p.task.checkReq(p.label, p.active)
-	return st
+	return p.task.awaitKeep(p.active, p.label, p.peer, p.tag, p.label.(string))
 }
 
 // Test reports completion of the current operation without blocking.

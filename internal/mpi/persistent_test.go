@@ -1,8 +1,10 @@
 package mpi
 
 import (
+	"errors"
 	"fmt"
 	"testing"
+	"time"
 )
 
 func TestPersistentHaloPattern(t *testing.T) {
@@ -77,6 +79,29 @@ func TestPersistentWaitBeforeStartPanics(t *testing.T) {
 	})
 	if err == nil {
 		t.Error("Wait before Start accepted")
+	}
+}
+
+// TestPersistentWaitNamesPeer: a persistent receive stuck in Wait is
+// attributed to its bound source and tag in the watchdog's report.
+func TestPersistentWaitNamesPeer(t *testing.T) {
+	_, err := Run(Config{NumTasks: 2, Watchdog: 10 * time.Millisecond, Timeout: 10 * time.Second},
+		func(tk *Task) error {
+			if tk.Rank() == 0 {
+				p := RecvInit(tk, nil, make([]int, 1), 1, 3) // never sent
+				p.Start()
+				p.Wait()
+			} else {
+				Recv(tk, nil, make([]int, 1), 0, 9) // never sent
+			}
+			return nil
+		})
+	var de *DeadlockError
+	if !errors.As(err, &de) {
+		t.Fatalf("err = %v, want *DeadlockError", err)
+	}
+	if got, want := de.Tasks[0].BlockedOn, "persistent recv(src=1, tag=3)"; got != want {
+		t.Errorf("rank 0 blocked on %q, want %q", got, want)
 	}
 }
 

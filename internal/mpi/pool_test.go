@@ -48,6 +48,37 @@ func TestPingPongZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestBarrierZeroAllocs: a steady-state channel Barrier between two
+// in-process ranks allocates nothing per operation. Its hops are eager
+// 0-byte sends and receives on the collective context, and their
+// requests are recycled like the point-to-point ones.
+func TestBarrierZeroAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("benchmark-driven test")
+	}
+	if raceEnabled {
+		t.Skip("race detector makes sync.Pool drop puts; zero allocs cannot hold")
+	}
+	res := testing.Benchmark(func(b *testing.B) {
+		w, err := NewWorld(Config{NumTasks: 2, Collectives: CollChannels})
+		if err != nil {
+			b.Fatal(err)
+		}
+		err = w.Run(func(task *Task) error {
+			for i := 0; i < b.N; i++ {
+				Barrier(task, nil)
+			}
+			return nil
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+	})
+	if a := res.AllocsPerOp(); a != 0 {
+		t.Errorf("channel Barrier allocs/op = %d, want 0 (N=%d)", a, res.N)
+	}
+}
+
 // TestWirePingPongAllocs: a 64 B eager ping-pong between two worlds
 // over loopback TCP makes no allocation per round trip once warm:
 // frames, encode buffers and acks are pooled, and each remote send

@@ -11,11 +11,16 @@ import (
 // replaces both: completion is a three-state atomic (pending → claimed →
 // done; a batched wire world adds parked, see park) and waiters park on a
 // pooled, reusable notification channel they register on the request.
-// Requests created by the blocking wrappers (Send, Recv, the
-// collectives' helpers) are recycled through a sync.Pool once their
-// caller has consumed the status; requests returned to the user by
-// Isend/Irecv are left to the garbage collector, since the runtime
-// cannot know when the caller is done with them.
+//
+// Every blocking call of the runtime waits in one place, Task.await:
+// Send, Recv, Sendrecv and their typed variants, the collective hops
+// (csend, crecv and the cisend waits), Ssend and Persistent.Wait. await
+// publishes the watchdog label, parks through Request.Wait (and so
+// through park, the one site that counts a request waiter idle), checks
+// the outcome and recycles the request through a sync.Pool. Requests
+// returned to the user by Isend/Irecv are left to the garbage
+// collector, since the runtime cannot know when the caller is done with
+// them; so is a Persistent's current request, which Test still reads.
 
 const (
 	reqPending = 0 // operation in flight
@@ -155,11 +160,7 @@ func (r *Request) Wait() Status {
 	nb := getNotifier()
 	r.waiter.Store(nb)
 	for r.state.Load() != reqDone {
-		if r.idle == nil {
-			<-nb.ch
-		} else {
-			park(nb, []*Request{r})
-		}
+		park(nb, []*Request{r})
 	}
 	r.waiter.Store(nil)
 	putNotifier(nb)

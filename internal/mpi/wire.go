@@ -136,11 +136,13 @@ func (w *World) initWire(cfg *WireConfig) error {
 // local task is blocked: after that no batch can grow, so waiting out
 // the window would only add latency. busy counts the local tasks that
 // are running or have been woken but have not run yet. Run starts it at
-// the local task count; a returning task and every park site take one
-// off (Request waits in park, Probe's cond waits, the fast-path
-// collective phases); the completer that claims a parked request adds
-// its waiter back before the waiter runs, and the other wake-ups (cond
-// broadcasts, tree releases) are added back by the woken task itself.
+// the local task count and a returning task takes one off. Beyond Run
+// the count moves in two places only. park, under every request wait
+// (Task.await, Waitall, Waitany), takes the waiter off; the completer
+// that claims a parked request (claimParked) adds it back before the
+// waiter runs. Task.enter/leave, under Probe's cond wait and every
+// BlockOn/Unblock bracket (the fast-path collective phases, hls and rma
+// waits), take the task off and add it back when it runs again.
 // Whoever moves the count to zero flushes. The window still bounds every
 // batch, so a miscount can only flush early or fall back to the window:
 // it cannot lose, reorder or strand a frame.
