@@ -149,7 +149,8 @@ func main() {
 
 	g := &genCfg{
 		hosts: *hosts, addrs: addrs, node: *node, perNode: *perNode,
-		numTasks: numTasks, machine: machine, reg: reg, mpiMetrics: metrics.NewMPIAdapter(reg),
+		numTasks: numTasks, machine: machine, reg: reg,
+		mpiMetrics: metrics.NewMPIAdapter(reg), wireMetrics: metrics.NewWireAdapter(reg, len(addrs)),
 		coll: coll, batch: *batchWindow,
 		rounds: *rounds, roundSleep: *roundSleep,
 		tracer: tracer, traceFile: *traceFile, timeout: *timeout,
@@ -221,11 +222,13 @@ type genCfg struct {
 	numTasks int
 	machine  *topology.Machine
 	reg      *metrics.Registry
-	// mpiMetrics outlives the generations: each generation's world is
-	// watched while it runs, so the MPI series sum across restarts.
-	mpiMetrics *metrics.MPIAdapter
-	coll       mpi.CollectiveMode
-	batch      time.Duration
+	// mpiMetrics and wireMetrics outlive the generations: each
+	// generation's world and transport are watched while they run, so
+	// the series sum across restarts.
+	mpiMetrics  *metrics.MPIAdapter
+	wireMetrics *metrics.WireAdapter
+	coll        mpi.CollectiveMode
+	batch       time.Duration
 
 	rounds     int
 	roundSleep time.Duration
@@ -253,7 +256,6 @@ func runGeneration(g *genCfg) error {
 	if err != nil {
 		return err
 	}
-	wa := metrics.NewWireAdapter(g.reg, len(g.addrs))
 	wcfg := wire.Config{
 		Addrs: g.addrs,
 		Self:  g.node,
@@ -263,13 +265,12 @@ func runGeneration(g *genCfg) error {
 		WorldKey:    genKey(wire.WorldKeyFor(g.hosts), g.gen),
 		Incarnation: g.incarnation,
 		BatchWindow: g.batch,
-		Observer:    wa,
-		Clock:       wa,
+		Clock:       g.wireMetrics,
 	}
 	var clock *obs.Clock
 	if g.tracer != nil {
 		clock = obs.NewClock(len(g.addrs))
-		wcfg.Clock = wire.ClockObservers(clock, wa)
+		wcfg.Clock = wire.ClockObservers(clock, g.wireMetrics)
 		wcfg.PingInterval = 250 * time.Millisecond
 	}
 	tr, err := wire.NewTCP(wcfg, ln)
@@ -277,6 +278,7 @@ func runGeneration(g *genCfg) error {
 		ln.Close()
 		return err
 	}
+	defer g.wireMetrics.Watch(tr)()
 
 	world, err := mpi.NewWorld(mpi.Config{
 		NumTasks:    g.numTasks,

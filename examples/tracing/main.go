@@ -1,11 +1,13 @@
 // Tracing: record a run's messages and HLS directives and export a
 // Chrome-trace file (chrome://tracing or https://ui.perfetto.dev).
 //
-// One instrumented execution, three artifacts: the fan-out helpers
-// (mpi.MultiHooks, hls.MultiObserver) feed the same run to the trace
-// recorder and the happens-before tracker (the §III eligibility
-// analysis) — no hand-written Inner chains — while the metrics registry
-// reads the world's own counters and the HLS directive events.
+// One instrumented execution, three artifacts. Messages reach the trace
+// recorder through an obs.Tracer on mpi.Config.Trace, which draws each
+// one as a send→deliver flow arrow, while the happens-before tracker
+// (the §III eligibility analysis) is the world's only Hooks.
+// hls.MultiObserver feeds every directive to the recorder, the tracker
+// and the metrics adapter, and the metrics registry reads the world's
+// own counters.
 //
 // Run with: go run ./examples/tracing   (writes trace.json)
 package main
@@ -19,6 +21,7 @@ import (
 	"hls/internal/hls"
 	"hls/internal/metrics"
 	"hls/internal/mpi"
+	"hls/internal/obs"
 	"hls/internal/topology"
 	"hls/internal/trace"
 )
@@ -39,7 +42,8 @@ func main() {
 		NumTasks: tasks,
 		Machine:  machine,
 		Pin:      topology.PinCorePerTask,
-		Hooks:    mpi.MultiHooks(&trace.MPIAdapter{R: rec}, clocks),
+		Trace:    obs.NewTracer(rec),
+		Hooks:    clocks,
 	})
 	if err != nil {
 		log.Fatal(err)

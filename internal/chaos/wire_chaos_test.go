@@ -72,7 +72,7 @@ func TestChaosWireFaultsRecovered(t *testing.T) {
 	)
 	reg := metrics.New(2)
 
-	mk := func(self int, ln net.Listener, cfg wire.Config) *mpi.World {
+	mk := func(self int, ln net.Listener, cfg wire.Config) (*mpi.World, wire.Transport) {
 		cfg.Addrs = addrs
 		cfg.Self = self
 		cfg.WorldKey = 7
@@ -89,10 +89,11 @@ func TestChaosWireFaultsRecovered(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return w
+		return w, tr
 	}
-	w0 := mk(0, ln0, wire.Config{Fault: inj, Observer: metrics.NewWireAdapter(reg, 2)})
-	w1 := mk(1, ln1, wire.Config{})
+	w0, tr0 := mk(0, ln0, wire.Config{Fault: inj})
+	w1, _ := mk(1, ln1, wire.Config{})
+	defer metrics.NewWireAdapter(reg, 2).Watch(tr0)()
 
 	fn := func(task *mpi.Task) error {
 		switch task.Rank() {

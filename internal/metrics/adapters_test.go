@@ -96,16 +96,7 @@ func TestMPIAdapter(t *testing.T) {
 func TestMPIFamilyNames(t *testing.T) {
 	r := New(1)
 	NewMPIAdapter(r)
-	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	var got []string
-	for _, line := range strings.Split(b.String(), "\n") {
-		if f := strings.Fields(line); len(f) == 4 && f[1] == "TYPE" {
-			got = append(got, f[2]+" "+f[3])
-		}
-	}
+	got := familyNames(t, r)
 	want := []string{
 		"mpi_sends_total counter",
 		"mpi_bytes_total counter",
@@ -124,6 +115,22 @@ func TestMPIFamilyNames(t *testing.T) {
 	if !slices.Equal(got, want) {
 		t.Errorf("mpi families:\n got %q\nwant %q", got, want)
 	}
+}
+
+// familyNames lists r's families as "name type", in exposition order.
+func familyNames(t *testing.T, r *Registry) []string {
+	t.Helper()
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, line := range strings.Split(b.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[1] == "TYPE" {
+			got = append(got, f[2]+" "+f[3])
+		}
+	}
+	return got
 }
 
 // TestMPIAdapterSequentialWorlds: worlds watched one after another add
@@ -177,19 +184,23 @@ func TestMPIAdapterSequentialWorlds(t *testing.T) {
 	}
 }
 
-func TestWireAdapterBatch(t *testing.T) {
-	r := New(4)
-	a := NewWireAdapter(r, 2)
-	a.BatchFlushed(1, 8, 900)
-	a.BatchFlushed(1, 4, 420)
-	if a.batchFrames.Value() != 2 || a.batchMessages.Value() != 12 {
-		t.Errorf("batch series: %d containers carrying %d frames", a.batchFrames.Value(), a.batchMessages.Value())
+// TestWireFamilyNames pins the exposed wire_* family names: the
+// traffic families pulled from wire.Stats, then the pushed clock ones.
+func TestWireFamilyNames(t *testing.T) {
+	r := New(1)
+	NewWireAdapter(r, 2)
+	if got, want := familyNames(t, r), []string{
+		"wire_frames_total counter",
+		"wire_bytes_total counter",
+		"wire_reconnects_total counter",
+		"wire_batch_frames_total counter",
+		"wire_batch_messages_total counter",
+		"wire_inflight_frames gauge",
+		"wire_clock_offset_ns gauge",
+		"wire_rtt_ns histogram",
+	}; !slices.Equal(got, want) {
+		t.Errorf("wire families:\n got %q\nwant %q", got, want)
 	}
-	if a.batchFill.Count() != 2 || a.batchFill.Sum() != 12 {
-		t.Errorf("fill histogram: count %d sum %d", a.batchFill.Count(), a.batchFill.Sum())
-	}
-	// Nil-registry adapter.
-	NewWireAdapter(nil, 2).BatchFlushed(0, 1, 10)
 }
 
 func TestParseDirectiveKey(t *testing.T) {

@@ -85,18 +85,16 @@ func BenchmarkCounterIncParallel(b *testing.B) {
 	})
 }
 
-// TestWireAdapterZeroAllocs proves the per-peer-labeled wire adapter
-// still allocates nothing per event: every (direction, peer) series is
-// registered up front, so the frame path is an index plus a sharded
-// counter bump — and the nil-registry adapter stays a no-op.
+// TestWireAdapterZeroAllocs: the clock sample, the one event the wire
+// adapter is still pushed, allocates nothing: the per-peer offset
+// gauges are registered up front, and the nil-registry adapter stays a
+// no-op.
 func TestWireAdapterZeroAllocs(t *testing.T) {
 	for _, reg := range []*Registry{New(4), nil} {
 		a := NewWireAdapter(reg, 4)
 		fn := func() {
-			a.FrameSent(2, 3, 128)
-			a.FrameReceived(1, 3, 96)
-			a.InflightChanged(1)
 			a.ClockSample(1, 42, 1000)
+			a.ClockSample(3, -7, -1)
 		}
 		if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {
 			t.Errorf("WireAdapter (registry=%v): %v allocs/op, want 0", reg != nil, allocs)

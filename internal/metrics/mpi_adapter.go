@@ -1,11 +1,6 @@
 package metrics
 
-import (
-	"slices"
-	"sync"
-
-	"hls/internal/mpi"
-)
+import "hls/internal/mpi"
 
 // MPIAdapter exports the point-to-point and collective layer's counts:
 // messages and bytes, the eager-vs-rendezvous protocol split, elided
@@ -24,19 +19,11 @@ import (
 //
 // Constructed over a nil registry it registers nothing.
 type MPIAdapter struct {
-	mu     sync.Mutex
-	worlds []*mpi.World
-	// base[i] is family i's total over worlds whose watch has stopped.
-	base [len(mpiFamilies)]int64
+	*pull[*mpi.World, mpi.Stats]
 }
 
 // mpiFamilies maps each exported MPI series to its Stats source.
-var mpiFamilies = [...]struct {
-	name, help string
-	label      []Label
-	gauge      bool
-	value      func(*mpi.Stats) int64
-}{
+var mpiFamilies = []statFamily[mpi.Stats]{
 	{name: "mpi_sends_total", help: "point-to-point messages sent",
 		value: func(s *mpi.Stats) int64 { return s.Messages }},
 	{name: "mpi_bytes_total", help: "payload bytes carried by point-to-point messages",
@@ -68,52 +55,8 @@ var mpiFamilies = [...]struct {
 }
 
 // NewMPIAdapter creates the adapter and registers its metric families.
-// Passing a nil registry yields an adapter that exports nothing.
+// Passing a nil registry yields an adapter that exports nothing. Its
+// Watch adds a world to the sums; stop it once the world's Run returned.
 func NewMPIAdapter(r *Registry) *MPIAdapter {
-	a := &MPIAdapter{}
-	for i, f := range mpiFamilies {
-		read := func() int64 { return a.read(i) }
-		if f.gauge {
-			r.GaugeFunc(f.name, f.help, read, f.label...)
-		} else {
-			r.CounterFunc(f.name, f.help, read, f.label...)
-		}
-	}
-	return a
-}
-
-// Watch adds w's Stats to every series from now on. stop folds w's
-// final Stats into the series' base and drops the reference, so a
-// finished world is neither lost from the totals nor kept alive; call
-// it once w.Run has returned. Extra stop calls do nothing.
-func (a *MPIAdapter) Watch(w *mpi.World) (stop func()) {
-	a.mu.Lock()
-	a.worlds = append(a.worlds, w)
-	a.mu.Unlock()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			st := w.Stats()
-			a.mu.Lock()
-			defer a.mu.Unlock()
-			for i, f := range mpiFamilies {
-				a.base[i] += f.value(&st)
-			}
-			if j := slices.Index(a.worlds, w); j >= 0 {
-				a.worlds = slices.Delete(a.worlds, j, j+1)
-			}
-		})
-	}
-}
-
-// read returns family i's value: its base plus every live world's share.
-func (a *MPIAdapter) read(i int) int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	v := a.base[i]
-	for _, w := range a.worlds {
-		st := w.Stats()
-		v += mpiFamilies[i].value(&st)
-	}
-	return v
+	return &MPIAdapter{newPull(r, mpiFamilies, (*mpi.World).Stats)}
 }

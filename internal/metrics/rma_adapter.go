@@ -20,9 +20,9 @@ import (
 //     contention (acquires outnumbering publishes means origins queued on
 //     a busy target).
 //
-// Install with rma.WithTracer(ad) and rma.WithObserver(ad), or combine
-// with others through rma.MultiTracer / rma.MultiObserver. Constructed
-// over a nil registry every method is a cheap no-op.
+// Install with rma.WithTracer(ad) and rma.WithObserver(ad); a window
+// takes one of each. Constructed over a nil registry every method is a
+// cheap no-op.
 type RMAAdapter struct {
 	reg   *Registry
 	start time.Time

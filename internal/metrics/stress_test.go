@@ -12,8 +12,8 @@ import (
 	"hls/internal/topology"
 )
 
-// countingHooks is a second mpi.Hooks member for MultiHooks, checking
-// that fan-out keeps each member's metadata intact.
+// countingHooks is a plain mpi.Hooks installed beside the MPI adapter's
+// watch, checking that every message hands its own metadata back.
 type countingHooks struct {
 	sends    atomic.Int64
 	delivers atomic.Int64
@@ -41,11 +41,11 @@ func (c *countingObserver) Depart(key string, rank int) { c.departs.Add(1) }
 // TestStressAllAdapters drives all three metrics adapters from one
 // 32-task world under load — point-to-point rings, barriers, singles,
 // nowaits, a lazy HLS allocation, and an RMA window with fences, locks
-// and one-sided ops. The MPI adapter watches the world's Stats while two
-// plain hooks share the world through MultiHooks; the HLS and RMA
-// adapters each sit alongside a plain second member through
-// MultiObserver / MultiTracer. Run with -race: the sharded cells, the
-// striped open-span maps and the fan-out helpers are all exercised
+// and one-sided ops. The MPI adapter watches the world's Stats while a
+// plain hook sees every message; the HLS adapter sits alongside a plain
+// second member through MultiObserver, and the RMA adapter is the
+// window's observer and tracer. Run with -race: the sharded cells, the
+// striped open-span maps and the HLS fan-out are all exercised
 // concurrently.
 func TestStressAllAdapters(t *testing.T) {
 	const iters = 40
@@ -63,7 +63,7 @@ func TestStressAllAdapters(t *testing.T) {
 		Machine:  machine,
 		Pin:      topology.PinCorePerTask,
 		Timeout:  2 * time.Minute,
-		Hooks:    mpi.MultiHooks(extraHooks, nil, &countingHooks{}),
+		Hooks:    extraHooks,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -80,8 +80,7 @@ func TestStressAllAdapters(t *testing.T) {
 		me := task.Rank()
 		n := w.Size()
 		win := rma.WinAllocate[int64](task, nil, 4,
-			rma.WithObserver(rma.MultiObserver(rmaAd, nil)),
-			rma.WithTracer(rma.MultiTracer(rmaAd, nil)))
+			rma.WithObserver(rmaAd), rma.WithTracer(rmaAd))
 		buf := []int64{0}
 		for i := 0; i < iters; i++ {
 			// Point-to-point ring (exercises the MPI adapter).
@@ -125,10 +124,10 @@ func TestStressAllAdapters(t *testing.T) {
 		t.Fatalf("mpi_sends_total = %+v, want >= %d", sends, wantSends)
 	}
 	if got := extraHooks.sends.Load(); got < wantSends {
-		t.Fatalf("MultiHooks second member missed sends: %d", got)
+		t.Fatalf("the plain hook missed sends: %d", got)
 	}
 	if extraHooks.badMeta.Load() != 0 {
-		t.Fatal("MultiHooks corrupted per-member metadata")
+		t.Fatal("the plain hook got another message's metadata")
 	}
 	if dirs, ok := find("hls_directives_total"); !ok || dirs.Value == 0 {
 		t.Fatal("HLS adapter recorded no directives")

@@ -3,6 +3,7 @@
 package metrics_test
 
 import (
+	"net"
 	"runtime"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"hls/internal/mpi"
 	"hls/internal/rma"
 	"hls/internal/topology"
+	"hls/internal/wire"
 )
 
 // TestFinishedWorldIsCollected: a world that Dup'd a communicator,
@@ -70,3 +72,113 @@ func runAndDrop(t *testing.T, a *metrics.MPIAdapter) (weak.Pointer[mpi.World], w
 	stop()
 	return weak.Make(w), weak.Make(reg), w.Stats().Messages
 }
+
+// TestWireAdapterWatch: transports watched one after another add up
+// while they run and after each stop, an extra stop changes nothing,
+// and a stopped, closed transport is garbage once the caller drops it.
+func TestWireAdapterWatch(t *testing.T) {
+	reg := metrics.New(2)
+	a := metrics.NewWireAdapter(reg, 2)
+	series := func(name, dir string) int64 {
+		t.Helper()
+		for _, c := range append(reg.Snapshot().Counters, reg.Snapshot().Gauges...) {
+			if c.Name == name && c.Labels["dir"] == dir {
+				return c.Value
+			}
+		}
+		t.Fatalf("%s{dir=%q} not exposed", name, dir)
+		return 0
+	}
+	var sent, received, bytes int64
+	var gone []weak.Pointer[wire.TCP]
+	for _, msgs := range []int{3, 5} {
+		tr, stop := watchedPair(t, a, msgs)
+		if got := series("wire_frames_total", "sent"); got < sent+int64(msgs) {
+			t.Fatalf("live watch: wire_frames_total{dir=sent} = %d, want at least %d", got, sent+int64(msgs))
+		}
+		tr.Close()
+		st := tr.Stats()
+		sent += int64(st.FramesSent)
+		received += int64(st.FramesReceived)
+		bytes += int64(st.BytesSent)
+		if st.FramesSent < uint64(msgs) {
+			t.Fatalf("%d sends wrote %d frames", msgs, st.FramesSent)
+		}
+		for i := 0; i < 2; i++ { // the second stop must not fold again
+			stop()
+			if got := series("wire_frames_total", "sent"); got != sent {
+				t.Fatalf("after stop %d: wire_frames_total{dir=sent} = %d, want %d", i+1, got, sent)
+			}
+		}
+		gone = append(gone, weak.Make(tr))
+	}
+	if got := series("wire_frames_total", "received"); got != received {
+		t.Errorf("wire_frames_total{dir=received} = %d, want %d", got, received)
+	}
+	if got := series("wire_bytes_total", "sent"); got != bytes {
+		t.Errorf("wire_bytes_total{dir=sent} = %d, want %d", got, bytes)
+	}
+	if got := series("wire_inflight_frames", ""); got != 0 {
+		t.Errorf("wire_inflight_frames = %d with no transport watched, want 0", got)
+	}
+	// A closed transport's goroutines wind down after Close returns.
+	for i := 0; i < 100; i++ {
+		runtime.GC()
+		if gone[0].Value() == nil && gone[1].Value() == nil {
+			return
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	t.Error("a stopped, closed transport is still reachable")
+}
+
+// watchedPair joins two transports over loopback, watches node 0's and
+// sends msgs eager frames from node 0 to node 1. It returns once they
+// all arrived, with node 0's transport still open and its watch's stop;
+// node 1's transport closes with the test.
+func watchedPair(t *testing.T, a *metrics.WireAdapter, msgs int) (*wire.TCP, func()) {
+	t.Helper()
+	var lns [2]net.Listener
+	var addrs []string
+	for i := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lns[i], addrs = ln, append(addrs, ln.Addr().String())
+	}
+	var trs [2]*wire.TCP
+	got := make(chan struct{}, msgs)
+	for i := range trs {
+		tr, err := wire.NewTCP(wire.Config{Addrs: addrs, Self: i, WorldKey: 3}, lns[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.Bind(countSink(got))
+		trs[i] = tr
+	}
+	peer := trs[1] // not trs: the cleanup must not keep node 0 alive
+	t.Cleanup(func() { peer.Close() })
+	stop := a.Watch(trs[0])
+	for i := 0; i < msgs; i++ {
+		if err := trs[0].Send(1, &wire.Header{Type: wire.TypeEager, Tag: int32(i)}, []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < msgs; i++ {
+		select {
+		case <-got:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("frame %d of %d never arrived", i, msgs)
+		}
+	}
+	return trs[0], stop
+}
+
+// countSink signals each delivered frame on its channel.
+type countSink chan struct{}
+
+func (s countSink) Alloc(int, *wire.Header) ([]byte, any) { return nil, nil }
+func (s countSink) Frame(int, *wire.Frame)                { s <- struct{}{} }
+func (s countSink) Free(int, any)                         {}
+func (s countSink) PeerDown(int, error)                   {}

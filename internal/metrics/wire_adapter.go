@@ -6,107 +6,66 @@ import (
 	"hls/internal/wire"
 )
 
-// WireAdapter implements wire.Observer and wire.ClockObserver, exporting
-// the inter-node transport's traffic — frames and bytes by direction and
-// peer node, reconnects after connection loss, the
-// sent-but-unacknowledged frame backlog — and the clock-probe results:
-// a wire_rtt_ns round-trip histogram and a per-peer clock-offset gauge.
-// The shard index is the peer node, so PerShard breaks every family down
-// by remote end as well. Install it with
+// WireAdapter exports the inter-node transport's traffic — frames and
+// bytes by direction, reconnects after connection loss, the
+// sent-but-unacknowledged frame backlog, Batch containers and the
+// frames they carried — and the clock-probe results: a wire_rtt_ns
+// round-trip histogram and a per-peer clock-offset gauge.
 //
-//	wire.Config{Observer: a, Clock: a}
+// The traffic series are pulled, like MPIAdapter's: each is a
+// CounterFunc/GaugeFunc summing wire.Transport.Stats over the
+// transports it watches, so the transport counts every frame once and
+// an unwatched one pays nothing. Clock samples have no counter store in
+// the transport, so they are pushed through wire.ClockObserver. Use it
+// as
 //
-// Unlike the other adapters this one names the wire package directly:
-// its method signatures carry wire.Type, so a structural match would
-// need the import anyway, and wire is a leaf package (stdlib only).
-// Constructed over a nil registry every method is a cheap no-op.
+//	a := metrics.NewWireAdapter(reg, len(addrs))
+//	tr, _ := wire.NewTCP(wire.Config{..., Clock: a}, ln)
+//	defer a.Watch(tr)() // stops after tr is closed
+//
+// Constructed over a nil registry it registers nothing.
 type WireAdapter struct {
-	// framesSent[peer] etc. are pre-registered per-peer series, so the
-	// per-frame path is an index plus a sharded counter bump — no label
-	// formatting or map lookups per event.
-	framesSent []*Counter
-	framesRecv []*Counter
-	bytesSent  []*Counter
-	bytesRecv  []*Counter
-	reconnects *Counter
-	inflight   *Gauge
-
-	batchFrames   *Counter
-	batchMessages *Counter
-	batchFill     *Histogram
+	*pull[wire.Transport, wire.Stats]
 
 	rtt         *Histogram
 	clockOffset []*Gauge
 }
 
-// NewWireAdapter creates the adapter and registers its metric families,
-// one series per (direction, peer node) for the traffic counters. peers
-// is the node count (wire.Transport.Peers()); peer ids at or above it
-// fall back to series 0. Passing a nil registry yields a disabled
-// adapter.
-func NewWireAdapter(r *Registry, peers int) *WireAdapter {
-	if peers < 1 {
-		peers = 1
-	}
-	a := &WireAdapter{
-		framesSent:  make([]*Counter, peers),
-		framesRecv:  make([]*Counter, peers),
-		bytesSent:   make([]*Counter, peers),
-		bytesRecv:   make([]*Counter, peers),
-		clockOffset: make([]*Gauge, peers),
-		reconnects:  r.Counter("wire_reconnects_total", "connections re-established after loss, by peer node"),
-		inflight:    r.Gauge("wire_inflight_frames", "frames sent but not yet acknowledged"),
-		rtt:         r.Histogram("wire_rtt_ns", "clock-probe round-trip time to peer nodes, ns"),
+// wireFamilies maps each exported traffic series to its Stats source.
+var wireFamilies = []statFamily[wire.Stats]{
+	{name: "wire_frames_total", help: "transport frames by direction", label: []Label{L("dir", "sent")},
+		value: func(s *wire.Stats) int64 { return int64(s.FramesSent) }},
+	{name: "wire_frames_total", help: "transport frames by direction", label: []Label{L("dir", "received")},
+		value: func(s *wire.Stats) int64 { return int64(s.FramesReceived) }},
+	{name: "wire_bytes_total", help: "transport bytes (headers + payload) by direction", label: []Label{L("dir", "sent")},
+		value: func(s *wire.Stats) int64 { return int64(s.BytesSent) }},
+	{name: "wire_bytes_total", help: "transport bytes (headers + payload) by direction", label: []Label{L("dir", "received")},
+		value: func(s *wire.Stats) int64 { return int64(s.BytesReceived) }},
+	{name: "wire_reconnects_total", help: "connections re-established after loss",
+		value: func(s *wire.Stats) int64 { return int64(s.Reconnects) }},
+	{name: "wire_inflight_frames", help: "frames sent but not yet acknowledged", gauge: true,
+		value: func(s *wire.Stats) int64 { return int64(s.Inflight) }},
+	{name: "wire_batch_frames_total", help: "Batch container frames written",
+		value: func(s *wire.Stats) int64 { return int64(s.BatchesSent) }},
+	{name: "wire_batch_messages_total", help: "sequenced frames coalesced into Batch containers (mean fill = batch_messages/batch_frames)",
+		value: func(s *wire.Stats) int64 { return int64(s.BatchedFrames) }},
+}
 
-		batchFrames:   r.Counter("wire_batch_frames_total", "Batch container frames written, by peer node"),
-		batchMessages: r.Counter("wire_batch_messages_total", "sequenced frames coalesced into Batch containers, by peer node"),
-		batchFill:     r.Histogram("wire_batch_fill", "sub-frames per Batch container (mean fill = batch_messages/batch_frames)"),
+// NewWireAdapter creates the adapter and registers its metric families,
+// with one clock-offset series per peer node. peers is the node count
+// (wire.Transport.Peers()); clock samples from peer ids outside it are
+// ignored by the offset gauge. Passing a nil registry yields an adapter
+// that exports nothing.
+func NewWireAdapter(r *Registry, peers int) *WireAdapter {
+	a := &WireAdapter{
+		pull:        newPull(r, wireFamilies, wire.Transport.Stats),
+		rtt:         r.Histogram("wire_rtt_ns", "clock-probe round-trip time to peer nodes, ns"),
+		clockOffset: make([]*Gauge, max(peers, 1)),
 	}
-	for p := 0; p < peers; p++ {
-		peer := L("peer", strconv.Itoa(p))
-		a.framesSent[p] = r.Counter("wire_frames_total", "transport frames by direction and peer node", L("dir", "sent"), peer)
-		a.framesRecv[p] = r.Counter("wire_frames_total", "transport frames by direction and peer node", L("dir", "received"), peer)
-		a.bytesSent[p] = r.Counter("wire_bytes_total", "transport bytes (headers + payload) by direction and peer node", L("dir", "sent"), peer)
-		a.bytesRecv[p] = r.Counter("wire_bytes_total", "transport bytes (headers + payload) by direction and peer node", L("dir", "received"), peer)
-		a.clockOffset[p] = r.Gauge("wire_clock_offset_ns", "estimated peer clock minus local clock, ns", peer)
+	for p := range a.clockOffset {
+		a.clockOffset[p] = r.Gauge("wire_clock_offset_ns", "estimated peer clock minus local clock, ns", L("peer", strconv.Itoa(p)))
 	}
 	return a
-}
-
-func (a *WireAdapter) series(s []*Counter, peer int) *Counter {
-	if peer < 0 || peer >= len(s) {
-		peer = 0
-	}
-	return s[peer]
-}
-
-// FrameSent implements wire.Observer.
-func (a *WireAdapter) FrameSent(peer int, t wire.Type, bytes int) {
-	a.series(a.framesSent, peer).Inc(peer)
-	a.series(a.bytesSent, peer).Add(peer, int64(bytes))
-}
-
-// FrameReceived implements wire.Observer.
-func (a *WireAdapter) FrameReceived(peer int, t wire.Type, bytes int) {
-	a.series(a.framesRecv, peer).Inc(peer)
-	a.series(a.bytesRecv, peer).Add(peer, int64(bytes))
-}
-
-// Reconnect implements wire.Observer.
-func (a *WireAdapter) Reconnect(peer int) { a.reconnects.Inc(peer) }
-
-// InflightChanged implements wire.Observer. The delta carries no peer
-// attribution (acks trim a shared ring), so the gauge is single-shard.
-func (a *WireAdapter) InflightChanged(delta int) { a.inflight.Add(0, int64(delta)) }
-
-// BatchFlushed implements wire.BatchObserver: one Batch container
-// carrying frames sub-frames went out to peer. The container itself is
-// also reported through FrameSent; these series isolate the coalescing
-// so wire_batch_messages_total/wire_batch_frames_total is the mean fill.
-func (a *WireAdapter) BatchFlushed(peer int, frames, bytes int) {
-	a.batchFrames.Inc(peer)
-	a.batchMessages.Add(peer, int64(frames))
-	a.batchFill.Observe(peer, int64(frames))
 }
 
 // ClockSample implements wire.ClockObserver: round trips feed the RTT

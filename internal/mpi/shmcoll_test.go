@@ -188,28 +188,31 @@ func TestSharedCollectivesTopologyComms(t *testing.T) {
 // under CollAuto the shared fast path (one process) and the two-level
 // path (two wire processes) engage iff Config.Hooks is nil, and the
 // CollShared / CollChannels overrides win over any hooks. The hook
-// stand-ins have the shapes of the real installers: hb and the trace
-// recorder are plain Hooks, chaos adds FaultHooks.
+// stand-ins have the shapes of the real installers: hb is a plain
+// Hooks, chaos adds FaultHooks, and a tracer is not a hook at all but
+// Config.Trace, which leaves the gate alone (checked in one process).
 func TestSharedCollectivesGating(t *testing.T) {
-	hb, trace := &recHooks{id: 1}, &recHooks{id: 2}
+	hb := &recHooks{id: 1}
 	cases := []struct {
 		name  string
 		hooks func() Hooks // fresh per world: a wire pair needs two
+		trace TraceHooks
 		mode  CollectiveMode
 		on    bool
 	}{
-		{"nil hooks", func() Hooks { return nil }, CollAuto, true},
-		{"hb", func() Hooks { return hb }, CollAuto, false},
-		{"hb+trace", func() Hooks { return MultiHooks(hb, trace) }, CollAuto, false},
-		{"chaos", func() Hooks { return faultyHooks{} }, CollAuto, false},
-		{"hb+chaos", func() Hooks { return MultiHooks(hb, faultyHooks{}) }, CollAuto, false},
-		{"CollShared with hb", func() Hooks { return hb }, CollShared, true},
-		{"CollChannels", func() Hooks { return nil }, CollChannels, false},
+		{"nil hooks", func() Hooks { return nil }, nil, CollAuto, true},
+		{"trace", func() Hooks { return nil }, nopTrace{}, CollAuto, true},
+		{"hb", func() Hooks { return hb }, nil, CollAuto, false},
+		{"hb+trace", func() Hooks { return hb }, nopTrace{}, CollAuto, false},
+		{"chaos", func() Hooks { return faultyHooks{} }, nil, CollAuto, false},
+		{"hb+chaos", func() Hooks { return hbChaos{hb, faultyHooks{}} }, nil, CollAuto, false},
+		{"CollShared with hb", func() Hooks { return hb }, nil, CollShared, true},
+		{"CollChannels", func() Hooks { return nil }, nil, CollChannels, false},
 	}
 	fn := func(tk *Task) error { Barrier(tk, nil); return nil }
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			w, err := Run(Config{NumTasks: 4, Hooks: tc.hooks(), Collectives: tc.mode, Timeout: 30 * time.Second}, fn)
+			w, err := Run(Config{NumTasks: 4, Hooks: tc.hooks(), Trace: tc.trace, Collectives: tc.mode, Timeout: 30 * time.Second}, fn)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -242,6 +245,22 @@ type faultyHooks struct{ noopHooks }
 func (faultyHooks) FaultP2P(worldSrc, worldDst, bytes int, rendezvous bool) FaultAction {
 	return FaultAction{}
 }
+
+// hbChaos is one Hooks value that tracks like hb and injects like chaos.
+type hbChaos struct {
+	*recHooks
+	faultyHooks
+}
+
+// nopTrace is a TraceHooks that records nothing.
+type nopTrace struct{}
+
+func (nopTrace) Now() int64                                                    { return 0 }
+func (nopTrace) SpanStart(int, int, int, bool, bool) (uint64, int64)           { return 0, 0 }
+func (nopTrace) SpanDeliver(int, uint64, int64, int64, int64, int, bool, bool) {}
+func (nopTrace) SpanWait(int, string, uint64, int64)                           {}
+func (nopTrace) SpanCts(int, uint64)                                           {}
+func (nopTrace) SpanCollective(int, int64, int64, string)                      {}
 
 // TestSharedCollectiveElision: when every task passes the same shared
 // slice to Bcast (the HLS pattern: the buffer is an hls variable), the

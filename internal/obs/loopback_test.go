@@ -53,13 +53,13 @@ func TestTwoProcessMergedTrace(t *testing.T) {
 		wa := metrics.NewWireAdapter(regs[self], 2)
 		tr, err := wire.NewTCP(wire.Config{
 			Addrs: addrs, Self: self, WorldKey: 5,
-			Observer:     wa,
 			Clock:        wire.ClockObservers(clocks[self], wa),
 			PingInterval: 5 * time.Millisecond,
 		}, ln)
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer wa.Watch(tr)()
 		worlds[self], err = mpi.NewWorld(mpi.Config{
 			NumTasks: 2, Machine: m,
 			Wire:    &mpi.WireConfig{Transport: tr},

@@ -140,7 +140,7 @@ func (m *refRecorder) collectiveNs(tid int, alg string, tsNs, ctx, seq int64) {
 		Args: CollArgs{Ctx: ctx, Seq: seq, Alg: alg}}, false)
 }
 
-// refAdapters mirrors the MPI, HLS, RMA and checkpoint adapters: each
+// refAdapters mirrors the HLS, RMA and checkpoint adapters: each
 // keeps its open spans' float begin times and emits through the model.
 type refAdapters struct {
 	m      *refRecorder
@@ -236,7 +236,6 @@ const (
 	opInstant
 	opSpanOpen
 	opSpanClose
-	opMPI
 	opSyncArrive
 	opSyncDepart
 	opEpochOpen
@@ -267,7 +266,6 @@ func runRecorderProgram(t *testing.T, prog []byte) {
 	for i, nc := range fuzzHot {
 		hot[i] = r.Intern(nc.name, nc.cat)
 	}
-	mpiA := &MPIAdapter{R: r}
 	syncA := &SyncAdapter{R: r}
 	rmaA := &RMAAdapter{R: r}
 	ckptA := &CkptAdapter{R: r}
@@ -326,15 +324,6 @@ func runRecorderProgram(t *testing.T, prog []byte) {
 				spans = spans[:len(spans)-1]
 				s.real()
 				s.model()
-			}
-		case opMPI:
-			src, dst := nextTid(), nextTid()
-			if in.byte()%2 == 0 {
-				mpiA.OnSend(src, dst)
-				m.add(src, Event{Name: "send", Cat: "msg", Ph: "i", Ts: m.now(), Tid: src, Aux: int64(dst)}, false)
-			} else {
-				mpiA.OnDeliver(dst, nil)
-				m.add(dst, Event{Name: "deliver", Cat: "msg", Ph: "i", Ts: m.now(), Tid: dst}, false)
 			}
 		case opSyncArrive, opSyncDepart:
 			key, rank := name(), nextTid()
@@ -461,14 +450,13 @@ func FuzzRecorderRing(f *testing.F) {
 	}
 	f.Add(p.b)
 	// The adapters: directives, RMA epochs and ops, checkpoints,
-	// collectives and message hooks.
+	// collectives and blocking waits.
 	f.Add(newFuzzProg(40, 0).
 		op(opSyncArrive, byte(0), byte(3)).op(opSyncDepart, byte(0), byte(3)).op(opSyncDepart, byte(1), byte(4)).
 		op(opEpochOpen, byte(3), byte(0), byte(2)).op(opRMABegin, byte(3), byte(1), byte(2), byte(3), byte(16)).
 		op(opRMAEnd, byte(3), byte(1), byte(2)).op(opEpochClose, byte(3), byte(0), byte(2)).op(opEpochClose, byte(3), byte(1), byte(2)).
 		op(opCkptBegin, byte(4), byte(7), byte(2)).op(opCkptEnd, byte(4), byte(7), byte(2)).op(opCkptEnd, byte(0), byte(1), byte(3)).
 		op(opCollective, byte(2), byte(4), int64(12345), int64(-3), int64(9)).
-		op(opMPI, byte(2), byte(3), byte(0)).op(opMPI, byte(2), byte(3), byte(1)).
 		op(opWaitSlice, byte(2), byte(3), int64(77), int64(1000), int64(500)).b)
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		runRecorderProgram(t, prog)

@@ -2,9 +2,9 @@
 // phases) and exports them in the Chrome trace-event JSON format, so a
 // run's task timelines can be inspected in chrome://tracing or Perfetto.
 //
-// The recorder plugs into the runtime through the same extension points
-// the happens-before tracker uses: an mpi.Hooks adapter stamps message
-// sends/deliveries, an hls.SyncObserver adapter brackets directive
+// Messages reach the recorder through internal/obs's Tracer (installed
+// as mpi.Config.Trace), which draws each one as a send→deliver flow
+// arrow; an hls.SyncObserver adapter here brackets directive
 // arrive/depart pairs, and user code can add phase spans directly.
 package trace
 
@@ -533,42 +533,9 @@ func (r *Recorder) WriteJSON(w io.Writer) error {
 	return json.NewEncoder(w).Encode(doc)
 }
 
-// MPIAdapter implements mpi.Hooks, recording message sends and
-// deliveries as instants. Wrap another Hooks (e.g. the hb tracker) to
-// keep its behaviour; meta values pass through untouched.
-type MPIAdapter struct {
-	R     *Recorder
-	Inner interface {
-		OnSend(worldSrc, worldDst int) any
-		OnDeliver(worldDst int, meta any)
-	}
-}
-
-// OnSend implements mpi.Hooks. The event name is static and the peer
-// rides in Aux: no fmt.Sprintf or map boxing on the message hot path.
-func (a *MPIAdapter) OnSend(src, dst int) any {
-	a.R.addCold(src, "send", "msg", phI, a.R.clockNs(), int64(dst), nil)
-	if a.Inner != nil {
-		return a.Inner.OnSend(src, dst)
-	}
-	return nil
-}
-
-// OnDeliver implements mpi.Hooks.
-func (a *MPIAdapter) OnDeliver(dst int, meta any) {
-	a.R.addCold(dst, "deliver", "msg", phI, a.R.clockNs(), 0, nil)
-	if a.Inner != nil {
-		a.Inner.OnDeliver(dst, meta)
-	}
-}
-
 // SyncAdapter implements hls.SyncObserver, bracketing each directive.
 type SyncAdapter struct {
-	R     *Recorder
-	Inner interface {
-		Arrive(key string, rank int)
-		Depart(key string, rank int)
-	}
+	R *Recorder
 
 	mu   sync.Mutex
 	open map[spanKey]int64 // begin, ns
@@ -587,9 +554,6 @@ func (a *SyncAdapter) Arrive(key string, rank int) {
 	}
 	a.open[spanKey{key, rank}] = a.R.clockNs()
 	a.mu.Unlock()
-	if a.Inner != nil {
-		a.Inner.Arrive(key, rank)
-	}
 }
 
 // Depart implements hls.SyncObserver.
@@ -603,8 +567,5 @@ func (a *SyncAdapter) Depart(key string, rank int) {
 	} else {
 		// A nowait skipper departs without arriving: record an instant.
 		a.R.Instant(rank, key, "hls", nil)
-	}
-	if a.Inner != nil {
-		a.Inner.Depart(key, rank)
 	}
 }

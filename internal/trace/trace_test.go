@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"hls/internal/hb"
 	"hls/internal/hls"
 	"hls/internal/mpi"
 	"hls/internal/rma"
@@ -64,36 +63,6 @@ func TestConcurrentRecording(t *testing.T) {
 	wg.Wait()
 	if r.Len() != 800 {
 		t.Errorf("events = %d, want 800", r.Len())
-	}
-}
-
-func TestMPIAdapterWrapsHB(t *testing.T) {
-	// The adapter must both record events and preserve the inner hooks'
-	// clock semantics.
-	rec := NewRecorder()
-	inner := hb.NewTracker(2)
-	hooks := &MPIAdapter{R: rec, Inner: inner}
-	var pre, post hb.Clock
-	_, err := mpi.Run(mpi.Config{NumTasks: 2, Hooks: hooks, Timeout: 10 * time.Second},
-		func(task *mpi.Task) error {
-			if task.Rank() == 0 {
-				pre = inner.Tick(0)
-				mpi.Send(task, nil, []int{1}, 1, 0)
-			} else {
-				buf := make([]int, 1)
-				mpi.Recv(task, nil, buf, 0, 0)
-				post = inner.Tick(1)
-			}
-			return nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !hb.HappensBefore(pre, post) {
-		t.Error("inner hb tracker broken by the adapter")
-	}
-	if rec.Len() < 2 {
-		t.Errorf("adapter recorded %d events, want >= 2 (send + deliver)", rec.Len())
 	}
 }
 
@@ -163,19 +132,16 @@ func TestRMAAdapterRecordsEpochsAndOps(t *testing.T) {
 	}
 }
 
+// TestAdaptersWithoutInner: a SyncAdapter used outside any world records
+// an arrive/depart pair as one slice and a lone depart as an instant.
 func TestAdaptersWithoutInner(t *testing.T) {
 	rec := NewRecorder()
-	a := &MPIAdapter{R: rec}
-	if meta := a.OnSend(0, 1); meta != nil {
-		t.Error("nil inner should return nil meta")
-	}
-	a.OnDeliver(1, nil)
 	s := &SyncAdapter{R: rec}
 	s.Arrive("k", 0)
 	s.Depart("k", 0)
 	s.Depart("unopened", 1) // nowait skip path
-	if rec.Len() != 4 {
-		t.Errorf("events = %d, want 4", rec.Len())
+	if rec.Len() != 2 {
+		t.Errorf("events = %d, want 2", rec.Len())
 	}
 }
 

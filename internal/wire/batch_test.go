@@ -176,11 +176,12 @@ func TestDecodeBatchRoundTrip(t *testing.T) {
 		payload = AppendFrame(payload, &subs[i].h, []byte(subs[i].payload))
 	}
 	var got []Header
-	n, err := DecodeBatch(payload, func(h *Header, sub []byte) error {
+	var h Header
+	n, err := DecodeBatch(payload, &h, func(sub []byte) error {
 		if string(sub) != subs[len(got)].payload {
 			t.Fatalf("sub-frame %d payload %q", len(got), sub)
 		}
-		got = append(got, *h)
+		got = append(got, h)
 		return nil
 	})
 	if err != nil || n != len(subs) {
@@ -217,7 +218,7 @@ func TestDecodeBatchFaults(t *testing.T) {
 		{"nested batch", nested, 1},
 	}
 	for _, tc := range cases {
-		n, err := DecodeBatch(tc.payload, func(h *Header, sub []byte) error { return nil })
+		n, err := DecodeBatch(tc.payload, new(Header), func(sub []byte) error { return nil })
 		var be *BatchError
 		if !errors.As(err, &be) {
 			t.Fatalf("%s: want *BatchError, got %v", tc.name, err)
@@ -229,8 +230,36 @@ func TestDecodeBatchFaults(t *testing.T) {
 
 	// A callback error passes through untouched (no BatchError wrapping).
 	sentinel := errors.New("stop")
-	if _, err := DecodeBatch(good, func(h *Header, sub []byte) error { return sentinel }); !errors.Is(err, sentinel) {
+	if _, err := DecodeBatch(good, new(Header), func(sub []byte) error { return sentinel }); !errors.Is(err, sentinel) {
 		t.Fatalf("callback error not passed through: %v", err)
+	}
+}
+
+// TestDecodeBatchAllocs: the walk decodes every sub-frame into the
+// caller's header, so unpacking a 16-sub-frame container allocates
+// nothing (one Header per sub-frame escaped when the walk owned it).
+func TestDecodeBatchAllocs(t *testing.T) {
+	var payload []byte
+	for i := 0; i < 16; i++ {
+		h := Header{Type: TypeEager, Seq: uint64(i + 1), Tag: int32(i), DstWorld: 1}
+		if i%2 == 1 {
+			h.Span, h.SendTS = uint64(i), int64(i)
+		}
+		payload = AppendFrame(payload, &h, []byte("sixteen bytes..."))
+	}
+	var h Header
+	var bytes int
+	allocs := testing.AllocsPerRun(100, func() {
+		n, err := DecodeBatch(payload, &h, func(sub []byte) error {
+			bytes += len(sub)
+			return nil
+		})
+		if n != 16 || err != nil {
+			t.Fatalf("decoded %d sub-frames: %v", n, err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("DecodeBatch of 16 sub-frames: %v allocs/op, want 0", allocs)
 	}
 }
 

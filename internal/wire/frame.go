@@ -8,9 +8,9 @@
 // The package is deliberately free of runtime imports: internal/mpi
 // layers the MPI semantics (eager payloads, the rendezvous RTS/CTS/DATA
 // handshake, rank-failure notification) on top of the Frame type and the
-// Transport/Sink interfaces defined here, and internal/metrics and
-// internal/chaos plug in through the Observer and FaultInjector
-// extension points.
+// Transport/Sink interfaces defined here. internal/metrics reads the
+// transport's own counters (Transport.Stats) and clock samples
+// (ClockObserver); internal/chaos plugs in through FaultInjector.
 package wire
 
 import (
@@ -356,12 +356,13 @@ func (e *BatchError) Error() string {
 func (e *BatchError) Unwrap() error { return e.Err }
 
 // DecodeBatch walks the payload of a TypeBatch frame — a concatenation
-// of complete encoded frames — and calls fn for each sub-frame with its
-// decoded header and payload (a view into payload, valid only during the
-// call). It returns the number of sub-frames delivered; any structural
-// fault yields a *BatchError. An error from fn aborts the walk and is
-// returned as-is.
-func DecodeBatch(payload []byte, fn func(h *Header, sub []byte) error) (int, error) {
+// of complete encoded frames — decoding each sub-frame's header into h
+// and calling fn with its payload (a view into payload, valid only
+// during the call). The caller owns h, so the walk allocates nothing; h
+// holds the last sub-frame decoded when DecodeBatch returns. It returns
+// the number of sub-frames delivered; any structural fault yields a
+// *BatchError. An error from fn aborts the walk and is returned as-is.
+func DecodeBatch(payload []byte, h *Header, fn func(sub []byte) error) (int, error) {
 	n := 0
 	for off := 0; off < len(payload); {
 		if len(payload)-off < frameOverhead {
@@ -375,8 +376,7 @@ func DecodeBatch(payload []byte, fn func(h *Header, sub []byte) error) (int, err
 		if end > len(payload) {
 			return n, &BatchError{Frames: n, Reason: "sub-frame extends past batch payload"}
 		}
-		var h Header
-		ext, err := decodeHeader(&h, payload[off+lenPrefixSize:off+frameOverhead])
+		ext, err := decodeHeader(h, payload[off+lenPrefixSize:off+frameOverhead])
 		if err != nil {
 			return n, &BatchError{Frames: n, Reason: "sub-frame header", Err: err}
 		}
@@ -385,7 +385,7 @@ func DecodeBatch(payload []byte, fn func(h *Header, sub []byte) error) (int, err
 			if len(body) < extSize {
 				return n, &BatchError{Frames: n, Reason: "sub-frame too short for extension"}
 			}
-			decodeExt(&h, body[:extSize])
+			decodeExt(h, body[:extSize])
 			body = body[extSize:]
 		}
 		if int(h.PayloadLen) != len(body) {
@@ -394,7 +394,7 @@ func DecodeBatch(payload []byte, fn func(h *Header, sub []byte) error) (int, err
 		if h.Type == TypeBatch {
 			return n, &BatchError{Frames: n, Reason: "nested batch frame"}
 		}
-		if err := fn(&h, body); err != nil {
+		if err := fn(body); err != nil {
 			return n, err
 		}
 		n++

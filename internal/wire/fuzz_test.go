@@ -114,11 +114,14 @@ func frameLenOK(n uint32) bool { return n >= headerSize && n <= headerSize+extSi
 
 // checkBatch walks data as a batch payload. Every sub-frame must be a
 // view of data right after the previous one, and must decode the same
-// way through readHeader; a fault must be a *BatchError counting the
-// sub-frames delivered before it.
+// way through readHeader into a fresh header, although DecodeBatch
+// reuses one that starts dirty; a fault must be a *BatchError counting
+// the sub-frames delivered before it.
 func checkBatch(t *testing.T, data []byte) {
 	next := 0 // where the next sub-frame starts
-	n, err := DecodeBatch(data, func(h *Header, sub []byte) error {
+	h := &Header{Type: TypeBatch, Kind: 0xff, Seq: ^uint64(0), Ack: 1, Xid: 1, Ctx: -1,
+		SrcComm: -1, SrcWorld: -1, DstWorld: -1, Tag: -1, Elems: -1, PayloadLen: 1, Span: 1, SendTS: 1}
+	n, err := DecodeBatch(data, h, func(sub []byte) error {
 		at := cap(data) - cap(sub) // sub views data[at : at+len(sub)]
 		end := at + len(sub)
 		if at < next || end > len(data) {

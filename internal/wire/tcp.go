@@ -314,9 +314,6 @@ func (t *TCP) Send(peer int, h *Header, payload []byte) error {
 	buf := *enc
 	p.unacked = append(p.unacked, encFrame{seq: hh.Seq, buf: enc})
 	t.inflight.Add(1)
-	if ob := t.cfg.Observer; ob != nil {
-		ob.InflightChanged(1)
-	}
 	if p.conn == nil || !p.ready {
 		p.ensureDialLocked()
 		return nil
@@ -401,9 +398,6 @@ func (p *tcpPeer) flushBatchLocked() error {
 	t := p.tr
 	t.batchesSent.Add(1)
 	t.batchedFrames.Add(uint64(n))
-	if bo, ok := t.cfg.Observer.(BatchObserver); ok {
-		bo.BatchFlushed(p.id, n, len(payload))
-	}
 	err := p.writeFrameLocked(&Header{Type: TypeBatch, Ack: p.recvSeq.Load()}, payload, true)
 	p.batchBuf = p.batchBuf[:0]
 	return err
@@ -466,9 +460,6 @@ func (p *tcpPeer) writeLocked(buf []byte, ft Type, coalesce bool) error {
 	}
 	t.framesSent.Add(1)
 	t.bytesSent.Add(uint64(len(buf)))
-	if ob := t.cfg.Observer; ob != nil {
-		ob.FrameSent(p.id, ft, len(buf))
-	}
 	if coalesce && p.pendingSends.Load() > 1 {
 		return nil // a waiting sender will write and flush
 	}
@@ -617,9 +608,6 @@ func (p *tcpPeer) installLocked(conn net.Conn) {
 	p.ready = false
 	if p.handshook {
 		p.tr.reconnects.Add(1)
-		if ob := p.tr.cfg.Observer; ob != nil {
-			ob.Reconnect(p.id)
-		}
 	}
 	p.handshook = false
 	p.hadConn = true
@@ -695,12 +683,7 @@ func (p *tcpPeer) resetStreamLocked() {
 		putEnc(ef.buf)
 	}
 	p.unacked = nil
-	if n > 0 {
-		p.tr.inflight.Add(int64(-n))
-		if ob := p.tr.cfg.Observer; ob != nil {
-			ob.InflightChanged(-n)
-		}
-	}
+	p.tr.inflight.Add(int64(-n))
 	p.recvSeq.Store(0)
 	p.lastAck = 0
 	p.ackedOut.Store(0)
@@ -846,9 +829,6 @@ func (p *tcpPeer) trimAckedLocked(a uint64) {
 		}
 		p.unacked = p.unacked[:rest]
 		p.tr.inflight.Add(int64(-n))
-		if ob := p.tr.cfg.Observer; ob != nil {
-			ob.InflightChanged(-n)
-		}
 	}
 }
 
@@ -910,12 +890,7 @@ func (p *tcpPeer) markDown(err error) {
 		putEnc(ef.buf)
 	}
 	p.unacked = nil
-	if n > 0 {
-		p.tr.inflight.Add(int64(-n))
-		if ob := p.tr.cfg.Observer; ob != nil {
-			ob.InflightChanged(-n)
-		}
-	}
+	p.tr.inflight.Add(int64(-n))
 	p.sendMu.Unlock()
 	if !p.tr.closed.Load() {
 		p.tr.sink.PeerDown(p.id, &PeerDownError{Peer: p.id, Last: err})
@@ -1060,9 +1035,6 @@ func (p *tcpPeer) runReader(c net.Conn, br *bufio.Reader) {
 		}
 		t.framesRecv.Add(1)
 		t.bytesRecv.Add(uint64(frameOverhead + plen))
-		if ob := t.cfg.Observer; ob != nil {
-			ob.FrameReceived(p.id, h.Type, frameOverhead+plen)
-		}
 		switch h.Type {
 		case TypeHello:
 			p.handleHello(c, h)
@@ -1151,12 +1123,14 @@ var errBatchSevered = errors.New("wire: batch delivery severed")
 // the same Alloc / ack / in-order claim path as an individually framed
 // message, so the MPI layer cannot tell batched and unbatched delivery
 // apart. A structurally corrupt batch severs the connection with the
-// typed *BatchError. Each sub-frame is delivered through f, the
-// reader's reused frame.
+// typed *BatchError. Each sub-frame is decoded into and delivered
+// through f, the reader's reused frame, so the walk itself allocates
+// nothing.
 func (p *tcpPeer) handleBatch(c net.Conn, payload []byte, f *Frame) bool {
 	t := p.tr
 	severed := false
-	_, err := DecodeBatch(payload, func(h *Header, sub []byte) error {
+	h := &f.Header
+	_, err := DecodeBatch(payload, h, func(sub []byte) error {
 		var body []byte
 		var token any
 		if len(sub) > 0 {
@@ -1173,7 +1147,7 @@ func (p *tcpPeer) handleBatch(c net.Conn, payload []byte, f *Frame) bool {
 			copy(body, sub)
 		}
 		p.handleAck(h.Ack)
-		f.Header, f.Payload, f.Token = *h, body, token
+		f.Payload, f.Token = body, token
 		if !p.claimAndDeliver(c, f) {
 			severed = true
 			return errBatchSevered

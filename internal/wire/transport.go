@@ -76,7 +76,9 @@ type Transport interface {
 	Stats() Stats
 }
 
-// Stats are cumulative transport counters.
+// Stats are cumulative transport counters, and the transport's only
+// counter store: internal/metrics reads them (metrics.WireAdapter.Watch)
+// rather than being told of each frame.
 type Stats struct {
 	FramesSent     uint64
 	FramesReceived uint64
@@ -91,24 +93,6 @@ type Stats struct {
 	// batch fill.
 	BatchesSent   uint64
 	BatchedFrames uint64
-}
-
-// Observer receives transport events; internal/metrics adapts its
-// counters behind this. All methods may be called concurrently.
-type Observer interface {
-	FrameSent(peer int, t Type, bytes int)
-	FrameReceived(peer int, t Type, bytes int)
-	Reconnect(peer int)
-	InflightChanged(delta int)
-}
-
-// BatchObserver is an optional Observer extension: a transport that
-// coalesces frames calls BatchFlushed once per Batch container written,
-// with the number of sub-frames and encoded payload bytes it carried.
-// Observers that don't implement it simply miss the batching breakdown;
-// FrameSent still reports the container itself.
-type BatchObserver interface {
-	BatchFlushed(peer int, frames, bytes int)
 }
 
 // ClockObserver receives NTP-style clock samples from the transport's
@@ -210,8 +194,7 @@ type Config struct {
 	// batching may add, not the trigger.
 	BatchWindow time.Duration
 
-	Observer Observer
-	Fault    FaultInjector
+	Fault FaultInjector
 	// Clock receives offset/RTT samples from ping/pong (and Hello).
 	Clock ClockObserver
 }
