@@ -5,9 +5,9 @@
 // recorder through an obs.Tracer on mpi.Config.Trace, which draws each
 // one as a send→deliver flow arrow, while the happens-before tracker
 // (the §III eligibility analysis) is the world's only Hooks.
-// hls.MultiObserver feeds every directive to the recorder, the tracker
+// hls.WithObserver feeds every directive to the recorder, the tracker
 // and the metrics adapter, and the metrics registry reads the world's
-// own counters.
+// and the HLS registry's own counters.
 //
 // Run with: go run ./examples/tracing   (writes trace.json)
 package main
@@ -48,11 +48,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// The metrics adapter is not a hook: it reads the world's own Stats
+	// The MPI adapter is not a hook: it reads the world's own Stats
 	// whenever the registry is scraped, for as long as the watch lasts.
+	// The HLS adapter times directive edges as an observer and reads the
+	// HLS registry's Stats the same way.
 	stopMetrics := mpiMetrics.Watch(world)
-	reghls := hls.New(world, hls.WithObserver(
-		hls.MultiObserver(&trace.SyncAdapter{R: rec}, clocks, hlsMetrics)))
+	reghls := hls.New(world, hls.WithObserver(&trace.SyncAdapter{R: rec}, clocks, hlsMetrics))
+	stopHLSMetrics := hlsMetrics.Watch(reghls)
 	table := hls.Declare[float64](reghls, "table", topology.Node, 512)
 
 	err = world.Run(func(task *mpi.Task) error {
@@ -77,6 +79,7 @@ func main() {
 		return nil
 	})
 	stopMetrics()
+	stopHLSMetrics()
 	if err != nil {
 		log.Fatal(err)
 	}

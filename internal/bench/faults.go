@@ -3,12 +3,10 @@ package bench
 import (
 	"fmt"
 	"io"
-	"math"
 	"time"
 
 	"hls/internal/chaos"
 	"hls/internal/hls"
-	"hls/internal/metrics"
 	"hls/internal/mpi"
 	"hls/internal/topology"
 )
@@ -17,10 +15,9 @@ import (
 // and what it buys: the same HLS workload runs once clean and once under
 // a seeded chaos plan (allocation failures forcing demotion, message
 // delays, a rank stall), and the harness reports the throughput delta,
-// the demotions with their footprint cost, the recovery latency
-// histogram, and — the acceptance property — that degraded execution
-// produced bitwise-identical results (§III sharing/duplication
-// equivalence).
+// the demotions with their footprint cost and recovery latency, and —
+// the acceptance property — that degraded execution produced
+// bitwise-identical results (§III sharing/duplication equivalence).
 
 // FaultsRun is one configuration's measurements.
 type FaultsRun struct {
@@ -29,6 +26,10 @@ type FaultsRun struct {
 	Throughput float64 // iterations*tasks per second
 	Demotions  int
 	ExtraMB    float64
+	// RecoveryNs is the mean time from an instance's first failed
+	// allocation attempt to its demotion (hls.Stats.DemotionRecovery
+	// over Demotions); 0 without demotions.
+	RecoveryNs float64
 }
 
 // FaultsResult aggregates the experiment.
@@ -41,10 +42,6 @@ type FaultsResult struct {
 	Identical bool
 	// Injected counts the chaos events per kind.
 	Injected map[string]int
-	// RecoveryP50Ns / RecoveryP99Ns are read from the
-	// hls_demotion_recovery_ns histogram (first-failed-attempt to
-	// demotion decision).
-	RecoveryP50Ns, RecoveryP99Ns float64
 	// Unfired lists the armed faults that never injected anything (one
 	// Describe() line each) — e.g. an Nth-opportunity rule the run never
 	// reached. A silently under-delivering plan is a weaker test than
@@ -67,29 +64,19 @@ func RunFaults(p Profile, seed int64) (*FaultsResult, error) {
 	}
 	out := &FaultsResult{Tasks: tasks, Iters: iters, Seed: seed}
 
-	// A local registry always collects the demotion metrics (the live
-	// telemetry registry, when serving, gets them too via the shared
-	// adapter chain).
-	localReg := metrics.New(tasks)
-	localHLS := metrics.NewHLSAdapter(localReg)
-
 	run := func(inj *chaos.Injector) ([]float64, FaultsRun, error) {
 		var hooks mpi.Hooks
-		obs := []hls.SyncObserver{localHLS}
-		if t := ActiveTelemetry(); t != nil {
-			obs = append(obs, t.HLS)
-		}
+		opts := append(telemetryHLSOptions(), hls.WithAllocRetry(2, 50*time.Microsecond))
 		if inj != nil {
 			hooks = inj
-			obs = append(obs, inj)
+			opts = append(opts, hls.WithObserver(inj), hls.WithAllocGate(inj))
 		}
 		w, err := mpi.NewWorld(mpi.Config{NumTasks: tasks, Machine: machine,
 			Pin: topology.PinCorePerTask, Timeout: 5 * time.Minute, Hooks: hooks})
 		if err != nil {
 			return nil, FaultsRun{}, err
 		}
-		reg := hls.New(w, hls.WithObserver(hls.MultiObserver(obs...)),
-			hls.WithAllocRetry(2, 50*time.Microsecond))
+		reg := hls.New(w, opts...)
 		v := hls.Declare[float64](reg, "fault_table", topology.Node, entries,
 			hls.WithInit(func(inst int, data []float64) {
 				for i := range data {
@@ -119,18 +106,22 @@ func RunFaults(p Profile, seed int64) (*FaultsResult, error) {
 				reg.BarrierScope(task, topology.Node)
 			}
 			return nil
-		})
+		}, reg)
 		elapsed := time.Since(start)
 		if runErr != nil {
 			return nil, FaultsRun{}, runErr
 		}
-		dem, extra := v.Demotions()
-		return results, FaultsRun{
+		st := reg.Stats()
+		fr := FaultsRun{
 			Seconds:    elapsed.Seconds(),
 			Throughput: float64(iters*tasks) / elapsed.Seconds(),
-			Demotions:  dem,
-			ExtraMB:    float64(extra) / (1 << 20),
-		}, nil
+			Demotions:  int(st.Demotions),
+			ExtraMB:    float64(st.DemotedExtraBytes) / (1 << 20),
+		}
+		if st.Demotions > 0 {
+			fr.RecoveryNs = float64(st.DemotionRecovery.Nanoseconds()) / float64(st.Demotions)
+		}
+		return results, fr, nil
 	}
 
 	clean, cleanRun, err := run(nil)
@@ -170,14 +161,6 @@ func RunFaults(p Profile, seed int64) (*FaultsResult, error) {
 	for _, s := range inj.Unfired() {
 		out.Unfired = append(out.Unfired, s.Describe())
 	}
-
-	snap := localReg.Snapshot()
-	for _, h := range snap.Histograms {
-		if h.Name == "hls_demotion_recovery_ns" && h.Count > 0 {
-			out.RecoveryP50Ns = histQuantile(h, 0.5)
-			out.RecoveryP99Ns = histQuantile(h, 0.99)
-		}
-	}
 	return out, nil
 }
 
@@ -207,9 +190,9 @@ func PrintFaults(w io.Writer, r *FaultsResult) {
 			fprintf(w, "  %s\n", line)
 		}
 	}
-	if !math.IsNaN(r.RecoveryP50Ns) && r.RecoveryP50Ns > 0 {
-		fprintf(w, "demotion recovery latency: p50 <= %s, p99 <= %s (first failed attempt -> demotion)\n",
-			fmtDur(r.RecoveryP50Ns), fmtDur(r.RecoveryP99Ns))
+	if r.Chaos.RecoveryNs > 0 {
+		fprintf(w, "demotion recovery latency: mean %s over %d demotions (first failed attempt -> demotion)\n",
+			fmtDur(r.Chaos.RecoveryNs), r.Chaos.Demotions)
 	}
 	if r.Identical {
 		fprintf(w, "degraded results: bitwise identical to clean run (§III sharing≡duplication)\n")

@@ -97,7 +97,7 @@ func RunHybridAblation(p Profile) (HybridResult, error) {
 				mpi.Barrier(task, nil)
 			}
 			return nil
-		}); err != nil {
+		}, reg); err != nil {
 			return res, err
 		}
 		res.PureMPIHLSWall = time.Since(start)

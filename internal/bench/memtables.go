@@ -152,7 +152,7 @@ func RunTableII(p Profile) ([]MemRow, error) {
 			if err := runWorld(env.world, func(task *mpi.Task) error {
 				_, err := app.Run(task)
 				return err
-			}); err != nil {
+			}, env.reg); err != nil {
 				return nil, err
 			}
 			rows = append(rows, env.row(cores, variant, time.Since(start)))
@@ -195,7 +195,7 @@ func RunTableIII(p Profile) ([]MemRow, error) {
 			if err := runWorld(env.world, func(task *mpi.Task) error {
 				_, err := app.Run(task)
 				return err
-			}); err != nil {
+			}, env.reg); err != nil {
 				return nil, err
 			}
 			rows = append(rows, env.row(cores, variant, time.Since(start)))
@@ -253,7 +253,7 @@ func RunTableIV(p Profile) (TableIVResult, error) {
 			if err := runWorld(env.world, func(task *mpi.Task) error {
 				_, err := app.Run(task)
 				return err
-			}); err != nil {
+			}, env.reg); err != nil {
 				return out, err
 			}
 			out.Rows = append(out.Rows, env.row(cores, variant, time.Since(start)))

@@ -109,7 +109,7 @@ func microGetAddr() (MicroResult, error) {
 		_ = sink
 		perOp = float64(time.Since(start).Nanoseconds()) / n
 		return nil
-	})
+	}, reg)
 	return MicroResult{Name: "hls_get_addr (Var.Slice)", NsPerOp: perOp,
 		Note: "address resolution per access (§IV-A)"}, err
 }
@@ -137,7 +137,7 @@ func microBarrier(iters int, flat bool) (MicroResult, error) {
 			elapsed = time.Since(start)
 		}
 		return nil
-	})
+	}, reg)
 	return MicroResult{Name: name, NsPerOp: float64(elapsed.Nanoseconds()) / float64(iters),
 		Note: "32 tasks synchronize (§IV-B)"}, err
 }
@@ -174,7 +174,7 @@ func microSinglePattern(iters int, listing2 bool) (MicroResult, error) {
 			elapsed = time.Since(start)
 		}
 		return nil
-	})
+	}, reg)
 	name := "4 writes via single (listing 1)"
 	note := "4 barrier-equivalents per iteration"
 	if listing2 {

@@ -143,20 +143,17 @@ func RunRecover(p Profile, seed int64) (*RecoverResult, error) {
 	}
 	trial := func(mode string, inj *chaos.Injector, restore bool, obs ckpt.Observer) (*trialOut, error) {
 		var hooks mpi.Hooks
-		var hlsObs []hls.SyncObserver
-		if t := ActiveTelemetry(); t != nil {
-			hlsObs = append(hlsObs, t.HLS)
-		}
+		opts := telemetryHLSOptions()
 		if inj != nil {
 			hooks = inj
-			hlsObs = append(hlsObs, inj)
+			opts = append(opts, hls.WithObserver(inj))
 		}
 		w, err := mpi.NewWorld(mpi.Config{NumTasks: tasks, Machine: machine,
 			Pin: topology.PinCorePerTask, Timeout: 5 * time.Minute, Hooks: hooks})
 		if err != nil {
 			return nil, err
 		}
-		reg := hls.New(w, hls.WithObserver(hls.MultiObserver(hlsObs...)))
+		reg := hls.New(w, opts...)
 		table := hls.Declare[float64](reg, "rec_table", topology.Node, entries,
 			hls.WithInit(func(inst int, data []float64) {
 				for i := range data {
@@ -241,7 +238,7 @@ func RunRecover(p Profile, seed int64) (*RecoverResult, error) {
 			}
 			win.Free(task)
 			return nil
-		})
+		}, reg)
 		to.run.Seconds = time.Since(start).Seconds()
 		to.run.Iters = int(iterAt[0][0]) - to.run.StartIter
 		to.results = results[0]

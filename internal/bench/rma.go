@@ -161,7 +161,7 @@ func rmaMemory() ([]RMAMemRow, error) {
 		rma.WinAllocateShared[float64](task, nil, mine,
 			append(telemetryWinOptions(), rma.WithTracker(tr), rma.WithAccountBytes(tableBytes))...)
 		return nil
-	}); err != nil {
+	}, reg); err != nil {
 		return nil, err
 	}
 	control := tr.KindBytes(memsim.KindRuntime)[0]

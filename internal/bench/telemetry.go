@@ -56,19 +56,24 @@ func SetTelemetry(t *Telemetry) { active = t }
 // ActiveTelemetry returns the currently installed sink, or nil.
 func ActiveTelemetry() *Telemetry { return active }
 
-// runWorld runs fn on every task of w, with w's Stats feeding the MPI
-// telemetry for the duration when telemetry is on. The watch stops when
-// Run returns, so the finished world's counts stay in the totals and the
-// world itself is not kept alive.
-func runWorld(w *mpi.World, fn func(*mpi.Task) error) error {
+// runWorld runs fn on every task of w. When telemetry is on, w's Stats
+// feed the MPI telemetry and each of regs' Stats the HLS telemetry for
+// the duration. The watches stop when Run returns, so the finished run's
+// counts stay in the totals and neither the world nor its registries are
+// kept alive.
+func runWorld(w *mpi.World, fn func(*mpi.Task) error, regs ...*hls.Registry) error {
 	if active != nil {
 		defer active.MPI.Watch(w)()
+		for _, r := range regs {
+			defer active.HLS.Watch(r)()
+		}
 	}
 	return w.Run(fn)
 }
 
 // telemetryHLSOptions returns the hls.Option slice new registries
-// should start from (empty when telemetry is off).
+// should start from (empty when telemetry is off). Pass the registry to
+// runWorld as well, so its Stats are watched.
 func telemetryHLSOptions() []hls.Option {
 	if active == nil {
 		return nil
@@ -234,8 +239,8 @@ func PrintTelemetry(w io.Writer, t *Telemetry) {
 	if allocs := sumSeries(snap.Counters, "hls_instance_allocs_total"); allocs > 0 {
 		fprintf(w, "hls lazy allocations: %d instances, %s shared, %s duplication avoided\n",
 			allocs,
-			fmtBytes(sumSeries(snap.Gauges, "hls_shared_bytes")),
-			fmtBytes(sumSeries(snap.Gauges, "hls_duplicate_bytes_avoided")))
+			fmtBytes(sumSeries(snap.Counters, "hls_shared_bytes")),
+			fmtBytes(sumSeries(snap.Counters, "hls_duplicate_bytes_avoided")))
 	}
 
 	// RMA one-sided traffic and epoch costs.

@@ -198,7 +198,7 @@ func TestChaosAllocFailDemotesWithIdenticalResults(t *testing.T) {
 		}
 		var opts []hls.Option
 		if inj != nil {
-			opts = append(opts, hls.WithObserver(inj), hls.WithAllocRetry(2, time.Microsecond))
+			opts = append(opts, hls.WithAllocGate(inj), hls.WithAllocRetry(2, time.Microsecond))
 		}
 		reg := hls.New(w, opts...)
 		v := hls.Declare[float64](reg, "table", topology.Node, 16,

@@ -126,11 +126,11 @@ func (r *Registry) buildBarrier(s topology.Scope, key scopeKey) *barrierNode {
 func (r *Registry) BarrierScope(t *mpi.Task, s topology.Scope) {
 	s = r.resolveScope(s)
 	bn, key := r.barrierFor(t, s, "barrier")
-	r.observe(func(o SyncObserver) { o.Arrive(bn.obsBarrier, t.Rank()) })
+	r.arrive(bn.obsBarrier, t.Rank())
 	t.BlockOnBoxed(bn.blkBarrier)
 	last := bn.await(t.Rank(), nil)
 	t.Unblock()
-	r.observe(func(o SyncObserver) { o.Depart(bn.obsBarrier, t.Rank()) })
+	r.depart(bn.obsBarrier, t.Rank())
 	r.countDirective(t, key, last)
 }
 
@@ -139,14 +139,12 @@ func (r *Registry) BarrierScope(t *mpi.Task, s topology.Scope) {
 func (r *Registry) singleScope(t *mpi.Task, s topology.Scope, body func()) bool {
 	s = r.resolveScope(s)
 	bn, key := r.barrierFor(t, s, "single")
-	r.observe(func(o SyncObserver) { o.Arrive(bn.obsSingle, t.Rank()) })
+	r.arrive(bn.obsSingle, t.Rank())
 	t.BlockOnBoxed(bn.blkSingle)
 	executed := bn.await(t.Rank(), body)
 	t.Unblock()
-	r.observe(func(o SyncObserver) { o.Depart(bn.obsSingle, t.Rank()) })
-	if r.singleObs != nil {
-		r.singleObs.SingleDone(bn.obsSingle, t.Rank(), executed)
-	}
+	r.depart(bn.obsSingle, t.Rank())
+	r.countSingle(t.Rank(), executed)
 	r.countDirective(t, key, executed)
 	return executed
 }
@@ -160,7 +158,7 @@ func (r *Registry) singleScope(t *mpi.Task, s topology.Scope, body func()) bool 
 func (r *Registry) singleScopeAll(t *mpi.Task, s topology.Scope, body func()) bool {
 	s = r.resolveScope(s)
 	bn, key := r.barrierFor(t, s, "single")
-	r.observe(func(o SyncObserver) { o.Arrive(bn.obsSingle, t.Rank()) })
+	r.arrive(bn.obsSingle, t.Rank())
 	t.BlockOnBoxed(bn.blkDegraded)
 	bn.await(t.Rank(), nil)
 	t.Unblock()
@@ -168,10 +166,8 @@ func (r *Registry) singleScopeAll(t *mpi.Task, s topology.Scope, body func()) bo
 	t.BlockOnBoxed(bn.blkDegraded)
 	last := bn.await(t.Rank(), nil)
 	t.Unblock()
-	r.observe(func(o SyncObserver) { o.Depart(bn.obsSingle, t.Rank()) })
-	if r.singleObs != nil {
-		r.singleObs.SingleDone(bn.obsSingle, t.Rank(), true)
-	}
+	r.depart(bn.obsSingle, t.Rank())
+	r.countSingle(t.Rank(), true)
 	r.countDirective(t, key, last)
 	return true
 }
@@ -201,20 +197,16 @@ func (r *Registry) singleNowaitScope(t *mpi.Task, s topology.Scope, body func())
 	if myCount > ns.done {
 		ns.done = myCount
 		ns.mu.Unlock()
-		r.observe(func(o SyncObserver) { o.Arrive(ns.obsKey, t.Rank()) })
+		r.arrive(ns.obsKey, t.Rank())
 		body()
-		r.observe(func(o SyncObserver) { o.Depart(ns.obsKey, t.Rank()) })
-		if r.singleObs != nil {
-			r.singleObs.SingleDone(ns.obsKey, t.Rank(), true)
-		}
+		r.depart(ns.obsKey, t.Rank())
+		r.countSingle(t.Rank(), true)
 		return true
 	}
 	ns.mu.Unlock()
 	// Skippers acquire the executor's published state (counter read).
-	r.observe(func(o SyncObserver) { o.Depart(ns.obsKey, t.Rank()) })
-	if r.singleObs != nil {
-		r.singleObs.SingleDone(ns.obsKey, t.Rank(), false)
-	}
+	r.depart(ns.obsKey, t.Rank())
+	r.countSingle(t.Rank(), false)
 	return false
 }
 
@@ -251,12 +243,10 @@ func (r *Registry) nowaitAll(t *mpi.Task, s topology.Scope, body func()) bool {
 	}
 	ns.mu.Unlock()
 
-	r.observe(func(o SyncObserver) { o.Arrive(ns.obsKey, t.Rank()) })
+	r.arrive(ns.obsKey, t.Rank())
 	body()
-	r.observe(func(o SyncObserver) { o.Depart(ns.obsKey, t.Rank()) })
-	if r.singleObs != nil {
-		r.singleObs.SingleDone(ns.obsKey, t.Rank(), true)
-	}
+	r.depart(ns.obsKey, t.Rank())
+	r.countSingle(t.Rank(), true)
 	return true
 }
 
@@ -289,8 +279,31 @@ func (r *Registry) obsKey(kind string, key scopeKey) string {
 	return fmt.Sprintf("%s/%v:%d/%d", kind, key.kind, key.level, key.inst)
 }
 
-func (r *Registry) observe(fn func(SyncObserver)) {
-	if r.observer != nil {
-		fn(r.observer)
+// arrive and depart hand a directive edge to each observer in turn.
+func (r *Registry) arrive(key string, rank int) {
+	for _, o := range r.observers {
+		o.Arrive(key, rank)
+	}
+}
+
+func (r *Registry) depart(key string, rank int) {
+	for _, o := range r.observers {
+		o.Depart(key, rank)
+	}
+}
+
+// singleCount is one rank's single outcomes, padded to a cache line of
+// its own.
+type singleCount struct {
+	executed, skipped atomic.Int64
+	_                 [48]byte
+}
+
+// countSingle records one single / single-nowait completion of rank.
+func (r *Registry) countSingle(rank int, executed bool) {
+	if executed {
+		r.singles[rank].executed.Add(1)
+	} else {
+		r.singles[rank].skipped.Add(1)
 	}
 }

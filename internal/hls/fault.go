@@ -23,12 +23,11 @@ import (
 // single bodies execute on every copy — trading the memory saving for
 // availability.
 
-// AllocGate is an optional extension of SyncObserver: when the
-// registry's observer (or an explicit WithAllocGate option) implements
-// it, every lazy module allocation (§IV-A) asks the gate first. A
-// non-nil error fails the attempt; the registry retries with capped
-// exponential backoff and demotes the instance to private copies when
-// the retries are exhausted. internal/chaos implements it to inject
+// AllocGate is asked before every lazy module allocation (§IV-A) of a
+// registry built WithAllocGate. A non-nil error fails the attempt; the
+// registry retries with capped exponential backoff and demotes the
+// instance to private copies when the retries are exhausted
+// (Stats.Demotions counts them). internal/chaos implements it to inject
 // allocation failures.
 type AllocGate interface {
 	// AllocAttempt is called before attempt number attempt (1-based) to
@@ -36,17 +35,9 @@ type AllocGate interface {
 	AllocAttempt(varName, scope string, inst, attempt int) error
 }
 
-// DemoteObserver is an optional extension of SyncObserver: observers
-// that also satisfy it are told when an instance is demoted to private
-// per-task copies. extraBytes is the additional footprint duplication
-// costs over the shared copy; elapsed is the time spent in the failed
-// allocation attempts (the recovery latency internal/bench histograms).
-type DemoteObserver interface {
-	VarDemoted(varName, scope string, inst, attempts int, elapsed time.Duration, extraBytes int64)
-}
-
-// WithAllocGate installs an explicit allocation gate (independent of the
-// observer chain).
+// WithAllocGate installs the allocation gate. It is the only way to
+// gate allocations: an observer that also has AllocAttempt gates
+// nothing.
 func WithAllocGate(g AllocGate) Option {
 	return func(r *Registry) { r.allocGate = g }
 }

@@ -163,19 +163,6 @@ func (g *alwaysFailGate) AllocAttempt(varName, scope string, inst, attempt int) 
 	return fmt.Errorf("no memory for %s (attempt %d)", varName, attempt)
 }
 
-type demoteRecorder struct {
-	mu     sync.Mutex
-	events []string
-}
-
-func (d *demoteRecorder) Arrive(key string, worldRank int) {}
-func (d *demoteRecorder) Depart(key string, worldRank int) {}
-func (d *demoteRecorder) VarDemoted(varName, scope string, inst, attempts int, elapsed time.Duration, extraBytes int64) {
-	d.mu.Lock()
-	d.events = append(d.events, fmt.Sprintf("%s/%s/%d attempts=%d extra=%d", varName, scope, inst, attempts, extraBytes))
-	d.mu.Unlock()
-}
-
 func TestFaultAllocFailureDemotesAndSingleRunsEverywhere(t *testing.T) {
 	const n = 4
 	w, err := mpi.NewWorld(mpi.Config{NumTasks: n, Machine: faultMachine(t, n), Timeout: 30 * time.Second})
@@ -183,8 +170,7 @@ func TestFaultAllocFailureDemotesAndSingleRunsEverywhere(t *testing.T) {
 		t.Fatal(err)
 	}
 	gate := &alwaysFailGate{}
-	rec := &demoteRecorder{}
-	reg := New(w, WithObserver(rec), WithAllocGate(gate), WithAllocRetry(2, time.Microsecond))
+	reg := New(w, WithAllocGate(gate), WithAllocRetry(2, time.Microsecond))
 	v := Declare[int64](reg, "tbl", topology.Node, 4,
 		WithInit(func(inst int, data []int64) {
 			for i := range data {
@@ -213,8 +199,14 @@ func TestFaultAllocFailureDemotesAndSingleRunsEverywhere(t *testing.T) {
 	if wantExtra := int64(4*8) * int64(n-1); extra != wantExtra {
 		t.Errorf("extra bytes = %d, want %d", extra, wantExtra)
 	}
-	if len(rec.events) != 1 {
-		t.Errorf("demote observer saw %d events, want 1: %v", len(rec.events), rec.events)
+	st := reg.Stats()
+	if st.Demotions != 1 || st.DemotedExtraBytes != extra || st.InstanceAllocs != 0 {
+		t.Errorf("Stats = %+v, want 1 demotion costing %d bytes and no shared instance", st, extra)
+	}
+	// Three attempts with two backoff sleeps in between: the recovery
+	// time cannot be zero.
+	if st.DemotionRecovery <= 0 {
+		t.Errorf("DemotionRecovery = %v, want > 0", st.DemotionRecovery)
 	}
 	// Every task must see the single's writes on its private copy —
 	// identical to what the shared copy would hold.

@@ -49,31 +49,11 @@ import (
 // §III eligibility analysis. Arrive is called by a task entering a
 // synchronization point identified by key (before it can have released
 // anyone), Depart when it leaves (after everyone it waited for arrived).
+// It is the registry's one push: counts (single outcomes, allocations,
+// demotions) are kept by the registry itself and read through Stats.
 type SyncObserver interface {
 	Arrive(key string, worldRank int)
 	Depart(key string, worldRank int)
-}
-
-// SingleObserver is an optional extension of SyncObserver: observers
-// that also satisfy it learn the outcome of every single / single-nowait
-// directive — which task won (executed the block) and which tasks
-// skipped or waited. internal/metrics uses it for winner/loser counts.
-// The registry detects the extension once at construction.
-type SingleObserver interface {
-	// SingleDone is called by every task completing a single directive;
-	// executed is true for the one task per scope instance that ran the
-	// block.
-	SingleDone(key string, worldRank int, executed bool)
-}
-
-// AllocObserver is an optional extension of SyncObserver: observers
-// that also satisfy it are told about every lazy module allocation
-// (§IV-A) — the variable, its scope (rendered as a string, e.g.
-// "node"), the instance, the bytes the single shared copy occupies,
-// and the bytes duplication across the instance's tasks would have cost
-// beyond that copy.
-type AllocObserver interface {
-	VarAllocated(varName, scope string, inst int, sharedBytes, savedBytes int64)
 }
 
 // Option configures a Registry.
@@ -85,9 +65,17 @@ func WithTracker(tr *memsim.Tracker) Option {
 	return func(r *Registry) { r.tracker = tr }
 }
 
-// WithObserver wires a SyncObserver into every directive.
-func WithObserver(o SyncObserver) Option {
-	return func(r *Registry) { r.observer = o }
+// WithObserver wires SyncObservers into every directive. Nil arguments
+// are dropped; repeated options append, and each directive calls the
+// observers in the order they were given.
+func WithObserver(obs ...SyncObserver) Option {
+	return func(r *Registry) {
+		for _, o := range obs {
+			if o != nil {
+				r.observers = append(r.observers, o)
+			}
+		}
+	}
 }
 
 // WithFlatBarriers disables the shared-cache-aware hierarchical barrier
@@ -111,17 +99,16 @@ type Registry struct {
 	machine *topology.Machine
 	pin     *topology.Pinning
 
-	tracker  *memsim.Tracker
-	observer SyncObserver
-	// singleObs / allocObs / demoteObs / allocGate are observer when it
-	// also implements the optional extensions, resolved once at
-	// construction (allocGate may also come from WithAllocGate).
-	singleObs SingleObserver
-	allocObs  AllocObserver
-	demoteObs DemoteObserver
+	tracker   *memsim.Tracker
+	observers []SyncObserver
 	allocGate AllocGate
 	flatOnly  bool
 	mutexOnly bool
+
+	// singles[rank] counts the rank's single outcomes for Stats. Each
+	// rank writes only its own padded cell, so directives share no
+	// counter cache line.
+	singles []singleCount
 
 	// degradation tuning (WithAllocRetry)
 	allocRetries int
@@ -182,6 +169,7 @@ func New(w *mpi.World, opts ...Option) *Registry {
 		instCounts:   make(map[scopeKey]*atomic.Int64),
 		taskCounts:   make([]map[scopeLK]int64, w.Size()),
 		migGen:       make([]atomic.Int64, w.Size()),
+		singles:      make([]singleCount, w.Size()),
 		deadRanks:    make(map[int]error),
 		dirIdx:       make([]map[scopeLK]int64, w.Size()),
 		dirSeq:       make(map[scopeKey]*seqLog),
@@ -194,18 +182,6 @@ func New(w *mpi.World, opts ...Option) *Registry {
 	}
 	for _, o := range opts {
 		o(r)
-	}
-	if so, ok := r.observer.(SingleObserver); ok {
-		r.singleObs = so
-	}
-	if ao, ok := r.observer.(AllocObserver); ok {
-		r.allocObs = ao
-	}
-	if do, ok := r.observer.(DemoteObserver); ok {
-		r.demoteObs = do
-	}
-	if ag, ok := r.observer.(AllocGate); ok && r.allocGate == nil {
-		r.allocGate = ag
 	}
 	// Wire into the world's failure layer: abort our barriers when a rank
 	// dies and contribute directive counters to deadlock diagnostics.
@@ -273,9 +249,14 @@ type Var[T any] struct {
 	// never needs cache invalidation.
 	demoted  map[int]bool
 	privates map[int]map[int][]T // inst -> rank -> private copy
-	// demotions / extraBytes summarize the degradation for reports.
+	// savedBytes sums, over the shared instances, what duplicating each
+	// across its tasks would have added (§IV-A's saving). demotions /
+	// extraBytes summarize the degradation for reports, recovery the
+	// time the failed attempts took before each demotion.
+	savedBytes int64
 	demotions  int
 	extraBytes int64
+	recovery   time.Duration
 
 	// cache[rank] holds the task's resolved slice, invalidated by
 	// migration. Entries are atomic because in hybrid MPI+OpenMP code
@@ -388,7 +369,7 @@ func (v *Var[T]) instanceData(inst, rank int) []T {
 				break
 			}
 			if attempt > v.reg.allocRetries {
-				return v.demote(inst, rank, attempt, time.Since(start))
+				return v.demote(inst, rank, time.Since(start))
 			}
 			time.Sleep(backoff)
 			backoff *= 2
@@ -406,17 +387,14 @@ func (v *Var[T]) instanceData(inst, rank int) []T {
 		node := v.nodeOfInstance(inst)
 		v.reg.tracker.AllocNode(node, v.accountBytes, memsim.KindShared)
 	}
-	if ao := v.reg.allocObs; ao != nil {
-		tasks := len(v.reg.pin.RanksInInstance(v.scope, inst))
-		saved := v.accountBytes * int64(tasks-1)
-		ao.VarAllocated(v.name, v.scope.String(), inst, v.accountBytes, saved)
-	}
+	tasks := len(v.reg.pin.RanksInInstance(v.scope, inst))
+	v.savedBytes += v.accountBytes * int64(tasks-1)
 	return data
 }
 
 // demote switches instance inst to private per-task copies after a
 // failed allocation and returns rank's copy. Caller holds instMu.
-func (v *Var[T]) demote(inst, rank, attempts int, elapsed time.Duration) []T {
+func (v *Var[T]) demote(inst, rank int, elapsed time.Duration) []T {
 	if v.demoted == nil {
 		v.demoted = make(map[int]bool)
 	}
@@ -425,9 +403,7 @@ func (v *Var[T]) demote(inst, rank, attempts int, elapsed time.Duration) []T {
 	extra := v.accountBytes * int64(tasks-1)
 	v.demotions++
 	v.extraBytes += extra
-	if do := v.reg.demoteObs; do != nil {
-		do.VarDemoted(v.name, v.scope.String(), inst, attempts, elapsed, extra)
-	}
+	v.recovery += elapsed
 	return v.privateData(inst, rank)
 }
 
@@ -542,14 +518,16 @@ func (r *Registry) Barrier(t *mpi.Task, vars ...AnyVar) {
 	if len(vars) == 0 {
 		panic("hls: Barrier with no variables")
 	}
-	scopes := make([]topology.Scope, len(vars))
-	for i, v := range vars {
+	widest := vars[0].Scope()
+	for _, v := range vars {
 		if v.registry() != r {
 			panic(fmt.Sprintf("hls: variable %q belongs to a different registry", v.Name()))
 		}
-		scopes[i] = v.Scope()
+		if s := v.Scope(); r.machine.Wider(s, widest) {
+			widest = s
+		}
 	}
-	r.BarrierScope(t, r.machine.Widest(scopes...))
+	r.BarrierScope(t, widest)
 }
 
 // Single runs body on exactly one task per instance of the common scope

@@ -1,88 +1,77 @@
 package hls
 
 import (
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"hls/internal/chaos"
 	"hls/internal/mpi"
 	"hls/internal/topology"
 )
 
-// syncOnlyObserver implements just SyncObserver.
+// syncOnlyObserver counts directive edges.
 type syncOnlyObserver struct{ arrives, departs atomic.Int64 }
 
 func (o *syncOnlyObserver) Arrive(key string, rank int) { o.arrives.Add(1) }
 func (o *syncOnlyObserver) Depart(key string, rank int) { o.departs.Add(1) }
 
-// fullObserver implements SyncObserver plus both optional extensions.
-type fullObserver struct {
-	syncOnlyObserver
-	mu      sync.Mutex
-	singles map[string][2]int // key -> [won, lost]
-	allocs  []allocEvent
-}
-
-type allocEvent struct {
-	varName, scope          string
-	inst                    int
-	sharedBytes, savedBytes int64
-}
-
-func (o *fullObserver) SingleDone(key string, rank int, executed bool) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.singles == nil {
-		o.singles = make(map[string][2]int)
+// TestWithObserverMembers: every non-nil WithObserver argument, across
+// repeated options, sees every Arrive and Depart; and an allocation gate
+// given only as an observer gates nothing.
+func TestWithObserverMembers(t *testing.T) {
+	const n = 8
+	a, b := &syncOnlyObserver{}, &syncOnlyObserver{}
+	inj := chaos.New(1, chaos.Fault{Kind: chaos.AllocFail, Var: "members", Prob: 1})
+	w, err := mpi.NewWorld(mpi.Config{NumTasks: n, Machine: faultMachine(t, n), Timeout: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
 	}
-	c := o.singles[key]
-	if executed {
-		c[0]++
-	} else {
-		c[1]++
+	r := New(w, WithObserver(a, nil), WithObserver(nil, inj, b))
+	if len(r.observers) != 3 {
+		t.Fatalf("%d observers installed, want 3 (nil arguments dropped)", len(r.observers))
 	}
-	o.singles[key] = c
-}
-
-func (o *fullObserver) VarAllocated(varName, scope string, inst int, sharedBytes, savedBytes int64) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.allocs = append(o.allocs, allocEvent{varName, scope, inst, sharedBytes, savedBytes})
-}
-
-func TestMultiObserverDegenerateCases(t *testing.T) {
-	if MultiObserver() != nil || MultiObserver(nil, nil) != nil {
-		t.Fatal("MultiObserver with no members must be nil")
+	v := Declare[int64](r, "members", topology.Node, 4)
+	if err := w.Run(func(task *mpi.Task) error {
+		r.Barrier(task, v)
+		v.Single(task, func(d []int64) { d[0]++ })
+		v.SingleNowait(task, func(d []int64) {})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
-	o := &syncOnlyObserver{}
-	if got := MultiObserver(nil, o); got != SyncObserver(o) {
-		t.Fatal("MultiObserver with one member must return it unchanged")
+	// Barrier and single: n arrive + n depart each; nowait: 1 arrive
+	// (the executor) + n departs.
+	for i, o := range []*syncOnlyObserver{a, b} {
+		if got, want := o.arrives.Load(), int64(2*n+1); got != want {
+			t.Errorf("member %d: %d arrivals, want %d", i, got, want)
+		}
+		if got, want := o.departs.Load(), int64(3*n); got != want {
+			t.Errorf("member %d: %d departures, want %d", i, got, want)
+		}
 	}
-	m := MultiObserver(&syncOnlyObserver{}, &fullObserver{})
-	if _, ok := m.(SingleObserver); !ok {
-		t.Fatal("combined observer must expose SingleObserver when a member implements it")
+	if got := inj.Count(chaos.AllocFail); got != 0 {
+		t.Errorf("an observer-only injector failed %d allocations, want 0", got)
 	}
-	if _, ok := m.(AllocObserver); !ok {
-		t.Fatal("combined observer must expose AllocObserver when a member implements it")
+	if st := r.Stats(); st.Demotions != 0 || st.InstanceAllocs != 1 {
+		t.Errorf("Stats = %+v, want 1 shared instance and no demotion", st)
 	}
 }
 
 // TestObserverExtensions drives singles, nowaits and a lazy allocation
-// through a registry observed by MultiObserver(plain, full): the plain
-// member sees only Arrive/Depart, the full member additionally gets
-// exactly one winner per single execution and the allocation accounting.
+// through an observed registry: its Stats count exactly one executor per
+// single execution and the allocation's accounting, and the observer
+// still sees the directive edges.
 func TestObserverExtensions(t *testing.T) {
 	const iters = 5
 	plain := &syncOnlyObserver{}
-	full := &fullObserver{}
 	machine := topology.NehalemEX4()
 	w, err := mpi.NewWorld(mpi.Config{NumTasks: 32, Machine: machine,
 		Pin: topology.PinCorePerTask, Timeout: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := New(w, WithObserver(MultiObserver(plain, full)))
+	r := New(w, WithObserver(plain))
 	const tableBytes = 1 << 16
 	v := Declare[int64](r, "obs_table", topology.Node, 8,
 		WithAccountBytes[int64](tableBytes))
@@ -97,31 +86,59 @@ func TestObserverExtensions(t *testing.T) {
 	}
 
 	if plain.arrives.Load() == 0 || plain.departs.Load() == 0 {
-		t.Fatal("plain member starved")
+		t.Fatal("observer starved")
 	}
-	// One winner per single execution, 32 participants each: per key,
-	// iters wins and iters*31 losses (one node instance on this machine).
-	var wins, losses int
-	for key, c := range full.singles {
-		wins += c[0]
-		losses += c[1]
-		if c[0] != iters {
-			t.Errorf("key %s: %d wins, want %d", key, c[0], iters)
-		}
+	// One executor per single execution, 32 participants each: iters
+	// singles and iters nowaits, each with 31 waiters or skippers (one
+	// node instance on this machine).
+	st := r.Stats()
+	if st.SinglesExecuted != 2*iters || st.SinglesSkipped != 2*iters*31 {
+		t.Fatalf("outcomes: %d executed %d skipped, want %d/%d",
+			st.SinglesExecuted, st.SinglesSkipped, 2*iters, 2*iters*31)
 	}
-	if wins != 2*iters || losses != 2*iters*31 {
-		t.Fatalf("outcomes: %d wins %d losses, want %d/%d", wins, losses, 2*iters, 2*iters*31)
+	if st.InstanceAllocs != 1 {
+		t.Fatalf("allocations: %d, want 1 (one node instance, allocated lazily once)", st.InstanceAllocs)
 	}
-
-	if len(full.allocs) != 1 {
-		t.Fatalf("allocations observed: %d, want 1 (one node instance, allocated lazily once)", len(full.allocs))
-	}
-	a := full.allocs[0]
-	if a.varName != "obs_table" || a.scope != "node" || a.inst != 0 {
-		t.Fatalf("alloc identity: %+v", a)
-	}
-	if a.sharedBytes != tableBytes || a.savedBytes != tableBytes*31 {
+	if st.SharedBytes != tableBytes || st.DuplicateBytesAvoided != tableBytes*31 {
 		t.Fatalf("alloc accounting: shared %d saved %d, want %d/%d",
-			a.sharedBytes, a.savedBytes, int64(tableBytes), int64(tableBytes*31))
+			st.SharedBytes, st.DuplicateBytesAvoided, int64(tableBytes), int64(tableBytes*31))
+	}
+	if st.Demotions != 0 || st.DemotedExtraBytes != 0 || st.DemotionRecovery != 0 {
+		t.Fatalf("healthy run reports demotions: %+v", st)
+	}
+}
+
+// TestDirectivesZeroAllocs: once warm, a Barrier, a Single and a
+// SingleNowait allocate nothing, with no observer and with one. World
+// setup allocates, but amortized over the benchmark's N it must round to
+// zero allocs/op.
+func TestDirectivesZeroAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("benchmark-driven test")
+	}
+	for _, obs := range []SyncObserver{nil, &syncOnlyObserver{}} {
+		res := testing.Benchmark(func(b *testing.B) {
+			const n = 2
+			w, err := mpi.NewWorld(mpi.Config{NumTasks: n, Machine: faultMachine(t, n), Timeout: time.Minute})
+			if err != nil {
+				b.Fatal(err)
+			}
+			r := New(w, WithObserver(obs))
+			v := Declare[int64](r, "zero_allocs", topology.Node, 4)
+			body := func(d []int64) { d[0]++ }
+			if err := w.Run(func(task *mpi.Task) error {
+				for i := 0; i < b.N; i++ {
+					r.Barrier(task, v)
+					v.Single(task, body)
+					v.SingleNowait(task, body)
+				}
+				return nil
+			}); err != nil {
+				b.Fatal(err)
+			}
+		})
+		if a := res.AllocsPerOp(); a != 0 {
+			t.Errorf("Barrier+Single+SingleNowait (observer %v): %d allocs/op, want 0 (N=%d)", obs != nil, a, res.N)
+		}
 	}
 }

@@ -7,7 +7,9 @@ import (
 	"testing"
 	"time"
 
+	"hls/internal/hls"
 	"hls/internal/mpi"
+	"hls/internal/topology"
 )
 
 // mpiTestWorld runs a 4-rank world that exercises every MPI family: a
@@ -239,31 +241,121 @@ func TestHLSAdapter(t *testing.T) {
 		t.Fatal("unmatched depart must count with zero wait")
 	}
 
-	a.SingleDone("single/node:0/0", 0, true)
-	a.SingleDone("single/node:0/0", 1, false)
-	a.SingleDone("single/node:0/0", 2, false)
-	s := a.metricsFor("single/node:0/0")
-	if s.won.Value() != 1 || s.lost.Value() != 2 {
-		t.Fatalf("single outcomes: won %d lost %d", s.won.Value(), s.lost.Value())
-	}
-
-	a.VarAllocated("table", "node", 0, 1<<20, 7<<20)
-	if got := r.Counter("hls_instance_allocs_total", "", L("var", "table"), L("scope", "node")).Value(); got != 1 {
-		t.Fatalf("allocs = %d", got)
-	}
-	if got := r.Gauge("hls_shared_bytes", "", L("var", "table"), L("scope", "node")).Value(); got != 1<<20 {
-		t.Fatalf("shared bytes = %d", got)
-	}
-	if got := r.Gauge("hls_duplicate_bytes_avoided", "", L("var", "table"), L("scope", "node")).Value(); got != 7<<20 {
-		t.Fatalf("avoided bytes = %d", got)
-	}
-
 	// Nil-registry adapter.
 	n := NewHLSAdapter(nil)
 	n.Arrive(key, 0)
 	n.Depart(key, 0)
-	n.SingleDone(key, 0, true)
-	n.VarAllocated("v", "node", 0, 1, 1)
+}
+
+// hlsTestRun runs a 4-rank world whose node-scope table takes `singles`
+// single directives, returning the registry it declared the table in.
+func hlsTestRun(t *testing.T, singles int) *hls.Registry {
+	t.Helper()
+	w, err := mpi.NewWorld(mpi.Config{NumTasks: 4, Timeout: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := hls.New(w)
+	v := hls.Declare[int64](reg, "table", topology.Node, 1<<10)
+	if err := w.Run(func(task *mpi.Task) error {
+		for i := 0; i < singles; i++ {
+			v.Single(task, func(d []int64) { d[0]++ })
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return reg
+}
+
+// TestHLSAdapterWatch: each pulled hls_* series equals the value derived
+// from the watched registries' Stats, while watched and after stop.
+func TestHLSAdapterWatch(t *testing.T) {
+	r := New(4)
+	a := NewHLSAdapter(r)
+	read := func() map[string]int64 {
+		got := make(map[string]int64)
+		for _, s := range r.Snapshot().Counters {
+			got[seriesKey(s.Name, s.Labels)] = s.Value
+		}
+		return got
+	}
+	want := func(st hls.Stats) map[string]int64 {
+		return map[string]int64{
+			`hls_single_outcomes_total{outcome="won"}`:  st.SinglesExecuted,
+			`hls_single_outcomes_total{outcome="lost"}`: st.SinglesSkipped,
+			"hls_instance_allocs_total":                 st.InstanceAllocs,
+			"hls_shared_bytes":                          st.SharedBytes,
+			"hls_duplicate_bytes_avoided":               st.DuplicateBytesAvoided,
+			"hls_demotions_total":                       st.Demotions,
+			"hls_demoted_extra_bytes":                   st.DemotedExtraBytes,
+			"hls_demotion_recovery_ns":                  st.DemotionRecovery.Nanoseconds(),
+		}
+	}
+	check := func(when string, st hls.Stats) {
+		t.Helper()
+		got := read()
+		for k, v := range want(st) {
+			if got[k] != v {
+				t.Errorf("%s: %s = %d, want %d", when, k, got[k], v)
+			}
+		}
+		if len(got) != len(want(st)) {
+			t.Errorf("%s: exposed %d hls series, want %d", when, len(got), len(want(st)))
+		}
+	}
+
+	reg1 := hlsTestRun(t, 3)
+	st1 := reg1.Stats()
+	if st1.SinglesExecuted != 3 || st1.SinglesSkipped != 9 || st1.InstanceAllocs != 1 ||
+		st1.SharedBytes != 8<<10 || st1.DuplicateBytesAvoided != 3*8<<10 {
+		t.Fatalf("registry 1 Stats = %+v", st1)
+	}
+	stop1 := a.Watch(reg1)
+	check("watching registry 1", st1)
+	stop1()
+	stop1()
+	check("after stop", st1)
+
+	reg2 := hlsTestRun(t, 2)
+	stop2 := a.Watch(reg2)
+	st2 := reg2.Stats()
+	sum := hls.Stats{
+		SinglesExecuted:       st1.SinglesExecuted + st2.SinglesExecuted,
+		SinglesSkipped:        st1.SinglesSkipped + st2.SinglesSkipped,
+		InstanceAllocs:        st1.InstanceAllocs + st2.InstanceAllocs,
+		SharedBytes:           st1.SharedBytes + st2.SharedBytes,
+		DuplicateBytesAvoided: st1.DuplicateBytesAvoided + st2.DuplicateBytesAvoided,
+	}
+	check("registry 2 live", sum)
+	stop2()
+	check("both stopped", sum)
+
+	// A nil registry registers nothing, and watching still works.
+	NewHLSAdapter(nil).Watch(reg1)()
+}
+
+// TestHLSFamilyNames pins the exposed hls_* family names and types: the
+// directive families fed by Arrive/Depart and the families pulled from
+// hls.Registry.Stats.
+func TestHLSFamilyNames(t *testing.T) {
+	r := New(1)
+	a := NewHLSAdapter(r)
+	a.Arrive("barrier/node:0/0", 0)
+	a.Depart("barrier/node:0/0", 0)
+	if got, want := familyNames(t, r), []string{
+		"hls_single_outcomes_total counter",
+		"hls_instance_allocs_total counter",
+		"hls_shared_bytes counter",
+		"hls_duplicate_bytes_avoided counter",
+		"hls_demotions_total counter",
+		"hls_demoted_extra_bytes counter",
+		"hls_demotion_recovery_ns counter",
+		"hls_directives_total counter",
+		"hls_directive_wait_ns histogram",
+	}; !slices.Equal(got, want) {
+		t.Errorf("hls families:\n got %q\nwant %q", got, want)
+	}
 }
 
 func TestRMAAdapter(t *testing.T) {

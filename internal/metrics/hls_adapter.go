@@ -4,28 +4,47 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"hls/internal/hls"
 )
 
-// HLSAdapter implements hls.SyncObserver plus the optional
-// hls.SingleObserver and hls.AllocObserver extensions (structurally),
-// turning directive synchronization into metrics:
+// HLSAdapter exports the HLS runtime's directive and memory metrics.
+//
+// As an hls.SyncObserver it times each directive edge:
 //
 //   - hls_directives_total{kind,scope} — completed directives;
 //   - hls_directive_wait_ns{kind,scope} — per-task wait time inside each
 //     barrier/single/nowait, the histogram whose spread across ranks IS
 //     the task imbalance (a balanced barrier shows a tight distribution;
-//     a straggler pushes every other rank into the high buckets);
-//   - hls_single_outcomes_total{outcome,scope} — single winner/loser
-//     counts;
-//   - hls_instance_allocs_total / hls_shared_bytes /
-//     hls_duplicate_bytes_avoided{var,scope} — lazy module allocations
-//     (§IV-A) and the bytes one shared copy serves vs what per-task
-//     duplication would have added.
+//     a straggler pushes every other rank into the high buckets).
 //
-// Install with hls.WithObserver(metrics.NewHLSAdapter(reg)), or combine
-// with other observers through hls.MultiObserver. Constructed over a nil
-// registry every method is a cheap no-op.
+// Everything else is pulled from hls.Registry.Stats over the registries
+// it watches, like MPIAdapter's series:
+//
+//   - hls_single_outcomes_total{outcome} — single executors (won) and
+//     waiters or skippers (lost);
+//   - hls_instance_allocs_total / hls_shared_bytes /
+//     hls_duplicate_bytes_avoided — lazy module allocations (§IV-A) and
+//     the bytes one shared copy serves vs what per-task duplication
+//     would have added;
+//   - hls_demotions_total / hls_demoted_extra_bytes /
+//     hls_demotion_recovery_ns — instances degraded to private copies
+//     after allocation failures, the footprint that costs, and the
+//     summed first-failed-attempt-to-demotion time (divide by
+//     hls_demotions_total for the mean).
+//
+// Use it as
+//
+//	a := metrics.NewHLSAdapter(reg)
+//	r := hls.New(w, hls.WithObserver(a))
+//	stop := a.Watch(r)
+//	defer stop() // after w.Run returned
+//
+// Constructed over a nil registry it exports nothing and its Arrive and
+// Depart are cheap no-ops.
 type HLSAdapter struct {
+	*pull[*hls.Registry, hls.Stats]
+
 	reg   *Registry
 	start time.Time
 
@@ -49,27 +68,45 @@ type openShard struct {
 type dirMetrics struct {
 	count *Counter
 	wait  *Histogram
-	won   *Counter
-	lost  *Counter
 }
 
-// NewHLSAdapter creates the adapter. Passing a nil registry yields a
-// disabled adapter.
+// hlsFamilies maps each pulled HLS series to its Stats source. All of
+// them only grow, so a stopped registry's counts stay in the totals.
+var hlsFamilies = []statFamily[hls.Stats]{
+	{name: "hls_single_outcomes_total", help: "single directives by outcome: won = executed the block", label: []Label{L("outcome", "won")},
+		value: func(s *hls.Stats) int64 { return s.SinglesExecuted }},
+	{name: "hls_single_outcomes_total", help: "single directives by outcome: won = executed the block", label: []Label{L("outcome", "lost")},
+		value: func(s *hls.Stats) int64 { return s.SinglesSkipped }},
+	{name: "hls_instance_allocs_total", help: "lazy HLS module allocations (one per scope instance, §IV-A)",
+		value: func(s *hls.Stats) int64 { return s.InstanceAllocs }},
+	{name: "hls_shared_bytes", help: "bytes of the shared copies HLS allocated: one per scope instance",
+		value: func(s *hls.Stats) int64 { return s.SharedBytes }},
+	{name: "hls_duplicate_bytes_avoided", help: "bytes per-task duplication would have added beyond the shared copies",
+		value: func(s *hls.Stats) int64 { return s.DuplicateBytesAvoided }},
+	{name: "hls_demotions_total", help: "HLS instances demoted to private per-task copies after allocation failures",
+		value: func(s *hls.Stats) int64 { return s.Demotions }},
+	{name: "hls_demoted_extra_bytes", help: "extra footprint demoted instances cost over sharing",
+		value: func(s *hls.Stats) int64 { return s.DemotedExtraBytes }},
+	{name: "hls_demotion_recovery_ns", help: "summed latency from first failed allocation attempt to the demotion decision, ns",
+		value: func(s *hls.Stats) int64 { return s.DemotionRecovery.Nanoseconds() }},
+}
+
+// NewHLSAdapter creates the adapter and registers its pulled families.
+// Passing a nil registry yields a disabled adapter. Its Watch adds a
+// registry to the sums; stop it once the registry's world has finished.
 func NewHLSAdapter(r *Registry) *HLSAdapter {
+	a := &HLSAdapter{pull: newPull(r, hlsFamilies, (*hls.Registry).Stats)}
 	if r == nil {
-		return &HLSAdapter{}
+		return a
 	}
-	shards := r.Shards()
-	open := make([]openShard, shards)
-	for i := range open {
-		open[i].m = make(map[string]int64)
+	a.reg = r
+	a.start = time.Now()
+	a.open = make([]openShard, r.Shards())
+	for i := range a.open {
+		a.open[i].m = make(map[string]int64)
 	}
-	return &HLSAdapter{
-		reg:   r,
-		start: time.Now(),
-		open:  open,
-		dirs:  make(map[string]*dirMetrics),
-	}
+	a.dirs = make(map[string]*dirMetrics)
+	return a
 }
 
 func (a *HLSAdapter) nowNs() int64 { return time.Since(a.start).Nanoseconds() }
@@ -105,8 +142,6 @@ func (a *HLSAdapter) metricsFor(key string) *dirMetrics {
 	d = &dirMetrics{
 		count: a.reg.Counter("hls_directives_total", "HLS directives completed, by directive kind and scope", kl, sl),
 		wait:  a.reg.Histogram("hls_directive_wait_ns", "per-task wait inside HLS synchronization directives; the spread across ranks is the task imbalance (§IV-B)", kl, sl),
-		won:   a.reg.Counter("hls_single_outcomes_total", "single directives by outcome: won = executed the block", L("outcome", "won"), sl),
-		lost:  a.reg.Counter("hls_single_outcomes_total", "single directives by outcome: won = executed the block", L("outcome", "lost"), sl),
 	}
 	a.dirs[key] = d
 	return d
@@ -145,52 +180,4 @@ func (a *HLSAdapter) Depart(key string, worldRank int) {
 		wait = a.nowNs() - begin
 	}
 	d.wait.Observe(worldRank, wait)
-}
-
-// SingleDone implements hls.SingleObserver.
-func (a *HLSAdapter) SingleDone(key string, worldRank int, executed bool) {
-	if a.reg == nil {
-		return
-	}
-	d := a.metricsFor(key)
-	if executed {
-		d.won.Inc(worldRank)
-	} else {
-		d.lost.Inc(worldRank)
-	}
-}
-
-// VarDemoted implements hls.DemoteObserver, accounting one graceful
-// degradation: a scope instance whose lazy allocation kept failing fell
-// back to private per-task copies. The counters feed the faults
-// experiment and the CI chaos smoke (which asserts a nonzero
-// hls_demotions_total in /metrics.json):
-//
-//   - hls_demotions_total{var,scope} — instances demoted;
-//   - hls_demoted_extra_bytes{var,scope} — footprint the duplication
-//     costs over sharing (the delta hlsmem reports);
-//   - hls_demotion_recovery_ns — time from the first failed attempt to
-//     the demotion decision (the recovery latency histogram).
-func (a *HLSAdapter) VarDemoted(varName, scope string, inst, attempts int, elapsed time.Duration, extraBytes int64) {
-	if a.reg == nil {
-		return
-	}
-	vl, sl := L("var", varName), L("scope", scope)
-	a.reg.Counter("hls_demotions_total", "HLS instances demoted to private per-task copies after allocation failures", vl, sl).Inc(inst)
-	a.reg.Gauge("hls_demoted_extra_bytes", "extra footprint demoted instances cost over sharing", vl, sl).Add(inst, extraBytes)
-	a.reg.Histogram("hls_demotion_recovery_ns", "latency from first failed allocation attempt to the demotion decision").Observe(inst, elapsed.Nanoseconds())
-}
-
-// VarAllocated implements hls.AllocObserver, accounting one lazy module
-// allocation: sharedBytes is the single copy the scope instance holds,
-// savedBytes what duplicating it over the instance's other tasks would
-// have added.
-func (a *HLSAdapter) VarAllocated(varName, scope string, inst int, sharedBytes, savedBytes int64) {
-	if a.reg == nil {
-		return
-	}
-	vl, sl := L("var", varName), L("scope", scope)
-	a.reg.Counter("hls_instance_allocs_total", "lazy HLS module allocations (one per scope instance, §IV-A)", vl, sl).Inc(inst)
-	a.reg.Gauge("hls_shared_bytes", "bytes held by HLS instances: one shared copy per scope instance", vl, sl).Add(inst, sharedBytes)
-	a.reg.Gauge("hls_duplicate_bytes_avoided", "bytes per-task duplication would have added beyond the shared copies", vl, sl).Add(inst, savedBytes)
 }

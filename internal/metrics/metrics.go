@@ -1,12 +1,13 @@
 // Package metrics is the runtime telemetry registry: low-overhead
 // counters, gauges and log-scale histograms, exported as Prometheus text
 // exposition, JSON snapshots, and a live HTTP endpoint (see http.go).
-// Two kinds of source fill it. The observer interfaces of hls, rma and
-// ckpt, and wire's clock samples, push their events into sharded
-// counters while a program runs. MPI's and wire's counts are not pushed:
-// mpi.World.Stats and wire.Transport.Stats already keep them, so
-// MPIAdapter and WireAdapter register CounterFunc/GaugeFunc series that
-// read the watched worlds' and transports' Stats when the registry is
+// Two kinds of source fill it. The observer interfaces of rma and ckpt,
+// hls's directive edges and wire's clock samples push their events into
+// sharded counters while a program runs. MPI's, wire's and HLS's counts
+// are not pushed: mpi.World.Stats, wire.Transport.Stats and
+// hls.Registry.Stats already keep them, so MPIAdapter, WireAdapter and
+// HLSAdapter register CounterFunc/GaugeFunc series that read the watched
+// worlds', transports' and registries' Stats when the registry is
 // scraped (pull.go).
 //
 // The paper's evaluation (§V) is an observability exercise — cache

@@ -32,7 +32,7 @@ func (c *countingHooks) OnDeliver(dst int, meta any) {
 	}
 }
 
-// countingObserver is a second hls.SyncObserver member for MultiObserver.
+// countingObserver is a second hls.SyncObserver beside the HLS adapter.
 type countingObserver struct{ arrives, departs atomic.Int64 }
 
 func (c *countingObserver) Arrive(key string, rank int) { c.arrives.Add(1) }
@@ -42,11 +42,12 @@ func (c *countingObserver) Depart(key string, rank int) { c.departs.Add(1) }
 // 32-task world under load — point-to-point rings, barriers, singles,
 // nowaits, a lazy HLS allocation, and an RMA window with fences, locks
 // and one-sided ops. The MPI adapter watches the world's Stats while a
-// plain hook sees every message; the HLS adapter sits alongside a plain
-// second member through MultiObserver, and the RMA adapter is the
-// window's observer and tracer. Run with -race: the sharded cells, the
-// striped open-span maps and the HLS fan-out are all exercised
-// concurrently.
+// plain hook sees every message; the HLS adapter times directives beside
+// a plain second observer and watches the registry's Stats, and the RMA
+// adapter is the window's observer and tracer, while a scraper reads
+// the registry throughout. Run with -race: the sharded cells, the
+// striped open-span maps, the observer loop and the Stats reads beside
+// the per-rank single counters are all exercised concurrently.
 func TestStressAllAdapters(t *testing.T) {
 	const iters = 40
 	reg := metrics.New(32)
@@ -72,11 +73,27 @@ func TestStressAllAdapters(t *testing.T) {
 	if w.Size() < 32 {
 		t.Fatalf("want >= 32 tasks, got %d", w.Size())
 	}
-	hreg := hls.New(w, hls.WithObserver(hls.MultiObserver(hlsAd, nil, extraObs)))
+	hreg := hls.New(w, hls.WithObserver(hlsAd, nil, extraObs))
+	defer hlsAd.Watch(hreg)()
 	shared := hls.Declare[int64](hreg, "stress_table", topology.Node, 64)
 
+	// A scraper reads every pulled series while the directives run, as
+	// a live /metrics endpoint does.
+	scraped := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(scraped)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				reg.Snapshot()
+			}
+		}
+	}()
 	var singleWins atomic.Int64
-	if err := w.Run(func(task *mpi.Task) error {
+	err = w.Run(func(task *mpi.Task) error {
 		me := task.Rank()
 		n := w.Size()
 		win := rma.WinAllocate[int64](task, nil, 4,
@@ -104,7 +121,10 @@ func TestStressAllAdapters(t *testing.T) {
 		}
 		win.Free(task)
 		return nil
-	}); err != nil {
+	})
+	close(done)
+	<-scraped
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -153,7 +173,7 @@ func TestStressAllAdapters(t *testing.T) {
 		t.Fatalf("single losers = %d, want %d", lostTotal, wantLost)
 	}
 	if extraObs.arrives.Load() == 0 || extraObs.departs.Load() == 0 {
-		t.Fatal("MultiObserver second member starved")
+		t.Fatal("second observer starved")
 	}
 	if allocs, ok := find("hls_instance_allocs_total"); !ok || allocs.Value == 0 {
 		t.Fatal("lazy allocation not observed")

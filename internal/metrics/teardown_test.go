@@ -19,12 +19,12 @@ import (
 
 // TestFinishedWorldIsCollected: a world that Dup'd a communicator,
 // created and freed an RMA window, declared an HLS variable and was
-// watched by the MPI adapter is garbage once its Run returned, the
-// watch stopped and the caller dropped it. No package-level map may
-// keep a finished world (or its HLS registry) alive.
+// watched by the MPI and HLS adapters is garbage once its Run returned,
+// the watches stopped and the caller dropped it. No package-level map
+// may keep a finished world (or its HLS registry) alive.
 func TestFinishedWorldIsCollected(t *testing.T) {
 	reg := metrics.New(4)
-	world, registry, sends := runAndDrop(t, metrics.NewMPIAdapter(reg))
+	world, registry, sends := runAndDrop(t, metrics.NewMPIAdapter(reg), metrics.NewHLSAdapter(reg))
 	runtime.GC()
 	runtime.GC()
 	if world.Value() != nil {
@@ -41,12 +41,15 @@ func TestFinishedWorldIsCollected(t *testing.T) {
 		if c.Name == "mpi_sends_total" && c.Value != sends {
 			t.Errorf("mpi_sends_total = %d after the world was collected, want %d", c.Value, sends)
 		}
+		if c.Name == "hls_instance_allocs_total" && c.Value != 1 {
+			t.Errorf("hls_instance_allocs_total = %d after the registry was collected, want 1", c.Value)
+		}
 	}
 }
 
-// runAndDrop builds and runs the world, stops its watch and returns
+// runAndDrop builds and runs the world, stops its watches and returns
 // only weak references to it, plus its final message count.
-func runAndDrop(t *testing.T, a *metrics.MPIAdapter) (weak.Pointer[mpi.World], weak.Pointer[hls.Registry], int64) {
+func runAndDrop(t *testing.T, a *metrics.MPIAdapter, h *metrics.HLSAdapter) (weak.Pointer[mpi.World], weak.Pointer[hls.Registry], int64) {
 	t.Helper()
 	w, err := mpi.NewWorld(mpi.Config{NumTasks: 4, Timeout: 30 * time.Second})
 	if err != nil {
@@ -54,6 +57,7 @@ func runAndDrop(t *testing.T, a *metrics.MPIAdapter) (weak.Pointer[mpi.World], w
 	}
 	stop := a.Watch(w)
 	reg := hls.New(w)
+	stopHLS := h.Watch(reg)
 	v := hls.Declare[int64](reg, "teardown", topology.Node, 8)
 	err = w.Run(func(task *mpi.Task) error {
 		c := mpi.Dup(task, nil)
@@ -70,6 +74,7 @@ func runAndDrop(t *testing.T, a *metrics.MPIAdapter) (weak.Pointer[mpi.World], w
 		t.Fatal(err)
 	}
 	stop()
+	stopHLS()
 	return weak.Make(w), weak.Make(reg), w.Stats().Messages
 }
 

@@ -1,5 +1,7 @@
 package mpi
 
+import "unsafe"
+
 // Additional MPI-1.3 operations: vector collectives, reduce-scatter, and
 // a recursive-doubling allreduce. Kept apart from collectives.go to keep
 // the core algorithms readable.
@@ -136,7 +138,15 @@ func chanAllreduceRD[T Scalar](t *Task, c *Comm, sendBuf, recvBuf []T, op Op, ba
 		pof2 *= 2
 	}
 	rem := n - pof2
-	tmp := make([]T, len(sendBuf))
+	// tmp receives partners' partial results. It comes from the eager
+	// pool, so a steady stream of Allreduces allocates nothing; ranks
+	// that only send never take one.
+	var tmp []T
+	if n > 1 && (r >= 2*rem || r%2 == 0) {
+		b := t.world.pool.get(t.rank, len(sendBuf)*elemSize[T]())
+		defer t.world.pool.release(b)
+		tmp = unsafe.Slice((*T)(unsafe.Pointer(unsafe.SliceData(b.data))), len(sendBuf))
+	}
 
 	// Phase 1: the first 2*rem ranks fold pairs so pof2 ranks remain.
 	// Odd ranks of the pairs send and sit out; even ranks absorb.

@@ -167,9 +167,10 @@ func TestReduceScatterBlockValidation(t *testing.T) {
 
 func TestAllreduceRDAllSizes(t *testing.T) {
 	// Recursive doubling must agree with the straightforward algorithm
-	// for power-of-two and non-power-of-two sizes alike.
+	// for power-of-two and non-power-of-two sizes alike, and hand every
+	// pooled receive buffer back.
 	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16} {
-		run(t, n, func(task *Task) error {
+		w := run(t, n, func(task *Task) error {
 			send := []float64{float64(task.Rank() + 1), float64(task.Rank() * task.Rank())}
 			rd := make([]float64, 2)
 			plain := make([]float64, 2)
@@ -180,6 +181,9 @@ func TestAllreduceRDAllSizes(t *testing.T) {
 			}
 			return nil
 		})
+		if out := w.Stats().EagerPoolOutstanding; out != 0 {
+			t.Errorf("n=%d: %d eager buffers outstanding after Run, want 0", n, out)
+		}
 	}
 }
 
