@@ -135,7 +135,7 @@ func main() {
 
 		// One representative value so runs are comparable across flags.
 		if me == 0 {
-			center := (H+N/2)*(M*M+M+1)
+			center := (H + N/2) * (M*M + M + 1)
 			fmt.Printf("rank 0 center cell after %d iters: %.6f\n", *iters, grid[center])
 		}
 		return nil

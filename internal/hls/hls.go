@@ -137,8 +137,6 @@ type Registry struct {
 	taskCounts []map[scopeLK]int64
 	// instCounts counts directives completed per scope instance.
 	instCounts map[scopeKey]*atomic.Int64
-	// migGen[rank] invalidates Var caches after a migration.
-	migGen []atomic.Int64
 }
 
 type varMeta struct {
@@ -168,7 +166,6 @@ func New(w *mpi.World, opts ...Option) *Registry {
 		nowaits:      make(map[scopeKey]*nowaitState),
 		instCounts:   make(map[scopeKey]*atomic.Int64),
 		taskCounts:   make([]map[scopeLK]int64, w.Size()),
-		migGen:       make([]atomic.Int64, w.Size()),
 		singles:      make([]singleCount, w.Size()),
 		deadRanks:    make(map[int]error),
 		dirIdx:       make([]map[scopeLK]int64, w.Size()),
@@ -221,10 +218,9 @@ type AnyVar interface {
 	// Scope returns the resolved HLS scope.
 	Scope() topology.Scope
 	registry() *Registry
-	// ensureResolved forces the task's instance to materialize (and so
-	// forces the demote-or-share decision before any directive branches
-	// on it); demotedFor reports the decision.
-	ensureResolved(t *mpi.Task)
+	// demotedFor resolves the task's instance (forcing the
+	// demote-or-share decision before any directive branches on it) and
+	// reports the decision.
 	demotedFor(t *mpi.Task) bool
 }
 
@@ -258,16 +254,17 @@ type Var[T any] struct {
 	extraBytes int64
 	recovery   time.Duration
 
-	// cache[rank] holds the task's resolved slice, invalidated by
-	// migration. Entries are atomic because in hybrid MPI+OpenMP code
+	// cache[rank] holds the task's resolved entry; Migrate clears it
+	// (forget). Entries are atomic because in hybrid MPI+OpenMP code
 	// several threads of one task may resolve concurrently (the
 	// two-level-TLS situation of the paper's [22]).
-	cache []atomic.Pointer[varCache[T]]
+	cache []atomic.Pointer[entry[T]]
 }
 
-type varCache[T any] struct {
-	gen  int64 // migGen value the entry was resolved under, +1
-	data []T
+// entry is a task's resolved copy and its instance's demote decision.
+type entry[T any] struct {
+	data    []T
+	demoted bool
 }
 
 // Name returns the declaration name.
@@ -313,7 +310,7 @@ func Declare[T any](r *Registry, name string, scope topology.Scope, n int, opts 
 		scope:     scope,
 		n:         n,
 		instances: make(map[int][]T),
-		cache:     make([]atomic.Pointer[varCache[T]], r.world.Size()),
+		cache:     make([]atomic.Pointer[entry[T]], r.world.Size()),
 	}
 	v.accountBytes = int64(n) * int64(elemBytes[T]())
 	for _, o := range opts {
@@ -333,32 +330,40 @@ func elemBytes[T any]() uintptr {
 }
 
 // Slice returns task t's copy of the variable — the hls_get_addr_<scope>
-// call of §IV-A. The first task of a scope instance to arrive allocates
-// and initializes the instance's memory under the instance lock.
+// call of §IV-A. A hit is one atomic load and a nil check, valid until
+// Migrate clears the entry (none of t's threads is inside Slice then).
+// On a miss the first task of a scope instance to arrive allocates and
+// initializes the instance's memory under the instance lock.
 func (v *Var[T]) Slice(t *mpi.Task) []T {
-	rank := t.Rank()
-	gen := v.reg.migGen[rank].Load() + 1
-	if c := v.cache[rank].Load(); c != nil && c.gen == gen {
-		return c.data
+	if e := v.cache[t.Rank()].Load(); e != nil {
+		return e.data
 	}
-	inst := v.reg.instanceOf(t, v.scope)
-	data := v.instanceData(inst, rank)
-	v.cache[rank].Store(&varCache[T]{gen: gen, data: data})
-	return data
+	return v.resolve(t).data
 }
+
+// resolve is Slice's miss path: it finds t's instance and caches the
+// entry.
+func (v *Var[T]) resolve(t *mpi.Task) *entry[T] {
+	e := v.instanceData(v.reg.instanceOf(t, v.scope), t.Rank())
+	v.cache[t.Rank()].Store(e)
+	return e
+}
+
+// forget drops rank's resolved entry; Migrate calls it under r.mu.
+func (v *Var[T]) forget(rank int) { v.cache[rank].Store(nil) }
 
 // instanceData lazily allocates the storage of one scope instance
 // (§IV-A), or — when the allocation gate keeps failing past the retry
 // budget — demotes the instance to private per-task copies and returns
 // rank's copy.
-func (v *Var[T]) instanceData(inst, rank int) []T {
+func (v *Var[T]) instanceData(inst, rank int) *entry[T] {
 	v.instMu.Lock()
 	defer v.instMu.Unlock()
 	if v.demoted[inst] {
-		return v.privateData(inst, rank)
+		return &entry[T]{v.privateData(inst, rank), true}
 	}
 	if data, ok := v.instances[inst]; ok {
-		return data
+		return &entry[T]{data: data}
 	}
 	if g := v.reg.allocGate; g != nil {
 		start := time.Now()
@@ -369,7 +374,7 @@ func (v *Var[T]) instanceData(inst, rank int) []T {
 				break
 			}
 			if attempt > v.reg.allocRetries {
-				return v.demote(inst, rank, time.Since(start))
+				return &entry[T]{v.demote(inst, rank, time.Since(start)), true}
 			}
 			time.Sleep(backoff)
 			backoff *= 2
@@ -389,7 +394,7 @@ func (v *Var[T]) instanceData(inst, rank int) []T {
 	}
 	tasks := len(v.reg.pin.RanksInInstance(v.scope, inst))
 	v.savedBytes += v.accountBytes * int64(tasks-1)
-	return data
+	return &entry[T]{data: data}
 }
 
 // demote switches instance inst to private per-task copies after a
@@ -437,16 +442,13 @@ func (v *Var[T]) privateData(inst, rank int) []T {
 	return d
 }
 
-// ensureResolved forces the demote-or-share decision for t's instance.
-func (v *Var[T]) ensureResolved(t *mpi.Task) { v.Slice(t) }
-
-// demotedFor reports whether t's instance runs in degraded (private
-// copies) mode. Only meaningful after ensureResolved.
+// demotedFor resolves t's instance and reports whether it runs in
+// degraded (private copies) mode, read from the cached entry.
 func (v *Var[T]) demotedFor(t *mpi.Task) bool {
-	inst := v.reg.instanceOf(t, v.scope)
-	v.instMu.Lock()
-	defer v.instMu.Unlock()
-	return v.demoted[inst]
+	if e := v.cache[t.Rank()].Load(); e != nil {
+		return e.demoted
+	}
+	return v.resolve(t).demoted
 }
 
 // Demotions returns how many of the variable's instances were demoted to
@@ -487,7 +489,6 @@ func (v *Var[T]) MaxInstances() int {
 // single(v) { body }". The last task to enter executes body (§IV-B), so
 // on return every task observes the block's effects.
 func (v *Var[T]) Single(t *mpi.Task, body func(data []T)) {
-	v.ensureResolved(t)
 	if v.demotedFor(t) {
 		// Degraded instance: every task owns a private copy, so the body
 		// must run on each of them (barrier / body / barrier preserves
@@ -504,7 +505,6 @@ func (v *Var[T]) Single(t *mpi.Task, body func(data []T)) {
 // "#pragma hls single(v) nowait { body }". It reports whether this task
 // executed the body.
 func (v *Var[T]) SingleNowait(t *mpi.Task, body func(data []T)) bool {
-	v.ensureResolved(t)
 	if v.demotedFor(t) {
 		return v.reg.nowaitAll(t, v.scope, func() { body(v.Slice(t)) })
 	}
@@ -561,10 +561,7 @@ func Single(t *mpi.Task, body func(), vars ...AnyVar) {
 func anyDemoted(t *mpi.Task, vars []AnyVar) bool {
 	dem := false
 	for _, v := range vars {
-		v.ensureResolved(t)
-		if v.demotedFor(t) {
-			dem = true
-		}
+		dem = v.demotedFor(t) || dem
 	}
 	return dem
 }

@@ -35,12 +35,13 @@ func (e *MigrationBlockedError) Error() string {
 // same number of single and barrier directives as the destination scope
 // instances it is moving into; otherwise the move is refused with an
 // error. HLS variables are bound to the architecture and do not move: the
-// task simply resolves the destination's copies afterwards (its private
-// pointer cache is invalidated).
+// task resolves the destination's copies afterwards, as Migrate clears
+// its cached entry in every declared variable.
 //
 // Migration must be quiescent: no task of the affected scope instances may
-// be inside an HLS directive while Migrate runs. This mirrors MPC, where
-// the migration check itself enforces directive-count agreement.
+// be inside an HLS directive, and no thread of t inside Slice, while
+// Migrate runs on t. This mirrors MPC, where the migration check itself
+// enforces directive-count agreement.
 func (r *Registry) Migrate(t *mpi.Task, newThread int) error {
 	rank := t.Rank()
 	oldThread := r.pin.Thread(rank)
@@ -93,7 +94,9 @@ func (r *Registry) Migrate(t *mpi.Task, newThread int) error {
 	// Commit: re-pin, invalidate the task's variable cache, rebuild the
 	// barriers of every affected instance from the new pinning.
 	r.pin.Move(rank, newThread)
-	r.migGen[rank].Add(1)
+	for _, v := range r.declared {
+		v.forget(rank)
+	}
 	for _, s := range changed {
 		lk := scopeLK{s.Kind, s.Level}
 		for _, inst := range []int{

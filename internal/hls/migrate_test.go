@@ -50,6 +50,45 @@ func TestMigrateSameCounts(t *testing.T) {
 	}
 }
 
+// TestMigrateInvalidatesEveryVar: a migrant that resolved two variables
+// of different scopes before moving resolves the destination instance of
+// both afterwards, so Migrate must clear the entry of every variable.
+func TestMigrateInvalidatesEveryVar(t *testing.T) {
+	m := topology.NehalemEX4()
+	w, err := mpi.NewWorld(mpi.Config{NumTasks: 2, Machine: m, Pin: topology.PinCorePerTask, Timeout: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := New(w)
+	tag := WithInit(func(inst int, data []int) { data[0] = inst })
+	vars := []*Var[int]{
+		Declare[int](r, "numa", topology.NUMA, 1, tag),
+		Declare[int](r, "core", topology.Core, 1, tag),
+	}
+	const dest = 31 // socket 3, a core no task holds
+	if err := w.Run(func(task *mpi.Task) error {
+		if task.Rank() != 1 {
+			return nil
+		}
+		for _, v := range vars {
+			if got, want := v.Slice(task)[0], m.ScopeInstance(task.Thread(), v.Scope()); got != want {
+				return fmt.Errorf("%s before migration: instance %d, want %d", v.Name(), got, want)
+			}
+		}
+		if err := r.Migrate(task, dest); err != nil {
+			return err
+		}
+		for _, v := range vars {
+			if got, want := v.Slice(task)[0], m.ScopeInstance(dest, v.Scope()); got != want {
+				return fmt.Errorf("%s after migration: instance %d, want destination %d", v.Name(), got, want)
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestMigrateCountMismatchRefused(t *testing.T) {
 	// Rank 1 runs numa-scope directives (its socket differs from rank 0's
 	// destination socket... here: rank 1 executes singles on its own

@@ -78,13 +78,13 @@ type VarInfo struct {
 	DemotedExtraBytes int64
 }
 
-// instanceCounter lets the registry query Var[T] instances without
-// knowing T.
+// instanceCounter lets the registry reach Var[T] instances without knowing T.
 type instanceCounter interface {
 	Name() string
 	Scope() topology.Scope
 	bytesPerInstance() int64
 	addStats(*Stats)
+	forget(rank int)
 }
 
 func (v *Var[T]) bytesPerInstance() int64 { return v.accountBytes }
