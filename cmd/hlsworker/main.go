@@ -151,6 +151,7 @@ func main() {
 		hosts: *hosts, addrs: addrs, node: *node, perNode: *perNode,
 		numTasks: numTasks, machine: machine, reg: reg,
 		mpiMetrics: metrics.NewMPIAdapter(reg), wireMetrics: metrics.NewWireAdapter(reg, len(addrs)),
+		ckptMetrics: metrics.NewCkptAdapter(reg), stopCkpt: func() {},
 		coll: coll, batch: *batchWindow,
 		rounds: *rounds, roundSleep: *roundSleep,
 		tracer: tracer, traceFile: *traceFile, timeout: *timeout,
@@ -222,11 +223,15 @@ type genCfg struct {
 	numTasks int
 	machine  *topology.Machine
 	reg      *metrics.Registry
-	// mpiMetrics and wireMetrics outlive the generations: each
-	// generation's world and transport are watched while they run, so
-	// the series sum across restarts.
+	// The adapters outlive the generations: each generation's world and
+	// transport are watched while they run, so the series sum across
+	// restarts. A generation's coordinator stays watched until the next
+	// one replaces it, so the generation gauges still read while the
+	// process lingers.
 	mpiMetrics  *metrics.MPIAdapter
 	wireMetrics *metrics.WireAdapter
+	ckptMetrics *metrics.CkptAdapter
+	stopCkpt    func()
 	coll        mpi.CollectiveMode
 	batch       time.Duration
 
@@ -316,11 +321,13 @@ func runGeneration(g *genCfg) error {
 
 	var coord *ckpt.Coordinator
 	if g.genDir != "" {
-		ccfg := ckpt.Config{Dir: g.genDir, Observer: metrics.NewCkptAdapter(g.reg)}
+		ccfg := ckpt.Config{Dir: g.genDir}
 		if g.tracer != nil {
-			ccfg.Tracer = &trace.CkptAdapter{R: g.tracer.Recorder()}
+			ccfg.Trace = g.tracer.Recorder()
 		}
 		coord = ckpt.New(ccfg)
+		g.stopCkpt()
+		g.stopCkpt = g.ckptMetrics.Watch(coord)
 	}
 
 	// progress[r] is the next round rank r should run; it rides along in

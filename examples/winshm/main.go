@@ -83,6 +83,9 @@ func main() {
 			win.Unlock(task, 0)
 			fmt.Printf("rank %d: %v tasks checked in via Accumulate\n", task.Rank(), tally[0])
 		}
+		// Collective, like the allocation: the slab goes back and the
+		// runtime forgets the window.
+		win.Free(task)
 		return nil
 	})
 	if err != nil {

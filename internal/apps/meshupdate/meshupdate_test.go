@@ -2,6 +2,7 @@ package meshupdate
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"hls/internal/cachesim"
@@ -263,5 +264,35 @@ func TestStreamDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("access %d differs: %+v vs %+v", i, a[i], b[i])
 		}
+	}
+}
+
+// TestWinShmRunsReleaseTheirTable: a finished WinShm run frees its
+// window, so neither the shared table nor the world outlives it.
+func TestWinShmRunsReleaseTheirTable(t *testing.T) {
+	cfg := Config{
+		Machine:      topology.HarpertownCluster(1),
+		Tasks:        4,
+		Mode:         WinShm,
+		CellsPerTask: 16,
+		TableEntries: 1 << 20, // 8 MiB of float64
+		Steps:        1,
+		Seed:         1,
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	for i := 0; i < 4; i++ {
+		if _, err := RunAllChecksum(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if retained := int64(heap()) - int64(before); retained >= 1<<20 {
+		t.Errorf("4 WinShm runs of an 8 MiB table retain %.1f MB, want < 1 MB", float64(retained)/(1<<20))
 	}
 }

@@ -102,6 +102,9 @@ func (a *RealApp) Run(task *mpi.Task) (float64, error) {
 			a.updateTable(task, win, winWriter, table, step+1)
 		}
 	}
+	if win != nil {
+		win.Free(task) // an unfreed window keeps its world alive
+	}
 	sum := 0.0
 	for _, v := range mesh {
 		sum += v

@@ -83,29 +83,6 @@ type RecoverResult struct {
 	Checks RecoverChecks
 }
 
-// recObs collects ckpt.Observer outcomes for the checks.
-type recObs struct {
-	mu       sync.Mutex
-	restores int
-	skips    int
-}
-
-func (o *recObs) CheckpointDone(gen uint64, bytes int64, d time.Duration, err error) {}
-
-func (o *recObs) RestoreDone(gen uint64, bytes int64, d time.Duration, skipped int, err error) {
-	o.mu.Lock()
-	if err == nil {
-		o.restores++
-	}
-	o.mu.Unlock()
-}
-
-func (o *recObs) GenerationSkipped(gen uint64, reason string) {
-	o.mu.Lock()
-	o.skips++
-	o.mu.Unlock()
-}
-
 // RunRecover runs the crash-recovery experiment in a temporary
 // checkpoint directory. The seed fixes the chaos schedule.
 func RunRecover(p Profile, seed int64) (*RecoverResult, error) {
@@ -140,8 +117,9 @@ func RunRecover(p Profile, seed int64) (*RecoverResult, error) {
 		results []float64
 		run     RecoverRun
 		info    ckpt.RestoreInfo
+		stats   ckpt.Stats
 	}
-	trial := func(mode string, inj *chaos.Injector, restore bool, obs ckpt.Observer) (*trialOut, error) {
+	trial := func(mode string, inj *chaos.Injector, restore bool) (*trialOut, error) {
 		var hooks mpi.Hooks
 		opts := telemetryHLSOptions()
 		if inj != nil {
@@ -160,7 +138,7 @@ func RunRecover(p Profile, seed int64) (*RecoverResult, error) {
 					data[i] = float64(i % 13)
 				}
 			}))
-		co := ckpt.New(ckpt.Config{Dir: ckptDir, Observer: obs})
+		co := ckpt.New(ckpt.Config{Dir: ckptDir})
 
 		state := make([][]float64, tasks)
 		results := make([][]float64, tasks)
@@ -240,6 +218,7 @@ func RunRecover(p Profile, seed int64) (*RecoverResult, error) {
 			return nil
 		}, reg)
 		to.run.Seconds = time.Since(start).Seconds()
+		to.stats = co.Stats()
 		to.run.Iters = int(iterAt[0][0]) - to.run.StartIter
 		to.results = results[0]
 		if runErr != nil {
@@ -249,7 +228,7 @@ func RunRecover(p Profile, seed int64) (*RecoverResult, error) {
 	}
 
 	// Trial 1: clean baseline (fresh directories).
-	clean, err := trial("clean", nil, false, nil)
+	clean, err := trial("clean", nil, false)
 	if err != nil {
 		return nil, fmt.Errorf("recover: clean run: %w", err)
 	}
@@ -262,7 +241,7 @@ func RunRecover(p Profile, seed int64) (*RecoverResult, error) {
 	inj := chaos.New(seed,
 		chaos.Fault{Kind: chaos.RankKill, Rank: 1, Nth: int64(iters/2) + 1},
 	)
-	killed, err := trial("killed", inj, false, nil)
+	killed, err := trial("killed", inj, false)
 	if err == nil {
 		return nil, fmt.Errorf("recover: chaos run survived its kill plan: %v", inj.Unfired())
 	}
@@ -274,8 +253,7 @@ func RunRecover(p Profile, seed int64) (*RecoverResult, error) {
 
 	// Trial 2b: respawn — a fresh world restores the latest generation
 	// and finishes the run.
-	obs := &recObs{}
-	resumed, err := trial("resumed", nil, true, obs)
+	resumed, err := trial("resumed", nil, true)
 	if err != nil {
 		return nil, fmt.Errorf("recover: resumed run: %w", err)
 	}
@@ -284,7 +262,7 @@ func RunRecover(p Profile, seed int64) (*RecoverResult, error) {
 	out.RestoreBytes = resumed.info.Bytes
 	out.RestoreMs = float64(resumed.info.Duration.Nanoseconds()) / 1e6
 	out.Checks.RestoreReported = resumed.info.Gen > 0 && resumed.info.Bytes > 0 &&
-		resumed.info.Duration > 0 && obs.restores >= 1
+		resumed.info.Duration > 0 && resumed.stats.Restores >= 1
 
 	identical := func(a, b []float64) bool {
 		if len(a) != len(b) {
@@ -328,8 +306,7 @@ func RunRecover(p Profile, seed int64) (*RecoverResult, error) {
 		return nil, err
 	}
 
-	tornObs := &recObs{}
-	torn, err := trial("torn-resumed", nil, true, tornObs)
+	torn, err := trial("torn-resumed", nil, true)
 	if err != nil {
 		return nil, fmt.Errorf("recover: torn-resumed run: %w", err)
 	}
@@ -337,7 +314,7 @@ func RunRecover(p Profile, seed int64) (*RecoverResult, error) {
 	out.TornRestoreGen = torn.info.Gen
 	out.TornSkippedGens = torn.info.Skipped
 	out.Checks.TornSkipped = torn.info.Gen > 0 && torn.info.Gen < out.TornGen &&
-		torn.info.Skipped >= 1 && tornObs.skips >= 1
+		torn.info.Skipped >= 1 && torn.stats.GenerationsSkipped >= 1
 	out.Checks.Identical = out.Checks.Identical && identical(clean.results, torn.results)
 
 	return out, nil

@@ -142,30 +142,34 @@ func rmaMemory() ([]RMAMemRow, error) {
 	reg := hls.New(w, append(telemetryHLSOptions(), hls.WithTracker(tr))...)
 	v := hls.Declare[float64](reg, "rma_mem_table", topology.Node, tableITableEntries,
 		hls.WithAccountBytes[float64](tableBytes))
-	if err := runWorld(w, func(task *mpi.Task) error { v.Slice(task); return nil }); err != nil {
+	if err := runWorld(w, func(task *mpi.Task) error { v.Slice(task); return nil }, reg); err != nil {
 		return nil, err
 	}
 	rows = append(rows, RMAMemRow{Mode: "HLS node", TableMB: memsim.MB(float64(tr.CurrentBytes(0))),
 		Note: "one copy, directive metadata"})
 
-	// MPI-3 shared window.
+	// MPI-3 shared window, billed before Free returns its memory.
 	w, tr, err = newEnv()
 	if err != nil {
 		return nil, err
 	}
+	var winBytes, control int64
 	if err := runWorld(w, func(task *mpi.Task) error {
 		mine := 0
 		if task.Rank() == 0 {
 			mine = tableITableEntries
 		}
-		rma.WinAllocateShared[float64](task, nil, mine,
-			append(telemetryWinOptions(), rma.WithTracker(tr), rma.WithAccountBytes(tableBytes))...)
+		win := rma.WinAllocateShared[float64](task, nil, mine, rma.WithTracker(tr), rma.WithAccountBytes(tableBytes))
+		defer watchWindow(task, win)()
+		if task.Rank() == 0 {
+			winBytes, control = tr.CurrentBytes(0), tr.KindBytes(memsim.KindRuntime)[0]
+		}
+		win.Free(task)
 		return nil
-	}, reg); err != nil {
+	}); err != nil {
 		return nil, err
 	}
-	control := tr.KindBytes(memsim.KindRuntime)[0]
-	rows = append(rows, RMAMemRow{Mode: "MPI-3 shared window", TableMB: memsim.MB(float64(tr.CurrentBytes(0))),
+	rows = append(rows, RMAMemRow{Mode: "MPI-3 shared window", TableMB: memsim.MB(float64(winBytes)),
 		Note: fmt.Sprintf("one page-rounded slab + %d B window control", control)})
 	return rows, nil
 }
@@ -201,7 +205,8 @@ func rmaSync(p Profile) ([]MicroResult, error) {
 	}
 	var elapsed time.Duration
 	if err := runWorld(w, func(task *mpi.Task) error {
-		win := rma.WinAllocate[int](task, nil, 1, telemetryWinOptions()...)
+		win := rma.WinAllocate[int](task, nil, 1)
+		defer watchWindow(task, win)()
 		mpi.Barrier(task, nil)
 		start := time.Now()
 		for i := 0; i < iters; i++ {
@@ -210,6 +215,7 @@ func rmaSync(p Profile) ([]MicroResult, error) {
 		if task.Rank() == 0 {
 			elapsed = time.Since(start)
 		}
+		win.Free(task)
 		return nil
 	}); err != nil {
 		return nil, err
@@ -227,7 +233,8 @@ func rmaSync(p Profile) ([]MicroResult, error) {
 		}
 		var elapsed time.Duration
 		if err := runWorld(w, func(task *mpi.Task) error {
-			win := rma.WinAllocate[int](task, nil, 1, telemetryWinOptions()...)
+			win := rma.WinAllocate[int](task, nil, 1)
+			defer watchWindow(task, win)()
 			target := task.Rank()
 			if contended {
 				target = 0
@@ -241,6 +248,7 @@ func rmaSync(p Profile) ([]MicroResult, error) {
 			if task.Rank() == 0 {
 				elapsed = time.Since(start)
 			}
+			win.Free(task)
 			return nil
 		}); err != nil {
 			return nil, err

@@ -81,13 +81,14 @@ func telemetryHLSOptions() []hls.Option {
 	return []hls.Option{hls.WithObserver(active.HLS)}
 }
 
-// telemetryWinOptions returns the rma.Option slice new windows should
-// start from (empty when telemetry is off).
-func telemetryWinOptions() []rma.Option {
-	if active == nil {
-		return nil
+// watchWindow adds win's Stats to the RMA telemetry, once per window:
+// every rank holds the same *Window, so only rank 0 watches. Call the
+// returned stop after Free, so the counts stay and the window goes.
+func watchWindow[T mpi.Scalar](t *mpi.Task, win *rma.Window[T]) (stop func()) {
+	if active == nil || t.Rank() != 0 {
+		return func() {}
 	}
-	return []rma.Option{rma.WithObserver(active.RMA), rma.WithTracer(active.RMA)}
+	return active.RMA.Watch(win)
 }
 
 // histQuantile reads the q-quantile's bucket upper bound from a
@@ -244,7 +245,7 @@ func PrintTelemetry(w io.Writer, t *Telemetry) {
 	}
 
 	// RMA one-sided traffic and epoch costs.
-	if ops := sumSeries(snap.Counters, "rma_ops_total"); ops > 0 {
+	if sumSeries(snap.Counters, "rma_ops_total")+sumSeries(snap.Counters, "rma_epochs_total") > 0 {
 		fprintf(w, "rma ops: put %d (%s) / get %d (%s) / accumulate %d (%s)\n",
 			sumSeries(snap.Counters, "rma_ops_total", "op", "put"),
 			fmtBytes(sumSeries(snap.Counters, "rma_op_bytes_total", "op", "put")),
@@ -253,20 +254,14 @@ func PrintTelemetry(w io.Writer, t *Telemetry) {
 			sumSeries(snap.Counters, "rma_ops_total", "op", "accumulate"),
 			fmtBytes(sumSeries(snap.Counters, "rma_op_bytes_total", "op", "accumulate")))
 	}
-	var epochs []metrics.HistogramValue
-	for _, h := range snap.Histograms {
-		if h.Name == "rma_epoch_ns" && h.Count > 0 {
-			epochs = append(epochs, h)
+	for _, kind := range rma.EpochKinds {
+		if n := sumSeries(snap.Counters, "rma_epochs_total", "kind", kind); n > 0 {
+			fprintf(w, "rma epochs %s: %d, mean %s\n", kind, n,
+				fmtDur(float64(sumSeries(snap.Counters, "rma_epoch_ns", "kind", kind))/float64(n)))
 		}
 	}
-	sort.Slice(epochs, func(i, j int) bool { return epochs[i].Sum > epochs[j].Sum })
-	for _, h := range epochs {
-		fprintf(w, "rma epochs %s/%s: %d, mean %s, p99 %s\n",
-			h.Labels["win"], h.Labels["kind"], h.Count,
-			fmtDur(float64(h.Sum)/float64(h.Count)), fmtDur(histQuantile(h, 0.99)))
-	}
 	if pub := sumSeries(snap.Counters, "rma_lock_publishes_total"); pub > 0 {
-		fprintf(w, "rma locks: %d publishes / %d ordered acquires\n",
+		fprintf(w, "rma locks: %d publishes / %d acquires\n",
 			pub, sumSeries(snap.Counters, "rma_lock_acquires_total"))
 	}
 }

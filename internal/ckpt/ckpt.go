@@ -43,9 +43,11 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hls/internal/mpi"
+	"hls/internal/trace"
 )
 
 // ErrNoCheckpoint is returned by Restore when the directory holds no
@@ -63,23 +65,6 @@ type Source interface {
 	Load(t *mpi.Task, data []byte) error
 }
 
-// Observer receives checkpoint/restore outcomes; metrics.CkptAdapter
-// implements it. CheckpointDone/RestoreDone fire once per rank with
-// that rank's payload bytes; GenerationSkipped fires on rank 0 for
-// every invalid generation passed over during a restore scan.
-type Observer interface {
-	CheckpointDone(gen uint64, bytes int64, d time.Duration, err error)
-	RestoreDone(gen uint64, bytes int64, d time.Duration, skipped int, err error)
-	GenerationSkipped(gen uint64, reason string)
-}
-
-// Tracer brackets checkpoint/restore spans per rank; trace.CkptAdapter
-// implements it. op is "checkpoint" or "restore".
-type Tracer interface {
-	CkptBegin(op string, gen uint64, worldRank int)
-	CkptEnd(op string, gen uint64, worldRank int)
-}
-
 // Config configures a Coordinator.
 type Config struct {
 	// Dir is the checkpoint directory (shared by all ranks; in a
@@ -87,9 +72,10 @@ type Config struct {
 	Dir string
 	// Keep is how many committed generations to retain (older ones are
 	// pruned after each successful checkpoint). 0 means DefaultKeep.
-	Keep     int
-	Observer Observer
-	Tracer   Tracer
+	Keep int
+	// Trace, when set, receives each rank's "checkpoint/gen-N" and
+	// "restore/gen-N" slice (cat "ckpt", arg "generation").
+	Trace *trace.Recorder
 }
 
 // DefaultKeep retains the last three committed generations: the newest,
@@ -109,6 +95,61 @@ type Coordinator struct {
 	byName  map[string]int
 	scanned bool
 	nextGen uint64 // rank 0 only: next generation to write
+
+	ckpt, rest opStats
+	skipped    atomic.Int64
+}
+
+// Stats counts a Coordinator's outcomes. Each rank's finished
+// Checkpoint or Restore counts once, with that rank's payload bytes and
+// wall time; a Restore that finds no valid generation counts nothing.
+// GenerationsSkipped counts the invalid generations rank 0's restore
+// scans passed over.
+type Stats struct {
+	Checkpoints, CheckpointErrors int64
+	Restores, RestoreErrors       int64
+	GenerationsSkipped            int64
+	BytesSaved, BytesRestored     int64
+	CheckpointNs, RestoreNs       int64 // summed over successful operations
+	// LastGeneration is the last committed generation and
+	// RestoredGeneration the last restored one (0 = none yet).
+	LastGeneration, RestoredGeneration uint64
+}
+
+// Stats returns the outcomes so far. It may be called at any time.
+func (c *Coordinator) Stats() Stats {
+	return Stats{
+		Checkpoints: c.ckpt.ok.Load(), CheckpointErrors: c.ckpt.errs.Load(),
+		Restores: c.rest.ok.Load(), RestoreErrors: c.rest.errs.Load(),
+		BytesSaved: c.ckpt.bytes.Load(), BytesRestored: c.rest.bytes.Load(),
+		CheckpointNs: c.ckpt.ns.Load(), RestoreNs: c.rest.ns.Load(),
+		LastGeneration: c.ckpt.gen.Load(), RestoredGeneration: c.rest.gen.Load(),
+		GenerationsSkipped: c.skipped.Load(),
+	}
+}
+
+// opStats counts one operation's outcomes.
+type opStats struct {
+	ok, errs, bytes, ns atomic.Int64
+	gen                 atomic.Uint64 // of the last success
+}
+
+// done counts rank's op ("checkpoint" or "restore") of generation gen,
+// started at start, and writes its slice to the recorder, if any.
+func (c *Coordinator) done(o *opStats, op string, rank int, gen uint64, bytes int64, start time.Time, err error) {
+	d := time.Since(start).Nanoseconds()
+	if err != nil {
+		o.errs.Add(1)
+	} else {
+		o.ok.Add(1)
+		o.bytes.Add(bytes)
+		o.ns.Add(d)
+		o.gen.Store(gen)
+	}
+	if rec := c.cfg.Trace; rec != nil {
+		end := rec.NowNs()
+		rec.SliceNs(rank, fmt.Sprintf("%s/gen-%d", op, gen), "ckpt", end-d, end, map[string]any{"generation": gen})
+	}
 }
 
 // New creates a Coordinator over cfg.Dir.
@@ -143,16 +184,14 @@ func (c *Coordinator) snapshotSources() []Source {
 	return append([]Source(nil), c.sources...)
 }
 
-// convertPanic converts the runtime's typed failure panics (dead rank,
-// cancellation, fatal MPI error mid-collective) into ordinary error
-// returns, so a checkpoint interrupted by a dying rank reports instead
-// of unwinding the whole task. Anything else keeps panicking.
-func convertPanic(err *error) {
-	p := recover()
-	if p == nil {
-		return
-	}
+// convertPanic converts p, a recovered panic, into an ordinary error
+// return when it is one of the runtime's typed failures (dead rank,
+// cancellation, fatal MPI error mid-collective), so a checkpoint
+// interrupted by a dying rank reports instead of unwinding the whole
+// task. Anything else keeps panicking.
+func convertPanic(p any, err *error) {
 	switch e := p.(type) {
+	case nil:
 	case *mpi.DeadRankError:
 		*err = e
 	case *mpi.CancelledError:
@@ -161,20 +200,6 @@ func convertPanic(err *error) {
 		*err = e
 	default:
 		panic(p)
-	}
-}
-
-func (c *Coordinator) observer() Observer { return c.cfg.Observer }
-
-func (c *Coordinator) traceBegin(op string, gen uint64, rank int) {
-	if tr := c.cfg.Tracer; tr != nil {
-		tr.CkptBegin(op, gen, rank)
-	}
-}
-
-func (c *Coordinator) traceEnd(op string, gen uint64, rank int) {
-	if tr := c.cfg.Tracer; tr != nil {
-		tr.CkptEnd(op, gen, rank)
 	}
 }
 

@@ -10,49 +10,11 @@ import (
 	"time"
 
 	"hls/internal/hls"
-	"hls/internal/metrics"
 	"hls/internal/mpi"
 	"hls/internal/rma"
 	"hls/internal/topology"
 	"hls/internal/trace"
 )
-
-// The telemetry adapters implement the ckpt extension points
-// structurally; break the build here if the signatures drift.
-var (
-	_ Observer = (*metrics.CkptAdapter)(nil)
-	_ Tracer   = (*trace.CkptAdapter)(nil)
-)
-
-// recObserver records observer callbacks for assertions.
-type recObserver struct {
-	mu          sync.Mutex
-	checkpoints int
-	restores    int
-	skips       []string
-}
-
-func (o *recObserver) CheckpointDone(gen uint64, bytes int64, d time.Duration, err error) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if err == nil {
-		o.checkpoints++
-	}
-}
-
-func (o *recObserver) RestoreDone(gen uint64, bytes int64, d time.Duration, skipped int, err error) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if err == nil {
-		o.restores++
-	}
-}
-
-func (o *recObserver) GenerationSkipped(gen uint64, reason string) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.skips = append(o.skips, fmt.Sprintf("gen %d: %s", gen, reason))
-}
 
 func newTestWorld(t *testing.T, n int) *mpi.World {
 	t.Helper()
@@ -72,15 +34,15 @@ type worldState struct {
 }
 
 // runStateWorld builds an n-task world with all three sources
-// registered and runs body(task, win, tab, c).
-func runStateWorld(t *testing.T, n int, dir string, ob Observer,
+// registered in co and runs body(task, win, tab, st).
+func runStateWorld(t *testing.T, n int, co *Coordinator,
 	body func(task *mpi.Task, win *rma.Window[float64], tab *hls.Var[float64], st *worldState) error) error {
 	t.Helper()
 	w := newTestWorld(t, n)
 	reg := hls.New(w)
 	tab := hls.Declare[float64](reg, "cktab", topology.Node, 32)
 	st := &worldState{
-		co:    New(Config{Dir: dir, Observer: ob}),
+		co:    co,
 		iters: make([][]int64, n),
 	}
 	for r := range st.iters {
@@ -106,9 +68,10 @@ func runStateWorld(t *testing.T, n int, dir string, ob Observer,
 func TestCheckpointRestoreRoundTrip(t *testing.T) {
 	const n = 4
 	dir := t.TempDir()
-	ob := &recObserver{}
+	rec := trace.NewRecorder()
+	saver, restorer := New(Config{Dir: dir, Trace: rec}), New(Config{Dir: dir, Trace: rec})
 
-	err := runStateWorld(t, n, dir, ob, func(task *mpi.Task, win *rma.Window[float64], tab *hls.Var[float64], st *worldState) error {
+	err := runStateWorld(t, n, saver, func(task *mpi.Task, win *rma.Window[float64], tab *hls.Var[float64], st *worldState) error {
 		me := task.Rank()
 		seg := win.Local(task)
 		for i := range seg {
@@ -138,7 +101,7 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	err = runStateWorld(t, n, dir, ob, func(task *mpi.Task, win *rma.Window[float64], tab *hls.Var[float64], st *worldState) error {
+	err = runStateWorld(t, n, restorer, func(task *mpi.Task, win *rma.Window[float64], tab *hls.Var[float64], st *worldState) error {
 		me := task.Rank()
 		info, err := st.co.Restore(task)
 		if err != nil {
@@ -176,8 +139,37 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ob.checkpoints != n || ob.restores != n {
-		t.Fatalf("observer saw %d checkpoints, %d restores; want %d each", ob.checkpoints, ob.restores, n)
+	s, r := saver.Stats(), restorer.Stats()
+	if s.Checkpoints != n || s.CheckpointErrors != 0 || s.LastGeneration != 1 || s.BytesSaved <= 0 || s.CheckpointNs <= 0 {
+		t.Errorf("checkpointing coordinator's Stats = %+v, want %d ok checkpoints of generation 1", s, n)
+	}
+	if r.Restores != n || r.RestoreErrors != 0 || r.RestoredGeneration != 1 || r.BytesRestored != s.BytesSaved || r.RestoreNs <= 0 {
+		t.Errorf("restoring coordinator's Stats = %+v, want %d ok restores of generation 1", r, n)
+	}
+	// One "ckpt" slice per rank for each operation.
+	slices := map[string]map[int]int{}
+	for _, e := range rec.Events() {
+		if e.Cat != "ckpt" || e.Ph != "X" {
+			t.Errorf("unexpected ckpt event %+v", e)
+			continue
+		}
+		if slices[e.Name] == nil {
+			slices[e.Name] = map[int]int{}
+		}
+		slices[e.Name][e.Tid]++
+	}
+	for _, name := range []string{"checkpoint/gen-1", "restore/gen-1"} {
+		if len(slices[name]) != n {
+			t.Errorf("%s slices on %d ranks, want %d", name, len(slices[name]), n)
+		}
+		for rank, c := range slices[name] {
+			if c != 1 {
+				t.Errorf("%s: %d slices on rank %d, want 1", name, c, rank)
+			}
+		}
+	}
+	if len(slices) != 2 {
+		t.Errorf("ckpt slices %v, want only checkpoint/gen-1 and restore/gen-1", slices)
 	}
 }
 
@@ -186,7 +178,7 @@ func TestCheckpointRestoreRoundTrip(t *testing.T) {
 // start).
 func TestRestoreNoCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	err := runStateWorld(t, 2, dir, nil, func(task *mpi.Task, _ *rma.Window[float64], _ *hls.Var[float64], st *worldState) error {
+	err := runStateWorld(t, 2, New(Config{Dir: dir}), func(task *mpi.Task, _ *rma.Window[float64], _ *hls.Var[float64], st *worldState) error {
 		_, err := st.co.Restore(task)
 		if !errors.Is(err, ErrNoCheckpoint) {
 			return fmt.Errorf("rank %d: err = %v, want ErrNoCheckpoint", task.Rank(), err)
@@ -204,9 +196,8 @@ func TestRestoreNoCheckpoint(t *testing.T) {
 func TestRestoreSkipsTornGeneration(t *testing.T) {
 	const n = 2
 	dir := t.TempDir()
-	ob := &recObserver{}
 
-	err := runStateWorld(t, n, dir, ob, func(task *mpi.Task, win *rma.Window[float64], _ *hls.Var[float64], st *worldState) error {
+	err := runStateWorld(t, n, New(Config{Dir: dir}), func(task *mpi.Task, win *rma.Window[float64], _ *hls.Var[float64], st *worldState) error {
 		win.Local(task)[0] = 1.0
 		if _, err := st.co.Checkpoint(task); err != nil {
 			return err
@@ -233,7 +224,8 @@ func TestRestoreSkipsTornGeneration(t *testing.T) {
 	}
 	f.Close()
 
-	err = runStateWorld(t, n, dir, ob, func(task *mpi.Task, win *rma.Window[float64], _ *hls.Var[float64], st *worldState) error {
+	co := New(Config{Dir: dir})
+	err = runStateWorld(t, n, co, func(task *mpi.Task, win *rma.Window[float64], _ *hls.Var[float64], st *worldState) error {
 		info, err := st.co.Restore(task)
 		if err != nil {
 			return err
@@ -249,10 +241,8 @@ func TestRestoreSkipsTornGeneration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ob.mu.Lock()
-	defer ob.mu.Unlock()
-	if len(ob.skips) == 0 {
-		t.Fatal("corrupt generation skipped silently: observer saw no GenerationSkipped")
+	if s := co.Stats(); s.GenerationsSkipped < 1 || s.RestoredGeneration != 1 {
+		t.Fatalf("corrupt generation skipped silently: Stats = %+v", s)
 	}
 }
 
@@ -260,7 +250,7 @@ func TestRestoreSkipsTornGeneration(t *testing.T) {
 // before the rename) is never restored.
 func TestRestoreIgnoresStaging(t *testing.T) {
 	dir := t.TempDir()
-	err := runStateWorld(t, 2, dir, nil, func(task *mpi.Task, win *rma.Window[float64], _ *hls.Var[float64], st *worldState) error {
+	err := runStateWorld(t, 2, New(Config{Dir: dir}), func(task *mpi.Task, win *rma.Window[float64], _ *hls.Var[float64], st *worldState) error {
 		win.Local(task)[0] = 5.0
 		_, err := st.co.Checkpoint(task)
 		return err
@@ -273,7 +263,7 @@ func TestRestoreIgnoresStaging(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	err = runStateWorld(t, 2, dir, nil, func(task *mpi.Task, win *rma.Window[float64], _ *hls.Var[float64], st *worldState) error {
+	err = runStateWorld(t, 2, New(Config{Dir: dir}), func(task *mpi.Task, win *rma.Window[float64], _ *hls.Var[float64], st *worldState) error {
 		info, err := st.co.Restore(task)
 		if err != nil {
 			return err
@@ -330,7 +320,7 @@ func TestCheckpointPruneAndSequence(t *testing.T) {
 // its reason and per-rank checksum state.
 func TestInspectReportsCorruption(t *testing.T) {
 	dir := t.TempDir()
-	err := runStateWorld(t, 2, dir, nil, func(task *mpi.Task, _ *rma.Window[float64], _ *hls.Var[float64], st *worldState) error {
+	err := runStateWorld(t, 2, New(Config{Dir: dir}), func(task *mpi.Task, _ *rma.Window[float64], _ *hls.Var[float64], st *worldState) error {
 		_, err := st.co.Checkpoint(task)
 		return err
 	})
@@ -365,7 +355,7 @@ func TestInspectReportsCorruption(t *testing.T) {
 // skipped, not loaded into the wrong ranks.
 func TestRestoreWrongWorldSize(t *testing.T) {
 	dir := t.TempDir()
-	err := runStateWorld(t, 2, dir, nil, func(task *mpi.Task, _ *rma.Window[float64], _ *hls.Var[float64], st *worldState) error {
+	err := runStateWorld(t, 2, New(Config{Dir: dir}), func(task *mpi.Task, _ *rma.Window[float64], _ *hls.Var[float64], st *worldState) error {
 		_, err := st.co.Checkpoint(task)
 		return err
 	})

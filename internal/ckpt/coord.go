@@ -20,30 +20,24 @@ import (
 // staging directory is left behind, which every scan ignores and the
 // next checkpoint of the same generation number overwrites.
 func (c *Coordinator) Checkpoint(t *mpi.Task) (gen uint64, err error) {
-	defer convertPanic(&err)
 	start := time.Now()
 	me := t.Rank()
+	var g uint64
+	var bytes int64
+	defer func() {
+		convertPanic(recover(), &err)
+		c.done(&c.ckpt, "checkpoint", me, g, bytes, start, err)
+	}()
 
 	// Rank 0 picks the generation; everyone learns it. The Bcast also
 	// fences the cut: every rank has entered Checkpoint before any
 	// writes state.
-	var g uint64
 	if me == 0 {
 		g = c.pickNextGen()
 	}
 	gb := []uint64{g}
 	mpi.Bcast(t, nil, gb, 0)
 	g = gb[0]
-
-	c.traceBegin("checkpoint", g, me)
-	defer c.traceEnd("checkpoint", g, me)
-
-	var bytes int64
-	defer func() {
-		if ob := c.observer(); ob != nil {
-			ob.CheckpointDone(g, bytes, time.Since(start), err)
-		}
-	}()
 
 	// Rank 0 prepares a clean staging directory; the barrier keeps other
 	// ranks from writing into it (or into a stale one) first.
@@ -215,16 +209,22 @@ type RestoreInfo struct {
 }
 
 // Restore rehydrates every registered source from the newest fully
-// valid generation, skipping (and reporting through the Observer, on
-// rank 0) any torn or partial generation. Collective over the world
+// valid generation, skipping (and counting in Stats, on rank 0) any
+// torn or partial generation. Collective over the world
 // communicator. Returns ErrNoCheckpoint when the directory holds no
 // valid generation — every rank agrees, so the caller can fall through
 // to a fresh start collectively.
 func (c *Coordinator) Restore(t *mpi.Task) (info RestoreInfo, err error) {
-	defer convertPanic(&err)
 	start := time.Now()
 	me := t.Rank()
 	size := sizeOfWorld(t)
+	defer func() {
+		convertPanic(recover(), &err)
+		if info.Gen != 0 { // a generation was chosen
+			info.Duration = time.Since(start)
+			c.done(&c.rest, "restore", me, info.Gen, info.Bytes, start, err)
+		}
+	}()
 
 	// Rank 0 scans; the world learns {generation, skipped} (gen 0 =
 	// nothing valid; committed generations start at 1).
@@ -241,9 +241,7 @@ func (c *Coordinator) Restore(t *mpi.Task) (info RestoreInfo, err error) {
 				if !gens[i].Staging {
 					skipped++
 				}
-				if ob := c.observer(); ob != nil {
-					ob.GenerationSkipped(gens[i].Gen, gens[i].Reason)
-				}
+				c.skipped.Add(1)
 			}
 		}
 	}
@@ -255,15 +253,6 @@ func (c *Coordinator) Restore(t *mpi.Task) (info RestoreInfo, err error) {
 		return info, ErrNoCheckpoint
 	}
 	info.Gen = chosen
-
-	c.traceBegin("restore", chosen, me)
-	defer c.traceEnd("restore", chosen, me)
-	defer func() {
-		info.Duration = time.Since(start)
-		if ob := c.observer(); ob != nil {
-			ob.RestoreDone(chosen, info.Bytes, info.Duration, info.Skipped, err)
-		}
-	}()
 
 	// Every rank loads its own payload; a Gather-led outcome vote keeps
 	// the world agreed on success (one rank's read error aborts all).

@@ -107,6 +107,11 @@ func TestChaosKillDuringCheckpoint(t *testing.T) {
 	if runErr == nil {
 		t.Fatal("world survived a chaos kill")
 	}
+	// Every rank committed generation 1; the survivors count the aborted
+	// generation 2 as an error, and the killed rank counts nothing.
+	if s := co.Stats(); s.Checkpoints != n || s.CheckpointErrors != n-1 || s.LastGeneration != 1 {
+		t.Errorf("Stats = %+v, want %d ok checkpoints, %d errors, last generation 1", s, n, n-1)
+	}
 
 	// Generation 1 is intact; generation 2 never committed.
 	gens, err := Inspect(dir)

@@ -1,14 +1,13 @@
 package metrics
 
 import (
-	"errors"
-	"slices"
-	"strings"
 	"testing"
 	"time"
 
+	"hls/internal/ckpt"
 	"hls/internal/hls"
 	"hls/internal/mpi"
+	"hls/internal/rma"
 	"hls/internal/topology"
 )
 
@@ -93,48 +92,6 @@ func TestMPIAdapter(t *testing.T) {
 	d.Watch(w)()
 }
 
-// TestMPIFamilyNames pins the exposed mpi_* family names: exactly the
-// families fed from World.Stats.
-func TestMPIFamilyNames(t *testing.T) {
-	r := New(1)
-	NewMPIAdapter(r)
-	got := familyNames(t, r)
-	want := []string{
-		"mpi_sends_total counter",
-		"mpi_bytes_total counter",
-		"mpi_messages_protocol_total counter",
-		"mpi_copies_elided_total counter",
-		"mpi_pack_elisions_total counter",
-		"mpi_collectives_total counter",
-		"mpi_shared_collectives_total counter",
-		"mpi_two_level_collectives_total counter",
-		"mpi_eager_pool_hits_total counter",
-		"mpi_eager_pool_misses_total counter",
-		"mpi_eager_pool_recycled_bytes_total counter",
-		"mpi_match_probes_total counter",
-		"mpi_eager_pool_outstanding gauge",
-	}
-	if !slices.Equal(got, want) {
-		t.Errorf("mpi families:\n got %q\nwant %q", got, want)
-	}
-}
-
-// familyNames lists r's families as "name type", in exposition order.
-func familyNames(t *testing.T, r *Registry) []string {
-	t.Helper()
-	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	var got []string
-	for _, line := range strings.Split(b.String(), "\n") {
-		if f := strings.Fields(line); len(f) == 4 && f[1] == "TYPE" {
-			got = append(got, f[2]+" "+f[3])
-		}
-	}
-	return got
-}
-
 // TestMPIAdapterSequentialWorlds: worlds watched one after another add
 // up after each stop, and a stopped world no longer contributes.
 func TestMPIAdapterSequentialWorlds(t *testing.T) {
@@ -183,25 +140,6 @@ func TestMPIAdapterSequentialWorlds(t *testing.T) {
 	stop()
 	if got := sends(); got != before+1 {
 		t.Fatalf("after stop: %d sends, want %d", got, before+1)
-	}
-}
-
-// TestWireFamilyNames pins the exposed wire_* family names: the
-// traffic families pulled from wire.Stats, then the pushed clock ones.
-func TestWireFamilyNames(t *testing.T) {
-	r := New(1)
-	NewWireAdapter(r, 2)
-	if got, want := familyNames(t, r), []string{
-		"wire_frames_total counter",
-		"wire_bytes_total counter",
-		"wire_reconnects_total counter",
-		"wire_batch_frames_total counter",
-		"wire_batch_messages_total counter",
-		"wire_inflight_frames gauge",
-		"wire_clock_offset_ns gauge",
-		"wire_rtt_ns histogram",
-	}; !slices.Equal(got, want) {
-		t.Errorf("wire families:\n got %q\nwant %q", got, want)
 	}
 }
 
@@ -335,139 +273,156 @@ func TestHLSAdapterWatch(t *testing.T) {
 	NewHLSAdapter(nil).Watch(reg1)()
 }
 
-// TestHLSFamilyNames pins the exposed hls_* family names and types: the
-// directive families fed by Arrive/Depart and the families pulled from
-// hls.Registry.Stats.
-func TestHLSFamilyNames(t *testing.T) {
-	r := New(1)
-	a := NewHLSAdapter(r)
-	a.Arrive("barrier/node:0/0", 0)
-	a.Depart("barrier/node:0/0", 0)
-	if got, want := familyNames(t, r), []string{
-		"hls_single_outcomes_total counter",
-		"hls_instance_allocs_total counter",
-		"hls_shared_bytes counter",
-		"hls_duplicate_bytes_avoided counter",
-		"hls_demotions_total counter",
-		"hls_demoted_extra_bytes counter",
-		"hls_demotion_recovery_ns counter",
-		"hls_directives_total counter",
-		"hls_directive_wait_ns histogram",
-	}; !slices.Equal(got, want) {
-		t.Errorf("hls families:\n got %q\nwant %q", got, want)
+// seriesValues reads every counter and gauge of r by series key.
+func seriesValues(r *Registry) map[string]int64 {
+	snap := r.Snapshot()
+	got := make(map[string]int64)
+	for _, s := range append(snap.Counters, snap.Gauges...) {
+		got[seriesKey(s.Name, s.Labels)] = s.Value
+	}
+	return got
+}
+
+// checkSeries compares r's series with want.
+func checkSeries(t *testing.T, r *Registry, want map[string]int64) {
+	t.Helper()
+	got := seriesValues(r)
+	for k, v := range want {
+		if got[k] != v {
+			t.Errorf("%s = %d, want %d", k, got[k], v)
+		}
+	}
+	if len(got) != len(want) {
+		t.Errorf("exposed %d series, want %d", len(got), len(want))
 	}
 }
 
+// TestRMAAdapter: every rma_* series equals the value derived from the
+// watched window's Stats, the open-epoch gauges read while the window
+// is watched, and stop keeps the counts but drops the gauges.
 func TestRMAAdapter(t *testing.T) {
-	r := New(4)
+	const n = 4
+	r := New(n)
 	a := NewRMAAdapter(r)
+	w, err := mpi.NewWorld(mpi.Config{NumTasks: n, Timeout: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var win *rma.Window[int64]
+	var openFences int64
+	err = w.Run(func(task *mpi.Task) error {
+		me := task.Rank()
+		x := rma.WinAllocate[int64](task, nil, 4)
+		stop := func() {}
+		if me == 0 {
+			win, stop = x, a.Watch(x)
+		}
+		x.Fence(task)
+		x.Put(task, []int64{1, 2}, (me+1)%n, 0)
+		x.Get(task, make([]int64, 1), (me+1)%n, 0)
+		x.Fence(task)
+		x.Lock(task, rma.LockExclusive, 0)
+		x.Accumulate(task, []int64{1}, 0, 0, mpi.OpSum)
+		x.Unlock(task, 0)
+		mpi.Barrier(task, nil)
+		if me == 0 {
+			openFences = seriesValues(r)[`rma_open_epochs{kind="fence"}`]
+		}
+		x.Free(task)
+		stop()
+		stop()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if openFences != n {
+		t.Errorf("live rma_open_epochs{kind=fence} = %d, want %d", openFences, n)
+	}
+	s := win.Stats()
+	if s.Ops[0] != n || s.EpochsClosed[0] != n || s.LockAcquires != n {
+		t.Fatalf("test window missed a path: %+v", s)
+	}
+	want := map[string]int64{
+		"rma_lock_publishes_total": s.LockPublishes,
+		"rma_lock_acquires_total":  s.LockAcquires,
+	}
+	for i, op := range rma.OpNames {
+		l := map[string]string{"op": op}
+		want[seriesKey("rma_ops_total", l)] = s.Ops[i]
+		want[seriesKey("rma_op_bytes_total", l)] = s.OpBytes[i]
+	}
+	for k, kind := range rma.EpochKinds {
+		l := map[string]string{"kind": kind}
+		want[seriesKey("rma_epochs_total", l)] = s.EpochsClosed[k]
+		want[seriesKey("rma_epoch_ns", l)] = s.EpochNs[k]
+		want[seriesKey("rma_open_epochs", l)] = 0 // the stopped window left the gauge
+	}
+	checkSeries(t, r, want)
 
-	a.EpochOpen("w0", "fence", 0)
-	if got := r.Gauge("rma_open_epochs", "", L("kind", "fence")).Value(); got != 1 {
-		t.Fatalf("open epochs = %d", got)
-	}
-	a.EpochClose("w0", "fence", 0)
-	h := r.Histogram("rma_epoch_ns", "", L("win", "w0"), L("kind", "fence"))
-	if h.Count() != 1 {
-		t.Fatalf("epoch histogram count = %d", h.Count())
-	}
-	if got := r.Gauge("rma_open_epochs", "", L("kind", "fence")).Value(); got != 0 {
-		t.Fatalf("open epochs after close = %d", got)
-	}
-
-	// Lock epochs fold their per-target suffix into one kind.
-	a.EpochOpen("w0", "lock:7", 2)
-	a.EpochClose("w0", "lock:7", 2)
-	if got := r.Histogram("rma_epoch_ns", "", L("win", "w0"), L("kind", "lock")).Count(); got != 1 {
-		t.Fatalf("lock epoch not folded: %d", got)
-	}
-	// Closing an epoch that never opened records no duration.
-	a.EpochClose("w0", "fence", 3)
-	if got := h.Count(); got != 1 {
-		t.Fatalf("unmatched close must not record a duration: %d", got)
-	}
-
-	a.BeginOp("w0", "put", 0, 1, 256)
-	a.BeginOp("w0", "get", 1, 0, 64)
-	a.BeginOp("w0", "accumulate", 2, 0, 8)
-	a.EndOp("w0", "put", 0)
-	if a.opsPut.Value() != 1 || a.opsGet.Value() != 1 || a.opsAcc.Value() != 1 {
-		t.Fatal("op counters")
-	}
-	if a.opBytesPut.Value() != 256 || a.opSizeGet.Count() != 1 {
-		t.Fatal("op bytes")
-	}
-
-	a.Arrive("lock", 0)
-	a.Arrive("lock", 1)
-	a.Depart("lock", 1)
-	if a.lockPublish.Value() != 2 || a.lockAcquire.Value() != 1 {
-		t.Fatalf("lock handovers: %d publishes %d acquires", a.lockPublish.Value(), a.lockAcquire.Value())
-	}
-
-	// Nil-registry adapter.
-	n := NewRMAAdapter(nil)
-	n.EpochOpen("w", "fence", 0)
-	n.EpochClose("w", "fence", 0)
-	n.BeginOp("w", "put", 0, 1, 8)
-	n.EndOp("w", "put", 0)
-	n.Arrive("k", 0)
-	n.Depart("k", 0)
+	// A nil registry registers nothing, and watching still works.
+	NewRMAAdapter(nil).Watch(win)()
 }
 
+// TestCkptAdapter: every ckpt_* series equals the value derived from
+// the watched coordinators' Stats; a stopped coordinator keeps its
+// counts and leaves the generation gauges.
 func TestCkptAdapter(t *testing.T) {
-	r := New(4)
+	const n = 2
+	r := New(n)
 	a := NewCkptAdapter(r)
+	dir := t.TempDir()
+	run := func(co *ckpt.Coordinator, fn func(*mpi.Task) error) {
+		t.Helper()
+		w, err := mpi.NewWorld(mpi.Config{NumTasks: n, Timeout: 30 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		state := make([][]int64, n)
+		for i := range state {
+			state[i] = []int64{int64(i)}
+		}
+		co.Register(ckpt.Slice("state", func(t *mpi.Task) []int64 { return state[t.Rank()] }))
+		if err := w.Run(fn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	saver, restorer := ckpt.New(ckpt.Config{Dir: dir}), ckpt.New(ckpt.Config{Dir: dir})
+	stopSaver := a.Watch(saver)
+	run(saver, func(task *mpi.Task) error {
+		for i := 0; i < 3; i++ {
+			if _, err := saver.Checkpoint(task); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	stopRestorer := a.Watch(restorer)
+	run(restorer, func(task *mpi.Task) error {
+		_, err := restorer.Restore(task)
+		return err
+	})
+	s, rs := saver.Stats(), restorer.Stats()
+	if s.Checkpoints != 3*n || s.LastGeneration != 3 || rs.Restores != n || rs.RestoredGeneration != 3 {
+		t.Fatalf("coordinators missed a path: %+v / %+v", s, rs)
+	}
+	want := map[string]int64{
+		`ckpt_checkpoints_total{result="ok"}`:    s.Checkpoints,
+		`ckpt_checkpoints_total{result="error"}`: 0,
+		`ckpt_restores_total{result="ok"}`:       rs.Restores,
+		`ckpt_restores_total{result="error"}`:    0,
+		"ckpt_generations_skipped_total":         0,
+		`ckpt_bytes_total{dir="saved"}`:          s.BytesSaved,
+		`ckpt_bytes_total{dir="restored"}`:       rs.BytesRestored,
+		"ckpt_checkpoint_ns":                     s.CheckpointNs,
+		"ckpt_restore_ns":                        rs.RestoreNs,
+		"ckpt_last_generation":                   3,
+		"ckpt_restored_generation":               3,
+	}
+	checkSeries(t, r, want)
 
-	// The adapter must satisfy ckpt.Observer structurally.
-	var _ interface {
-		CheckpointDone(gen uint64, bytes int64, d time.Duration, err error)
-		RestoreDone(gen uint64, bytes int64, d time.Duration, skipped int, err error)
-		GenerationSkipped(gen uint64, reason string)
-	} = a
-
-	a.CheckpointDone(3, 4096, 2*time.Millisecond, nil)
-	a.CheckpointDone(4, 100, time.Millisecond, errors.New("rank died"))
-	a.RestoreDone(3, 4096, 5*time.Millisecond, 1, nil)
-	a.GenerationSkipped(4, "rank payload missing or corrupt")
-	a.GenerationSkipped(5, "uncommitted staging directory")
-
-	if got := r.Counter("ckpt_checkpoints_total", "", L("result", "ok")).Value(); got != 1 {
-		t.Errorf("checkpoints ok = %d", got)
-	}
-	if got := r.Counter("ckpt_checkpoints_total", "", L("result", "error")).Value(); got != 1 {
-		t.Errorf("checkpoints error = %d", got)
-	}
-	if got := r.Counter("ckpt_restores_total", "", L("result", "ok")).Value(); got != 1 {
-		t.Errorf("restores ok = %d", got)
-	}
-	if got := r.Counter("ckpt_generations_skipped_total", "").Value(); got != 2 {
-		t.Errorf("skipped = %d", got)
-	}
-	if got := r.Counter("ckpt_bytes_total", "", L("dir", "saved")).Value(); got != 4096 {
-		t.Errorf("saved bytes = %d", got)
-	}
-	if got := r.Counter("ckpt_bytes_total", "", L("dir", "restored")).Value(); got != 4096 {
-		t.Errorf("restored bytes = %d", got)
-	}
-	if got := r.Gauge("ckpt_last_generation", "").Value(); got != 3 {
-		t.Errorf("last generation = %d", got)
-	}
-	if got := r.Gauge("ckpt_restored_generation", "").Value(); got != 3 {
-		t.Errorf("restored generation = %d", got)
-	}
-	if h := r.Histogram("ckpt_checkpoint_ns", ""); h.Count() != 1 {
-		t.Errorf("checkpoint histogram count = %d", h.Count())
-	}
-
-	// Failed outcomes must not move the byte counters or gauges.
-	if got := r.Gauge("ckpt_last_generation", "").Value(); got != 3 {
-		t.Errorf("error outcome moved the generation gauge: %d", got)
-	}
-
-	// Nil-registry adapter.
-	n := NewCkptAdapter(nil)
-	n.CheckpointDone(1, 1, time.Millisecond, nil)
-	n.RestoreDone(1, 1, time.Millisecond, 0, nil)
-	n.GenerationSkipped(1, "x")
+	stopSaver()
+	stopRestorer()
+	want["ckpt_last_generation"], want["ckpt_restored_generation"] = 0, 0
+	checkSeries(t, r, want)
 }

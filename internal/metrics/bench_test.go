@@ -15,7 +15,6 @@ func TestNilPathZeroAllocs(t *testing.T) {
 	g := r.Gauge("g", "")
 	h := r.Histogram("h", "")
 	hlsAd := NewHLSAdapter(nil)
-	rmaAd := NewRMAAdapter(nil)
 
 	cases := []struct {
 		name string
@@ -25,7 +24,6 @@ func TestNilPathZeroAllocs(t *testing.T) {
 		{"Gauge.Add", func() { g.Add(1, -2) }},
 		{"Histogram.Observe", func() { h.Observe(0, 12345) }},
 		{"HLSAdapter", func() { hlsAd.Arrive("barrier/node:0/0", 2); hlsAd.Depart("barrier/node:0/0", 2) }},
-		{"RMAAdapter", func() { rmaAd.EpochOpen("w", "fence", 0); rmaAd.EpochClose("w", "fence", 0) }},
 	}
 	for _, tc := range cases {
 		if allocs := testing.AllocsPerRun(100, tc.fn); allocs != 0 {

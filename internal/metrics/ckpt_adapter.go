@@ -1,75 +1,52 @@
 package metrics
 
-import "time"
+import "hls/internal/ckpt"
 
-// CkptAdapter implements ckpt.Observer (structurally, like the other
-// adapters — the ckpt package is not imported), exporting the durable
-// recovery layer's outcomes: checkpoints and restores by result,
-// per-rank payload bytes moved in each direction, operation latency
-// histograms, generations skipped as corrupt/partial during restore
-// scans, and the generation gauges the CI crash-recovery smoke asserts
-// on (ckpt_restores_total >= 1 after a respawn). Pass it in
-// ckpt.Config{Observer: a}. Constructed over a nil registry every
-// method is a cheap no-op.
+// CkptAdapter exports the durable recovery layer's outcomes, pulled
+// from ckpt.Coordinator.Stats over the coordinators it watches:
+// checkpoints and restores by result, payload bytes moved in each
+// direction, summed operation time, generations skipped as corrupt or
+// partial during restore scans, and the generation gauges. Use it as
+//
+//	co := ckpt.New(ckpt.Config{Dir: dir})
+//	stop := a.Watch(co)
+//	defer stop() // once the coordinator's world has finished
+//
+// The gauges leave the sums when their coordinator's watch stops, so a
+// process that reports its last generation keeps that coordinator
+// watched. Constructed over a nil registry it exports nothing.
 type CkptAdapter struct {
-	ckptOK   *Counter
-	ckptErr  *Counter
-	restOK   *Counter
-	restErr  *Counter
-	skipped  *Counter
-	saved    *Counter
-	restored *Counter
-	ckptNs   *Histogram
-	restNs   *Histogram
-	lastCkpt *Gauge
-	lastRest *Gauge
+	*pull[*ckpt.Coordinator, ckpt.Stats]
 }
 
-// NewCkptAdapter creates the adapter and registers its metric families.
+// ckptFamilies maps each exported series to its Stats source.
+var ckptFamilies = []statFamily[ckpt.Stats]{
+	{name: "ckpt_checkpoints_total", help: "coordinated checkpoints by result, one per rank", label: []Label{L("result", "ok")},
+		value: func(s *ckpt.Stats) int64 { return s.Checkpoints }},
+	{name: "ckpt_checkpoints_total", help: "coordinated checkpoints by result, one per rank", label: []Label{L("result", "error")},
+		value: func(s *ckpt.Stats) int64 { return s.CheckpointErrors }},
+	{name: "ckpt_restores_total", help: "checkpoint restores by result, one per rank", label: []Label{L("result", "ok")},
+		value: func(s *ckpt.Stats) int64 { return s.Restores }},
+	{name: "ckpt_restores_total", help: "checkpoint restores by result, one per rank", label: []Label{L("result", "error")},
+		value: func(s *ckpt.Stats) int64 { return s.RestoreErrors }},
+	{name: "ckpt_generations_skipped_total", help: "invalid (torn/partial) generations passed over by restore scans",
+		value: func(s *ckpt.Stats) int64 { return s.GenerationsSkipped }},
+	{name: "ckpt_bytes_total", help: "per-rank payload bytes by direction", label: []Label{L("dir", "saved")},
+		value: func(s *ckpt.Stats) int64 { return s.BytesSaved }},
+	{name: "ckpt_bytes_total", help: "per-rank payload bytes by direction", label: []Label{L("dir", "restored")},
+		value: func(s *ckpt.Stats) int64 { return s.BytesRestored }},
+	{name: "ckpt_checkpoint_ns", help: "summed per-rank wall time of successful checkpoints, ns",
+		value: func(s *ckpt.Stats) int64 { return s.CheckpointNs }},
+	{name: "ckpt_restore_ns", help: "summed per-rank wall time of successful restores, ns",
+		value: func(s *ckpt.Stats) int64 { return s.RestoreNs }},
+	{name: "ckpt_last_generation", help: "generation of the last successful checkpoint", gauge: true,
+		value: func(s *ckpt.Stats) int64 { return int64(s.LastGeneration) }},
+	{name: "ckpt_restored_generation", help: "generation of the last successful restore", gauge: true,
+		value: func(s *ckpt.Stats) int64 { return int64(s.RestoredGeneration) }},
+}
+
+// NewCkptAdapter creates the adapter and registers its families.
+// Passing a nil registry yields an adapter that exports nothing.
 func NewCkptAdapter(r *Registry) *CkptAdapter {
-	return &CkptAdapter{
-		ckptOK:   r.Counter("ckpt_checkpoints_total", "coordinated checkpoints by result", L("result", "ok")),
-		ckptErr:  r.Counter("ckpt_checkpoints_total", "coordinated checkpoints by result", L("result", "error")),
-		restOK:   r.Counter("ckpt_restores_total", "checkpoint restores by result", L("result", "ok")),
-		restErr:  r.Counter("ckpt_restores_total", "checkpoint restores by result", L("result", "error")),
-		skipped:  r.Counter("ckpt_generations_skipped_total", "invalid (torn/partial) generations passed over by restore scans"),
-		saved:    r.Counter("ckpt_bytes_total", "per-rank payload bytes by direction", L("dir", "saved")),
-		restored: r.Counter("ckpt_bytes_total", "per-rank payload bytes by direction", L("dir", "restored")),
-		ckptNs:   r.Histogram("ckpt_checkpoint_ns", "wall time of one coordinated checkpoint, per rank, ns"),
-		restNs:   r.Histogram("ckpt_restore_ns", "wall time of one restore, per rank, ns"),
-		lastCkpt: r.Gauge("ckpt_last_generation", "generation of the last successful checkpoint"),
-		lastRest: r.Gauge("ckpt_restored_generation", "generation of the last successful restore"),
-	}
-}
-
-// CheckpointDone implements ckpt.Observer. Shard by rank would need the
-// rank, which the outcome deliberately does not carry (the protocol is
-// symmetric); shard 0 keeps the counters single-series.
-func (a *CkptAdapter) CheckpointDone(gen uint64, bytes int64, d time.Duration, err error) {
-	if err != nil {
-		a.ckptErr.Inc(0)
-		return
-	}
-	a.ckptOK.Inc(0)
-	a.saved.Add(0, bytes)
-	a.ckptNs.Observe(0, d.Nanoseconds())
-	a.lastCkpt.Set(int64(gen))
-}
-
-// RestoreDone implements ckpt.Observer.
-func (a *CkptAdapter) RestoreDone(gen uint64, bytes int64, d time.Duration, skipped int, err error) {
-	if err != nil {
-		a.restErr.Inc(0)
-		return
-	}
-	a.restOK.Inc(0)
-	a.restored.Add(0, bytes)
-	a.restNs.Observe(0, d.Nanoseconds())
-	a.lastRest.Set(int64(gen))
-}
-
-// GenerationSkipped implements ckpt.Observer (fires on rank 0 during
-// the restore scan, once per invalid generation).
-func (a *CkptAdapter) GenerationSkipped(gen uint64, reason string) {
-	a.skipped.Inc(0)
+	return &CkptAdapter{newPull(r, ckptFamilies, (*ckpt.Coordinator).Stats)}
 }

@@ -1,13 +1,12 @@
 // Package metrics is the runtime telemetry registry: low-overhead
 // counters, gauges and log-scale histograms, exported as Prometheus text
 // exposition, JSON snapshots, and a live HTTP endpoint (see http.go).
-// Two kinds of source fill it. The observer interfaces of rma and ckpt,
-// hls's directive edges and wire's clock samples push their events into
-// sharded counters while a program runs. MPI's, wire's and HLS's counts
-// are not pushed: mpi.World.Stats, wire.Transport.Stats and
-// hls.Registry.Stats already keep them, so MPIAdapter, WireAdapter and
-// HLSAdapter register CounterFunc/GaugeFunc series that read the watched
-// worlds', transports' and registries' Stats when the registry is
+// Two kinds of source fill it. hls's directive edges and wire's clock
+// samples push their events into sharded metrics while a program runs.
+// Every other count is kept once, by its layer, in a Stats method
+// (mpi.World, wire.Transport, hls.Registry, rma.Window,
+// ckpt.Coordinator), and the adapters register CounterFunc/GaugeFunc
+// series that read the watched sources' Stats when the registry is
 // scraped (pull.go).
 //
 // The paper's evaluation (§V) is an observability exercise — cache

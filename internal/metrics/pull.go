@@ -15,11 +15,11 @@ type statFamily[T any] struct {
 }
 
 // pull exports families summed over the sources it watches. A layer
-// that already counts its events (mpi.World.Stats, wire.Transport.Stats,
-// hls.Registry.Stats) is read, not told: every series is a CounterFunc/GaugeFunc worth the
-// counts folded in from stopped sources plus each live source's current
-// snapshot, so the layer counts each event once and pays nothing extra
-// for being watched. MPIAdapter, WireAdapter and HLSAdapter are pulls.
+// that already counts its events in a Stats method is read, not told:
+// every series is a CounterFunc/GaugeFunc worth the counts folded in
+// from stopped sources plus each live source's current snapshot, so the
+// layer counts each event once and pays nothing extra for being
+// watched. Every adapter is a pull.
 type pull[S comparable, T any] struct {
 	fams  []statFamily[T]
 	stats func(S) T

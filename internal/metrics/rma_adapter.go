@@ -1,182 +1,67 @@
 package metrics
 
-import (
-	"strings"
-	"sync"
-	"time"
-)
+import "hls/internal/rma"
 
-// RMAAdapter implements rma.Tracer and rma.Observer (structurally),
-// turning one-sided communication into metrics:
+// RMAAdapter exports one-sided communication, pulled from
+// rma.Window.Stats over the windows it watches like MPIAdapter's series:
 //
-//   - rma_epoch_ns{win,kind} — synchronization epoch durations (fence,
-//     PSCW access/expose, passive-target lock), the cost MPI-3 shared
-//     windows pay where HLS pays a directive;
+//   - rma_ops_total / rma_op_bytes_total{op} — Put/Get/Accumulate
+//     counts and payloads;
+//   - rma_epochs_total / rma_epoch_ns{kind} — closed synchronization
+//     epochs (fence, PSCW access/expose, passive-target lock) and their
+//     summed duration, the cost MPI-3 shared windows pay where HLS pays
+//     a directive (divide for the mean);
 //   - rma_open_epochs{kind} — epochs currently open;
-//   - rma_ops_total / rma_op_bytes_total / rma_op_bytes{op} —
-//     Put/Get/Accumulate counts and payloads;
-//   - rma_lock_publishes_total / rma_lock_acquires_total — passive-target
-//     lock handovers seen by the Observer, a direct read on lock
-//     contention (acquires outnumbering publishes means origins queued on
-//     a busy target).
+//   - rma_lock_publishes_total / rma_lock_acquires_total —
+//     passive-target lock handovers, a direct read on lock contention
+//     (acquires outnumbering publishes means origins queued on a busy
+//     target).
 //
-// Install with rma.WithTracer(ad) and rma.WithObserver(ad); a window
-// takes one of each. Constructed over a nil registry every method is a
-// cheap no-op.
+// Every rank holds the same *Window, so watch it once:
+//
+//	win := rma.WinAllocate[float64](task, nil, n)
+//	if task.Rank() == 0 { stop = a.Watch(win) }
+//	...
+//	win.Free(task)
+//	if task.Rank() == 0 { stop() }
+//
+// Constructed over a nil registry it exports nothing.
 type RMAAdapter struct {
-	reg   *Registry
-	start time.Time
-
-	opsPut      *Counter
-	opsGet      *Counter
-	opsAcc      *Counter
-	opBytesPut  *Counter
-	opBytesGet  *Counter
-	opBytesAcc  *Counter
-	opSizePut   *Histogram
-	opSizeGet   *Histogram
-	opSizeAcc   *Histogram
-	lockPublish *Counter
-	lockAcquire *Counter
-
-	mu     sync.Mutex
-	epochs map[rmaSpanKey]int64 // open epoch -> start ns
-	opens  map[string]*Gauge    // per-kind open-epoch gauges
-	hists  map[string]*Histogram
+	*pull[rmaWindow, rma.Stats]
 }
 
-type rmaSpanKey struct {
-	win  string
-	kind string
-	rank int
+// rmaWindow is a window of any element type.
+type rmaWindow interface{ Stats() rma.Stats }
+
+// rmaFamilies maps each exported series to its Stats source, one
+// family's series together so the exposition groups them.
+func rmaFamilies() (fams []statFamily[rma.Stats]) {
+	add := func(name, help, key string, vals []string, gauge bool, v func(s *rma.Stats, i int) int64) {
+		for i, val := range vals {
+			fams = append(fams, statFamily[rma.Stats]{name: name, help: help, label: []Label{L(key, val)}, gauge: gauge,
+				value: func(s *rma.Stats) int64 { return v(s, i) }})
+		}
+	}
+	ops, kinds := rma.OpNames[:], rma.EpochKinds[:]
+	add("rma_ops_total", "one-sided operations issued, by op", "op", ops, false,
+		func(s *rma.Stats, i int) int64 { return s.Ops[i] })
+	add("rma_op_bytes_total", "bytes moved by one-sided operations, by op", "op", ops, false,
+		func(s *rma.Stats, i int) int64 { return s.OpBytes[i] })
+	add("rma_epochs_total", "RMA synchronization epochs closed, by kind", "kind", kinds, false,
+		func(s *rma.Stats, k int) int64 { return s.EpochsClosed[k] })
+	add("rma_epoch_ns", "summed duration of closed RMA synchronization epochs, by kind, ns", "kind", kinds, false,
+		func(s *rma.Stats, k int) int64 { return s.EpochNs[k] })
+	add("rma_open_epochs", "RMA synchronization epochs currently open, by kind", "kind", kinds, true,
+		func(s *rma.Stats, k int) int64 { return s.EpochsOpened[k] - s.EpochsClosed[k] })
+	return append(fams,
+		statFamily[rma.Stats]{name: "rma_lock_publishes_total", help: "passive-target clock publications (Unlock, Flush)",
+			value: func(s *rma.Stats) int64 { return s.LockPublishes }},
+		statFamily[rma.Stats]{name: "rma_lock_acquires_total", help: "passive-target lock acquisitions",
+			value: func(s *rma.Stats) int64 { return s.LockAcquires }})
 }
 
-// NewRMAAdapter creates the adapter and registers its fixed metric
-// families. Passing a nil registry yields a disabled adapter.
+// NewRMAAdapter creates the adapter and registers its families. Passing
+// a nil registry yields an adapter that exports nothing.
 func NewRMAAdapter(r *Registry) *RMAAdapter {
-	a := &RMAAdapter{
-		reg:         r,
-		start:       time.Now(),
-		opsPut:      r.Counter("rma_ops_total", "one-sided operations issued, by op", L("op", "put")),
-		opsGet:      r.Counter("rma_ops_total", "one-sided operations issued, by op", L("op", "get")),
-		opsAcc:      r.Counter("rma_ops_total", "one-sided operations issued, by op", L("op", "accumulate")),
-		opBytesPut:  r.Counter("rma_op_bytes_total", "bytes moved by one-sided operations, by op", L("op", "put")),
-		opBytesGet:  r.Counter("rma_op_bytes_total", "bytes moved by one-sided operations, by op", L("op", "get")),
-		opBytesAcc:  r.Counter("rma_op_bytes_total", "bytes moved by one-sided operations, by op", L("op", "accumulate")),
-		opSizePut:   r.Histogram("rma_op_bytes", "one-sided operation size distribution, by op", L("op", "put")),
-		opSizeGet:   r.Histogram("rma_op_bytes", "one-sided operation size distribution, by op", L("op", "get")),
-		opSizeAcc:   r.Histogram("rma_op_bytes", "one-sided operation size distribution, by op", L("op", "accumulate")),
-		lockPublish: r.Counter("rma_lock_publishes_total", "passive-target unlock publications (Observer.Arrive)"),
-		lockAcquire: r.Counter("rma_lock_acquires_total", "passive-target lock acquisitions ordered after a publish (Observer.Depart)"),
-	}
-	if r != nil {
-		a.epochs = make(map[rmaSpanKey]int64)
-		a.opens = make(map[string]*Gauge)
-		a.hists = make(map[string]*Histogram)
-	}
-	return a
-}
-
-func (a *RMAAdapter) nowNs() int64 { return time.Since(a.start).Nanoseconds() }
-
-// epochKind normalizes a tracer kind: per-target lock epochs
-// ("lock:<target>") fold into "lock".
-func epochKind(kind string) string {
-	if i := strings.IndexByte(kind, ':'); i >= 0 {
-		return kind[:i]
-	}
-	return kind
-}
-
-// openGauge resolves the open-epoch gauge of one kind. Caller holds a.mu.
-func (a *RMAAdapter) openGauge(kind string) *Gauge {
-	g, ok := a.opens[kind]
-	if !ok {
-		g = a.reg.Gauge("rma_open_epochs", "RMA synchronization epochs currently open, by kind", L("kind", kind))
-		a.opens[kind] = g
-	}
-	return g
-}
-
-// epochHist resolves the duration histogram of one (window, kind).
-// Caller holds a.mu.
-func (a *RMAAdapter) epochHist(win, kind string) *Histogram {
-	id := win + "\x00" + kind
-	h, ok := a.hists[id]
-	if !ok {
-		h = a.reg.Histogram("rma_epoch_ns", "RMA synchronization epoch durations, by window and kind",
-			L("win", win), L("kind", kind))
-		a.hists[id] = h
-	}
-	return h
-}
-
-// EpochOpen implements rma.Tracer.
-func (a *RMAAdapter) EpochOpen(win, kind string, worldRank int) {
-	if a.reg == nil {
-		return
-	}
-	k := epochKind(kind)
-	now := a.nowNs()
-	a.mu.Lock()
-	a.epochs[rmaSpanKey{win, kind, worldRank}] = now
-	g := a.openGauge(k)
-	a.mu.Unlock()
-	g.Inc(worldRank)
-}
-
-// EpochClose implements rma.Tracer, recording the epoch duration.
-func (a *RMAAdapter) EpochClose(win, kind string, worldRank int) {
-	if a.reg == nil {
-		return
-	}
-	k := epochKind(kind)
-	key := rmaSpanKey{win, kind, worldRank}
-	a.mu.Lock()
-	begin, ok := a.epochs[key]
-	if ok {
-		delete(a.epochs, key)
-	}
-	g := a.openGauge(k)
-	h := a.epochHist(win, k)
-	a.mu.Unlock()
-	g.Dec(worldRank)
-	if ok {
-		h.Observe(worldRank, a.nowNs()-begin)
-	}
-}
-
-// BeginOp implements rma.Tracer.
-func (a *RMAAdapter) BeginOp(win, op string, worldRank, targetWorldRank, bytes int) {
-	if a.reg == nil {
-		return
-	}
-	switch op {
-	case "put":
-		a.opsPut.Inc(worldRank)
-		a.opBytesPut.Add(worldRank, int64(bytes))
-		a.opSizePut.Observe(worldRank, int64(bytes))
-	case "get":
-		a.opsGet.Inc(worldRank)
-		a.opBytesGet.Add(worldRank, int64(bytes))
-		a.opSizeGet.Observe(worldRank, int64(bytes))
-	case "accumulate":
-		a.opsAcc.Inc(worldRank)
-		a.opBytesAcc.Add(worldRank, int64(bytes))
-		a.opSizeAcc.Observe(worldRank, int64(bytes))
-	}
-}
-
-// EndOp implements rma.Tracer. The transfer itself was counted at
-// BeginOp; nothing further to record.
-func (a *RMAAdapter) EndOp(win, op string, worldRank int) {}
-
-// Arrive implements rma.Observer: an unlocker published its clock.
-func (a *RMAAdapter) Arrive(key string, worldRank int) {
-	a.lockPublish.Inc(worldRank)
-}
-
-// Depart implements rma.Observer: a locker acquired a published clock.
-func (a *RMAAdapter) Depart(key string, worldRank int) {
-	a.lockAcquire.Inc(worldRank)
+	return &RMAAdapter{newPull(r, rmaFamilies(), rmaWindow.Stats)}
 }

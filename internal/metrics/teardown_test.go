@@ -19,12 +19,13 @@ import (
 
 // TestFinishedWorldIsCollected: a world that Dup'd a communicator,
 // created and freed an RMA window, declared an HLS variable and was
-// watched by the MPI and HLS adapters is garbage once its Run returned,
-// the watches stopped and the caller dropped it. No package-level map
-// may keep a finished world (or its HLS registry) alive.
+// watched by the MPI, HLS and RMA adapters is garbage once its Run
+// returned, the watches stopped and the caller dropped it. No
+// package-level map may keep a finished world (or its HLS registry, or
+// its window) alive.
 func TestFinishedWorldIsCollected(t *testing.T) {
 	reg := metrics.New(4)
-	world, registry, sends := runAndDrop(t, metrics.NewMPIAdapter(reg), metrics.NewHLSAdapter(reg))
+	world, registry, win, sends := runAndDrop(t, metrics.NewMPIAdapter(reg), metrics.NewHLSAdapter(reg), metrics.NewRMAAdapter(reg))
 	runtime.GC()
 	runtime.GC()
 	if world.Value() != nil {
@@ -32,6 +33,9 @@ func TestFinishedWorldIsCollected(t *testing.T) {
 	}
 	if registry.Value() != nil {
 		t.Error("the finished world's *hls.Registry is still reachable")
+	}
+	if win.Value() != nil {
+		t.Error("the freed *rma.Window is still reachable")
 	}
 	// The stopped watch kept the world's counts, not the world.
 	if sends == 0 {
@@ -44,12 +48,16 @@ func TestFinishedWorldIsCollected(t *testing.T) {
 		if c.Name == "hls_instance_allocs_total" && c.Value != 1 {
 			t.Errorf("hls_instance_allocs_total = %d after the registry was collected, want 1", c.Value)
 		}
+		// Two fences per rank close one fence epoch each.
+		if c.Name == "rma_epochs_total" && c.Labels["kind"] == "fence" && c.Value != 4 {
+			t.Errorf(`rma_epochs_total{kind="fence"} = %d after the window was collected, want 4`, c.Value)
+		}
 	}
 }
 
 // runAndDrop builds and runs the world, stops its watches and returns
 // only weak references to it, plus its final message count.
-func runAndDrop(t *testing.T, a *metrics.MPIAdapter, h *metrics.HLSAdapter) (weak.Pointer[mpi.World], weak.Pointer[hls.Registry], int64) {
+func runAndDrop(t *testing.T, a *metrics.MPIAdapter, h *metrics.HLSAdapter, r *metrics.RMAAdapter) (weak.Pointer[mpi.World], weak.Pointer[hls.Registry], weak.Pointer[rma.Window[int64]], int64) {
 	t.Helper()
 	w, err := mpi.NewWorld(mpi.Config{NumTasks: 4, Timeout: 30 * time.Second})
 	if err != nil {
@@ -59,14 +67,19 @@ func runAndDrop(t *testing.T, a *metrics.MPIAdapter, h *metrics.HLSAdapter) (wea
 	reg := hls.New(w)
 	stopHLS := h.Watch(reg)
 	v := hls.Declare[int64](reg, "teardown", topology.Node, 8)
+	var win *rma.Window[int64]
+	stopRMA := func() {}
 	err = w.Run(func(task *mpi.Task) error {
 		c := mpi.Dup(task, nil)
 		me, n := task.Rank(), task.Size()
 		mpi.Sendrecv(task, c, []int{me}, (me+1)%n, 0, make([]int, 1), (me+n-1)%n, 0)
-		win := rma.WinAllocate[int64](task, c, 4)
-		win.Fence(task)
-		win.Fence(task)
-		win.Free(task)
+		x := rma.WinAllocate[int64](task, c, 4)
+		if me == 0 {
+			win, stopRMA = x, r.Watch(x)
+		}
+		x.Fence(task)
+		x.Fence(task)
+		x.Free(task)
 		v.Single(task, func(d []int64) { d[0]++ })
 		return nil
 	})
@@ -75,7 +88,8 @@ func runAndDrop(t *testing.T, a *metrics.MPIAdapter, h *metrics.HLSAdapter) (wea
 	}
 	stop()
 	stopHLS()
-	return weak.Make(w), weak.Make(reg), w.Stats().Messages
+	stopRMA()
+	return weak.Make(w), weak.Make(reg), weak.Make(win), w.Stats().Messages
 }
 
 // TestWireAdapterWatch: transports watched one after another add up

@@ -85,8 +85,8 @@ func (w *Window[T]) failHandler(rank int, cause error) {
 	// acquire, re-check the window, and unwind typed.
 	if d >= 0 {
 		ep := w.eps[d]
-		for target, typ := range ep.locked {
-			if typ == LockExclusive {
+		for target, le := range ep.locked {
+			if le.typ == LockExclusive {
 				w.st[target].lock.Unlock()
 			} else {
 				w.st[target].lock.RUnlock()
@@ -153,13 +153,13 @@ func (w *Window[T]) Flush(t *mpi.Task, target int) {
 		raise(t.Rank(), "Flush", "no lock epoch to target %d open on window %q", target, w.name)
 	}
 	w.faultDelay(t, target)
-	if tr := w.cfg.tracer; tr != nil {
-		tr.BeginOp(w.name, "flush", t.Rank(), w.comm.WorldRank(target), 0)
-		tr.EndOp(w.name, "flush", t.Rank())
+	if rec := w.cfg.rec; rec != nil {
+		w.endOp(t, "flush", rec.NowNs(), target, 0)
 	}
 	if o := w.cfg.observer; o != nil {
 		o.Arrive(w.lockKey(target), t.Rank())
 	}
+	ep.publishes.Add(1)
 }
 
 // FlushAll flushes every target this task currently holds a lock epoch

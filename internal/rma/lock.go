@@ -73,10 +73,8 @@ func (w *Window[T]) Lock(t *mpi.Task, typ LockType, target int) {
 	if o := w.cfg.observer; o != nil {
 		o.Depart(w.lockKey(target), t.Rank())
 	}
-	ep.locked[target] = typ
-	if tr := w.cfg.tracer; tr != nil {
-		tr.EpochOpen(w.name, fmt.Sprintf("lock:%d", target), t.Rank())
-	}
+	ep.acquires.Add(1)
+	ep.locked[target] = lockEpoch{typ, w.openEpoch(ep, epochLock)}
 }
 
 // Unlock closes the passive-target epoch on target (MPI_Win_unlock):
@@ -89,17 +87,16 @@ func (w *Window[T]) Unlock(t *mpi.Task, target int) {
 		raise(t.Rank(), "Unlock", "target rank %d out of range [0,%d)", target, w.comm.Size())
 	}
 	ep := w.eps[me]
-	typ, ok := ep.locked[target]
+	le, ok := ep.locked[target]
 	if !ok {
 		raise(t.Rank(), "Unlock", "no lock epoch to target %d open on window %q", target, w.name)
 	}
-	if tr := w.cfg.tracer; tr != nil {
-		tr.EpochClose(w.name, fmt.Sprintf("lock:%d", target), t.Rank())
-	}
+	w.closeEpoch(t, ep, epochLock, le.begin, target)
 	if o := w.cfg.observer; o != nil {
 		o.Arrive(w.lockKey(target), t.Rank())
 	}
-	if typ == LockExclusive {
+	ep.publishes.Add(1)
+	if le.typ == LockExclusive {
 		w.st[target].lock.Unlock()
 	} else {
 		w.st[target].lock.RUnlock()

@@ -10,24 +10,20 @@ import (
 // target under MPI-3 rules when the epoch closes. Concurrent conflicting
 // Puts to the same location are erroneous, as in MPI.
 func (w *Window[T]) Put(t *mpi.Task, buf []T, target, offset int) {
-	w.originCheck(t, "Put", target, offset, len(buf))
+	me := w.originCheck(t, "Put", target, offset, len(buf))
 	bytes := len(buf) * elemBytes[T]()
-	if tr := w.cfg.tracer; tr != nil {
-		tr.BeginOp(w.name, "put", t.Rank(), w.comm.WorldRank(target), bytes)
-		defer tr.EndOp(w.name, "put", t.Rank())
-	}
+	begin := w.beginOp(me, opPut, bytes)
+	defer w.endOp(t, "put", begin, target, bytes)
 	copy(w.segs[target][offset:], buf)
 }
 
 // Get copies len(buf) elements from target's segment at element offset
 // into buf (MPI_Get). Requires an open epoch to target.
 func (w *Window[T]) Get(t *mpi.Task, buf []T, target, offset int) {
-	w.originCheck(t, "Get", target, offset, len(buf))
+	me := w.originCheck(t, "Get", target, offset, len(buf))
 	bytes := len(buf) * elemBytes[T]()
-	if tr := w.cfg.tracer; tr != nil {
-		tr.BeginOp(w.name, "get", t.Rank(), w.comm.WorldRank(target), bytes)
-		defer tr.EndOp(w.name, "get", t.Rank())
-	}
+	begin := w.beginOp(me, opGet, bytes)
+	defer w.endOp(t, "get", begin, target, bytes)
 	copy(buf, w.segs[target][offset:offset+len(buf)])
 }
 
@@ -38,12 +34,10 @@ func (w *Window[T]) Get(t *mpi.Task, buf []T, target, offset int) {
 // per-target mutex serializes them, which implies MPI-3's element-wise
 // atomicity guarantee.
 func (w *Window[T]) Accumulate(t *mpi.Task, buf []T, target, offset int, op mpi.Op) {
-	w.originCheck(t, "Accumulate", target, offset, len(buf))
+	me := w.originCheck(t, "Accumulate", target, offset, len(buf))
 	bytes := len(buf) * elemBytes[T]()
-	if tr := w.cfg.tracer; tr != nil {
-		tr.BeginOp(w.name, "accumulate", t.Rank(), w.comm.WorldRank(target), bytes)
-		defer tr.EndOp(w.name, "accumulate", t.Rank())
-	}
+	begin := w.beginOp(me, opAccumulate, bytes)
+	defer w.endOp(t, "accumulate", begin, target, bytes)
 	st := w.st[target]
 	st.accMu.Lock()
 	mpi.ApplyOp(op, w.segs[target][offset:offset+len(buf)], buf)
@@ -57,11 +51,9 @@ func (w *Window[T]) Accumulate(t *mpi.Task, buf []T, target, offset int, op mpi.
 // no intermediate packed buffer — counted by mpi.Stats().PackElisions.
 func (w *Window[T]) PutTyped(t *mpi.Task, buf []T, odt *mpi.Datatype, target, offset int, tdt *mpi.Datatype) {
 	n, bytes := typedSpan[T](len(buf), odt, tdt)
-	w.originCheck(t, "PutTyped", target, offset, n)
-	if tr := w.cfg.tracer; tr != nil {
-		tr.BeginOp(w.name, "put", t.Rank(), w.comm.WorldRank(target), bytes)
-		defer tr.EndOp(w.name, "put", t.Rank())
-	}
+	me := w.originCheck(t, "PutTyped", target, offset, n)
+	begin := w.beginOp(me, opPut, bytes)
+	defer w.endOp(t, "put", begin, target, bytes)
 	mpi.TypedCopy(t, w.segs[target][offset:], tdt, buf, odt, "rma.PutTyped")
 }
 
@@ -70,11 +62,9 @@ func (w *Window[T]) PutTyped(t *mpi.Task, buf []T, odt *mpi.Datatype, target, of
 // scatters them into buf.
 func (w *Window[T]) GetTyped(t *mpi.Task, buf []T, odt *mpi.Datatype, target, offset int, tdt *mpi.Datatype) {
 	n, bytes := typedSpan[T](len(buf), odt, tdt)
-	w.originCheck(t, "GetTyped", target, offset, n)
-	if tr := w.cfg.tracer; tr != nil {
-		tr.BeginOp(w.name, "get", t.Rank(), w.comm.WorldRank(target), bytes)
-		defer tr.EndOp(w.name, "get", t.Rank())
-	}
+	me := w.originCheck(t, "GetTyped", target, offset, n)
+	begin := w.beginOp(me, opGet, bytes)
+	defer w.endOp(t, "get", begin, target, bytes)
 	mpi.TypedCopy(t, buf, odt, w.segs[target][offset:], tdt, "rma.GetTyped")
 }
 
@@ -83,11 +73,9 @@ func (w *Window[T]) GetTyped(t *mpi.Task, buf []T, odt *mpi.Datatype, target, of
 // segment under the per-target accumulate mutex.
 func (w *Window[T]) AccumulateTyped(t *mpi.Task, buf []T, odt *mpi.Datatype, target, offset int, tdt *mpi.Datatype, op mpi.Op) {
 	n, bytes := typedSpan[T](len(buf), odt, tdt)
-	w.originCheck(t, "AccumulateTyped", target, offset, n)
-	if tr := w.cfg.tracer; tr != nil {
-		tr.BeginOp(w.name, "accumulate", t.Rank(), w.comm.WorldRank(target), bytes)
-		defer tr.EndOp(w.name, "accumulate", t.Rank())
-	}
+	me := w.originCheck(t, "AccumulateTyped", target, offset, n)
+	begin := w.beginOp(me, opAccumulate, bytes)
+	defer w.endOp(t, "accumulate", begin, target, bytes)
 	st := w.st[target]
 	st.accMu.Lock()
 	mpi.TypedApply(t, w.segs[target][offset:], tdt, buf, odt, op, "rma.AccumulateTyped")

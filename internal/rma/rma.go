@@ -42,6 +42,7 @@ import (
 
 	"hls/internal/memsim"
 	"hls/internal/mpi"
+	"hls/internal/trace"
 )
 
 // PageBytes is the allocation granularity of window slabs: MPI
@@ -63,20 +64,6 @@ type Observer interface {
 	Depart(key string, worldRank int)
 }
 
-// Tracer receives RMA runtime events for timeline recording.
-// trace.RMAAdapter implements it; the zero Window has no tracer.
-type Tracer interface {
-	// EpochOpen / EpochClose bracket one synchronization epoch of kind
-	// "fence", "access" (Start..Complete), "expose" (Post..Wait) or
-	// "lock:<target>" on the given world rank.
-	EpochOpen(win, kind string, worldRank int)
-	EpochClose(win, kind string, worldRank int)
-	// BeginOp / EndOp bracket one Put/Get/Accumulate issued by worldRank
-	// against targetWorldRank.
-	BeginOp(win, op string, worldRank, targetWorldRank, bytes int)
-	EndOp(win, op string, worldRank int)
-}
-
 // winConfig collects creation options. Every rank of the communicator
 // must pass equivalent options: the first task to arrive builds the
 // window from its own copy.
@@ -85,7 +72,7 @@ type winConfig struct {
 	tracker       *memsim.Tracker
 	accountBytes  int64
 	observer      Observer
-	tracer        Tracer
+	rec           *trace.Recorder
 	persistDir    string
 	persistMapped bool
 }
@@ -116,9 +103,12 @@ func WithObserver(o Observer) Option {
 	return func(c *winConfig) { c.observer = o }
 }
 
-// WithTracer wires a Tracer into every epoch and communication call.
-func WithTracer(tr Tracer) Option {
-	return func(c *winConfig) { c.tracer = tr }
+// WithRecorder writes every closed epoch ("rma-epoch" slices named
+// "<window>/<kind>") and every Put/Get/Accumulate/Flush ("rma" slices
+// named "<window>/<op>", with target world rank and bytes) to rec, on
+// the issuing task's timeline.
+func WithRecorder(rec *trace.Recorder) Option {
+	return func(c *winConfig) { c.rec = rec }
 }
 
 // WithPersist backs every process-local segment of the window with a

@@ -18,14 +18,12 @@ func (w *Window[T]) Fence(t *mpi.Task) {
 	if ep.exposed || len(ep.started) > 0 || len(ep.locked) > 0 {
 		raise(t.Rank(), "Fence", "fence inside an open PSCW or lock epoch on window %q", w.name)
 	}
-	if tr := w.cfg.tracer; tr != nil && ep.fence {
-		tr.EpochClose(w.name, "fence", t.Rank())
+	if ep.fence {
+		w.closeEpoch(t, ep, epochFence, ep.begin[epochFence], 0)
 	}
 	mpi.Barrier(t, w.comm)
 	ep.fence = true
-	if tr := w.cfg.tracer; tr != nil {
-		tr.EpochOpen(w.name, "fence", t.Rank())
-	}
+	ep.begin[epochFence] = w.openEpoch(ep, epochFence)
 }
 
 // Post opens an exposure epoch towards the given origin ranks
@@ -63,9 +61,7 @@ func (w *Window[T]) Post(t *mpi.Task, origins ...int) {
 	}
 	ep.exposed = true
 	ep.postedTo = append([]int(nil), origins...)
-	if tr := w.cfg.tracer; tr != nil {
-		tr.EpochOpen(w.name, "expose", t.Rank())
-	}
+	ep.begin[epochExpose] = w.openEpoch(ep, epochExpose)
 }
 
 // Start opens an access epoch towards the given target ranks
@@ -100,9 +96,7 @@ func (w *Window[T]) Start(t *mpi.Task, targets ...int) {
 		}
 		ep.started[g] = true
 	}
-	if tr := w.cfg.tracer; tr != nil {
-		tr.EpochOpen(w.name, "access", t.Rank())
-	}
+	ep.begin[epochAccess] = w.openEpoch(ep, epochAccess)
 }
 
 // Complete closes the access epoch opened by Start
@@ -116,9 +110,7 @@ func (w *Window[T]) Complete(t *mpi.Task) {
 		raise(t.Rank(), "Complete", "no access epoch open on window %q", w.name)
 	}
 	w.checkFailed(t, "Complete")
-	if tr := w.cfg.tracer; tr != nil {
-		tr.EpochClose(w.name, "access", t.Rank())
-	}
+	w.closeEpoch(t, ep, epochAccess, ep.begin[epochAccess], 0)
 	hooks := w.world.Hooks()
 	targets := make([]int, 0, len(ep.started))
 	for g := range ep.started {
@@ -159,7 +151,5 @@ func (w *Window[T]) Wait(t *mpi.Task) {
 	}
 	ep.exposed = false
 	ep.postedTo = nil
-	if tr := w.cfg.tracer; tr != nil {
-		tr.EpochClose(w.name, "expose", t.Rank())
-	}
+	w.closeEpoch(t, ep, epochExpose, ep.begin[epochExpose], 0)
 }

@@ -49,13 +49,24 @@ type targetState struct {
 }
 
 // epochState tracks the epochs one task currently has open on the
-// window. It is only touched by the owning task's goroutine.
+// window. It is only touched by the owning task's goroutine, apart from
+// Stats reading its counts.
 type epochState struct {
-	fence    bool             // inside the fence-epoch regime
-	started  map[int]bool     // PSCW access epoch targets
-	exposed  bool             // PSCW exposure epoch open
-	postedTo []int            // origins of the open exposure epoch
-	locked   map[int]LockType // passive-target epochs held
+	fence    bool              // inside the fence-epoch regime
+	started  map[int]bool      // PSCW access epoch targets
+	exposed  bool              // PSCW exposure epoch open
+	postedTo []int             // origins of the open exposure epoch
+	locked   map[int]lockEpoch // passive-target epochs held
+	// begin is the start time (nowNs) of the open fence, access and
+	// expose epochs; a lock epoch keeps its own.
+	begin [epochLock]int64
+	counts
+}
+
+// lockEpoch is one held passive-target epoch.
+type lockEpoch struct {
+	typ   LockType
+	begin int64
 }
 
 // Name returns the window's name (trace/observer key prefix).
@@ -216,7 +227,7 @@ func buildWindow[T mpi.Scalar](world *mpi.World, wc *mpi.Comm, rank int, op stri
 			st.done[o] = make(chan any, 1)
 		}
 		win.st[r] = st
-		win.eps[r] = &epochState{started: make(map[int]bool), locked: make(map[int]LockType)}
+		win.eps[r] = &epochState{started: make(map[int]bool), locked: make(map[int]lockEpoch)}
 	}
 	if shared {
 		for r := 1; r < size; r++ {

@@ -140,26 +140,25 @@ func (m *refRecorder) collectiveNs(tid int, alg string, tsNs, ctx, seq int64) {
 		Args: CollArgs{Ctx: ctx, Seq: seq, Alg: alg}}, false)
 }
 
-// refAdapters mirrors the HLS, RMA and checkpoint adapters: each
-// keeps its open spans' float begin times and emits through the model.
+// refAdapters mirrors the HLS adapter: it keeps its open spans' float
+// begin times and emits through the model.
 type refAdapters struct {
-	m      *refRecorder
-	open   map[string]float64
-	rmaOps map[string]rmaOp
+	m    *refRecorder
+	open map[string]float64
 }
 
 func (a *refAdapters) begin(key string) { a.open[key] = a.m.now() }
 
-// end closes key's span as name/cat, or records an instant (args
-// dropped) when it was never opened.
-func (a *refAdapters) end(key string, tid int, name, cat string, args any) {
+// end closes key's span as name/cat, or records an instant when it was
+// never opened.
+func (a *refAdapters) end(key string, tid int, name, cat string) {
 	begin, ok := a.open[key]
 	delete(a.open, key)
 	if !ok {
 		a.m.instant(tid, name, cat, nil)
 		return
 	}
-	a.m.add(tid, Event{Name: name, Cat: cat, Ph: "X", Ts: begin, Tid: tid, Dur: a.m.now() - begin, Args: args}, true)
+	a.m.add(tid, Event{Name: name, Cat: cat, Ph: "X", Ts: begin, Tid: tid, Dur: a.m.now() - begin}, true)
 }
 
 // fuzzInput reads a fuzz program; past its end every read is zero.
@@ -238,12 +237,6 @@ const (
 	opSpanClose
 	opSyncArrive
 	opSyncDepart
-	opEpochOpen
-	opEpochClose
-	opRMABegin
-	opRMAEnd
-	opCkptBegin
-	opCkptEnd
 	opCheck
 	numFuzzOps
 )
@@ -267,9 +260,7 @@ func runRecorderProgram(t *testing.T, prog []byte) {
 		hot[i] = r.Intern(nc.name, nc.cat)
 	}
 	syncA := &SyncAdapter{R: r}
-	rmaA := &RMAAdapter{R: r}
-	ckptA := &CkptAdapter{R: r}
-	ref := &refAdapters{m: m, open: map[string]float64{}, rmaOps: map[string]rmaOp{}}
+	ref := &refAdapters{m: m, open: map[string]float64{}}
 	type openSpan struct{ real, model func() }
 	var spans []openSpan
 
@@ -333,40 +324,7 @@ func runRecorderProgram(t *testing.T, prog []byte) {
 				ref.begin(k)
 			} else {
 				syncA.Depart(key, rank)
-				ref.end(k, rank, key, "hls", nil)
-			}
-		case opEpochOpen, opEpochClose:
-			win, kind, rank := name(), cat(), nextTid()
-			k := fmt.Sprintf("epoch %s %s %d", win, kind, rank)
-			if op == opEpochOpen {
-				rmaA.EpochOpen(win, kind, rank)
-				ref.begin(k)
-			} else {
-				rmaA.EpochClose(win, kind, rank)
-				ref.end(k, rank, fmt.Sprintf("%s/%s", win, kind), "rma-epoch", nil)
-			}
-		case opRMABegin:
-			win, o, rank, target, n := name(), cat(), nextTid(), nextTid(), int(in.byte())
-			rmaA.BeginOp(win, o, rank, target, n)
-			ref.rmaOps[fmt.Sprintf("%s %s %d", win, o, rank)] = rmaOp{target: target, bytes: n}
-			ref.begin(fmt.Sprintf("op %s %s %d", win, o, rank))
-		case opRMAEnd:
-			win, o, rank := name(), cat(), nextTid()
-			rmaA.EndOp(win, o, rank)
-			k := fmt.Sprintf("op %s %s %d", win, o, rank)
-			if _, ok := ref.open[k]; ok { // EndOp without BeginOp records nothing
-				ro := ref.rmaOps[fmt.Sprintf("%s %s %d", win, o, rank)]
-				ref.end(k, rank, fmt.Sprintf("%s/%s", win, o), "rma", map[string]any{"target": ro.target, "bytes": ro.bytes})
-			}
-		case opCkptBegin, opCkptEnd:
-			o, gen, rank := name(), uint64(in.byte()), nextTid()
-			k := fmt.Sprintf("ckpt %s %d", o, rank)
-			if op == opCkptBegin {
-				ckptA.CkptBegin(o, gen, rank)
-				ref.begin(k)
-			} else {
-				ckptA.CkptEnd(o, gen, rank)
-				ref.end(k, rank, fmt.Sprintf("%s/gen-%d", o, gen), "ckpt", map[string]any{"generation": gen})
+				ref.end(k, rank, key, "hls")
 			}
 		case opCheck:
 			compareRecorder(t, fmt.Sprintf("step %d", step), r, m)
@@ -449,13 +407,9 @@ func FuzzRecorderRing(f *testing.F) {
 			op(opCheck)
 	}
 	f.Add(p.b)
-	// The adapters: directives, RMA epochs and ops, checkpoints,
-	// collectives and blocking waits.
+	// The directive adapter, collectives and blocking waits.
 	f.Add(newFuzzProg(40, 0).
 		op(opSyncArrive, byte(0), byte(3)).op(opSyncDepart, byte(0), byte(3)).op(opSyncDepart, byte(1), byte(4)).
-		op(opEpochOpen, byte(3), byte(0), byte(2)).op(opRMABegin, byte(3), byte(1), byte(2), byte(3), byte(16)).
-		op(opRMAEnd, byte(3), byte(1), byte(2)).op(opEpochClose, byte(3), byte(0), byte(2)).op(opEpochClose, byte(3), byte(1), byte(2)).
-		op(opCkptBegin, byte(4), byte(7), byte(2)).op(opCkptEnd, byte(4), byte(7), byte(2)).op(opCkptEnd, byte(0), byte(1), byte(3)).
 		op(opCollective, byte(2), byte(4), int64(12345), int64(-3), int64(9)).
 		op(opWaitSlice, byte(2), byte(3), int64(77), int64(1000), int64(500)).b)
 	f.Fuzz(func(t *testing.T, prog []byte) {

@@ -5,7 +5,10 @@
 // Messages reach the recorder through internal/obs's Tracer (installed
 // as mpi.Config.Trace), which draws each one as a send→deliver flow
 // arrow; an hls.SyncObserver adapter here brackets directive
-// arrive/depart pairs, and user code can add phase spans directly.
+// arrive/depart pairs. RMA windows (rma.WithRecorder) and checkpoint
+// coordinators (ckpt.Config.Trace) already hold their epochs' and
+// operations' begin times, so they write their slices to the Recorder
+// directly, and user code can add phase spans the same way.
 package trace
 
 import (

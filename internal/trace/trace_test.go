@@ -9,7 +9,6 @@ import (
 
 	"hls/internal/hls"
 	"hls/internal/mpi"
-	"hls/internal/rma"
 	"hls/internal/topology"
 )
 
@@ -93,42 +92,6 @@ func TestSyncAdapterBracketsDirectives(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), `"cat":"hls"`) {
 		t.Error("no hls-category events in output")
-	}
-}
-
-func TestRMAAdapterRecordsEpochsAndOps(t *testing.T) {
-	rec := NewRecorder()
-	w, err := mpi.NewWorld(mpi.Config{NumTasks: 4, Timeout: 30 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Run(func(task *mpi.Task) error {
-		win := rma.WinAllocate[float64](task, nil, 4,
-			rma.WithName("tw"), rma.WithTracer(&RMAAdapter{R: rec}))
-		win.Fence(task)
-		win.Put(task, []float64{1, 2}, (task.Rank()+1)%4, 0)
-		win.Fence(task)
-		win.Lock(task, rma.LockShared, 0)
-		win.Accumulate(task, []float64{1}, 0, 0, mpi.OpSum)
-		win.Unlock(task, 0)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	if err := rec.WriteJSON(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{`"cat":"rma-epoch"`, `"cat":"rma"`, `"name":"tw/put"`, `"name":"tw/accumulate"`, `"name":"tw/lock:0"`, `"bytes":16`} {
-		if !strings.Contains(out, want) {
-			t.Errorf("trace output missing %s", want)
-		}
-	}
-	// 4 closed fence epochs + 4 puts + 4 lock epochs + 4 accumulates, plus
-	// the 4 still-open second fence epochs which emit nothing.
-	if got := rec.Len(); got != 16 {
-		t.Errorf("events = %d, want 16", got)
 	}
 }
 
