@@ -145,6 +145,7 @@ func main() {
 	var tracer *obs.Tracer
 	if *traceFile != "" {
 		tracer = obs.NewTracer(trace.NewRecorder(trace.WithMaxEvents(*traceEvents)))
+		reg.CounterFunc("trace_events_dropped_total", "Events overwritten in the bounded trace ring.", tracer.Dropped)
 	}
 
 	g := &genCfg{
@@ -270,12 +271,8 @@ func runGeneration(g *genCfg) error {
 		WorldKey:    genKey(wire.WorldKeyFor(g.hosts), g.gen),
 		Incarnation: g.incarnation,
 		BatchWindow: g.batch,
-		Clock:       g.wireMetrics,
 	}
-	var clock *obs.Clock
 	if g.tracer != nil {
-		clock = obs.NewClock(len(g.addrs))
-		wcfg.Clock = wire.ClockObservers(clock, g.wireMetrics)
 		wcfg.PingInterval = 250 * time.Millisecond
 	}
 	tr, err := wire.NewTCP(wcfg, ln)
@@ -501,7 +498,7 @@ func runGeneration(g *genCfg) error {
 			win.Free(task)
 		}
 		if g.tracer != nil {
-			return gatherTrace(task, g.tracer, clock, g.reg, g.node, g.traceFile)
+			return gatherTrace(task, g.tracer, tr, g.reg, g.node, g.traceFile)
 		}
 		return nil
 	})
@@ -642,19 +639,17 @@ func traceHooks(t *obs.Tracer) mpi.TraceHooks {
 // gatherTrace runs the teardown gather on every rank (it communicates,
 // so all ranks must call it); rank 0's process then writes the merged
 // Perfetto trace and the world-wide metrics snapshot next to it.
-func gatherTrace(task *mpi.Task, tracer *obs.Tracer, clock *obs.Clock, reg *metrics.Registry, node int, path string) error {
+func gatherTrace(task *mpi.Task, tracer *obs.Tracer, tr wire.Transport, reg *metrics.Registry, node int, path string) error {
 	merged, err := obs.Gather(task, func() *obs.ProcDump {
-		tracer.PublishDropped(reg.Counter("trace_events_dropped_total",
-			"Events overwritten in the bounded trace ring."))
-		off, ok := clock.OffsetTo(0)
+		clk := tr.Clock(0)
 		if node == 0 {
-			off, ok = 0, true // node 0 is the reference clock
+			clk.OffsetNs, clk.OK = 0, true // node 0 is the reference clock
 		}
 		return &obs.ProcDump{
 			EpochUnixNano: tracer.Recorder().EpochUnixNano(),
-			OffsetNs:      off, HasOffset: ok,
-			RTTNs:    clock.RTTTo(0),
-			DriftPPB: clock.DriftPPB(0),
+			OffsetNs:      clk.OffsetNs, HasOffset: clk.OK,
+			RTTNs:    clk.RTTNs,
+			DriftPPB: clk.DriftPPB,
 			Dropped:  tracer.Dropped(),
 			Events:   tracer.Recorder().Events(),
 			Metrics:  reg.Snapshot(),

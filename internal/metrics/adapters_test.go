@@ -70,13 +70,10 @@ func TestMPIAdapter(t *testing.T) {
 		"mpi_eager_pool_outstanding":                         st.EagerPoolOutstanding,
 		"mpi_match_probes_total":                             st.MatchProbes,
 	}
-	snap := r.Snapshot(WithPerShard())
+	snap := r.Snapshot()
 	got := make(map[string]int64)
 	for _, s := range append(snap.Counters, snap.Gauges...) {
 		got[seriesKey(s.Name, s.Labels)] = s.Value
-		if len(s.PerShard) != 1 || s.PerShard[0] != s.Value {
-			t.Errorf("%s: per-shard %v, want the single shard [%d]", s.Name, s.PerShard, s.Value)
-		}
 	}
 	for k, v := range want {
 		if got[k] != v {
@@ -167,16 +164,27 @@ func TestHLSAdapter(t *testing.T) {
 	a.Depart(key, 3)
 	a.Depart("nowait/node:0/0", 5) // depart without arrive: zero-wait count
 
-	d := a.metricsFor(key)
-	if d.count.Value() != 1 || d.wait.Count() != 1 {
-		t.Fatalf("directive not counted: count %d wait-count %d", d.count.Value(), d.wait.Count())
+	d := a.waitFor(key)
+	if d.Count() != 1 {
+		t.Fatalf("directive not timed: wait count %d", d.Count())
 	}
-	if a.metricsFor(key) != d {
-		t.Fatal("directive handles not cached")
+	if a.waitFor(key) != d {
+		t.Fatal("directive histogram not cached")
 	}
-	nw := a.metricsFor("nowait/node:0/0")
-	if nw.count.Value() != 1 || nw.wait.Count() != 1 || nw.wait.Sum() != 0 {
+	nw := a.waitFor("nowait/node:0/0")
+	if nw.Count() != 1 || nw.Sum() != 0 {
 		t.Fatal("unmatched depart must count with zero wait")
+	}
+	// hls_directives_total reads each directive's histogram count.
+	snap := r.Snapshot()
+	counts := map[string]int64{}
+	for _, c := range snap.Counters {
+		if c.Name == "hls_directives_total" {
+			counts[c.Labels["kind"]+"/"+c.Labels["scope"]] = c.Value
+		}
+	}
+	if counts["barrier/node:0"] != 1 || counts["nowait/node:0"] != 1 || len(counts) != 2 {
+		t.Fatalf("hls_directives_total = %v, want barrier and nowait at 1", counts)
 	}
 
 	// Nil-registry adapter.

@@ -39,7 +39,7 @@ func TestMPIFamilyNames(t *testing.T) {
 }
 
 // TestWireFamilyNames pins the wire_* families: the traffic families
-// pulled from wire.Stats, then the pushed clock ones.
+// pulled from wire.Stats, then the clock ones pulled from its Clock.
 func TestWireFamilyNames(t *testing.T) {
 	r := New(1)
 	NewWireAdapter(r, 2)

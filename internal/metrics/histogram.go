@@ -12,6 +12,10 @@ import (
 // days in nanoseconds, or half a petabyte in bytes.
 const numBuckets = 50
 
+// cacheLine is the padding granularity separating shards, in units of
+// int64 words (64 bytes on every platform this targets).
+const cacheLine = 8
+
 // hstride is the per-shard block stride of a histogram, in int64 words:
 // the bucket array plus a count and a sum word, rounded up to whole
 // cache lines so shards never share one.

@@ -10,13 +10,13 @@ import (
 
 // HLSAdapter exports the HLS runtime's directive and memory metrics.
 //
-// As an hls.SyncObserver it times each directive edge:
-//
-//   - hls_directives_total{kind,scope} — completed directives;
-//   - hls_directive_wait_ns{kind,scope} — per-task wait time inside each
-//     barrier/single/nowait, the histogram whose spread across ranks IS
-//     the task imbalance (a balanced barrier shows a tight distribution;
-//     a straggler pushes every other rank into the high buckets).
+// As an hls.SyncObserver it times each directive edge into
+// hls_directive_wait_ns{kind,scope}: the per-task wait inside each
+// barrier/single/nowait, the histogram whose spread across ranks IS the
+// task imbalance (a balanced barrier shows a tight distribution; a
+// straggler pushes every other rank into the high buckets). It is the
+// registry's one pushed metric. hls_directives_total{kind,scope}, the
+// completed directives, is a CounterFunc over that histogram's count.
 //
 // Everything else is pulled from hls.Registry.Stats over the registries
 // it watches, like MPIAdapter's series:
@@ -54,20 +54,13 @@ type HLSAdapter struct {
 	open []openShard
 
 	mu   sync.RWMutex
-	dirs map[string]*dirMetrics // full directive key -> handles
+	dirs map[string]*Histogram // full directive key -> its wait histogram
 }
 
 type openShard struct {
 	mu sync.Mutex
 	m  map[string]int64 // directive key -> arrival time (ns since start)
 	_  [3]int64         // keep neighbouring stripes off one cache line
-}
-
-// dirMetrics caches the handles of one directive key, so the hot path
-// resolves labels once per distinct key rather than per event.
-type dirMetrics struct {
-	count *Counter
-	wait  *Histogram
 }
 
 // hlsFamilies maps each pulled HLS series to its Stats source. All of
@@ -105,7 +98,7 @@ func NewHLSAdapter(r *Registry) *HLSAdapter {
 	for i := range a.open {
 		a.open[i].m = make(map[string]int64)
 	}
-	a.dirs = make(map[string]*dirMetrics)
+	a.dirs = make(map[string]*Histogram)
 	return a
 }
 
@@ -123,28 +116,27 @@ func parseDirectiveKey(key string) (kind, scope string) {
 	return key[:i], key[i+1 : j]
 }
 
-// metricsFor resolves (creating on first use) the handles of one
-// directive key.
-func (a *HLSAdapter) metricsFor(key string) *dirMetrics {
+// waitFor resolves (creating on first use) the wait histogram of one
+// directive key, so the hot path resolves labels once per distinct key
+// rather than per event.
+func (a *HLSAdapter) waitFor(key string) *Histogram {
 	a.mu.RLock()
-	d, ok := a.dirs[key]
+	h, ok := a.dirs[key]
 	a.mu.RUnlock()
 	if ok {
-		return d
+		return h
 	}
 	kind, scope := parseDirectiveKey(key)
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if d, ok = a.dirs[key]; ok {
-		return d
+	if h, ok = a.dirs[key]; ok {
+		return h
 	}
 	kl, sl := L("kind", kind), L("scope", scope)
-	d = &dirMetrics{
-		count: a.reg.Counter("hls_directives_total", "HLS directives completed, by directive kind and scope", kl, sl),
-		wait:  a.reg.Histogram("hls_directive_wait_ns", "per-task wait inside HLS synchronization directives; the spread across ranks is the task imbalance (§IV-B)", kl, sl),
-	}
-	a.dirs[key] = d
-	return d
+	h = a.reg.Histogram("hls_directive_wait_ns", "per-task wait inside HLS synchronization directives; the spread across ranks is the task imbalance (§IV-B)", kl, sl)
+	a.reg.CounterFunc("hls_directives_total", "HLS directives completed, by directive kind and scope", h.Count, kl, sl)
+	a.dirs[key] = h
+	return h
 }
 
 // Arrive implements hls.SyncObserver.
@@ -173,11 +165,9 @@ func (a *HLSAdapter) Depart(key string, worldRank int) {
 		delete(sh.m, key)
 	}
 	sh.mu.Unlock()
-	d := a.metricsFor(key)
-	d.count.Inc(worldRank)
 	var wait int64
 	if ok {
 		wait = a.nowNs() - begin
 	}
-	d.wait.Observe(worldRank, wait)
+	a.waitFor(key).Observe(worldRank, wait)
 }

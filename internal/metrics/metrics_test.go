@@ -10,55 +10,59 @@ import (
 	"time"
 )
 
-func TestCounterSharded(t *testing.T) {
+func TestHistogramSharded(t *testing.T) {
 	r := New(4)
-	c := r.Counter("msgs_total", "messages")
-	c.Inc(0)
-	c.Add(1, 10)
-	c.Add(3, 100)
-	c.Add(5, 1000) // shard 5 folds into cell 5 mod 4 = 1
-	if got := c.Value(); got != 1111 {
-		t.Fatalf("Value = %d, want 1111", got)
+	h := r.Histogram("msg_bytes", "message sizes")
+	h.Observe(0, 1)
+	h.Observe(1, 10)
+	h.Observe(3, 100)
+	h.Observe(5, 1000) // shard 5 folds into block 5 mod 4 = 1
+	if h.Count() != 4 || h.Sum() != 1111 {
+		t.Fatalf("Count, Sum = %d, %d; want 4, 1111", h.Count(), h.Sum())
 	}
-	want := []int64{1, 1010, 0, 100}
-	got := c.PerShard()
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("PerShard = %v, want %v", got, want)
+	wantCount, wantSum := []int64{1, 2, 0, 1}, []int64{1, 1010, 0, 100}
+	gotCount, gotSum := h.PerShardCount(), h.PerShardSum()
+	for i := range wantCount {
+		if gotCount[i] != wantCount[i] || gotSum[i] != wantSum[i] {
+			t.Fatalf("PerShardCount = %v, PerShardSum = %v; want %v, %v", gotCount, gotSum, wantCount, wantSum)
 		}
 	}
 }
 
 func TestRegistryInternsSeries(t *testing.T) {
 	r := New(2)
-	a := r.Counter("x_total", "x", L("op", "put"), L("win", "w"))
-	b := r.Counter("x_total", "ignored on reuse", L("win", "w"), L("op", "put"))
-	if a != b {
-		t.Fatal("same name+labels (any order) must return the same counter")
+	r.CounterFunc("x_total", "x", func() int64 { return 1 }, L("op", "put"), L("win", "w"))
+	r.CounterFunc("x_total", "ignored on reuse", func() int64 { return 2 }, L("win", "w"), L("op", "put"))
+	r.CounterFunc("x_total", "x", func() int64 { return 3 }, L("op", "get"))
+	r.GaugeFunc("g", "", func() int64 { return 4 })
+	r.GaugeFunc("g", "", func() int64 { return 5 })
+	snap := r.Snapshot()
+	if len(snap.Counters) != 2 || snap.Counters[0].Value != 1 {
+		t.Fatalf("counters %+v: same name+labels (any order) must be one series, the first fn winning", snap.Counters)
 	}
-	if c := r.Counter("x_total", "x", L("op", "get")); c == a {
+	if snap.Counters[1].Value != 3 {
 		t.Fatal("different label values must be distinct series")
+	}
+	if len(snap.Gauges) != 1 || snap.Gauges[0].Value != 4 {
+		t.Fatalf("gauge not interned: %+v", snap.Gauges)
 	}
 	if h1, h2 := r.Histogram("h", ""), r.Histogram("h", ""); h1 != h2 {
 		t.Fatal("histogram not interned")
 	}
-	if g1, g2 := r.Gauge("g", ""), r.Gauge("g", ""); g1 != g2 {
-		t.Fatal("gauge not interned")
-	}
 }
 
+// TestGauge: a gauge reads its function at every snapshot, so it follows
+// a level up and down, below zero too.
 func TestGauge(t *testing.T) {
 	r := New(4)
-	g := r.Gauge("in_flight", "")
-	g.Inc(0)
-	g.Inc(1)
-	g.Dec(2) // deltas may go negative per shard; the sum is the value
-	if got := g.Value(); got != 1 {
-		t.Fatalf("Value = %d, want 1", got)
+	level := int64(-1)
+	r.GaugeFunc("in_flight", "", func() int64 { return level })
+	if got := r.Snapshot().Gauges[0].Value; got != -1 {
+		t.Fatalf("Value = %d, want -1", got)
 	}
-	g.Set(42)
-	if got := g.Value(); got != 42 {
-		t.Fatalf("after Set(42): Value = %d", got)
+	level = 42
+	if got := r.Snapshot().Gauges[0].Value; got != 42 {
+		t.Fatalf("after the level moved to 42: Value = %d", got)
 	}
 }
 
@@ -100,24 +104,20 @@ func TestHistogramBuckets(t *testing.T) {
 
 func TestNilRegistryFastPath(t *testing.T) {
 	var r *Registry
-	c := r.Counter("c", "")
-	g := r.Gauge("g", "")
+	read := func() int64 { t.Error("a nil registry read a series"); return 0 }
+	r.CounterFunc("c", "", read)
+	r.GaugeFunc("g", "", read)
 	h := r.Histogram("h", "")
-	if c != nil || g != nil || h != nil {
-		t.Fatal("nil registry must hand out nil handles")
+	if h != nil {
+		t.Fatal("nil registry must hand out nil histograms")
 	}
-	c.Inc(3)
-	c.Add(1, 5)
-	g.Inc(0)
-	g.Dec(0)
-	g.Set(9)
 	h.Observe(2, 100)
 	h.ObserveDuration(0, time.Second)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
-		t.Fatal("nil handles must read zero")
+	if h.Count() != 0 || h.Sum() != 0 {
+		t.Fatal("nil histograms must read zero")
 	}
-	if c.PerShard() != nil || h.PerShardCount() != nil || h.Quantile(0.9) != 0 {
-		t.Fatal("nil handles must read empty breakdowns")
+	if h.PerShardCount() != nil || h.Quantile(0.9) != 0 {
+		t.Fatal("nil histograms must read empty breakdowns")
 	}
 	if r.Shards() != 0 {
 		t.Fatal("nil registry Shards")
@@ -133,18 +133,21 @@ func TestNilRegistryFastPath(t *testing.T) {
 
 func TestSnapshotAndSub(t *testing.T) {
 	r := New(2)
-	c := r.Counter("ops_total", "", L("op", "put"))
+	ops := int64(5)
+	r.CounterFunc("ops_total", "", func() int64 { return ops }, L("op", "put"))
 	h := r.Histogram("lat_ns", "")
-	c.Add(0, 5)
 	h.Observe(0, 3)
 	before := r.Snapshot()
-	c.Add(1, 7)
+	ops = 12
 	h.Observe(1, 3)
 	h.Observe(1, 100)
 	after := r.Snapshot(WithPerShard())
 
-	if after.Counters[0].Value != 12 || after.Counters[0].PerShard[1] != 7 {
+	if after.Counters[0].Value != 12 {
 		t.Fatalf("snapshot counter: %+v", after.Counters[0])
+	}
+	if pc := after.Histograms[0].PerShardCount; len(pc) != 2 || pc[1] != 2 {
+		t.Fatalf("snapshot histogram per-shard counts: %v", pc)
 	}
 	delta := after.Sub(before)
 	if delta.Counters[0].Value != 7 {
@@ -180,9 +183,9 @@ func TestSnapshotAndSub(t *testing.T) {
 
 func TestWritePrometheus(t *testing.T) {
 	r := New(2)
-	r.Counter("ops_total", "operations, by op", L("op", "put")).Add(0, 3)
-	r.Counter("ops_total", "operations, by op", L("op", "get")).Add(1, 1)
-	r.Gauge("open", "open things").Set(2)
+	r.CounterFunc("ops_total", "operations, by op", func() int64 { return 3 }, L("op", "put"))
+	r.CounterFunc("ops_total", "operations, by op", func() int64 { return 1 }, L("op", "get"))
+	r.GaugeFunc("open", "open things", func() int64 { return 2 })
 	h := r.Histogram("lat_ns", "latency")
 	h.Observe(0, 1)
 	h.Observe(0, 3)
@@ -218,7 +221,8 @@ func TestWritePrometheus(t *testing.T) {
 
 func TestHTTPEndpoint(t *testing.T) {
 	r := New(2)
-	r.Counter("hits_total", "hits").Inc(0)
+	r.CounterFunc("hits_total", "hits", func() int64 { return 1 })
+	r.Histogram("lat_ns", "").Observe(1, 5)
 
 	srv := httptest.NewServer(NewMux(r))
 	defer srv.Close()
@@ -248,7 +252,7 @@ func TestHTTPEndpoint(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &snap); err != nil {
 		t.Fatal(err)
 	}
-	if len(snap.Counters) != 1 || snap.Counters[0].PerShard == nil {
+	if len(snap.Counters) != 1 || len(snap.Histograms) != 1 || snap.Histograms[0].PerShardCount == nil {
 		t.Fatalf("/metrics.json?shards=1 missing per-shard detail: %s", body)
 	}
 	if body, _ = get("/debug/pprof/"); !strings.Contains(body, "goroutine") {

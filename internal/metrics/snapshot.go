@@ -14,9 +14,6 @@ type SeriesValue struct {
 	Name   string            `json:"name"`
 	Labels map[string]string `json:"labels,omitempty"`
 	Value  int64             `json:"value"`
-	// PerShard is the per-shard (per-rank) breakdown, present when the
-	// snapshot was taken with shard detail enabled.
-	PerShard []int64 `json:"perShard,omitempty"`
 }
 
 // HistogramValue is one histogram series.
@@ -57,7 +54,8 @@ type snapshotConfig struct {
 	perShard bool
 }
 
-// WithPerShard includes per-shard (per-rank) breakdowns in the snapshot.
+// WithPerShard includes histograms' per-shard (per-rank) breakdowns in
+// the snapshot.
 func WithPerShard() SnapshotOption {
 	return func(c *snapshotConfig) { c.perShard = true }
 }
@@ -75,11 +73,11 @@ func (r *Registry) Snapshot(opts ...SnapshotOption) Snapshot {
 	}
 	r.mu.Lock()
 	order := append([]family(nil), r.order...)
-	counters := make(map[string]*cells, len(r.counters))
+	counters := make(map[string]*funcSeries, len(r.counters))
 	for id, c := range r.counters {
 		counters[id] = c
 	}
-	gauges := make(map[string]*cells, len(r.gauges))
+	gauges := make(map[string]*funcSeries, len(r.gauges))
 	for id, g := range r.gauges {
 		gauges[id] = g
 	}
@@ -89,12 +87,8 @@ func (r *Registry) Snapshot(opts ...SnapshotOption) Snapshot {
 	}
 	r.mu.Unlock()
 
-	seriesValue := func(c *cells) SeriesValue {
-		sv := SeriesValue{Name: c.name, Labels: labelMap(c.labels), Value: c.value()}
-		if cfg.perShard {
-			sv.PerShard = c.perShard()
-		}
-		return sv
+	seriesValue := func(c *funcSeries) SeriesValue {
+		return SeriesValue{Name: c.name, Labels: labelMap(c.labels), Value: c.fn()}
 	}
 	for _, f := range order {
 		switch f.kind {
@@ -133,7 +127,6 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 	}
 	for _, c := range s.Counters {
 		c.Value -= prevCounters[seriesKey(c.Name, c.Labels)]
-		c.PerShard = nil
 		out.Counters = append(out.Counters, c)
 	}
 	out.Gauges = append(out.Gauges, s.Gauges...)

@@ -45,7 +45,7 @@ func (c *countingObserver) Depart(key string, rank int) { c.departs.Add(1) }
 // plain hook sees every message; the HLS adapter times directives beside
 // a plain second observer and watches the registry's Stats, and the RMA
 // adapter watches the window's Stats, while a scraper reads the
-// registry throughout. Run with -race: the sharded cells, the striped
+// registry throughout. Run with -race: the sharded histograms, the striped
 // open-span maps, the observer loop and the Stats reads beside the
 // per-rank single and window counters are all exercised concurrently.
 func TestStressAllAdapters(t *testing.T) {

@@ -94,26 +94,37 @@ func runAndDrop(t *testing.T, a *metrics.MPIAdapter, h *metrics.HLSAdapter, r *m
 
 // TestWireAdapterWatch: transports watched one after another add up
 // while they run and after each stop, an extra stop changes nothing,
-// and a stopped, closed transport is garbage once the caller drops it.
+// the clock gauges read the live transport's estimate, and a stopped,
+// closed transport is garbage once the caller drops it.
 func TestWireAdapterWatch(t *testing.T) {
 	reg := metrics.New(2)
 	a := metrics.NewWireAdapter(reg, 2)
-	series := func(name, dir string) int64 {
+	labeled := func(name, key, value string) int64 {
 		t.Helper()
 		for _, c := range append(reg.Snapshot().Counters, reg.Snapshot().Gauges...) {
-			if c.Name == name && c.Labels["dir"] == dir {
+			if c.Name == name && c.Labels[key] == value {
 				return c.Value
 			}
 		}
-		t.Fatalf("%s{dir=%q} not exposed", name, dir)
+		t.Fatalf("%s{%s=%q} not exposed", name, key, value)
 		return 0
 	}
+	series := func(name, dir string) int64 { t.Helper(); return labeled(name, "dir", dir) }
 	var sent, received, bytes int64
 	var gone []weak.Pointer[wire.TCP]
 	for _, msgs := range []int{3, 5} {
 		tr, stop := watchedPair(t, a, msgs)
 		if got := series("wire_frames_total", "sent"); got < sent+int64(msgs) {
 			t.Fatalf("live watch: wire_frames_total{dir=sent} = %d, want at least %d", got, sent+int64(msgs))
+		}
+		// Without probes the estimate is the Hello's one-way sample: an
+		// offset and no round trip, which the RTT gauge reads as 0.
+		e := tr.Clock(1)
+		if off := labeled("wire_clock_offset_ns", "peer", "1"); !e.OK || off != e.OffsetNs {
+			t.Fatalf("wire_clock_offset_ns{peer=1} = %d, transport estimate %+v", off, e)
+		}
+		if rtt := labeled("wire_rtt_ns", "peer", "1"); e.RTTNs != -1 || rtt != 0 {
+			t.Fatalf("wire_rtt_ns{peer=1} = %d, transport estimate %+v", rtt, e)
 		}
 		tr.Close()
 		st := tr.Stats()

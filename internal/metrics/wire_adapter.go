@@ -9,73 +9,65 @@ import (
 // WireAdapter exports the inter-node transport's traffic — frames and
 // bytes by direction, reconnects after connection loss, the
 // sent-but-unacknowledged frame backlog, Batch containers and the
-// frames they carried — and the clock-probe results: a wire_rtt_ns
-// round-trip histogram and a per-peer clock-offset gauge.
+// frames they carried — and its clock-probe results: per-peer gauges of
+// the minimum probe round trip and the clock offset it measured.
 //
-// The traffic series are pulled, like MPIAdapter's: each is a
-// CounterFunc/GaugeFunc summing wire.Transport.Stats over the
-// transports it watches, so the transport counts every frame once and
-// an unwatched one pays nothing. Clock samples have no counter store in
-// the transport, so they are pushed through wire.ClockObserver. Use it
-// as
+// Every series is pulled, like MPIAdapter's: a CounterFunc/GaugeFunc
+// summing, over the transports it watches, wire.Transport.Stats for the
+// traffic and wire.Transport.Clock for the clock gauges, so the
+// transport keeps each count and estimate once and an unwatched one
+// pays nothing. Use it as
 //
 //	a := metrics.NewWireAdapter(reg, len(addrs))
-//	tr, _ := wire.NewTCP(wire.Config{..., Clock: a}, ln)
+//	tr, _ := wire.NewTCP(cfg, ln)
 //	defer a.Watch(tr)() // stops after tr is closed
 //
 // Constructed over a nil registry it registers nothing.
 type WireAdapter struct {
-	*pull[wire.Transport, wire.Stats]
+	*pull[wire.Transport, wireReading]
+}
 
-	rtt         *Histogram
-	clockOffset []*Gauge
+// wireReading is what one watched transport contributes to a scrape:
+// its counters, and the transport itself for the per-peer clock gauges.
+type wireReading struct {
+	wire.Stats
+	tr wire.Transport
 }
 
 // wireFamilies maps each exported traffic series to its Stats source.
-var wireFamilies = []statFamily[wire.Stats]{
+var wireFamilies = []statFamily[wireReading]{
 	{name: "wire_frames_total", help: "transport frames by direction", label: []Label{L("dir", "sent")},
-		value: func(s *wire.Stats) int64 { return int64(s.FramesSent) }},
+		value: func(s *wireReading) int64 { return int64(s.FramesSent) }},
 	{name: "wire_frames_total", help: "transport frames by direction", label: []Label{L("dir", "received")},
-		value: func(s *wire.Stats) int64 { return int64(s.FramesReceived) }},
+		value: func(s *wireReading) int64 { return int64(s.FramesReceived) }},
 	{name: "wire_bytes_total", help: "transport bytes (headers + payload) by direction", label: []Label{L("dir", "sent")},
-		value: func(s *wire.Stats) int64 { return int64(s.BytesSent) }},
+		value: func(s *wireReading) int64 { return int64(s.BytesSent) }},
 	{name: "wire_bytes_total", help: "transport bytes (headers + payload) by direction", label: []Label{L("dir", "received")},
-		value: func(s *wire.Stats) int64 { return int64(s.BytesReceived) }},
+		value: func(s *wireReading) int64 { return int64(s.BytesReceived) }},
 	{name: "wire_reconnects_total", help: "connections re-established after loss",
-		value: func(s *wire.Stats) int64 { return int64(s.Reconnects) }},
+		value: func(s *wireReading) int64 { return int64(s.Reconnects) }},
 	{name: "wire_inflight_frames", help: "frames sent but not yet acknowledged", gauge: true,
-		value: func(s *wire.Stats) int64 { return int64(s.Inflight) }},
+		value: func(s *wireReading) int64 { return int64(s.Inflight) }},
 	{name: "wire_batch_frames_total", help: "Batch container frames written",
-		value: func(s *wire.Stats) int64 { return int64(s.BatchesSent) }},
+		value: func(s *wireReading) int64 { return int64(s.BatchesSent) }},
 	{name: "wire_batch_messages_total", help: "sequenced frames coalesced into Batch containers (mean fill = batch_messages/batch_frames)",
-		value: func(s *wire.Stats) int64 { return int64(s.BatchedFrames) }},
+		value: func(s *wireReading) int64 { return int64(s.BatchedFrames) }},
 }
 
 // NewWireAdapter creates the adapter and registers its metric families,
-// with one clock-offset series per peer node. peers is the node count
-// (wire.Transport.Peers()); clock samples from peer ids outside it are
-// ignored by the offset gauge. Passing a nil registry yields an adapter
-// that exports nothing.
+// with one clock-offset and one RTT series per peer node. peers is the
+// node count (wire.Transport.Peers()). Passing a nil registry yields an
+// adapter that exports nothing.
 func NewWireAdapter(r *Registry, peers int) *WireAdapter {
-	a := &WireAdapter{
-		pull:        newPull(r, wireFamilies, wire.Transport.Stats),
-		rtt:         r.Histogram("wire_rtt_ns", "clock-probe round-trip time to peer nodes, ns"),
-		clockOffset: make([]*Gauge, max(peers, 1)),
+	fams := append([]statFamily[wireReading](nil), wireFamilies...)
+	for p := 0; p < max(peers, 1); p++ {
+		peer := []Label{L("peer", strconv.Itoa(p))}
+		fams = append(fams,
+			statFamily[wireReading]{name: "wire_clock_offset_ns", help: "estimated peer clock minus local clock, from the minimum-RTT probe, ns", label: peer, gauge: true,
+				value: func(s *wireReading) int64 { return s.tr.Clock(p).OffsetNs }},
+			statFamily[wireReading]{name: "wire_rtt_ns", help: "minimum clock-probe round trip to the peer node, ns (0 until a probe completes)", label: peer, gauge: true,
+				value: func(s *wireReading) int64 { return max(s.tr.Clock(p).RTTNs, 0) }})
 	}
-	for p := range a.clockOffset {
-		a.clockOffset[p] = r.Gauge("wire_clock_offset_ns", "estimated peer clock minus local clock, ns", L("peer", strconv.Itoa(p)))
-	}
-	return a
-}
-
-// ClockSample implements wire.ClockObserver: round trips feed the RTT
-// histogram (sharded by peer), and every sample updates the peer's
-// offset gauge. One-way Hello samples (rtt < 0) update only the offset.
-func (a *WireAdapter) ClockSample(peer int, offsetNs, rttNs int64) {
-	if rttNs >= 0 {
-		a.rtt.Observe(peer, rttNs)
-	}
-	if peer >= 0 && peer < len(a.clockOffset) {
-		a.clockOffset[peer].Set(offsetNs)
-	}
+	read := func(tr wire.Transport) wireReading { return wireReading{Stats: tr.Stats(), tr: tr} }
+	return &WireAdapter{pull: newPull(r, fams, read)}
 }

@@ -16,13 +16,14 @@ import (
 
 // TestTwoProcessMergedTrace is the tracing plane end to end, minus only
 // the OS process boundary: two Worlds joined by loopback TCP, each with
-// its own Tracer, Clock and metrics registry — exactly two hlsworker
-// processes' state — exchange eager and rendezvous messages, then
+// its own Tracer, transport clock estimate and metrics registry —
+// exactly two hlsworker processes' state — exchange eager and
+// rendezvous messages, then
 // Gather ships node 1's ring to rank 0 over the runtime itself. The
 // merged view must hold the properties CI asserts on the real
 // two-process run: flow events from both pids, every wire send matched
-// by a flow end at or after it, zero drops, and a world-wide metrics
-// view that saw the wire traffic.
+// by a flow end at or after it, zero drops, node 1's probed clock, and a
+// world-wide metrics view that saw the wire traffic and a probe RTT.
 func TestTwoProcessMergedTrace(t *testing.T) {
 	const rounds = 15
 	m, err := topology.New(topology.Spec{
@@ -43,23 +44,22 @@ func TestTwoProcessMergedTrace(t *testing.T) {
 	addrs := []string{ln0.Addr().String(), ln1.Addr().String()}
 
 	tracers := make([]*obs.Tracer, 2)
-	clocks := make([]*obs.Clock, 2)
+	trs := make([]*wire.TCP, 2)
 	regs := make([]*metrics.Registry, 2)
 	worlds := make([]*mpi.World, 2)
 	for self, ln := range []net.Listener{ln0, ln1} {
 		tracers[self] = obs.NewTracer(trace.NewRecorder(trace.WithMaxEvents(4096)))
-		clocks[self] = obs.NewClock(2)
 		regs[self] = metrics.New(2)
 		wa := metrics.NewWireAdapter(regs[self], 2)
 		tr, err := wire.NewTCP(wire.Config{
 			Addrs: addrs, Self: self, WorldKey: 5,
-			Clock:        wire.ClockObservers(clocks[self], wa),
 			PingInterval: 5 * time.Millisecond,
 		}, ln)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer wa.Watch(tr)()
+		trs[self] = tr
 		worlds[self], err = mpi.NewWorld(mpi.Config{
 			NumTasks: 2, Machine: m,
 			Wire:    &mpi.WireConfig{Transport: tr},
@@ -96,15 +96,15 @@ func TestTwoProcessMergedTrace(t *testing.T) {
 				}
 				mpi.Barrier(tk, nil)
 				mg, err := obs.Gather(tk, func() *obs.ProcDump {
-					off, ok := clocks[self].OffsetTo(0)
+					clk := trs[self].Clock(0)
 					if self == 0 {
-						off, ok = 0, true
+						clk.OffsetNs, clk.OK = 0, true
 					}
 					return &obs.ProcDump{
 						EpochUnixNano: tracers[self].Recorder().EpochUnixNano(),
-						OffsetNs:      off, HasOffset: ok,
-						RTTNs:    clocks[self].RTTTo(0),
-						DriftPPB: clocks[self].DriftPPB(0),
+						OffsetNs:      clk.OffsetNs, HasOffset: clk.OK,
+						RTTNs:    clk.RTTNs,
+						DriftPPB: clk.DriftPPB,
 						Dropped:  tracers[self].Dropped(),
 						Events:   tracers[self].Recorder().Events(),
 						Metrics:  regs[self].Snapshot(),
@@ -178,15 +178,24 @@ func TestTwoProcessMergedTrace(t *testing.T) {
 		t.Errorf("node 1 clock: HasOffset=%v RTT=%dns, want probe data", p1.HasOffset, p1.RTTNs)
 	}
 
-	// World-wide metrics view saw wire traffic from both processes.
-	var frames int64
+	// World-wide metrics view saw wire traffic from both processes, and
+	// the probe RTT the transports keep.
+	var frames, rtt int64
 	for _, c := range merged.Metrics.Counters {
 		if c.Name == "wire_frames_total" {
 			frames += c.Value
 		}
 	}
+	for _, g := range merged.Metrics.Gauges {
+		if g.Name == "wire_rtt_ns" {
+			rtt += g.Value
+		}
+	}
 	if frames == 0 {
 		t.Error("merged metrics: wire_frames_total = 0")
+	}
+	if rtt <= 0 {
+		t.Errorf("merged metrics: wire_rtt_ns sums to %d, want > 0", rtt)
 	}
 
 	// The analysis runs on the merged view and attributes some wait.

@@ -23,7 +23,6 @@ package obs
 import (
 	"sync/atomic"
 
-	"hls/internal/metrics"
 	"hls/internal/trace"
 )
 
@@ -48,9 +47,8 @@ func SpanSrc(span uint64) int { return int(span>>spanSrcShift) - 1 }
 // can fall back to the pair's extent (send → delivery) for a blocked
 // send whose wait slice is missing — e.g. filtered as sub-microsecond.
 type Tracer struct {
-	rec        *trace.Recorder
-	seq        atomic.Uint64
-	pubDropped atomic.Int64
+	rec *trace.Recorder
+	seq atomic.Uint64
 	// The event names, interned once so the per-message emitters
 	// never look one up.
 	msg, cts, wait, sendWait trace.Name
@@ -80,18 +78,6 @@ func (t *Tracer) Recorder() *trace.Recorder { return t.rec }
 
 // Dropped returns how many events the recorder's ring overwrote.
 func (t *Tracer) Dropped() int64 { return t.rec.Dropped() }
-
-// PublishDropped mirrors the recorder's overwrite count into counter c
-// (conventionally registered as trace_events_dropped_total), adding
-// only the delta since the last publish so repeated calls — at scrape
-// points, teardown, summary print — stay idempotent.
-func (t *Tracer) PublishDropped(c *metrics.Counter) {
-	d := t.rec.Dropped()
-	prev := t.pubDropped.Swap(d)
-	if d > prev {
-		c.Add(0, d-prev)
-	}
-}
 
 // Sync returns an hls.SyncObserver recording directive spans (cat
 // "hls") into the same recorder, so Analyze can attribute

@@ -57,27 +57,6 @@ func TestSpanCollectiveDoesNotAllocate(t *testing.T) {
 	}
 }
 
-func TestClockPrefersMinRTT(t *testing.T) {
-	c := obs.NewClock(2)
-	c.ClockSample(1, 500, -1) // one-way Hello: placeholder only
-	if off, ok := c.OffsetTo(1); !ok || off != 500 {
-		t.Fatalf("after one-way sample: OffsetTo = %d, %v", off, ok)
-	}
-	c.ClockSample(1, 120, 90_000) // first round trip beats any one-way
-	c.ClockSample(1, 999, 250_000)
-	c.ClockSample(1, 100, 40_000) // tightest round trip wins
-	c.ClockSample(1, 777, 60_000)
-	if off, ok := c.OffsetTo(1); !ok || off != 100 {
-		t.Errorf("OffsetTo(1) = %d, %v; want 100 from the 40us sample", off, ok)
-	}
-	if rtt := c.RTTTo(1); rtt != 40_000 {
-		t.Errorf("RTTTo(1) = %d, want 40000", rtt)
-	}
-	if _, ok := c.OffsetTo(0); ok {
-		t.Error("OffsetTo(0) reported a sample that never arrived")
-	}
-}
-
 // TestMergeRebasesOntoReferenceClock builds two synthetic dumps whose
 // recorders started 1ms apart on clocks offset by 200us, and checks the
 // merged timeline puts the cross-process flow in true order.

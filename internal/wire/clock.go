@@ -1,0 +1,74 @@
+package wire
+
+import (
+	"sync"
+	"time"
+)
+
+// ClockEstimate is a transport's estimate of one peer's wall clock,
+// distilled from the NTP-style ping/pong probes and the Hello handshake.
+// Offsets are "peer clock minus local clock": adding OffsetNs to a local
+// timestamp rebases it onto the peer's clock.
+type ClockEstimate struct {
+	// OK reports that any sample exists; the other fields are zero
+	// without one, except RTTNs.
+	OK bool
+	// OffsetNs is the offset of the minimum-RTT round trip, or of the
+	// Hello's one-way sample until a round trip completes.
+	OffsetNs int64
+	// RTTNs is the minimum probe round trip, -1 until one completes.
+	RTTNs int64
+	// DriftPPB is the relative clock drift in parts per billion: the
+	// offset change between the first and last round trip over the local
+	// time between them. 0 until two round trips span a measurable time.
+	DriftPPB int64
+}
+
+// clockFilter keeps one peer's ClockEstimate. The minimum-RTT sample
+// wins, the standard NTP filter: queueing delay inflates the RTT and
+// the offset error is bounded by RTT/2, so the tightest round trip
+// bounds the offset tightest. A one-way Hello sample (rtt < 0) has no
+// such bound and is kept only until a real round trip arrives.
+type clockFilter struct {
+	mu       sync.Mutex
+	ok       bool
+	offsetNs int64
+	rttNs    int64
+	first    time.Time // local time of the first round trip
+	firstOff int64
+	last     time.Time // local time of the latest round trip
+	lastOff  int64
+}
+
+// sample records one probe result taken at local time at; rttNs < 0
+// marks a one-way Hello sample.
+func (c *clockFilter) sample(at time.Time, offsetNs, rttNs int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	switch {
+	case !c.ok:
+		c.ok, c.offsetNs, c.rttNs = true, offsetNs, rttNs
+	case rttNs >= 0 && (c.rttNs < 0 || rttNs <= c.rttNs):
+		c.offsetNs, c.rttNs = offsetNs, rttNs
+	}
+	if rttNs < 0 {
+		return
+	}
+	if c.first.IsZero() {
+		c.first, c.firstOff = at, offsetNs
+	}
+	c.last, c.lastOff = at, offsetNs
+}
+
+func (c *clockFilter) estimate() ClockEstimate {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.ok {
+		return ClockEstimate{RTTNs: -1}
+	}
+	e := ClockEstimate{OK: true, OffsetNs: c.offsetNs, RTTNs: c.rttNs}
+	if elapsed := c.last.Sub(c.first).Nanoseconds(); elapsed > 0 {
+		e.DriftPPB = (c.lastOff - c.firstOff) * 1e9 / elapsed
+	}
+	return e
+}

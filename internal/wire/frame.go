@@ -9,8 +9,8 @@
 // layers the MPI semantics (eager payloads, the rendezvous RTS/CTS/DATA
 // handshake, rank-failure notification) on top of the Frame type and the
 // Transport/Sink interfaces defined here. internal/metrics reads the
-// transport's own counters (Transport.Stats) and clock samples
-// (ClockObserver); internal/chaos plugs in through FaultInjector.
+// transport's own counters (Transport.Stats) and clock estimates
+// (Transport.Clock); internal/chaos plugs in through FaultInjector.
 package wire
 
 import (

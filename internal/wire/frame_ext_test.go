@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"sync"
 	"testing"
 	"time"
 )
@@ -61,39 +60,21 @@ func TestTCPCarriesSpanEndToEnd(t *testing.T) {
 	}
 }
 
-type clockRecorder struct {
-	mu      sync.Mutex
-	samples []int64 // rtt values, in call order
-}
-
-func (c *clockRecorder) ClockSample(peer int, offsetNs, rttNs int64) {
-	c.mu.Lock()
-	c.samples = append(c.samples, rttNs)
-	c.mu.Unlock()
-}
-
-func (c *clockRecorder) rttCount() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for _, r := range c.samples {
-		if r >= 0 {
-			n++
-		}
-	}
-	return n
-}
-
 func TestTCPPingPongClockSamples(t *testing.T) {
-	clk := &clockRecorder{}
 	tr0, _, _, s1 := newPair(t,
-		Config{PingInterval: 10 * time.Millisecond, Clock: clk},
+		Config{PingInterval: 10 * time.Millisecond},
 		Config{})
 	if err := tr0.Send(1, &Header{Type: TypeEager}, []byte("kick")); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "kick delivery", func() bool { return s1.count() == 1 })
-	// The handshake fires an immediate ping and the loop keeps probing:
-	// at least two full round trips must produce rtt-bearing samples.
-	waitFor(t, "clock samples", func() bool { return clk.rttCount() >= 2 })
+	// The handshake fires an immediate ping: a completed round trip
+	// replaces the Hello's one-way sample, whose RTT reads -1.
+	waitFor(t, "a probe round trip", func() bool {
+		e := tr0.Clock(1)
+		return e.OK && e.RTTNs >= 0
+	})
+	if e := tr0.Clock(0); e.OK {
+		t.Errorf("Clock(self) = %+v, want no samples", e)
+	}
 }

@@ -173,6 +173,8 @@ type tcpPeer struct {
 
 	ackedOut atomic.Uint64 // highest Ack written on the connection (stored under sendMu)
 	ackTimer *time.Timer   // fires maybeAck after ackDelay of quiescence
+
+	clock clockFilter // fed by the Hello and every pong
 }
 
 // NewTCP builds a TCP transport listening on cfg.Addrs[cfg.Self] (or on
@@ -257,6 +259,16 @@ func (t *TCP) Close() error {
 		p.sendMu.Unlock()
 	}
 	return err
+}
+
+// Clock returns the estimate of peer's clock kept from the Hello
+// handshake and the ping/pong probes. A peer id outside the world, or
+// this node's own, has no samples.
+func (t *TCP) Clock(peer int) ClockEstimate {
+	if peer < 0 || peer >= len(t.peers) {
+		return ClockEstimate{RTTNs: -1}
+	}
+	return t.peers[peer].clock.estimate()
 }
 
 // Stats snapshots the transport counters.
@@ -695,7 +707,7 @@ func (p *tcpPeer) resetStreamLocked() {
 // the connection for new writes. The Hello's version already matched
 // ours, or readHeader would have refused it.
 func (p *tcpPeer) handleHello(c net.Conn, h *Header) {
-	now := time.Now().UnixNano()
+	now := time.Now()
 	p.recvMu.Lock()
 	p.sendMu.Lock()
 	if p.conn != c {
@@ -707,6 +719,12 @@ func (p *tcpPeer) handleHello(c net.Conn, h *Header) {
 	// from here on, losing c is a real loss.
 	p.handshook = true
 	p.noteHelloLocked(h)
+	if h.Ctx != 0 {
+		// One-way Hello sample: offset only, no RTT bound (rtt = -1).
+		// Taken before the connection opens, so the estimate exists by
+		// the time any frame crosses it.
+		p.clock.sample(now, h.Ctx-now.UnixNano(), -1)
+	}
 	p.trimAckedLocked(h.Ack)
 	for _, ef := range p.unacked {
 		if err := p.writeLocked(*ef.buf, TypeEager, false); err != nil {
@@ -728,10 +746,6 @@ func (p *tcpPeer) handleHello(c net.Conn, h *Header) {
 	}
 	p.sendMu.Unlock()
 	p.recvMu.Unlock()
-	if clk := p.tr.cfg.Clock; clk != nil && h.Ctx != 0 {
-		// One-way Hello sample: offset only, no RTT bound (rtt = -1).
-		clk.ClockSample(p.id, h.Ctx-now, -1)
-	}
 }
 
 // writePingLocked emits an unsequenced clock probe carrying our wall
@@ -782,14 +796,11 @@ func (p *tcpPeer) sendPong(t1 uint64, t2 int64) {
 // (peer receive), t3 (peer reply send) and t4 (now), the peer clock
 // offset is ((t2-t1)+(t3-t4))/2 and the RTT is (t4-t1)-(t3-t2).
 func (p *tcpPeer) handlePong(h *Header) {
-	clk := p.tr.cfg.Clock
-	if clk == nil {
-		return
-	}
+	now := time.Now()
 	t1 := int64(h.Xid)
 	t2 := h.Ctx
 	t3 := h.SendTS
-	t4 := time.Now().UnixNano()
+	t4 := now.UnixNano()
 	if t1 == 0 || t2 == 0 || t3 == 0 {
 		return
 	}
@@ -798,7 +809,7 @@ func (p *tcpPeer) handlePong(h *Header) {
 	if rtt < 0 {
 		return // nonsense sample (clock stepped mid-flight)
 	}
-	clk.ClockSample(p.id, offset, rtt)
+	p.clock.sample(now, offset, rtt)
 }
 
 // handleAck trims the unacked ring through cumulative ack a.

@@ -74,6 +74,8 @@ type Transport interface {
 	Close() error
 	// Stats snapshots transport counters.
 	Stats() Stats
+	// Clock returns the transport's current estimate of peer's clock.
+	Clock(peer int) ClockEstimate
 }
 
 // Stats are cumulative transport counters, and the transport's only
@@ -93,42 +95,6 @@ type Stats struct {
 	// batch fill.
 	BatchesSent   uint64
 	BatchedFrames uint64
-}
-
-// ClockObserver receives NTP-style clock samples from the transport's
-// ping/pong exchange (and a crude one-way sample from Hello): for each
-// completed round trip to peer, the estimated offset of the peer's wall
-// clock relative to ours (peer ≈ ours + offsetNs) and the round-trip
-// time. rttNs < 0 marks a one-way (Hello) sample with no RTT bound —
-// consumers should treat those as low quality. Called on transport
-// goroutines; implementations must be concurrency-safe and quick.
-type ClockObserver interface {
-	ClockSample(peer int, offsetNs, rttNs int64)
-}
-
-// ClockObservers fans one clock sample stream out to several observers.
-func ClockObservers(obs ...ClockObserver) ClockObserver {
-	kept := make(multiClock, 0, len(obs))
-	for _, o := range obs {
-		if o != nil {
-			kept = append(kept, o)
-		}
-	}
-	switch len(kept) {
-	case 0:
-		return nil
-	case 1:
-		return kept[0]
-	}
-	return kept
-}
-
-type multiClock []ClockObserver
-
-func (m multiClock) ClockSample(peer int, offsetNs, rttNs int64) {
-	for _, o := range m {
-		o.ClockSample(peer, offsetNs, rttNs)
-	}
 }
 
 // FaultInjector lets internal/chaos perturb the transport
@@ -179,7 +145,8 @@ type Config struct {
 	ReconnectBackoff time.Duration
 
 	// PingInterval is the period of the unsequenced ping/pong clock
-	// probes sent on every ready connection (default 0 = disabled). An
+	// probes sent on every ready connection (default 0 = disabled; the
+	// Clock estimate then holds only the Hello's one-way sample). An
 	// immediate probe also fires when a connection completes its
 	// handshake, so a short-lived world still gets real RTT samples.
 	PingInterval time.Duration
@@ -195,8 +162,6 @@ type Config struct {
 	BatchWindow time.Duration
 
 	Fault FaultInjector
-	// Clock receives offset/RTT samples from ping/pong (and Hello).
-	Clock ClockObserver
 }
 
 func (c *Config) withDefaults() Config {
