@@ -90,11 +90,14 @@ type netLayer struct {
 	self   int   // this process's node
 	nodeOf []int // world rank -> node
 
-	mu       sync.Mutex
-	xidSeq   uint64
-	sends    map[uint64]*wirePendingSend
-	recvs    map[uint64]*wirePendingRecv
-	draining bool
+	mu     sync.Mutex
+	xidSeq uint64
+	sends  map[uint64]*wirePendingSend
+	recvs  map[uint64]*wirePendingRecv
+	// draining is stored under mu (with the table swap in shutdown), so a
+	// check made under mu is ordered against the swap; the per-frame
+	// checks in onEager and onRTS read it without the lock.
+	draining atomic.Bool
 }
 
 func (w *World) initWire(cfg *WireConfig) error {
@@ -404,10 +407,7 @@ func (n *netLayer) onEager(f *wire.Frame) {
 	}
 	dst := n.frameDst(f)
 	etype := kindTypes[reflect.Kind(f.Kind)]
-	n.mu.Lock()
-	draining := n.draining
-	n.mu.Unlock()
-	if dst < 0 || etype == nil || draining {
+	if dst < 0 || etype == nil || n.draining.Load() {
 		release()
 		return
 	}
@@ -433,10 +433,7 @@ func (n *netLayer) onRTS(peer int, f *wire.Frame) {
 	w := n.w
 	dst := n.frameDst(f)
 	etype := kindTypes[reflect.Kind(f.Kind)]
-	n.mu.Lock()
-	draining := n.draining
-	n.mu.Unlock()
-	if dst < 0 || etype == nil || draining {
+	if dst < 0 || etype == nil || n.draining.Load() {
 		return
 	}
 	m := getMessage()
@@ -511,7 +508,7 @@ func (n *netLayer) matchedRTS(msg *message, pr *postedRecv) {
 	}
 	putMessage(msg)
 	n.mu.Lock()
-	if n.draining || w.rankDead(src) {
+	if n.draining.Load() || w.rankDead(src) {
 		n.mu.Unlock()
 		pr.req.fail(&DeadRankError{Rank: pr.recvRank, Op: "Recv", Dead: src})
 		return
@@ -727,10 +724,7 @@ func (n *netLayer) onFailure(f *wire.Frame) {
 // PeerDown turns a permanently lost node into a ULFM-style failure of
 // every rank that lived on it.
 func (n *netLayer) PeerDown(peer int, err error) {
-	n.mu.Lock()
-	draining := n.draining
-	n.mu.Unlock()
-	if draining {
+	if n.draining.Load() {
 		return
 	}
 	for r, node := range n.nodeOf {
@@ -810,7 +804,7 @@ func (n *netLayer) failAll(cause error) {
 // to reach their peers, then the transport closes.
 func (n *netLayer) shutdown() {
 	n.mu.Lock()
-	n.draining = true
+	n.draining.Store(true)
 	sends := n.sends
 	n.sends = make(map[uint64]*wirePendingSend)
 	n.recvs = make(map[uint64]*wirePendingRecv)

@@ -136,6 +136,39 @@ func TestPingPongPiggybacksAcks(t *testing.T) {
 	})
 }
 
+// TestLongPingPongSendsNoAcks: a ping-pong that outlasts the ack timer
+// many times over still sends exactly two frames per round trip. The
+// timer stays armed across the exchange and each time it fires it finds
+// frames that arrived since it was armed, so it re-arms instead of
+// acking a request whose reply is not yet written.
+func TestLongPingPongSendsNoAcks(t *testing.T) {
+	s0, s1 := newSigSink(), newSigSink()
+	tr0, tr1 := newPairWith(t, Config{}, Config{}, s0, s1)
+	payload := make([]byte, 64)
+	roundTrip := func(l *sendLog) {
+		l.send(t, tr0, 1, payload)
+		s1.wait(t)
+		l.send(t, tr1, 0, payload)
+		s0.wait(t)
+	}
+	roundTrip(&sendLog{})
+	unstalled(t, tr0, tr1, func(l *sendLog) bool {
+		frames0 := framesSent(tr0, tr1)
+		n := 0
+		for start := time.Now(); time.Since(start) < 20*ackDelay; n++ {
+			roundTrip(l)
+		}
+		frames := framesSent(tr0, tr1) - frames0
+		if l.stalled(time.Now()) {
+			return true
+		}
+		if frames != 2*n {
+			t.Fatalf("%d round trips over %v sent %d frames (%d standalone Acks), want %d and 0", n, 20*ackDelay, frames, frames-2*n, 2*n)
+		}
+		return false
+	})
+}
+
 // TestQuiescentStreamStillAcked: a one-way stream that stops is acked
 // after ackDelay, and one that keeps flowing is acked at least every
 // ackEvery frames even while quiescence acks cannot fire.

@@ -20,9 +20,15 @@ type ClockEstimate struct {
 	RTTNs int64
 	// DriftPPB is the relative clock drift in parts per billion: the
 	// offset change between the first and last round trip over the local
-	// time between them. 0 until two round trips span a measurable time.
+	// time between them. 0 until two round trips span driftMinSpan.
 	DriftPPB int64
 }
+
+// driftMinSpan is the shortest span of round trips a drift is read
+// from. Each offset is uncertain by up to RTT/2, so two round trips of a
+// handshake's probe burst, microseconds apart, would read a drift of
+// several percent from that noise alone.
+const driftMinSpan = time.Second
 
 // clockFilter keeps one peer's ClockEstimate. The minimum-RTT sample
 // wins, the standard NTP filter: queueing delay inflates the RTT and
@@ -34,6 +40,7 @@ type clockFilter struct {
 	ok       bool
 	offsetNs int64
 	rttNs    int64
+	rounds   int       // round trips sampled
 	first    time.Time // local time of the first round trip
 	firstOff int64
 	last     time.Time // local time of the latest round trip
@@ -41,8 +48,9 @@ type clockFilter struct {
 }
 
 // sample records one probe result taken at local time at; rttNs < 0
-// marks a one-way Hello sample.
-func (c *clockFilter) sample(at time.Time, offsetNs, rttNs int64) {
+// marks a one-way Hello sample. It returns the round trips sampled so
+// far.
+func (c *clockFilter) sample(at time.Time, offsetNs, rttNs int64) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	switch {
@@ -52,12 +60,14 @@ func (c *clockFilter) sample(at time.Time, offsetNs, rttNs int64) {
 		c.offsetNs, c.rttNs = offsetNs, rttNs
 	}
 	if rttNs < 0 {
-		return
+		return c.rounds
 	}
+	c.rounds++
 	if c.first.IsZero() {
 		c.first, c.firstOff = at, offsetNs
 	}
 	c.last, c.lastOff = at, offsetNs
+	return c.rounds
 }
 
 func (c *clockFilter) estimate() ClockEstimate {
@@ -67,8 +77,8 @@ func (c *clockFilter) estimate() ClockEstimate {
 		return ClockEstimate{RTTNs: -1}
 	}
 	e := ClockEstimate{OK: true, OffsetNs: c.offsetNs, RTTNs: c.rttNs}
-	if elapsed := c.last.Sub(c.first).Nanoseconds(); elapsed > 0 {
-		e.DriftPPB = (c.lastOff - c.firstOff) * 1e9 / elapsed
+	if elapsed := c.last.Sub(c.first); elapsed >= driftMinSpan {
+		e.DriftPPB = (c.lastOff - c.firstOff) * 1e9 / elapsed.Nanoseconds()
 	}
 	return e
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/bits"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -53,8 +54,18 @@ const ackEvery = 32
 
 // ackDelay is how long a received frame's ack may wait for reverse
 // traffic to carry it before maybeAck sends it alone: long against a
-// loopback reply, short against the mpi layer's 1 s shutdown drain.
+// loopback reply, short against the mpi layer's 1 s shutdown drain. The
+// ack timer is armed once and re-armed when it fires after more frames
+// arrived, so a standalone ack follows a full quiet ackDelay, at most
+// 2*ackDelay after the last frame.
 const ackDelay = 2 * time.Millisecond
+
+// clockBurst is the number of probe round trips taken back to back
+// after a handshake (each pong triggers the next probe) before probes
+// fall back to PingInterval: the min-RTT filter needs several samples
+// before the estimate it keeps is tight, and a short run may end before
+// the second periodic probe.
+const clockBurst = 8
 
 // Batching policy (engaged by Config.BatchWindow): an eager frame whose
 // encoding exceeds batchCutoff goes out alone, and a pending batch is
@@ -142,8 +153,9 @@ type tcpPeer struct {
 	sendMu  sync.Mutex
 	conn    net.Conn
 	bw      *bufio.Writer
-	ready   bool   // Hello exchange complete on conn; writes allowed
-	inc     uint64 // highest incarnation seen from this peer (0 = none announced)
+	wdl     time.Time // write deadline set on conn (zero: none yet)
+	ready   bool      // Hello exchange complete on conn; writes allowed
+	inc     uint64    // highest incarnation seen from this peer (0 = none announced)
 	sendSeq uint64
 	unacked []encFrame
 	dialing bool
@@ -172,7 +184,9 @@ type tcpPeer struct {
 	lastAck uint64        // recvSeq value last standalone-acked
 
 	ackedOut atomic.Uint64 // highest Ack written on the connection (stored under sendMu)
-	ackTimer *time.Timer   // fires maybeAck after ackDelay of quiescence
+	ackTimer *time.Timer   // fires ackFire ackDelay after it was armed
+	ackArmed atomic.Bool   // ackTimer is pending (cleared first thing when it fires)
+	ackSeq   atomic.Uint64 // recvSeq when ackTimer was armed
 
 	clock clockFilter // fed by the Hello and every pong
 }
@@ -196,7 +210,7 @@ func NewTCP(cfg Config, ln net.Listener) (*TCP, error) {
 	t.peers = make([]*tcpPeer, len(c.Addrs))
 	for i := range t.peers {
 		p := &tcpPeer{id: i, tr: t}
-		p.ackTimer = time.AfterFunc(ackDelay, p.maybeAck)
+		p.ackTimer = time.AfterFunc(ackDelay, p.ackFire)
 		p.ackTimer.Stop()
 		t.peers[i] = p
 	}
@@ -247,7 +261,7 @@ func (t *TCP) Close() error {
 	for _, p := range t.peers {
 		// Ack what we owe before the connection goes, so the peer's
 		// inflight drains now instead of when its redials give up.
-		p.ackTimer.Stop()
+		p.stopAck()
 		p.maybeAck()
 		p.sendMu.Lock()
 		if p.conn != nil {
@@ -460,13 +474,13 @@ func (p *tcpPeer) writeLocked(buf []byte, ft Type, coalesce bool) error {
 			return errors.New("wire: injected connection drop")
 		}
 		if trunc > 0 && trunc < len(buf) {
-			p.conn.SetWriteDeadline(time.Now().Add(t.cfg.WriteTimeout))
+			p.refreshWriteDeadlineLocked()
 			p.bw.Write(buf[:trunc]) //nolint:errcheck // connection is being severed
 			p.bw.Flush()            //nolint:errcheck
 			return errors.New("wire: injected partial frame")
 		}
 	}
-	p.conn.SetWriteDeadline(time.Now().Add(t.cfg.WriteTimeout)) //nolint:errcheck
+	p.refreshWriteDeadlineLocked()
 	if _, err := p.bw.Write(buf); err != nil {
 		return err
 	}
@@ -476,6 +490,22 @@ func (p *tcpPeer) writeLocked(buf []byte, ft Type, coalesce bool) error {
 		return nil // a waiting sender will write and flush
 	}
 	return p.bw.Flush()
+}
+
+// refreshWriteDeadlineLocked keeps at least WriteTimeout on the
+// connection's write deadline before a write starts. The deadline is set
+// 2*WriteTimeout ahead and moved only once less than WriteTimeout
+// remains, so a stream of frames re-arms the runtime's deadline timer
+// about once per WriteTimeout rather than once per frame, and a stuck
+// write fails between WriteTimeout and 2*WriteTimeout after it began.
+func (p *tcpPeer) refreshWriteDeadlineLocked() {
+	wt := p.tr.cfg.WriteTimeout
+	now := time.Now()
+	if p.wdl.Sub(now) >= wt {
+		return
+	}
+	p.wdl = now.Add(2 * wt)
+	p.conn.SetWriteDeadline(p.wdl) //nolint:errcheck
 }
 
 // severLocked tears the current connection down (keeping the unacked
@@ -617,6 +647,7 @@ func (p *tcpPeer) installLocked(conn net.Conn) {
 	}
 	p.conn = conn
 	p.bw = bufio.NewWriterSize(conn, 64<<10)
+	p.wdl = time.Time{}
 	p.ready = false
 	if p.handshook {
 		p.tr.reconnects.Add(1)
@@ -688,7 +719,7 @@ func (p *tcpPeer) noteHelloLocked(h *Header) (bumped, revived bool) {
 // return to zero. Caller holds recvMu and sendMu.
 func (p *tcpPeer) resetStreamLocked() {
 	p.clearBatchLocked()
-	p.ackTimer.Stop()
+	p.stopAck()
 	p.sendSeq = 0
 	n := len(p.unacked)
 	for _, ef := range p.unacked {
@@ -809,7 +840,9 @@ func (p *tcpPeer) handlePong(h *Header) {
 	if rtt < 0 {
 		return // nonsense sample (clock stepped mid-flight)
 	}
-	p.clock.sample(now, offset, rtt)
+	if p.clock.sample(now, offset, rtt) < clockBurst {
+		p.sendPing()
+	}
 }
 
 // handleAck trims the unacked ring through cumulative ack a.
@@ -856,11 +889,42 @@ func (p *tcpPeer) sendAck() {
 	}
 }
 
-// deferAck re-arms the quiescence ack: a frame sent back within ackDelay
-// carries the ack, and only a stream that stays silent gets a
-// standalone one.
+// deferAck arms the quiescence ack unless it is already armed: a frame
+// sent back within ackDelay carries the ack, and only a stream that
+// stays silent gets a standalone one. A stream that keeps flowing keeps
+// the timer armed without touching it per frame; ackFire notices the
+// frames that arrived meanwhile.
 func (p *tcpPeer) deferAck() {
-	p.ackTimer.Reset(ackDelay)
+	if p.ackArmed.CompareAndSwap(false, true) {
+		p.ackSeq.Store(p.recvSeq.Load())
+		p.ackTimer.Reset(ackDelay)
+	}
+}
+
+// ackFire runs ackDelay after the timer was armed. If frames arrived
+// since, the stream was not quiet for ackDelay: the timer is re-armed
+// from now. Otherwise maybeAck sends what is still owed. armed is
+// cleared before recvSeq is read, so a frame claimed after that read
+// finds the timer disarmed and arms it again: no ack is lost to the race.
+func (p *tcpPeer) ackFire() {
+	p.ackArmed.Store(false)
+	cur := p.recvSeq.Load()
+	if cur != p.ackSeq.Load() {
+		if p.ackArmed.CompareAndSwap(false, true) {
+			p.ackSeq.Store(cur)
+			p.ackTimer.Reset(ackDelay)
+		}
+		return
+	}
+	p.maybeAck()
+}
+
+// stopAck disarms the quiescence ack. The flag is cleared after Stop,
+// so a deferAck racing with it cannot leave the flag set with no timer
+// pending.
+func (p *tcpPeer) stopAck() {
+	p.ackTimer.Stop()
+	p.ackArmed.Store(false)
 }
 
 // maybeAck emits a standalone cumulative ack if received frames are
@@ -889,7 +953,7 @@ func (p *tcpPeer) markDown(err error) {
 	p.downErr = err
 	p.dialing = false
 	p.clearBatchLocked()
-	p.ackTimer.Stop()
+	p.stopAck()
 	if p.conn != nil {
 		p.conn.Close()
 		p.conn = nil
@@ -1065,22 +1129,30 @@ func (p *tcpPeer) runReader(c net.Conn, br *bufio.Reader) {
 				return
 			}
 			if br.Buffered() == 0 {
-				p.deferAck()
+				p.quiesce()
 			}
 		default:
-			p.handleAck(h.Ack) // piggybacked cumulative ack
 			f.Payload, f.Token = payload, token
 			if !p.claimAndDeliver(c, &f) {
 				return // connection severed on protocol error
 			}
 			if br.Buffered() == 0 {
-				// The stream went quiescent: a reply within ackDelay
-				// carries the ack, else the timer sends it, so the sender's
-				// inflight count drains (world shutdown waits on it).
-				p.deferAck()
+				p.quiesce()
 			}
 		}
 	}
+}
+
+// quiesce runs when a delivered frame leaves nothing buffered. A reply
+// within ackDelay carries the ack, else the timer sends it, so the
+// sender's inflight count drains (world shutdown waits on it). Then the
+// reader yields its P: the task the frame woke sits in this P's runnext
+// slot and runs at once, on this thread, instead of waiting for the
+// reader to reach its next (empty) read and park, or for another thread
+// to be woken across CPUs to steal it.
+func (p *tcpPeer) quiesce() {
+	p.deferAck()
+	runtime.Gosched()
 }
 
 // claimAndDeliver claims the frame's sequence number in order and hands
@@ -1088,13 +1160,16 @@ func (p *tcpPeer) runReader(c net.Conn, br *bufio.Reader) {
 // even across connection replacement. Duplicates (retransmission
 // overlap) and frames from stale connections are dropped. A sequence gap
 // severs the connection to force a resume handshake; it reports false.
-// f is the reader's reused frame; its payload and token are cleared.
+// The frame's piggybacked cumulative ack trims the unacked ring in the
+// same sendMu section that reads the current connection. f is the
+// reader's reused frame; its payload and token are cleared.
 func (p *tcpPeer) claimAndDeliver(c net.Conn, f *Frame) bool {
 	t := p.tr
 	h, token := &f.Header, f.Token
 	defer func() { f.Payload, f.Token = nil, nil }()
 	p.recvMu.Lock()
 	p.sendMu.Lock()
+	p.trimAckedLocked(h.Ack)
 	cur := p.conn
 	p.sendMu.Unlock()
 	if cur != c || h.Seq <= p.recvSeq.Load() {
@@ -1157,7 +1232,6 @@ func (p *tcpPeer) handleBatch(c net.Conn, payload []byte, f *Frame) bool {
 			}
 			copy(body, sub)
 		}
-		p.handleAck(h.Ack)
 		f.Payload, f.Token = body, token
 		if !p.claimAndDeliver(c, f) {
 			severed = true

@@ -132,7 +132,10 @@ type Config struct {
 	// DialTimeout bounds one dial attempt (default 2s).
 	DialTimeout time.Duration
 	// WriteTimeout bounds one frame write (default 10s). A stuck write
-	// severs the connection; reliability retransmits on the next one.
+	// severs the connection between WriteTimeout and 2*WriteTimeout
+	// after it began; reliability retransmits on the next one. (The
+	// deadline runs 2*WriteTimeout ahead and is moved only when less
+	// than WriteTimeout remains, not on every frame.)
 	WriteTimeout time.Duration
 	// ReadIdleTimeout bounds silence on a connection (default 0 = none).
 	// On expiry the connection is severed and redialed.
