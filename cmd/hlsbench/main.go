@@ -1,10 +1,17 @@
 // Command hlsbench regenerates the paper's evaluation (§V): Table I,
-// Figure 3, Tables II-IV and the micro/ablation measurements.
+// Figure 3, Tables II-IV and the micro/ablation measurements, plus the
+// gated experiments (sync, coll, recover, halo) whose acceptance checks
+// CI compares against the committed baselines.
 //
 // Usage:
 //
 //	hlsbench -exp all            # quick profile, every experiment
 //	hlsbench -exp table1 -full   # paper-shaped sweep for one experiment
+//	hlsbench -exp coll -out out -compare internal/bench/testdata/BENCH_coll_baseline.json
+//
+// With -out DIR every file a run writes goes to DIR: <exp>.csv per
+// experiment that has one, BENCH_<exp>.json per gated experiment and
+// telemetry.csv. Without it nothing is written.
 //
 // Shapes — who wins, by what factor, where the crossovers fall — are the
 // reproduction target; absolute numbers come from the scaled simulators
@@ -12,6 +19,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -25,19 +33,120 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: table1|fig3|table2|table3|table4|micro|rma|faults|sync|coll|recover|halo|all")
-	full := flag.Bool("full", false, "run the paper-shaped sweep instead of the quick profile")
-	seed := flag.Int64("seed", 1, "chaos seed for -exp faults and -exp recover (fixes the whole fault schedule)")
-	csvDir := flag.String("csv", "", "also write machine-readable CSVs into this directory")
-	syncOut := flag.String("out", "BENCH_sync.json", "where -exp sync writes its JSON snapshot (empty to skip)")
-	collOut := flag.String("collout", "BENCH_coll.json", "where -exp coll writes its JSON snapshot (empty to skip)")
-	recoverOut := flag.String("recoverout", "BENCH_recover.json", "where -exp recover writes its JSON snapshot (empty to skip)")
-	haloOut := flag.String("haloout", "BENCH_halo.json", "where -exp halo writes its JSON snapshot (empty to skip)")
-	haloWidth := flag.Int("halo-width", 0, "pin -exp halo to one ghost-layer width (0 sweeps the profile's ladder)")
-	compare := flag.String("compare", "", "baseline JSON snapshot to compare against, for -exp sync, coll, recover or halo run alone (exit 1 on check regressions)")
-	serve := flag.String("serve", "", "serve live /metrics, /metrics.json and /debug/pprof/ on this address (e.g. :8080 or :0) while experiments run")
-	linger := flag.Duration("linger", 0, "keep the -serve endpoint up this long after the experiments finish")
-	flag.Parse()
+	if err := run(os.Stdout, os.Args[1:]); err != nil {
+		fmt.Fprintln(os.Stderr, strings.TrimSpace(err.Error()))
+		if errors.Is(err, errUsage) {
+			os.Exit(2)
+		}
+		os.Exit(1)
+	}
+}
+
+// errUsage marks a bad command line (exit status 2).
+var errUsage = errors.New("hlsbench")
+
+// experiment is one -exp choice. Its body runs the experiment, prints
+// its tables to out and returns what a -out run writes.
+type experiment struct {
+	name, title string
+	body        func(out io.Writer) (output, error)
+}
+
+// output is what an experiment leaves besides its printed tables.
+type output struct {
+	csv  func(w io.Writer) error // <exp>.csv; nil if the experiment has none
+	snap bench.Snapshot          // BENCH_<exp>.json; nil unless gated
+}
+
+func run(stdout io.Writer, args []string) error {
+	fs := flag.NewFlagSet("hlsbench", flag.ContinueOnError)
+	exp := fs.String("exp", "all", "experiment: table1|fig3|table2|table3|table4|micro|rma|faults|sync|coll|recover|halo|all")
+	full := fs.Bool("full", false, "run the paper-shaped sweep instead of the quick profile")
+	seed := fs.Int64("seed", 1, "chaos seed for -exp faults and -exp recover (fixes the whole fault schedule)")
+	outDir := fs.String("out", "", "write <exp>.csv, BENCH_<exp>.json (gated experiments) and telemetry.csv into this directory")
+	haloWidth := fs.Int("halo-width", 0, "pin -exp halo to one ghost-layer width (0 sweeps the profile's ladder)")
+	compare := fs.String("compare", "", "baseline JSON snapshot to compare against, for -exp sync, coll, recover or halo run alone (error on check regressions)")
+	serve := fs.String("serve", "", "serve live /metrics, /metrics.json and /debug/pprof/ on this address (e.g. :8080 or :0) while experiments run")
+	linger := fs.Duration("linger", 0, "keep the -serve endpoint up this long after the experiments finish")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return fmt.Errorf("%w: %v", errUsage, err)
+	}
+
+	profile := bench.Quick
+	if *full {
+		profile = bench.Full
+	}
+	exps := []experiment{
+		{"table1", "Table I", body(profile, bench.RunTableI, bench.PrintTableI, bench.WriteTableICSV)},
+		{"fig3", "Figure 3", func(out io.Writer) (output, error) {
+			var pts []bench.Fig3Point
+			for _, update := range []bool{false, true} {
+				p, err := bench.RunFigure3(profile, update)
+				if err != nil {
+					return output{}, err
+				}
+				if update {
+					fmt.Fprintln(out)
+				}
+				bench.PrintFigure3(out, p, update)
+				pts = append(pts, p...)
+			}
+			return output{csv: func(w io.Writer) error { return bench.WriteFigure3CSV(w, pts) }}, nil
+		}},
+		{"table2", "Table II", body(profile, bench.RunTableII, func(w io.Writer, rows []bench.MemRow) {
+			bench.PrintMemRows(w, "Table II: EulerMHD execution time and memory consumption", rows,
+				"256 cores: HLS 651 / MPC 1570 / Open MPI 1715 MB avg; times equal")
+		}, bench.WriteMemRowsCSV)},
+		{"table3", "Table III", body(profile, bench.RunTableIII, func(w io.Writer, rows []bench.MemRow) {
+			bench.PrintMemRows(w, "Table III: Gadget-2 execution time and memory consumption", rows,
+				"256 cores: HLS 703 / MPC 938 / Open MPI 1731 MB avg; times equal")
+		}, bench.WriteMemRowsCSV)},
+		{"table4", "Table IV", body(profile, bench.RunTableIV, func(w io.Writer, res bench.TableIVResult) {
+			bench.PrintMemRows(w, "Table IV: Tachyon execution time and memory consumption", res.Rows,
+				"736 cores: HLS 748 / MPC 4786 / Open MPI 4885 MB avg; HLS faster (83 vs 88 s)")
+			fmt.Fprintf(w, "intra-node copies elided by the shared image: %d\n", res.ElidedCopies)
+		}, func(w io.Writer, res bench.TableIVResult) error { return bench.WriteMemRowsCSV(w, res.Rows) })},
+		{"micro", "Micro-benchmarks / ablations", func(out io.Writer) (output, error) {
+			results, err := bench.RunMicro(profile)
+			if err != nil {
+				return output{}, err
+			}
+			bench.PrintMicro(out, results)
+			fmt.Fprintln(out)
+			hres, err := bench.RunHybridAblation(profile)
+			if err != nil {
+				return output{}, err
+			}
+			bench.PrintHybrid(out, hres)
+			return output{}, nil
+		}},
+		{"rma", "RMA ablation: HLS vs MPI-3 shared windows", body(profile, bench.RunRMA, bench.PrintRMA, nil)},
+		{"faults", "Fault tolerance: clean vs chaos", body(profile, func(p bench.Profile) (*bench.FaultsResult, error) {
+			return bench.RunFaults(p, *seed)
+		}, bench.PrintFaults, bench.WriteFaultsCSV)},
+		{"sync", "Synchronization: barrier tree + zero-copy collectives", body(profile, bench.RunSync, bench.PrintSync, bench.WriteSyncCSV)},
+		{"coll", "Collectives: two-level + frame batching vs flat", body(profile, bench.RunColl, bench.PrintColl, bench.WriteCollCSV)},
+		{"recover", "Durable recovery: checkpoint/restart under chaos", body(profile, func(p bench.Profile) (*bench.RecoverResult, error) {
+			return bench.RunRecover(p, *seed)
+		}, bench.PrintRecover, bench.WriteRecoverCSV)},
+		{"halo", "Halo exchange: derived datatypes + pack elision", body(profile, func(p bench.Profile) (*bench.HaloResult, error) {
+			return bench.RunHalo(p, *haloWidth)
+		}, bench.PrintHalo, bench.WriteHaloCSV)},
+	}
+
+	var selected []experiment
+	for _, e := range exps {
+		if *exp == "all" || *exp == e.name {
+			selected = append(selected, e)
+		}
+	}
+	if len(selected) == 0 {
+		fs.Usage()
+		return fmt.Errorf("%w: unknown experiment %q", errUsage, *exp)
+	}
 
 	// Telemetry is always collected (the registry is cheap and the summary
 	// is part of the output); -serve additionally exposes it live.
@@ -47,236 +156,106 @@ func main() {
 	bench.SetTelemetry(telemetry)
 	if *serve != "" {
 		addr, shutdown, err := metrics.Serve(*serve, telemetry.Registry)
-		exitOn(err)
+		if err != nil {
+			return err
+		}
 		defer shutdown()
-		fmt.Printf("serving /metrics, /metrics.json and /debug/pprof/ on http://%s\n", addr)
+		fmt.Fprintf(stdout, "serving /metrics, /metrics.json and /debug/pprof/ on http://%s\n", addr)
 	}
 
-	writeCSV := func(name string, fn func(w io.Writer) error) {
-		if *csvDir == "" {
-			return
+	// write stores one output file under -out; without -out it does nothing.
+	write := func(name string, fn func(w io.Writer) error) error {
+		if *outDir == "" {
+			return nil
 		}
-		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			exitOn(err)
+		if err := os.MkdirAll(*outDir, 0o755); err != nil {
+			return err
 		}
-		path := filepath.Join(*csvDir, name)
+		path := filepath.Join(*outDir, name)
 		f, err := os.Create(path)
-		exitOn(err)
-		defer f.Close()
-		exitOn(fn(f))
-		fmt.Println("wrote", path)
+		if err != nil {
+			return err
+		}
+		err = fn(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err == nil {
+			fmt.Fprintln(stdout, "wrote", path)
+		}
+		return err
 	}
 
-	profile := bench.Quick
-	if *full {
-		profile = bench.Full
-	}
-	want := func(name string) bool { return *exp == "all" || *exp == name }
-	ran := false
-
-	if want("table1") {
-		ran = true
-		fmt.Printf("== Table I (%s profile) ==\n", profile)
-		cells, err := bench.RunTableI(profile)
-		exitOn(err)
-		bench.PrintTableI(os.Stdout, cells)
-		writeCSV("table1.csv", func(w io.Writer) error { return bench.WriteTableICSV(w, cells) })
-		fmt.Println()
-	}
-	if want("fig3") {
-		ran = true
-		fmt.Printf("== Figure 3 (%s profile) ==\n", profile)
-		for _, update := range []bool{false, true} {
-			pts, err := bench.RunFigure3(profile, update)
-			exitOn(err)
-			bench.PrintFigure3(os.Stdout, pts, update)
-			name := "fig3_noupdate.csv"
-			if update {
-				name = "fig3_update.csv"
+	for _, e := range selected {
+		context := profile.String() + " profile"
+		if e.name == "faults" || e.name == "recover" { // the seed fixes their fault schedule
+			context += fmt.Sprintf(", seed %d", *seed)
+		}
+		fmt.Fprintf(stdout, "== %s (%s) ==\n", e.title, context)
+		o, err := e.body(stdout)
+		if err != nil {
+			return err
+		}
+		if o.csv != nil {
+			if err := write(e.name+".csv", o.csv); err != nil {
+				return err
 			}
-			upd := update
-			writeCSV(name, func(w io.Writer) error { return bench.WriteFigure3CSV(w, pts, upd) })
-			fmt.Println()
 		}
-	}
-	if want("table2") {
-		ran = true
-		fmt.Printf("== Table II (%s profile) ==\n", profile)
-		rows, err := bench.RunTableII(profile)
-		exitOn(err)
-		bench.PrintMemRows(os.Stdout, "Table II: EulerMHD execution time and memory consumption", rows,
-			"256 cores: HLS 651 / MPC 1570 / Open MPI 1715 MB avg; times equal")
-		writeCSV("table2.csv", func(w io.Writer) error { return bench.WriteMemRowsCSV(w, rows) })
-		fmt.Println()
-	}
-	if want("table3") {
-		ran = true
-		fmt.Printf("== Table III (%s profile) ==\n", profile)
-		rows, err := bench.RunTableIII(profile)
-		exitOn(err)
-		bench.PrintMemRows(os.Stdout, "Table III: Gadget-2 execution time and memory consumption", rows,
-			"256 cores: HLS 703 / MPC 938 / Open MPI 1731 MB avg; times equal")
-		writeCSV("table3.csv", func(w io.Writer) error { return bench.WriteMemRowsCSV(w, rows) })
-		fmt.Println()
-	}
-	if want("table4") {
-		ran = true
-		fmt.Printf("== Table IV (%s profile) ==\n", profile)
-		res, err := bench.RunTableIV(profile)
-		exitOn(err)
-		bench.PrintMemRows(os.Stdout, "Table IV: Tachyon execution time and memory consumption", res.Rows,
-			"736 cores: HLS 748 / MPC 4786 / Open MPI 4885 MB avg; HLS faster (83 vs 88 s)")
-		writeCSV("table4.csv", func(w io.Writer) error { return bench.WriteMemRowsCSV(w, res.Rows) })
-		fmt.Printf("intra-node copies elided by the shared image: %d\n\n", res.ElidedCopies)
-	}
-	if want("micro") {
-		ran = true
-		fmt.Printf("== Micro-benchmarks / ablations (%s profile) ==\n", profile)
-		results, err := bench.RunMicro(profile)
-		exitOn(err)
-		bench.PrintMicro(os.Stdout, results)
-		fmt.Println()
-		hres, err := bench.RunHybridAblation(profile)
-		exitOn(err)
-		bench.PrintHybrid(os.Stdout, hres)
-		fmt.Println()
-	}
-	if want("rma") {
-		ran = true
-		fmt.Printf("== RMA ablation: HLS vs MPI-3 shared windows (%s profile) ==\n", profile)
-		res, err := bench.RunRMA(profile)
-		exitOn(err)
-		bench.PrintRMA(os.Stdout, res)
-		fmt.Println()
-	}
-	if want("faults") {
-		ran = true
-		fmt.Printf("== Fault tolerance: clean vs chaos (%s profile, seed %d) ==\n", profile, *seed)
-		res, err := bench.RunFaults(profile, *seed)
-		exitOn(err)
-		bench.PrintFaults(os.Stdout, res)
-		writeCSV("faults.csv", func(w io.Writer) error { return bench.WriteFaultsCSV(w, res) })
-		fmt.Println()
-	}
-	if want("sync") {
-		ran = true
-		fmt.Printf("== Synchronization: barrier tree + zero-copy collectives (%s profile) ==\n", profile)
-		res, err := bench.RunSync(profile)
-		exitOn(err)
-		bench.PrintSync(os.Stdout, res)
-		writeCSV("sync.csv", func(w io.Writer) error { return bench.WriteSyncCSV(w, res) })
-		if *syncOut != "" {
-			f, err := os.Create(*syncOut)
-			exitOn(err)
-			err = bench.WriteSyncJSON(f, res)
-			f.Close()
-			exitOn(err)
-			fmt.Println("wrote", *syncOut)
+		if o.snap != nil {
+			if err := write("BENCH_"+e.name+".json", func(w io.Writer) error { return bench.WriteSnapshot(w, o.snap) }); err != nil {
+				return err
+			}
+			// -compare names one experiment's baseline, so it applies
+			// only when that experiment was selected alone.
+			if *compare != "" && *exp == e.name {
+				if err := compareTo(stdout, *compare, e.name, o.snap); err != nil {
+					return err
+				}
+			}
 		}
-		// -compare is per-experiment: it names a sync baseline only when
-		// the sync experiment was selected explicitly.
-		if *compare != "" && *exp == "sync" {
-			f, err := os.Open(*compare)
-			exitOn(err)
-			base, err := bench.ReadSyncJSON(f)
-			f.Close()
-			exitOn(err)
-			exitOn(bench.CompareSync(os.Stdout, base, res))
-		}
-		fmt.Println()
-	}
-	if want("coll") {
-		ran = true
-		fmt.Printf("== Collectives: two-level + frame batching vs flat (%s profile) ==\n", profile)
-		res, err := bench.RunColl(profile)
-		exitOn(err)
-		bench.PrintColl(os.Stdout, res)
-		writeCSV("coll.csv", func(w io.Writer) error { return bench.WriteCollCSV(w, res) })
-		if *collOut != "" {
-			f, err := os.Create(*collOut)
-			exitOn(err)
-			err = bench.WriteCollJSON(f, res)
-			f.Close()
-			exitOn(err)
-			fmt.Println("wrote", *collOut)
-		}
-		if *compare != "" && *exp == "coll" {
-			f, err := os.Open(*compare)
-			exitOn(err)
-			base, err := bench.ReadCollJSON(f)
-			f.Close()
-			exitOn(err)
-			exitOn(bench.CompareColl(os.Stdout, base, res))
-		}
-		fmt.Println()
-	}
-	if want("recover") {
-		ran = true
-		fmt.Printf("== Durable recovery: checkpoint/restart under chaos (%s profile, seed %d) ==\n", profile, *seed)
-		res, err := bench.RunRecover(profile, *seed)
-		exitOn(err)
-		bench.PrintRecover(os.Stdout, res)
-		writeCSV("recover.csv", func(w io.Writer) error { return bench.WriteRecoverCSV(w, res) })
-		if *recoverOut != "" {
-			f, err := os.Create(*recoverOut)
-			exitOn(err)
-			err = bench.WriteRecoverJSON(f, res)
-			f.Close()
-			exitOn(err)
-			fmt.Println("wrote", *recoverOut)
-		}
-		if *compare != "" && *exp == "recover" {
-			f, err := os.Open(*compare)
-			exitOn(err)
-			base, err := bench.ReadRecoverJSON(f)
-			f.Close()
-			exitOn(err)
-			exitOn(bench.CompareRecover(os.Stdout, base, res))
-		}
-		fmt.Println()
-	}
-	if want("halo") {
-		ran = true
-		fmt.Printf("== Halo exchange: derived datatypes + pack elision (%s profile) ==\n", profile)
-		res, err := bench.RunHalo(profile, *haloWidth)
-		exitOn(err)
-		bench.PrintHalo(os.Stdout, res)
-		writeCSV("halo.csv", func(w io.Writer) error { return bench.WriteHaloCSV(w, res) })
-		if *haloOut != "" {
-			f, err := os.Create(*haloOut)
-			exitOn(err)
-			err = bench.WriteHaloJSON(f, res)
-			f.Close()
-			exitOn(err)
-			fmt.Println("wrote", *haloOut)
-		}
-		if *compare != "" && *exp == "halo" {
-			f, err := os.Open(*compare)
-			exitOn(err)
-			base, err := bench.ReadHaloJSON(f)
-			f.Close()
-			exitOn(err)
-			exitOn(bench.CompareHalo(os.Stdout, base, res))
-		}
-		fmt.Println()
-	}
-	if !ran {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
-		flag.Usage()
-		os.Exit(2)
+		fmt.Fprintln(stdout)
 	}
 
-	bench.PrintTelemetry(os.Stdout, telemetry)
-	writeCSV("telemetry.csv", func(w io.Writer) error { return bench.WriteTelemetryCSV(w, telemetry) })
+	bench.PrintTelemetry(stdout, telemetry)
+	if err := write("telemetry.csv", func(w io.Writer) error { return bench.WriteTelemetryCSV(w, telemetry) }); err != nil {
+		return err
+	}
 	if *serve != "" && *linger > 0 {
-		fmt.Printf("lingering %s so the endpoint stays scrapeable...\n", *linger)
+		fmt.Fprintf(stdout, "lingering %s so the endpoint stays scrapeable...\n", *linger)
 		time.Sleep(*linger)
+	}
+	return nil
+}
+
+// body is the common experiment body: run at profile, print the result
+// and hand back its CSV writer (csv may be nil). A result that is a
+// bench.Snapshot is a gated experiment's snapshot as well.
+func body[R any](profile bench.Profile, run func(bench.Profile) (R, error), print func(io.Writer, R), csv func(io.Writer, R) error) func(io.Writer) (output, error) {
+	return func(out io.Writer) (output, error) {
+		res, err := run(profile)
+		if err != nil {
+			return output{}, err
+		}
+		print(out, res)
+		var o output
+		if csv != nil {
+			o.csv = func(w io.Writer) error { return csv(w, res) }
+		}
+		o.snap, _ = any(res).(bench.Snapshot)
+		return o, nil
 	}
 }
 
-func exitOn(err error) {
+// compareTo reads the baseline snapshot at path and compares cur to it.
+func compareTo(stdout io.Writer, path, name string, cur bench.Snapshot) error {
+	f, err := os.Open(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, strings.TrimSpace(err.Error()))
-		os.Exit(1)
+		return err
 	}
+	defer f.Close()
+	base, err := bench.ReadSnapshot(f, cur)
+	if err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	return bench.Compare(stdout, name, base, cur)
 }

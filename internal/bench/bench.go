@@ -1,10 +1,14 @@
 // Package bench is the experiment harness: one runner per table/figure of
 // the paper's evaluation (§V), each regenerating the same rows or series
-// the paper reports. cmd/hlsbench drives the runners from the command
-// line; bench_test.go wraps them as testing.B benchmarks.
+// the paper reports, plus the gated experiments (sync, coll, recover,
+// halo) whose results are Snapshots with acceptance checks.
+// cmd/hlsbench drives the runners from the command line. The package's
+// tests run the quick profile and pin Table I and Figure 3 against
+// testdata/{table1,fig3}.golden; WriteSnapshot, ReadSnapshot and Compare
+// are the one path between a gated run and its committed baseline.
 //
-// Every runner has a Quick profile (seconds, used by `go test -bench`) and
-// a Full profile (minutes, the paper-shaped sweep). Data sizes are scaled
+// Every runner has a Quick profile (seconds, used by the tests) and a
+// Full profile (minutes, the paper-shaped sweep). Data sizes are scaled
 // per DESIGN.md §6; memory rows are accounted directly in paper-scale
 // bytes so the tables read in the paper's MB.
 package bench

@@ -1,7 +1,11 @@
 package bench
 
 import (
+	"errors"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"hls/internal/apps/matmul"
@@ -48,19 +52,30 @@ func TestTableIQuickShape(t *testing.T) {
 	}
 	var sb strings.Builder
 	PrintTableI(&sb, cells)
-	if !strings.Contains(sb.String(), "Table I") {
-		t.Error("PrintTableI produced no header")
-	}
+	checkGolden(t, "table1", sb.String())
 }
 
 func TestFigure3QuickShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cache simulation is slow")
 	}
-	pts, err := RunFigure3(Quick, false)
-	if err != nil {
+	// The two variants are independent simulations: run them side by
+	// side so the test takes one variant's time.
+	var series [2][]Fig3Point
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i, update := range []bool{false, true} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			series[i], errs[i] = RunFigure3(Quick, update)
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs[:]...); err != nil {
 		t.Fatal(err)
 	}
+	pts := series[0]
 	get := func(mode matmul.Mode, n int) float64 {
 		for _, p := range pts {
 			if p.Mode == mode && p.N == n {
@@ -79,9 +94,24 @@ func TestFigure3QuickShape(t *testing.T) {
 			get(matmul.NoHLS, 64), get(matmul.HLSNode, 64))
 	}
 	var sb strings.Builder
-	PrintFigure3(&sb, pts, false)
-	if !strings.Contains(sb.String(), "Figure 3") {
-		t.Error("PrintFigure3 produced no header")
+	PrintFigure3(&sb, series[0], false)
+	sb.WriteString("\n")
+	PrintFigure3(&sb, series[1], true)
+	checkGolden(t, "fig3", sb.String())
+}
+
+// checkGolden compares a printed table with testdata/<name>.golden, the
+// quick profile's output as hlsbench prints it under its "== ... =="
+// header. Edit the file when a table changes on purpose.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name+".golden")
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("printed table differs from %s\n--- got ---\n%s--- want ---\n%s", path, got, want)
 	}
 }
 
@@ -238,19 +268,23 @@ func TestCSVWriters(t *testing.T) {
 		{Mode: matmul.HLSNode, N: 64, GFLOPS: 0.49},
 		{Mode: matmul.HLSNuma, N: 64, GFLOPS: 0.49},
 	}
+	pts = append(pts, Fig3Point{Mode: matmul.HLSNode, N: 16, Update: true, GFLOPS: 0.62})
 	sb.Reset()
-	if err := WriteFigure3CSV(&sb, pts, false); err != nil {
+	if err := WriteFigure3CSV(&sb, pts); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	if len(lines) != 3 {
+	if len(lines) != 4 {
 		t.Fatalf("fig3 csv lines = %d:\n%s", len(lines), sb.String())
 	}
-	if lines[0] != "n,sequential,without HLS,HLS node,HLS numa" {
+	if lines[0] != "update,n,sequential,without HLS,HLS node,HLS numa" {
 		t.Errorf("fig3 header = %q", lines[0])
 	}
-	if !strings.HasPrefix(lines[2], "64,0.5300,0.4000,") {
+	if !strings.HasPrefix(lines[2], "false,64,0.5300,0.4000,") {
 		t.Errorf("fig3 row = %q", lines[2])
+	}
+	if lines[3] != "true,16,,,0.6200," {
+		t.Errorf("fig3 update row = %q", lines[3])
 	}
 
 	sb.Reset()

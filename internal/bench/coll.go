@@ -2,7 +2,6 @@ package bench
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -401,38 +400,25 @@ func PrintColl(w io.Writer, res *CollResult) {
 			pt.Op, 2*pt.PerNode, pt.Bytes, pt.Algorithm, batch,
 			pt.NsPerOp, pt.FramesPerOp, pt.BatchFill, pt.Digest[:12])
 	}
-	fprintf(w, "\nChecks:\n")
-	for _, c := range []struct {
-		name string
-		ok   bool
-	}{
+	printChecks(w, []check{
 		{"two-level decomposition engaged exactly when selected", res.Checks.TwoLevelEngaged},
 		{"two-level cuts cross-node frames/op by >=2x at the widest node", res.Checks.FrameCut2x},
 		{"mean batch fill above 2 messages/frame on the small-message sweep", res.Checks.BatchFillAbove2},
 		{"results bitwise-identical across all ablations", res.Checks.BitwiseIdentical},
 		{"clean wire runs: frames flowed, zero reconnects", res.Checks.CleanWire},
 		{"no pooled buffers leaked in either process", res.Checks.NoLeakedBuffers},
-	} {
-		state := "PASS"
-		if !c.ok {
-			state = "FAIL"
-		}
-		fprintf(w, "  [%s] %s\n", state, c.name)
-	}
+	})
 }
 
 // WriteCollCSV writes the measurements as one flat table.
 func WriteCollCSV(w io.Writer, res *CollResult) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{
+	records := [][]string{{
 		"op", "ranks_per_node", "bytes", "algorithm", "batched",
 		"ns_per_op", "frames_per_op", "batch_fill", "two_level_ops",
 		"digest", "reconnects", "pool_outstanding",
-	}); err != nil {
-		return err
-	}
+	}}
 	for _, pt := range res.Points {
-		if err := cw.Write([]string{
+		records = append(records, []string{
 			pt.Op, strconv.Itoa(pt.PerNode), strconv.Itoa(pt.Bytes),
 			pt.Algorithm, strconv.FormatBool(pt.Batched),
 			fmt.Sprintf("%.1f", pt.NsPerOp),
@@ -442,52 +428,15 @@ func WriteCollCSV(w io.Writer, res *CollResult) error {
 			pt.Digest,
 			strconv.FormatUint(pt.Reconnects, 10),
 			strconv.FormatInt(pt.Outstanding, 10),
-		}); err != nil {
-			return err
-		}
+		})
 	}
-	cw.Flush()
-	return cw.Error()
+	return csv.NewWriter(w).WriteAll(records)
 }
 
-// WriteCollJSON writes the full result snapshot (BENCH_coll.json).
-func WriteCollJSON(w io.Writer, res *CollResult) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(res)
-}
-
-// ReadCollJSON parses a snapshot written by WriteCollJSON.
-func ReadCollJSON(r io.Reader) (*CollResult, error) {
-	var res CollResult
-	if err := json.NewDecoder(r).Decode(&res); err != nil {
-		return nil, err
+func (res *CollResult) rows() []row {
+	out := make([]row, len(res.Points))
+	for i, pt := range res.Points {
+		out[i] = row{fmt.Sprintf("%s x%d %dB %s batch=%v", pt.Op, pt.PerNode, pt.Bytes, pt.Algorithm, pt.Batched), pt.NsPerOp}
 	}
-	return &res, nil
-}
-
-// CompareColl prints an old/new comparison and returns an error if an
-// acceptance check that held in the baseline fails now. Timing and
-// frame-count deltas are informational; check regressions are hard
-// failures.
-func CompareColl(w io.Writer, base, cur *CollResult) error {
-	delta := func(old, new float64) string {
-		if old <= 0 {
-			return "n/a"
-		}
-		return fmt.Sprintf("%+.1f%%", (new-old)/old*100)
-	}
-	fprintf(w, "Coll comparison vs baseline (%s profile)\n", base.Profile)
-	for _, b := range base.Points {
-		for _, c := range cur.Points {
-			if b.Op == c.Op && b.PerNode == c.PerNode && b.Bytes == c.Bytes &&
-				b.Algorithm == c.Algorithm && b.Batched == c.Batched {
-				fprintf(w, "  %-10s x%-2d %5dB %-9s batch=%-5v %9.0f -> %9.0f ns/op %8s  frames %6.2f -> %6.2f\n",
-					b.Op, b.PerNode, b.Bytes, b.Algorithm, b.Batched,
-					b.NsPerOp, c.NsPerOp, delta(b.NsPerOp, c.NsPerOp),
-					b.FramesPerOp, c.FramesPerOp)
-			}
-		}
-	}
-	return compareChecks(w, "coll", base.Checks, cur.Checks)
+	return out
 }

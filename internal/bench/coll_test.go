@@ -2,7 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"os"
 	"strings"
 	"testing"
 
@@ -36,25 +35,23 @@ func collFixture() *CollResult {
 	return res
 }
 
-func collAllChecks(c CollChecks) bool {
-	return c.TwoLevelEngaged && c.FrameCut2x && c.BatchFillAbove2 &&
-		c.BitwiseIdentical && c.CleanWire && c.NoLeakedBuffers
-}
-
+// TestCollChecksAndJSONRoundTrip: the fixture's checks all hold and
+// survive a round trip through WriteSnapshot/ReadSnapshot.
 func TestCollChecksAndJSONRoundTrip(t *testing.T) {
 	res := collFixture()
-	if !collAllChecks(res.Checks) {
+	if !allChecksHold(res) {
 		t.Fatalf("fixture checks = %+v, want all true", res.Checks)
 	}
 
 	var buf bytes.Buffer
-	if err := WriteCollJSON(&buf, res); err != nil {
+	if err := WriteSnapshot(&buf, res); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadCollJSON(&buf)
+	snap, err := ReadSnapshot(&buf, &CollResult{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	back := snap.(*CollResult)
 	if len(back.Points) != len(res.Points) {
 		t.Fatalf("round trip lost points: %d/%d", len(back.Points), len(res.Points))
 	}
@@ -108,10 +105,12 @@ func TestCollChecksFlagFailures(t *testing.T) {
 	}
 }
 
+// TestCompareCollFlagsRegressions: Compare passes identical results and
+// fails, naming bitwise_identical, once a digest diverges.
 func TestCompareCollFlagsRegressions(t *testing.T) {
 	base := collFixture()
 	var out bytes.Buffer
-	if err := CompareColl(&out, base, collFixture()); err != nil {
+	if err := Compare(&out, "coll", base, collFixture()); err != nil {
 		t.Fatalf("identical results compared unequal: %v", err)
 	}
 	if !strings.Contains(out.String(), "all baseline checks still hold") {
@@ -122,25 +121,16 @@ func TestCompareCollFlagsRegressions(t *testing.T) {
 	bad.Points[2].Digest = "ffffffffffffffff"
 	bad.Checks = computeCollChecks(bad)
 	out.Reset()
-	err := CompareColl(&out, base, bad)
+	err := Compare(&out, "coll", base, bad)
 	if err == nil || !strings.Contains(err.Error(), "bitwise_identical") {
 		t.Fatalf("regressed compare error = %v, want bitwise_identical failure", err)
 	}
 }
 
+// TestCollBaselineSnapshotParses: the committed baseline's stored checks
+// are the ones its own points compute to.
 func TestCollBaselineSnapshotParses(t *testing.T) {
-	f, err := os.Open("testdata/BENCH_coll_baseline.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	base, err := ReadCollJSON(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !collAllChecks(base.Checks) {
-		t.Fatalf("committed baseline checks = %+v, want all true", base.Checks)
-	}
+	base := readBaseline(t, "coll", &CollResult{}).(*CollResult)
 	if got := computeCollChecks(base); got != base.Checks {
 		t.Fatalf("recomputed checks %+v disagree with stored %+v", got, base.Checks)
 	}

@@ -12,79 +12,59 @@ import (
 // WriteTableICSV emits Table I's cells as machine-readable rows
 // (mode,size,update,efficiency), for plotting.
 func WriteTableICSV(w io.Writer, cells []TableICell) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"mode", "size", "update", "efficiency"}); err != nil {
-		return err
-	}
+	records := [][]string{{"mode", "size", "update", "efficiency"}}
 	for _, c := range cells {
-		if err := cw.Write([]string{
+		records = append(records, []string{
 			c.Mode.String(), c.Size, strconv.FormatBool(c.Update),
 			strconv.FormatFloat(c.Efficiency, 'f', 4, 64),
-		}); err != nil {
-			return err
-		}
+		})
 	}
-	cw.Flush()
-	return cw.Error()
+	return csv.NewWriter(w).WriteAll(records)
 }
 
 // WriteFigure3CSV emits Figure 3's points with one column per mode and one
-// row per matrix size, ready for a line plot.
-func WriteFigure3CSV(w io.Writer, points []Fig3Point, update bool) error {
-	cw := csv.NewWriter(w)
+// row per (update variant, matrix size), ready for a line plot.
+func WriteFigure3CSV(w io.Writer, points []Fig3Point) error {
 	modes := []matmul.Mode{matmul.Seq, matmul.NoHLS, matmul.HLSNode, matmul.HLSNuma}
-	header := []string{"n"}
+	header := []string{"update", "n"}
 	for _, m := range modes {
 		header = append(header, m.String())
 	}
-	if err := cw.Write(header); err != nil {
-		return err
+	type series struct {
+		update bool
+		n      int
 	}
-	var sizes []int
-	seen := map[int]bool{}
+	var keys []series
+	gflops := map[series]map[matmul.Mode]string{}
 	for _, p := range points {
-		if p.Update == update && !seen[p.N] {
-			seen[p.N] = true
-			sizes = append(sizes, p.N)
+		k := series{p.Update, p.N}
+		if gflops[k] == nil {
+			gflops[k] = map[matmul.Mode]string{}
+			keys = append(keys, k)
 		}
+		gflops[k][p.Mode] = strconv.FormatFloat(p.GFLOPS, 'f', 4, 64)
 	}
-	lookup := func(m matmul.Mode, n int) string {
-		for _, p := range points {
-			if p.Mode == m && p.N == n && p.Update == update {
-				return strconv.FormatFloat(p.GFLOPS, 'f', 4, 64)
-			}
-		}
-		return ""
-	}
-	for _, n := range sizes {
-		row := []string{strconv.Itoa(n)}
+	records := [][]string{header}
+	for _, k := range keys {
+		rec := []string{strconv.FormatBool(k.update), strconv.Itoa(k.n)}
 		for _, m := range modes {
-			row = append(row, lookup(m, n))
+			rec = append(rec, gflops[k][m])
 		}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
+		records = append(records, rec)
 	}
-	cw.Flush()
-	return cw.Error()
+	return csv.NewWriter(w).WriteAll(records)
 }
 
 // WriteMemRowsCSV emits a memory table's rows.
 func WriteMemRowsCSV(w io.Writer, rows []MemRow) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"cores", "mpi", "time_s", "avg_mb", "max_mb"}); err != nil {
-		return err
-	}
+	records := [][]string{{"cores", "mpi", "time_s", "avg_mb", "max_mb"}}
 	for _, r := range rows {
-		if err := cw.Write([]string{
+		records = append(records, []string{
 			strconv.Itoa(r.Cores), r.Variant.String(),
 			fmt.Sprintf("%.3f", r.Seconds),
 			fmt.Sprintf("%.0f", r.AvgMB),
 			fmt.Sprintf("%.0f", r.MaxMB),
-		}); err != nil {
-			return err
-		}
+		})
 	}
-	cw.Flush()
-	return cw.Error()
+	return csv.NewWriter(w).WriteAll(records)
 }

@@ -3,7 +3,6 @@ package bench
 import (
 	"encoding/binary"
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -543,38 +542,25 @@ func PrintHalo(w io.Writer, res *HaloResult) {
 			pt.Mode, pt.Ablation, pt.N, pt.Halo, pt.BytesPerIter,
 			pt.NsPerOp, pt.MBPerS, pt.AllocsPerOp, pt.PackElisions, pt.FramesSent)
 	}
-	fprintf(w, "\nChecks:\n")
-	for _, c := range []struct {
-		name string
-		ok   bool
-	}{
+	printChecks(w, []check{
 		{"zero-copy beats forced pack by 1.5x at the largest shape", res.Checks.ZeroCopySpeedup},
 		{"zero-copy exchange loop allocation-free", res.Checks.ZeroAllocsSteadyState},
 		{"digests bitwise identical across all datapaths", res.Checks.BitwiseIdentical},
 		{"pack elision engaged exactly on the zero-copy cells", res.Checks.ElisionEngaged},
 		{"clean wire runs: frames flowed, zero reconnects", res.Checks.CleanWire},
 		{"no pooled buffers leaked in any world", res.Checks.NoLeakedBuffers},
-	} {
-		state := "PASS"
-		if !c.ok {
-			state = "FAIL"
-		}
-		fprintf(w, "  [%s] %s\n", state, c.name)
-	}
+	})
 }
 
 // WriteHaloCSV writes the measurements as one flat table.
 func WriteHaloCSV(w io.Writer, res *HaloResult) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{
+	records := [][]string{{
 		"mode", "ablation", "n", "halo", "bytes_per_iter",
 		"ns_per_op", "mb_per_s", "allocs_per_op", "pack_elisions",
 		"digest", "frames_sent", "reconnects", "pool_outstanding",
-	}); err != nil {
-		return err
-	}
+	}}
 	for _, pt := range res.Points {
-		if err := cw.Write([]string{
+		records = append(records, []string{
 			pt.Mode, pt.Ablation, strconv.Itoa(pt.N), strconv.Itoa(pt.Halo),
 			strconv.Itoa(pt.BytesPerIter),
 			fmt.Sprintf("%.1f", pt.NsPerOp), fmt.Sprintf("%.1f", pt.MBPerS),
@@ -583,48 +569,15 @@ func WriteHaloCSV(w io.Writer, res *HaloResult) error {
 			strconv.FormatUint(pt.FramesSent, 10),
 			strconv.FormatUint(pt.Reconnects, 10),
 			strconv.FormatInt(pt.Outstanding, 10),
-		}); err != nil {
-			return err
-		}
+		})
 	}
-	cw.Flush()
-	return cw.Error()
+	return csv.NewWriter(w).WriteAll(records)
 }
 
-// WriteHaloJSON writes the full result snapshot (BENCH_halo.json).
-func WriteHaloJSON(w io.Writer, res *HaloResult) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(res)
-}
-
-// ReadHaloJSON parses a snapshot written by WriteHaloJSON.
-func ReadHaloJSON(r io.Reader) (*HaloResult, error) {
-	var res HaloResult
-	if err := json.NewDecoder(r).Decode(&res); err != nil {
-		return nil, err
+func (res *HaloResult) rows() []row {
+	out := make([]row, len(res.Points))
+	for i, pt := range res.Points {
+		out[i] = row{fmt.Sprintf("%s %s n=%d h=%d", pt.Mode, pt.Ablation, pt.N, pt.Halo), pt.NsPerOp}
 	}
-	return &res, nil
-}
-
-// CompareHalo prints an old/new comparison and fails on check
-// regressions, following the other experiments' baseline contract.
-func CompareHalo(w io.Writer, base, cur *HaloResult) error {
-	delta := func(old, new float64) string {
-		if old <= 0 {
-			return "n/a"
-		}
-		return fmt.Sprintf("%+.1f%%", (new-old)/old*100)
-	}
-	fprintf(w, "Halo comparison vs baseline (%s profile)\n", base.Profile)
-	for _, b := range base.Points {
-		for _, c := range cur.Points {
-			if b.Mode == c.Mode && b.Ablation == c.Ablation && b.N == c.N && b.Halo == c.Halo {
-				fprintf(w, "  %-7s %-9s n=%-3d h=%-2d %10.0f -> %10.0f ns/op  %s\n",
-					b.Mode, b.Ablation, b.N, b.Halo,
-					b.NsPerOp, c.NsPerOp, delta(b.NsPerOp, c.NsPerOp))
-			}
-		}
-	}
-	return compareChecks(w, "halo", base.Checks, cur.Checks)
+	return out
 }

@@ -45,9 +45,9 @@ func TestRunHaloQuick(t *testing.T) {
 	}
 }
 
-// TestCompareHalo pins the comparator contract on the generic tail: a
-// check that held in the baseline and fails now is a hard error, a
-// never-passing check is not.
+// TestCompareHalo pins the comparator contract: a check that held in
+// the baseline and fails now is a hard error, a never-passing check is
+// not.
 func TestCompareHalo(t *testing.T) {
 	base := &HaloResult{Profile: "quick", Checks: HaloChecks{
 		ZeroCopySpeedup: true, BitwiseIdentical: true,
@@ -56,14 +56,14 @@ func TestCompareHalo(t *testing.T) {
 		ZeroCopySpeedup: true, BitwiseIdentical: true,
 	}}
 	var sb strings.Builder
-	if err := CompareHalo(&sb, base, cur); err != nil {
+	if err := Compare(&sb, "halo", base, cur); err != nil {
 		t.Fatalf("clean comparison failed: %v", err)
 	}
 	if !strings.Contains(sb.String(), "all baseline checks still hold") {
 		t.Fatalf("missing success line in %q", sb.String())
 	}
 	cur.Checks.BitwiseIdentical = false
-	err := CompareHalo(io.Discard, base, cur)
+	err := Compare(io.Discard, "halo", base, cur)
 	if err == nil || !strings.Contains(err.Error(), "bitwise_identical") {
 		t.Fatalf("regression not flagged: %v", err)
 	}
@@ -71,7 +71,7 @@ func TestCompareHalo(t *testing.T) {
 	// regression — new checks may land red and tighten later.
 	cur.Checks.BitwiseIdentical = true
 	cur.Checks.CleanWire = false
-	if err := CompareHalo(io.Discard, base, cur); err != nil {
+	if err := Compare(io.Discard, "halo", base, cur); err != nil {
 		t.Fatalf("never-passing check treated as regression: %v", err)
 	}
 }

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -41,7 +40,7 @@ type RecoverRun struct {
 	StartIter int
 }
 
-// RecoverChecks are the acceptance properties; CompareRecover treats a
+// RecoverChecks are the acceptance properties; Compare treats a
 // true-in-baseline, false-now transition as a hard regression.
 type RecoverChecks struct {
 	// Identical: resumed results (kill path and torn path) are bitwise
@@ -354,49 +353,22 @@ func PrintRecover(w io.Writer, r *RecoverResult) {
 
 // WriteRecoverCSV writes the experiment as machine-readable rows.
 func WriteRecoverCSV(w io.Writer, r *RecoverResult) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"trial", "seconds", "iters", "start_iter", "identical", "torn_skipped", "restore_reported", "kill_fired"}); err != nil {
-		return err
-	}
-	for _, row := range []RecoverRun{r.Clean, r.Killed, r.Resumed, r.TornResumed} {
-		if err := cw.Write([]string{
-			row.Mode,
-			fmt.Sprintf("%.4f", row.Seconds),
-			fmt.Sprintf("%d", row.Iters),
-			fmt.Sprintf("%d", row.StartIter),
+	records := [][]string{{"trial", "seconds", "iters", "start_iter", "identical", "torn_skipped", "restore_reported", "kill_fired"}}
+	for _, run := range []RecoverRun{r.Clean, r.Killed, r.Resumed, r.TornResumed} {
+		records = append(records, []string{
+			run.Mode,
+			fmt.Sprintf("%.4f", run.Seconds),
+			fmt.Sprintf("%d", run.Iters),
+			fmt.Sprintf("%d", run.StartIter),
 			fmt.Sprintf("%t", r.Checks.Identical),
 			fmt.Sprintf("%t", r.Checks.TornSkipped),
 			fmt.Sprintf("%t", r.Checks.RestoreReported),
 			fmt.Sprintf("%t", r.Checks.KillFired),
-		}); err != nil {
-			return err
-		}
+		})
 	}
-	cw.Flush()
-	return cw.Error()
+	return csv.NewWriter(w).WriteAll(records)
 }
 
-// WriteRecoverJSON writes the full result snapshot (BENCH_recover.json).
-func WriteRecoverJSON(w io.Writer, r *RecoverResult) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
-// ReadRecoverJSON parses a snapshot written by WriteRecoverJSON.
-func ReadRecoverJSON(rd io.Reader) (*RecoverResult, error) {
-	var r RecoverResult
-	if err := json.NewDecoder(rd).Decode(&r); err != nil {
-		return nil, err
-	}
-	return &r, nil
-}
-
-// CompareRecover prints an old/new comparison and returns an error if an
-// acceptance check that held in the baseline fails now. Timings are
-// informational; check regressions are hard failures.
-func CompareRecover(w io.Writer, base, cur *RecoverResult) error {
-	fprintf(w, "Recover comparison vs baseline (%d tasks, %d iters)\n", base.Tasks, base.Iters)
-	fprintf(w, "  restore latency: %.2f -> %.2f ms\n", base.RestoreMs, cur.RestoreMs)
-	return compareChecks(w, "recover", base.Checks, cur.Checks)
+func (r *RecoverResult) rows() []row {
+	return []row{{"restore", r.RestoreMs * 1e6}}
 }

@@ -46,17 +46,17 @@ func TestRecoverExperiment(t *testing.T) {
 		t.Errorf("report does not state the restore latency:\n%s", outStr)
 	}
 
-	// The JSON snapshot round-trips and compares clean against itself.
+	// The snapshot round-trips and compares clean against itself.
 	buf.Reset()
-	if err := WriteRecoverJSON(&buf, res); err != nil {
+	if err := WriteSnapshot(&buf, res); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadRecoverJSON(&buf)
+	back, err := ReadSnapshot(&buf, res)
 	if err != nil {
 		t.Fatal(err)
 	}
 	buf.Reset()
-	if err := CompareRecover(&buf, back, res); err != nil {
+	if err := Compare(&buf, "recover", back, res); err != nil {
 		t.Fatalf("self-comparison regressed: %v", err)
 	}
 
@@ -64,7 +64,7 @@ func TestRecoverExperiment(t *testing.T) {
 	// be a hard error.
 	bad := *res
 	bad.Checks.TornSkipped = false
-	if err := CompareRecover(&buf, back, &bad); err == nil {
-		t.Fatal("CompareRecover accepted a torn-skip regression")
+	if err := Compare(&buf, "recover", back, &bad); err == nil {
+		t.Fatal("Compare accepted a torn-skip regression")
 	}
 }

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"runtime"
@@ -310,99 +309,44 @@ func PrintSync(w io.Writer, res *SyncResult) {
 		fprintf(w, "%-10s %-9s %8d %12.0f %12.2f %10d\n",
 			c.Op, c.Mode, c.Elems, c.NsPerOp, c.AllocsPerOp, c.Messages)
 	}
-	fprintf(w, "\nChecks:\n")
-	for _, c := range []struct {
-		name string
-		ok   bool
-	}{
+	printChecks(w, []check{
 		{"tree barrier beats mutex at 16 tasks", res.Checks.TreeBeatsMutex16},
 		{"tree barrier beats mutex at 32 tasks", res.Checks.TreeBeatsMutex32},
 		{"zero-copy beats channels on large buffers", res.Checks.SharedBeatsChannelsLarge},
 		{"shared fast path allocation-free (small ops)", res.Checks.SharedAllocFree},
 		{"shared fast path sends no p2p messages", res.Checks.SharedNoMessages},
-	} {
-		state := "PASS"
-		if !c.ok {
-			state = "FAIL"
-		}
-		fprintf(w, "  [%s] %s\n", state, c.name)
-	}
+	})
 }
 
 // WriteSyncCSV writes the measurements as one flat table.
 func WriteSyncCSV(w io.Writer, res *SyncResult) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{
+	records := [][]string{{
 		"kind", "impl_or_mode", "op", "tasks", "scope", "elems",
 		"ns_per_op", "allocs_per_op", "messages",
-	}); err != nil {
-		return err
-	}
+	}}
 	for _, b := range res.Barriers {
-		if err := cw.Write([]string{
+		records = append(records, []string{
 			"barrier", b.Impl, "barrier", strconv.Itoa(b.Tasks), b.Scope, "",
 			fmt.Sprintf("%.1f", b.NsPerOp), "", "",
-		}); err != nil {
-			return err
-		}
+		})
 	}
 	for _, c := range res.Collectives {
-		if err := cw.Write([]string{
+		records = append(records, []string{
 			"collective", c.Mode, c.Op, strconv.Itoa(c.Tasks), "", strconv.Itoa(c.Elems),
 			fmt.Sprintf("%.1f", c.NsPerOp), fmt.Sprintf("%.2f", c.AllocsPerOp),
 			strconv.FormatInt(c.Messages, 10),
-		}); err != nil {
-			return err
-		}
+		})
 	}
-	cw.Flush()
-	return cw.Error()
+	return csv.NewWriter(w).WriteAll(records)
 }
 
-// WriteSyncJSON writes the full result snapshot (BENCH_sync.json).
-func WriteSyncJSON(w io.Writer, res *SyncResult) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(res)
-}
-
-// ReadSyncJSON parses a snapshot written by WriteSyncJSON.
-func ReadSyncJSON(r io.Reader) (*SyncResult, error) {
-	var res SyncResult
-	if err := json.NewDecoder(r).Decode(&res); err != nil {
-		return nil, err
+func (res *SyncResult) rows() []row {
+	var out []row
+	for _, b := range res.Barriers {
+		out = append(out, row{fmt.Sprintf("barrier %s %d tasks %s", b.Impl, b.Tasks, b.Scope), b.NsPerOp})
 	}
-	return &res, nil
-}
-
-// CompareSync prints a benchstat-style old/new comparison and returns an
-// error if an acceptance check that held in the baseline fails now.
-// Timing deltas are informational — CI runners are noisy — but check
-// regressions are hard failures.
-func CompareSync(w io.Writer, base, cur *SyncResult) error {
-	delta := func(old, new float64) string {
-		if old <= 0 {
-			return "n/a"
-		}
-		return fmt.Sprintf("%+.1f%%", (new-old)/old*100)
+	for _, c := range res.Collectives {
+		out = append(out, row{fmt.Sprintf("%s %s %d tasks %d elems", c.Op, c.Mode, c.Tasks, c.Elems), c.NsPerOp})
 	}
-	fprintf(w, "Barrier comparison vs baseline (%s profile)\n", base.Profile)
-	for _, b := range base.Barriers {
-		for _, c := range cur.Barriers {
-			if b.Impl == c.Impl && b.Tasks == c.Tasks && b.Scope == c.Scope {
-				fprintf(w, "  %-8s %2d tasks %-5s %10.0f -> %10.0f ns/op  %s\n",
-					b.Impl, b.Tasks, b.Scope, b.NsPerOp, c.NsPerOp, delta(b.NsPerOp, c.NsPerOp))
-			}
-		}
-	}
-	fprintf(w, "Collective comparison vs baseline\n")
-	for _, b := range base.Collectives {
-		for _, c := range cur.Collectives {
-			if b.Op == c.Op && b.Mode == c.Mode && b.Elems == c.Elems {
-				fprintf(w, "  %-10s %-9s %8d %10.0f -> %10.0f ns/op  %s\n",
-					b.Op, b.Mode, b.Elems, b.NsPerOp, c.NsPerOp, delta(b.NsPerOp, c.NsPerOp))
-			}
-		}
-	}
-	return compareChecks(w, "sync", base.Checks, cur.Checks)
+	return out
 }

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"os"
 	"strings"
 	"testing"
 )
@@ -33,22 +32,23 @@ func syncFixture() *SyncResult {
 	return res
 }
 
+// TestSyncChecksAndJSONRoundTrip: the fixture's checks all hold and
+// survive a round trip through WriteSnapshot/ReadSnapshot.
 func TestSyncChecksAndJSONRoundTrip(t *testing.T) {
 	res := syncFixture()
-	c := res.Checks
-	if !c.TreeBeatsMutex16 || !c.TreeBeatsMutex32 || !c.SharedBeatsChannelsLarge ||
-		!c.SharedAllocFree || !c.SharedNoMessages {
-		t.Fatalf("fixture checks = %+v, want all true", c)
+	if !allChecksHold(res) {
+		t.Fatalf("fixture checks = %+v, want all true", res.Checks)
 	}
 
 	var buf bytes.Buffer
-	if err := WriteSyncJSON(&buf, res); err != nil {
+	if err := WriteSnapshot(&buf, res); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadSyncJSON(&buf)
+	snap, err := ReadSnapshot(&buf, &SyncResult{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	back := snap.(*SyncResult)
 	if len(back.Barriers) != len(res.Barriers) || len(back.Collectives) != len(res.Collectives) {
 		t.Fatalf("round trip lost points: %d/%d barriers, %d/%d collectives",
 			len(back.Barriers), len(res.Barriers), len(back.Collectives), len(res.Collectives))
@@ -58,18 +58,19 @@ func TestSyncChecksAndJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCompareSyncFlagsRegressions: Compare passes identical results and
+// fails, naming tree_beats_mutex_32, once the tree barrier loses at 32
+// tasks.
 func TestCompareSyncFlagsRegressions(t *testing.T) {
 	base := syncFixture()
 	var out bytes.Buffer
-	if err := CompareSync(&out, base, syncFixture()); err != nil {
+	if err := Compare(&out, "sync", base, syncFixture()); err != nil {
 		t.Fatalf("identical results compared unequal: %v", err)
 	}
 	if !strings.Contains(out.String(), "all baseline checks still hold") {
 		t.Errorf("missing pass line in:\n%s", out.String())
 	}
 
-	// Invert a latency so the tree barrier loses at 32 tasks: the check
-	// regresses and CompareSync must fail.
 	bad := syncFixture()
 	for i := range bad.Barriers {
 		if bad.Barriers[i].Impl == "tree" && bad.Barriers[i].Tasks == 32 {
@@ -78,29 +79,18 @@ func TestCompareSyncFlagsRegressions(t *testing.T) {
 	}
 	bad.Checks = computeSyncChecks(bad)
 	out.Reset()
-	err := CompareSync(&out, base, bad)
+	err := Compare(&out, "sync", base, bad)
 	if err == nil || !strings.Contains(err.Error(), "tree_beats_mutex_32") {
 		t.Fatalf("regressed compare error = %v, want tree_beats_mutex_32 failure", err)
 	}
 }
 
+// TestSyncBaselineSnapshotParses: the committed baseline's stored checks
+// are the ones its own points compute to.
 func TestSyncBaselineSnapshotParses(t *testing.T) {
-	f, err := os.Open("testdata/BENCH_sync_baseline.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	base, err := ReadSyncJSON(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := base.Checks
-	if !c.TreeBeatsMutex16 || !c.TreeBeatsMutex32 || !c.SharedBeatsChannelsLarge ||
-		!c.SharedAllocFree || !c.SharedNoMessages {
-		t.Fatalf("committed baseline checks = %+v, want all true", c)
-	}
-	if got := computeSyncChecks(base); got != c {
-		t.Fatalf("recomputed checks %+v disagree with stored %+v", got, c)
+	base := readBaseline(t, "sync", &SyncResult{}).(*SyncResult)
+	if got := computeSyncChecks(base); got != base.Checks {
+		t.Fatalf("recomputed checks %+v disagree with stored %+v", got, base.Checks)
 	}
 }
 

@@ -127,3 +127,36 @@ func BenchmarkBcastTree(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkAllreduceAlgorithms compares the two channel allreduce
+// algorithms on 32 tasks: reduce+broadcast (Allreduce under
+// CollChannels, which keeps it off the shared fast path) against
+// recursive doubling (AllreduceRD).
+func BenchmarkAllreduceAlgorithms(b *testing.B) {
+	for _, alg := range []struct {
+		name string
+		fn   func(t *Task, send, recv []float64)
+	}{
+		{"ReduceBcast", func(t *Task, send, recv []float64) { Allreduce(t, nil, send, recv, OpSum) }},
+		{"RecursiveDoubling", func(t *Task, send, recv []float64) { AllreduceRD(t, nil, send, recv, OpSum) }},
+	} {
+		b.Run(alg.name, func(b *testing.B) {
+			w, err := NewWorld(Config{NumTasks: 32, Collectives: CollChannels})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			err = w.Run(func(task *Task) error {
+				send := []float64{float64(task.Rank())}
+				recv := make([]float64, 1)
+				for i := 0; i < b.N; i++ {
+					alg.fn(task, send, recv)
+				}
+				return nil
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}

@@ -691,12 +691,11 @@ func (t *TCP) hello() Header {
 // the wire.
 //
 // Caller holds recvMu AND sendMu (in that order) — the reset touches
-// state under both. Returns whether the incarnation advanced (bumped)
-// and whether the peer came back from the down state (revived).
-func (p *tcpPeer) noteHelloLocked(h *Header) (bumped, revived bool) {
+// state under both. Returns whether the incarnation advanced (bumped).
+func (p *tcpPeer) noteHelloLocked(h *Header) (bumped bool) {
 	inc := h.Seq
 	if inc == 0 || inc <= p.inc {
-		return false, false
+		return false
 	}
 	// First contact with an incarnation-aware peer (p.inc == 0, not
 	// down) must NOT reset: Sends queued before the handshake are real
@@ -706,12 +705,9 @@ func (p *tcpPeer) noteHelloLocked(h *Header) (bumped, revived bool) {
 		bumped = true
 	}
 	p.inc = inc
-	if p.down {
-		p.down = false
-		p.downErr = nil
-		revived = true
-	}
-	return bumped, revived
+	p.down = false
+	p.downErr = nil
+	return bumped
 }
 
 // resetStreamLocked discards the per-peer sequence space: queued unacked
@@ -1024,7 +1020,7 @@ func (t *TCP) handleAccept(conn net.Conn) {
 	// revive it if it was down, and let the fresh connection displace any
 	// stale one regardless of the dial tie-break (the old socket belongs
 	// to a dead process, so there is no flap to avoid).
-	bumped, revived := p.noteHelloLocked(&h)
+	bumped := p.noteHelloLocked(&h)
 	if t.closed.Load() || p.down || (p.conn != nil && peerID > t.cfg.Self && !bumped) {
 		p.sendMu.Unlock()
 		p.recvMu.Unlock()
@@ -1040,11 +1036,6 @@ func (t *TCP) handleAccept(conn net.Conn) {
 	}
 	p.sendMu.Unlock()
 	p.recvMu.Unlock()
-	if revived {
-		if s, ok := t.sink.(PeerReviver); ok {
-			s.PeerUp(peerID)
-		}
-	}
 	// Complete the handshake from their resume point, then read.
 	p.handleHello(conn, &h)
 	p.runReader(conn, br)

@@ -33,16 +33,6 @@ type Sink interface {
 	PeerDown(peer int, err error)
 }
 
-// PeerReviver is an optional Sink extension. A transport that supports
-// in-place peer revival — a restarted peer process reconnecting with a
-// higher incarnation after the old one was declared down — calls PeerUp
-// (from a transport goroutine) after clearing the peer's down state and
-// resetting the sequence space. Sinks that don't implement it simply
-// never learn of revivals; the transport still accepts them.
-type PeerReviver interface {
-	PeerUp(peer int)
-}
-
 // Transport moves frames between this node and its peers. Implementations
 // must be safe for concurrent Send calls from many goroutines.
 type Transport interface {
@@ -124,9 +114,9 @@ type Config struct {
 	// value than its predecessor (hlsworker uses the start wall clock);
 	// peers that see a higher incarnation than they knew discard the old
 	// sequence space and — if the peer had been declared down — revive
-	// it (Sink implementations are told via the optional PeerReviver
-	// extension). 0 (the default) marks an incarnation-unaware process:
-	// never reset, never revived.
+	// it: Send to that peer works again, and the sink simply starts
+	// receiving its frames. 0 (the default) marks an incarnation-unaware
+	// process: never reset, never revived.
 	Incarnation uint64
 
 	// DialTimeout bounds one dial attempt (default 2s).
