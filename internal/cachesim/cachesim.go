@@ -249,16 +249,10 @@ func (s *System) touch(c *cache, w *way) {
 }
 
 // install places lineAddr into cache c (evicting the LRU way if needed)
-// and records the sharer in the directory.
+// and records the sharer in the directory. lineAddr must be absent from
+// c: accessLine installs only at levels whose lookup just missed.
 func (s *System) install(c *cache, lineAddr uint64, state uint8) {
 	set := c.setOf(lineAddr)
-	// Already present?
-	for i := range set {
-		if set[i].state != stateInvalid && set[i].lineAddr == lineAddr {
-			s.touch(c, &set[i])
-			return
-		}
-	}
 	victim := &set[0]
 	for i := range set {
 		if set[i].state == stateInvalid {

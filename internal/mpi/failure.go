@@ -99,6 +99,11 @@ func (w *World) Cancelled() error {
 //   - registered failure handlers run, aborting HLS barriers whose
 //     instance contains r and poisoning RMA epochs towards r.
 //
+// In a cancelled world the receives and senders fail with a
+// CancelledError carrying the cancel cause instead: r most likely exited
+// because cancel reached it first, and a rank that cancel has not yet
+// reached must still report the root cause, not r's exit.
+//
 // It runs on the dying rank's goroutine, from Run's recover.
 func (w *World) rankFailed(r int, cause error) {
 	if w.fail.dead[r].Swap(true) {
@@ -107,7 +112,14 @@ func (w *World) rankFailed(r int, cause error) {
 	w.fail.mu.Lock()
 	w.fail.causes[r] = cause
 	handlers := append([]func(rank int, cause error){}, w.fail.handlers...)
+	cancelled := w.fail.cancelled
 	w.fail.mu.Unlock()
+	failed := func(rank int, op string) error {
+		if cancelled != nil {
+			return &CancelledError{Rank: rank, Op: op, Cause: cancelled}
+		}
+		return &DeadRankError{Rank: rank, Op: op, Dead: r}
+	}
 
 	// Fail the rendezvous senders parked on messages r will never match.
 	// The dead flag is already set, so sends racing with this scan either
@@ -117,7 +129,7 @@ func (w *World) rankFailed(r int, cause error) {
 	epDead.mu.Lock()
 	epDead.eachUnexpectedLocked(func(msg *message) {
 		if msg.rendezvous && msg.sreq != nil {
-			msg.sreq.fail(&DeadRankError{Rank: -1, Op: "Send", Dead: r})
+			msg.sreq.fail(failed(-1, "Send"))
 		}
 	})
 	epDead.mu.Unlock()
@@ -133,7 +145,7 @@ func (w *World) rankFailed(r int, cause error) {
 			if pr.worldSrc != r {
 				return nil
 			}
-			return &DeadRankError{Rank: pr.recvRank, Op: "Recv", Dead: r}
+			return failed(pr.recvRank, "Recv")
 		})
 		ep.wakeAllLocked()
 		ep.mu.Unlock()
@@ -217,16 +229,16 @@ func (t *Task) checkReq(op string, r *Request) {
 	}
 }
 
-// checkPeer raises a DeadRankError if the peer world rank is already
-// dead, and a CancelledError if the world has been cancelled — the
-// fail-fast path for operations started after a failure.
+// checkPeer raises a CancelledError if the world has been cancelled, and
+// a DeadRankError if the peer world rank is already dead — the fail-fast
+// path for operations started after a failure.
 func (t *Task) checkPeer(op string, worldPeer int) {
 	w := t.world
-	if worldPeer >= 0 && w.rankDead(worldPeer) {
-		panic(&DeadRankError{Rank: t.rank, Op: op, Dead: worldPeer})
-	}
 	if c := w.Cancelled(); c != nil {
 		panic(&CancelledError{Rank: t.rank, Op: op, Cause: c})
+	}
+	if worldPeer >= 0 && w.rankDead(worldPeer) {
+		panic(&DeadRankError{Rank: t.rank, Op: op, Dead: worldPeer})
 	}
 }
 

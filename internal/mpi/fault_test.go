@@ -268,6 +268,41 @@ func TestDeadlockWatchdogDetectsRecvCycle(t *testing.T) {
 	}
 }
 
+// TestRankExitAfterCancelReportsCause stops a cancel between recording
+// its cause and reaching the endpoints (the window in which the watchdog
+// test's rank 0 can exit first): rank 0 exits cancelled while rank 1
+// still waits on it. Rank 1 must report the cancel cause, not a failure
+// of rank 0.
+func TestRankExitAfterCancelReportsCause(t *testing.T) {
+	cause := errors.New("test cancel")
+	w, err := Run(Config{NumTasks: 2, Timeout: 10 * time.Second}, func(tk *Task) error {
+		var buf [1]int
+		if tk.Rank() == 1 {
+			Recv(tk, nil, buf[:], 0, 0)
+			return nil
+		}
+		w := tk.world
+		for w.taskStates()[1].BlockedOn == "" {
+			time.Sleep(time.Millisecond)
+		}
+		// cancel's first half: the cause is recorded, no endpoint swept.
+		w.fail.mu.Lock()
+		w.fail.cancelled = cause
+		w.fail.mu.Unlock()
+		w.fail.cancelFlag.Store(true)
+		panic(&CancelledError{Rank: 0, Op: "Recv", Cause: cause})
+	})
+	if !errors.Is(err, cause) {
+		t.Fatalf("Run error = %v, want the cancel cause", err)
+	}
+	for r, re := range w.RankErrors() {
+		var ce *CancelledError
+		if !errors.As(re, &ce) || !errors.Is(re, cause) {
+			t.Errorf("rank %d error = %v, want *CancelledError with the cancel cause", r, re)
+		}
+	}
+}
+
 func TestDeadlockWatchdogNoFalsePositive(t *testing.T) {
 	// A healthy ping-pong across many iterations with an aggressive
 	// watchdog interval: progress bumps must suppress detection.

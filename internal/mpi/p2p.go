@@ -300,17 +300,18 @@ func irecvDT[T Scalar](t *Task, comm *Comm, ctx int64, buf []T, dt *Datatype, sr
 	// Under ep.mu the dead/cancelled flags are ordered against the
 	// failure layer's scan of this endpoint: either we observe the flag
 	// here and fail the request immediately, or the scan observes our
-	// posted receive and fails it.
-	if worldSrc >= 0 && w.rankDead(worldSrc) {
-		ep.mu.Unlock()
-		putPostedRecv(pr)
-		req.fail(&DeadRankError{Rank: t.rank, Op: op, Dead: worldSrc})
-		return req
-	}
+	// posted receive and fails it. A cancelled world reports its cause
+	// even when the source is dead too (it may have died of the cancel).
 	if c := w.Cancelled(); c != nil {
 		ep.mu.Unlock()
 		putPostedRecv(pr)
 		req.fail(&CancelledError{Rank: t.rank, Op: op, Cause: c})
+		return req
+	}
+	if worldSrc >= 0 && w.rankDead(worldSrc) {
+		ep.mu.Unlock()
+		putPostedRecv(pr)
+		req.fail(&DeadRankError{Rank: t.rank, Op: op, Dead: worldSrc})
 		return req
 	}
 	ep.postSeq++

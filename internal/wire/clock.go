@@ -82,3 +82,46 @@ func (c *clockFilter) estimate() ClockEstimate {
 	}
 	return e
 }
+
+// Clock returns the estimate of peer's clock kept from the Hello
+// handshake and the ping/pong probes. A peer id outside the world, or
+// this node's own, has no samples.
+func (t *TCP) Clock(peer int) ClockEstimate {
+	if peer < 0 || peer >= len(t.peers) {
+		return ClockEstimate{RTTNs: -1}
+	}
+	return t.peers[peer].clock.estimate()
+}
+
+// pingLoop sends a clock probe to every ready peer once per
+// PingInterval until the transport closes.
+func (t *TCP) pingLoop() {
+	for !t.closed.Load() {
+		time.Sleep(t.cfg.PingInterval)
+		if t.closed.Load() {
+			return
+		}
+		for _, p := range t.peers {
+			p.sendCtl(&Header{Type: TypePing}) // our own peer has no connection
+		}
+	}
+}
+
+// handlePong closes the NTP-style loop: with t1 (our probe send), t2
+// (peer receive), t3 (peer reply send) and t4 (now), the peer clock
+// offset is ((t2-t1)+(t3-t4))/2 and the RTT is (t4-t1)-(t3-t2).
+func (p *tcpPeer) handlePong(h *Header) {
+	now := time.Now()
+	t1, t2, t3, t4 := int64(h.Xid), h.Ctx, h.SendTS, now.UnixNano()
+	if t1 == 0 || t2 == 0 || t3 == 0 {
+		return
+	}
+	offset := ((t2 - t1) + (t3 - t4)) / 2
+	rtt := (t4 - t1) - (t3 - t2)
+	if rtt < 0 {
+		return // nonsense sample (clock stepped mid-flight)
+	}
+	if p.clock.sample(now, offset, rtt) < clockBurst {
+		p.sendCtl(&Header{Type: TypePing})
+	}
+}

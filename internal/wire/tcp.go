@@ -13,7 +13,11 @@ import (
 	"time"
 )
 
-// TCP is the TCP implementation of Transport.
+// TCP is the TCP implementation of Transport. Each peer link has three
+// parts: a stream (stream.go) that owns reliability and knows nothing of
+// sockets, the connection that carries it (conn.go: dial, accept, Hello,
+// sever, down), and this file's framing: Send, batching, the encode
+// pools and the reader loop.
 //
 // Reliability model: every sequenced frame (eager, RTS, CTS, data,
 // failure) gets a per-peer monotonically increasing sequence number and
@@ -136,35 +140,29 @@ func putEnc(b *[]byte) {
 	}
 }
 
-type encFrame struct {
-	seq uint64
-	buf *[]byte
-}
-
-// tcpPeer is the per-peer connection state. Two mutexes with a strict
-// order (recvMu before sendMu, never the reverse): sendMu guards the
-// connection, writer, sequence allocation and the unacked ring; recvMu
-// serializes in-order claim + delivery so a stale reader can never
+// tcpPeer is one peer link: its stream, connection and pending batch.
+// Two mutexes with a strict order (recvMu before sendMu, never the
+// reverse): sendMu guards the connection, the writer, the batch and the
+// stream's send half; recvMu guards the stream's receive half and
+// serializes in-order claim + delivery, so a stale reader can never
 // deliver around the current one.
 type tcpPeer struct {
 	id int
 	tr *TCP
+	s  stream
 
 	sendMu  sync.Mutex
 	conn    net.Conn
 	bw      *bufio.Writer
 	wdl     time.Time // write deadline set on conn (zero: none yet)
-	ready   bool      // Hello exchange complete on conn; writes allowed
-	inc     uint64    // highest incarnation seen from this peer (0 = none announced)
-	sendSeq uint64
-	unacked []encFrame
 	dialing bool
 	down    bool
 	downErr error
 	// hadConn: a connection was installed before, so a redial backs
 	// off first. handshook: the last installed connection received the
-	// peer's Hello, so replacing it is a reconnect. A connection the
-	// dial tie-break discards before any Hello arrives is not.
+	// peer's Hello, so writes may use it while it is current, and
+	// replacing it is a reconnect. A connection the dial tie-break
+	// discards before any Hello arrives is not.
 	hadConn      bool
 	handshook    bool
 	pendingSends atomic.Int32
@@ -179,16 +177,9 @@ type tcpPeer struct {
 	batchFrames int
 	batchTimer  *time.Timer
 
-	recvMu  sync.Mutex
-	recvSeq atomic.Uint64 // highest in-order seq received (atomic: read by send path for piggyback)
-	lastAck uint64        // recvSeq value last standalone-acked
-
-	ackedOut atomic.Uint64 // highest Ack written on the connection (stored under sendMu)
-	ackTimer *time.Timer   // fires ackFire ackDelay after it was armed
-	ackArmed atomic.Bool   // ackTimer is pending (cleared first thing when it fires)
-	ackSeq   atomic.Uint64 // recvSeq when ackTimer was armed
-
-	clock clockFilter // fed by the Hello and every pong
+	recvMu   sync.Mutex
+	ackTimer *time.Timer // fires ackFire ackDelay after it was armed
+	clock    clockFilter // fed by the Hello and every pong
 }
 
 // NewTCP builds a TCP transport listening on cfg.Addrs[cfg.Self] (or on
@@ -209,7 +200,7 @@ func NewTCP(cfg Config, ln net.Listener) (*TCP, error) {
 	t := &TCP{cfg: c, ln: ln}
 	t.peers = make([]*tcpPeer, len(c.Addrs))
 	for i := range t.peers {
-		p := &tcpPeer{id: i, tr: t}
+		p := &tcpPeer{id: i, tr: t, s: stream{inflight: &t.inflight}}
 		p.ackTimer = time.AfterFunc(ackDelay, p.ackFire)
 		p.ackTimer.Stop()
 		t.peers[i] = p
@@ -236,22 +227,6 @@ func (t *TCP) Bind(s Sink) {
 	}
 }
 
-// pingLoop sends a clock probe to every ready peer once per
-// PingInterval until the transport closes.
-func (t *TCP) pingLoop() {
-	for !t.closed.Load() {
-		time.Sleep(t.cfg.PingInterval)
-		if t.closed.Load() {
-			return
-		}
-		for i, p := range t.peers {
-			if i != t.cfg.Self {
-				p.sendPing()
-			}
-		}
-	}
-}
-
 // Close shuts the transport down.
 func (t *TCP) Close() error {
 	if !t.closed.CompareAndSwap(false, true) {
@@ -264,40 +239,21 @@ func (t *TCP) Close() error {
 		p.stopAck()
 		p.maybeAck()
 		p.sendMu.Lock()
-		if p.conn != nil {
-			p.conn.Close()
-			p.conn = nil
-			p.bw = nil
-			p.ready = false
-		}
+		p.closeConnLocked()
 		p.sendMu.Unlock()
 	}
 	return err
 }
 
-// Clock returns the estimate of peer's clock kept from the Hello
-// handshake and the ping/pong probes. A peer id outside the world, or
-// this node's own, has no samples.
-func (t *TCP) Clock(peer int) ClockEstimate {
-	if peer < 0 || peer >= len(t.peers) {
-		return ClockEstimate{RTTNs: -1}
-	}
-	return t.peers[peer].clock.estimate()
-}
-
 // Stats snapshots the transport counters.
 func (t *TCP) Stats() Stats {
-	inf := t.inflight.Load()
-	if inf < 0 {
-		inf = 0
-	}
 	return Stats{
 		FramesSent:     t.framesSent.Load(),
 		FramesReceived: t.framesRecv.Load(),
 		BytesSent:      t.bytesSent.Load(),
 		BytesReceived:  t.bytesRecv.Load(),
 		Reconnects:     t.reconnects.Load(),
-		Inflight:       uint64(inf),
+		Inflight:       uint64(t.inflight.Load()),
 		BatchesSent:    t.batchesSent.Load(),
 		BatchedFrames:  t.batchedFrames.Load(),
 	}
@@ -331,16 +287,9 @@ func (t *TCP) Send(peer int, h *Header, payload []byte) error {
 	if p.down {
 		return &PeerDownError{Peer: peer, Last: p.downErr}
 	}
-	p.sendSeq++
 	hh := *h
-	hh.Seq = p.sendSeq
-	hh.Ack = p.recvSeq.Load()
-	enc := getEnc(encodedSize(&hh, len(payload)))
-	*enc = AppendFrame(*enc, &hh, payload)
-	buf := *enc
-	p.unacked = append(p.unacked, encFrame{seq: hh.Seq, buf: enc})
-	t.inflight.Add(1)
-	if p.conn == nil || !p.ready {
+	buf := p.s.push(&hh, payload)
+	if p.conn == nil || !p.handshook {
 		p.ensureDialLocked()
 		return nil
 	}
@@ -351,9 +300,7 @@ func (t *TCP) Send(peer int, h *Header, payload []byte) error {
 			t.batchPending.Add(1)
 		}
 		if len(p.batchBuf) >= batchMaxBytes || p.batchFrames >= batchMaxFrames {
-			if err := p.flushBatchLocked(); err != nil {
-				p.severLocked(err)
-			}
+			p.flushBatchLocked()
 		} else if p.batchFrames == 1 {
 			if p.batchTimer == nil {
 				p.batchTimer = time.AfterFunc(t.cfg.BatchWindow, p.flushBatch)
@@ -365,15 +312,14 @@ func (t *TCP) Send(peer int, h *Header, payload []byte) error {
 	}
 	// An unbatchable frame must not overtake pending batched frames:
 	// flush them first so the peer sees sequence numbers in order.
-	if err := p.flushBatchLocked(); err != nil {
-		p.severLocked(err)
+	if !p.flushBatchLocked() {
 		return nil
 	}
 	if err := p.writeLocked(buf, hh.Type, true); err != nil {
 		p.severLocked(err)
 		return nil
 	}
-	p.noteAckedLocked(hh.Ack)
+	p.s.sent(hh.Ack)
 	return nil
 }
 
@@ -382,10 +328,8 @@ func (t *TCP) Flush() {
 	if t.batchPending.Load() == 0 {
 		return
 	}
-	for i, p := range t.peers {
-		if i != t.cfg.Self {
-			p.flushBatch()
-		}
+	for _, p := range t.peers {
+		p.flushBatch() // our own peer never holds a batch
 	}
 }
 
@@ -396,9 +340,7 @@ func (t *TCP) Batching() bool { return t.cfg.BatchWindow > 0 }
 // callback, and Flush's per-peer step.
 func (p *tcpPeer) flushBatch() {
 	p.sendMu.Lock()
-	if err := p.flushBatchLocked(); err != nil {
-		p.severLocked(err)
-	}
+	p.flushBatchLocked()
 	p.sendMu.Unlock()
 }
 
@@ -406,27 +348,24 @@ func (p *tcpPeer) flushBatch() {
 // container, carrying the current cumulative ack. No connection means
 // the pending copies are simply dropped: the sub-frames sit in the
 // unacked ring and the resume handshake retransmits them individually.
-func (p *tcpPeer) flushBatchLocked() error {
-	if p.batchFrames == 0 {
-		return nil
-	}
-	if p.batchTimer != nil {
-		p.batchTimer.Stop()
-	}
+// A failed write severs the connection; it reports false.
+func (p *tcpPeer) flushBatchLocked() bool {
 	n := p.batchFrames
-	payload := p.batchBuf
-	p.batchFrames = 0
-	p.tr.batchPending.Add(-1)
-	if p.conn == nil || !p.ready {
-		p.batchBuf = p.batchBuf[:0]
-		return nil
+	if n == 0 {
+		return true
 	}
-	t := p.tr
-	t.batchesSent.Add(1)
-	t.batchedFrames.Add(uint64(n))
-	err := p.writeFrameLocked(&Header{Type: TypeBatch, Ack: p.recvSeq.Load()}, payload, true)
-	p.batchBuf = p.batchBuf[:0]
-	return err
+	var err error
+	if p.conn != nil && p.handshook {
+		p.tr.batchesSent.Add(1)
+		p.tr.batchedFrames.Add(uint64(n))
+		err = p.writeFrameLocked(&Header{Type: TypeBatch, Ack: p.s.recvSeq.Load()}, p.batchBuf, true)
+	}
+	p.clearBatchLocked()
+	if err != nil {
+		p.severLocked(err)
+		return false
+	}
+	return true
 }
 
 // writeFrameLocked encodes an unsequenced frame into a pooled buffer and
@@ -437,17 +376,35 @@ func (p *tcpPeer) writeFrameLocked(h *Header, payload []byte, coalesce bool) err
 	err := p.writeLocked(*enc, h.Type, coalesce)
 	putEnc(enc)
 	if err == nil {
-		p.noteAckedLocked(h.Ack)
+		p.s.sent(h.Ack)
 	}
 	return err
 }
 
-// noteAckedLocked records that a frame carrying cumulative ack a went
-// out, so a standalone ack through a would be redundant.
-func (p *tcpPeer) noteAckedLocked(a uint64) {
-	if a > p.ackedOut.Load() {
-		p.ackedOut.Store(a)
+// writeCtlLocked writes an unsequenced control frame (Ack, Ping, Pong)
+// with the current cumulative ack and a probe's send time, if a ready
+// connection exists. A failure severs it; control frames are best-effort.
+func (p *tcpPeer) writeCtlLocked(h *Header) {
+	if p.conn == nil || !p.handshook {
+		return
 	}
+	h.Ack = p.s.recvSeq.Load()
+	switch h.Type {
+	case TypePing:
+		h.Xid = uint64(time.Now().UnixNano()) // t1
+	case TypePong:
+		h.SendTS = time.Now().UnixNano() // t3
+	}
+	if err := p.writeFrameLocked(h, nil, false); err != nil {
+		p.severLocked(err)
+	}
+}
+
+// sendCtl is writeCtlLocked under sendMu.
+func (p *tcpPeer) sendCtl(h *Header) {
+	p.sendMu.Lock()
+	p.writeCtlLocked(h)
+	p.sendMu.Unlock()
 }
 
 // clearBatchLocked drops the pending batch without writing it (the
@@ -456,8 +413,7 @@ func (p *tcpPeer) clearBatchLocked() {
 	if p.batchFrames > 0 {
 		p.tr.batchPending.Add(-1)
 	}
-	p.batchBuf = p.batchBuf[:0]
-	p.batchFrames = 0
+	p.batchBuf, p.batchFrames = p.batchBuf[:0], 0
 	if p.batchTimer != nil {
 		p.batchTimer.Stop()
 	}
@@ -508,537 +464,33 @@ func (p *tcpPeer) refreshWriteDeadlineLocked() {
 	p.conn.SetWriteDeadline(p.wdl) //nolint:errcheck
 }
 
-// severLocked tears the current connection down (keeping the unacked
-// ring for retransmission) and triggers a reconnect.
-func (p *tcpPeer) severLocked(err error) {
-	_ = err
-	p.clearBatchLocked()
-	if p.conn != nil {
-		p.conn.Close()
-		p.conn = nil
-		p.bw = nil
-		p.ready = false
-	}
-	if !p.tr.closed.Load() {
-		p.ensureDialLocked()
-	}
-}
-
-// sever is severLocked for callers (readers) that must first check the
-// connection they saw fail is still the current one.
-func (p *tcpPeer) sever(c net.Conn, err error) {
-	p.sendMu.Lock()
-	defer p.sendMu.Unlock()
-	if p.conn != c {
-		c.Close() // stale connection: just make sure it is gone
-		return
-	}
-	p.severLocked(err)
-}
-
-// ensureDialLocked spawns the reconnect loop unless one is already
-// running or the peer is finished.
-func (p *tcpPeer) ensureDialLocked() {
-	if p.dialing || p.down || p.tr.closed.Load() {
-		return
-	}
-	p.dialing = true
-	go p.dialLoop()
-}
-
-// dialLoop dials the peer with capped exponential backoff. On success
-// the dialer sends Hello and hands the connection to a reader; the
-// peer's answering Hello completes the handshake (retransmit + ready).
-// Exhausting ReconnectMax attempts declares the peer down.
-func (p *tcpPeer) dialLoop() {
-	t := p.tr
-	backoff := t.cfg.ReconnectBackoff
-	maxBackoff := 32 * t.cfg.ReconnectBackoff
-	var lastErr error = errors.New("no attempts made")
-	for attempt := 1; attempt <= t.cfg.ReconnectMax; attempt++ {
-		if t.closed.Load() {
-			p.finishDial()
-			return
-		}
-		p.sendMu.Lock()
-		if p.conn != nil { // acceptor installed a connection meanwhile
-			p.dialing = false
-			p.sendMu.Unlock()
-			return
-		}
-		hadConn := p.hadConn
-		p.sendMu.Unlock()
-		if attempt > 1 || hadConn {
-			time.Sleep(backoff)
-			backoff *= 2
-			if backoff > maxBackoff {
-				backoff = maxBackoff
-			}
-			if t.closed.Load() {
-				// Closed while backing off: without this re-check the loop
-				// would race teardown and fire one more dial (and fault
-				// hook) against a world that no longer exists.
-				p.finishDial()
-				return
-			}
-		}
-		if f := t.cfg.Fault; f != nil && !f.WireDial(p.id, attempt) {
-			lastErr = errors.New("wire: injected dial failure")
-			continue
-		}
-		conn, err := net.DialTimeout("tcp", t.cfg.Addrs[p.id], t.cfg.DialTimeout)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if tc, ok := conn.(*net.TCPConn); ok {
-			tc.SetNoDelay(true) //nolint:errcheck
-		}
-		if p.adoptDialed(conn) {
-			p.finishDial()
-			return
-		}
-		lastErr = errors.New("wire: dialed connection not adopted")
-	}
-	p.markDown(lastErr)
-}
-
-// finishDial clears the dialing flag.
-func (p *tcpPeer) finishDial() {
-	p.sendMu.Lock()
-	p.dialing = false
-	p.sendMu.Unlock()
-}
-
-// adoptDialed installs a freshly dialed connection (unless the acceptor
-// beat us to one), sends our Hello, and starts the reader. The
-// connection is not ready for app writes until the peer's Hello arrives.
-func (p *tcpPeer) adoptDialed(conn net.Conn) bool {
-	t := p.tr
-	p.sendMu.Lock()
-	if t.closed.Load() || p.down {
-		p.sendMu.Unlock()
-		conn.Close()
-		return t.closed.Load() // closed counts as "done dialing"
-	}
-	if p.conn != nil {
-		p.sendMu.Unlock()
-		conn.Close() // a connection exists; use it
-		return true
-	}
-	p.installLocked(conn)
-	err := p.writeHelloLocked()
-	p.sendMu.Unlock()
-	if err != nil {
-		p.sever(conn, err)
-		return false
-	}
-	go p.runReader(conn, bufio.NewReader(conn))
-	return true
-}
-
-// installLocked makes conn the current connection (closing any old one).
-// It counts a reconnect only when the last installed connection had
-// completed its handshake: a simultaneous first dial from both ends
-// installs twice on the higher node without any connection being lost.
-func (p *tcpPeer) installLocked(conn net.Conn) {
-	if p.conn != nil {
-		p.conn.Close()
-	}
-	p.conn = conn
-	p.bw = bufio.NewWriterSize(conn, 64<<10)
-	p.wdl = time.Time{}
-	p.ready = false
-	if p.handshook {
-		p.tr.reconnects.Add(1)
-	}
-	p.handshook = false
-	p.hadConn = true
-}
-
-// writeHelloLocked sends the handshake frame: our node id, the world
-// key, and our resume point (highest in-order seq received from peer).
-// Like every frame it carries our Version, which the peer demands be
-// equal to its own. Ctx holds our wall clock as a crude one-way clock
-// sample, and Seq our process incarnation (sequence numbering starts
-// after the handshake, so the field is free here).
-func (p *tcpPeer) writeHelloLocked() error {
-	h := p.tr.hello()
-	h.Ack = p.recvSeq.Load()
-	return p.writeFrameLocked(&h, nil, false)
-}
-
-// hello is the Hello header this transport announces itself with; the
-// caller fills in the resume point (Ack).
-func (t *TCP) hello() Header {
-	return Header{
-		Type:     TypeHello,
-		Xid:      t.cfg.WorldKey,
-		SrcWorld: int32(t.cfg.Self),
-		Seq:      t.cfg.Incarnation,
-		Ctx:      time.Now().UnixNano(),
-	}
-}
-
-// noteHelloLocked records the peer's incarnation from its Hello (the Seq
-// field; 0 marks a process that announces no incarnation and never
-// triggers a reset). When the incarnation advances past one we had
-// already met — or past a peer we had declared down — the old sequence
-// space belongs to a dead process: the per-peer stream is reset so the
-// handshake starts fresh, and a down peer is revived. Frames still
-// queued for the old incarnation are dropped; across a respawn the
-// application-level recovery (checkpoint restore) owns redelivery, not
-// the wire.
-//
-// Caller holds recvMu AND sendMu (in that order) — the reset touches
-// state under both. Returns whether the incarnation advanced (bumped).
-func (p *tcpPeer) noteHelloLocked(h *Header) (bumped bool) {
-	inc := h.Seq
-	if inc == 0 || inc <= p.inc {
-		return false
-	}
-	// First contact with an incarnation-aware peer (p.inc == 0, not
-	// down) must NOT reset: Sends queued before the handshake are real
-	// traffic for exactly this incarnation.
-	if p.inc != 0 || p.down {
-		p.resetStreamLocked()
-		bumped = true
-	}
-	p.inc = inc
-	p.down = false
-	p.downErr = nil
-	return bumped
-}
-
-// resetStreamLocked discards the per-peer sequence space: queued unacked
-// frames are freed, and send/receive sequences and the ack watermark
-// return to zero. Caller holds recvMu and sendMu.
-func (p *tcpPeer) resetStreamLocked() {
-	p.clearBatchLocked()
-	p.stopAck()
-	p.sendSeq = 0
-	n := len(p.unacked)
-	for _, ef := range p.unacked {
-		putEnc(ef.buf)
-	}
-	p.unacked = nil
-	p.tr.inflight.Add(int64(-n))
-	p.recvSeq.Store(0)
-	p.lastAck = 0
-	p.ackedOut.Store(0)
-}
-
-// handleHello processes the peer's Hello on connection c: note the
-// peer's incarnation (resetting the stream if it restarted), acknowledge
-// through the peer's resume point, retransmit the unacked tail, and open
-// the connection for new writes. The Hello's version already matched
-// ours, or readHeader would have refused it.
-func (p *tcpPeer) handleHello(c net.Conn, h *Header) {
-	now := time.Now()
-	p.recvMu.Lock()
-	p.sendMu.Lock()
-	if p.conn != c {
-		p.sendMu.Unlock()
-		p.recvMu.Unlock()
-		return // stale connection
-	}
-	// The peer's Hello on our current connection completes the exchange:
-	// from here on, losing c is a real loss.
-	p.handshook = true
-	p.noteHelloLocked(h)
-	if h.Ctx != 0 {
-		// One-way Hello sample: offset only, no RTT bound (rtt = -1).
-		// Taken before the connection opens, so the estimate exists by
-		// the time any frame crosses it.
-		p.clock.sample(now, h.Ctx-now.UnixNano(), -1)
-	}
-	p.trimAckedLocked(h.Ack)
-	for _, ef := range p.unacked {
-		if err := p.writeLocked(*ef.buf, TypeEager, false); err != nil {
-			p.severLocked(err)
-			p.sendMu.Unlock()
-			p.recvMu.Unlock()
-			return
-		}
-	}
-	if err := p.bw.Flush(); err != nil {
-		p.severLocked(err)
-		p.sendMu.Unlock()
-		p.recvMu.Unlock()
-		return
-	}
-	p.ready = true
-	if p.tr.cfg.PingInterval > 0 {
-		p.writePingLocked() // immediate probe: short runs get a real RTT
-	}
-	p.sendMu.Unlock()
-	p.recvMu.Unlock()
-}
-
-// writePingLocked emits an unsequenced clock probe carrying our wall
-// clock (t1) in Xid. Failures are ignored: probes are best-effort and
-// the next write will sever a genuinely broken connection.
-func (p *tcpPeer) writePingLocked() {
-	h := Header{
-		Type: TypePing,
-		Xid:  uint64(time.Now().UnixNano()),
-		Ack:  p.recvSeq.Load(),
-	}
-	if err := p.writeFrameLocked(&h, nil, false); err != nil {
-		p.severLocked(err)
-	}
-}
-
-// sendPing emits a clock probe if the connection is up.
-func (p *tcpPeer) sendPing() {
-	p.sendMu.Lock()
-	defer p.sendMu.Unlock()
-	if p.conn == nil || !p.ready || p.down {
-		return
-	}
-	p.writePingLocked()
-}
-
-// sendPong answers a clock probe: echo t1 (Xid), report our receive
-// time t2 (Ctx) and our send time t3 (SendTS, in the span extension).
-func (p *tcpPeer) sendPong(t1 uint64, t2 int64) {
-	p.sendMu.Lock()
-	defer p.sendMu.Unlock()
-	if p.conn == nil || !p.ready || p.down {
-		return
-	}
-	h := Header{
-		Type:   TypePong,
-		Xid:    t1,
-		Ctx:    t2,
-		Ack:    p.recvSeq.Load(),
-		SendTS: time.Now().UnixNano(),
-	}
-	if err := p.writeFrameLocked(&h, nil, false); err != nil {
-		p.severLocked(err)
-	}
-}
-
-// handlePong closes the NTP-style loop: with t1 (our probe send), t2
-// (peer receive), t3 (peer reply send) and t4 (now), the peer clock
-// offset is ((t2-t1)+(t3-t4))/2 and the RTT is (t4-t1)-(t3-t2).
-func (p *tcpPeer) handlePong(h *Header) {
-	now := time.Now()
-	t1 := int64(h.Xid)
-	t2 := h.Ctx
-	t3 := h.SendTS
-	t4 := now.UnixNano()
-	if t1 == 0 || t2 == 0 || t3 == 0 {
-		return
-	}
-	offset := ((t2 - t1) + (t3 - t4)) / 2
-	rtt := (t4 - t1) - (t3 - t2)
-	if rtt < 0 {
-		return // nonsense sample (clock stepped mid-flight)
-	}
-	if p.clock.sample(now, offset, rtt) < clockBurst {
-		p.sendPing()
-	}
-}
-
-// handleAck trims the unacked ring through cumulative ack a.
-func (p *tcpPeer) handleAck(a uint64) {
-	p.sendMu.Lock()
-	p.trimAckedLocked(a)
-	p.sendMu.Unlock()
-}
-
-func (p *tcpPeer) trimAckedLocked(a uint64) {
-	if a > p.sendSeq {
-		// A peer cannot legitimately ack beyond what we have sent: this
-		// is a stale resume point from a Hello addressed to an earlier
-		// incarnation of this process. Honoring it would trim frames
-		// queued but never delivered.
-		return
-	}
-	n := 0
-	for n < len(p.unacked) && p.unacked[n].seq <= a {
-		putEnc(p.unacked[n].buf)
-		n++
-	}
-	if n > 0 {
-		rest := len(p.unacked) - n
-		copy(p.unacked, p.unacked[n:])
-		for i := rest; i < len(p.unacked); i++ {
-			p.unacked[i] = encFrame{}
-		}
-		p.unacked = p.unacked[:rest]
-		p.tr.inflight.Add(int64(-n))
-	}
-}
-
-// sendAck emits a standalone cumulative ack.
-func (p *tcpPeer) sendAck() {
-	p.sendMu.Lock()
-	defer p.sendMu.Unlock()
-	if p.conn == nil || !p.ready {
-		return
-	}
-	h := Header{Type: TypeAck, Ack: p.recvSeq.Load()}
-	if err := p.writeFrameLocked(&h, nil, false); err != nil {
-		p.severLocked(err)
-	}
-}
-
-// deferAck arms the quiescence ack unless it is already armed: a frame
-// sent back within ackDelay carries the ack, and only a stream that
-// stays silent gets a standalone one. A stream that keeps flowing keeps
-// the timer armed without touching it per frame; ackFire notices the
-// frames that arrived meanwhile.
-func (p *tcpPeer) deferAck() {
-	if p.ackArmed.CompareAndSwap(false, true) {
-		p.ackSeq.Store(p.recvSeq.Load())
-		p.ackTimer.Reset(ackDelay)
-	}
-}
-
-// ackFire runs ackDelay after the timer was armed. If frames arrived
-// since, the stream was not quiet for ackDelay: the timer is re-armed
-// from now. Otherwise maybeAck sends what is still owed. armed is
-// cleared before recvSeq is read, so a frame claimed after that read
-// finds the timer disarmed and arms it again: no ack is lost to the race.
-func (p *tcpPeer) ackFire() {
-	p.ackArmed.Store(false)
-	cur := p.recvSeq.Load()
-	if cur != p.ackSeq.Load() {
-		if p.ackArmed.CompareAndSwap(false, true) {
-			p.ackSeq.Store(cur)
-			p.ackTimer.Reset(ackDelay)
-		}
-		return
-	}
-	p.maybeAck()
-}
-
-// stopAck disarms the quiescence ack. The flag is cleared after Stop,
-// so a deferAck racing with it cannot leave the flag set with no timer
-// pending.
-func (p *tcpPeer) stopAck() {
-	p.ackTimer.Stop()
-	p.ackArmed.Store(false)
-}
-
 // maybeAck emits a standalone cumulative ack if received frames are
 // still unacknowledged by both standalone and piggybacked acks.
 func (p *tcpPeer) maybeAck() {
 	p.recvMu.Lock()
-	cur := p.recvSeq.Load()
-	send := cur > max(p.lastAck, p.ackedOut.Load())
-	if send {
-		p.lastAck = cur
-	}
+	owed := p.s.ackOwed(1)
 	p.recvMu.Unlock()
-	if send {
-		p.sendAck()
+	if owed {
+		p.sendCtl(&Header{Type: TypeAck})
 	}
 }
 
-// markDown declares the peer permanently unreachable.
-func (p *tcpPeer) markDown(err error) {
-	p.sendMu.Lock()
-	if p.down {
-		p.sendMu.Unlock()
-		return
-	}
-	p.down = true
-	p.downErr = err
-	p.dialing = false
-	p.clearBatchLocked()
-	p.stopAck()
-	if p.conn != nil {
-		p.conn.Close()
-		p.conn = nil
-		p.bw = nil
-		p.ready = false
-	}
-	n := len(p.unacked)
-	for _, ef := range p.unacked {
-		putEnc(ef.buf)
-	}
-	p.unacked = nil
-	p.tr.inflight.Add(int64(-n))
-	p.sendMu.Unlock()
-	if !p.tr.closed.Load() {
-		p.tr.sink.PeerDown(p.id, &PeerDownError{Peer: p.id, Last: err})
+// ackFire runs ackDelay after the ack timer was armed, and re-arms it or
+// sends what is owed as the stream decides.
+func (p *tcpPeer) ackFire() {
+	if rearm, quiet := p.s.ackFired(); rearm {
+		p.ackTimer.Reset(ackDelay)
+	} else if quiet {
+		p.maybeAck()
 	}
 }
 
-// acceptLoop accepts inbound connections and hands each to a handshake
-// goroutine.
-func (t *TCP) acceptLoop() {
-	for {
-		conn, err := t.ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		if tc, ok := conn.(*net.TCPConn); ok {
-			tc.SetNoDelay(true) //nolint:errcheck
-		}
-		go t.handleAccept(conn)
-	}
-}
-
-// handleAccept reads the dialer's Hello, identifies and validates the
-// peer, and decides whether to adopt the connection. Tie-break when a
-// connection already exists (simultaneous dial from both ends): the
-// connection dialed by the LOWER node id wins, so both sides converge on
-// the same socket instead of flapping.
-func (t *TCP) handleAccept(conn net.Conn) {
-	conn.SetReadDeadline(time.Now().Add(t.cfg.DialTimeout + 2*time.Second)) //nolint:errcheck
-	br := bufio.NewReader(conn)
-	var scratch [maxFrameRead]byte
-	var h Header
-	plen, err := readHeader(br, &h, &scratch)
-	var ve *VersionError
-	if errors.As(err, &ve) {
-		// A different build dialed us. Answer with our own Hello before
-		// closing, so its reader fails with the same typed error and
-		// declares us down instead of redialing a silent close forever.
-		hello := t.hello()
-		conn.SetWriteDeadline(time.Now().Add(t.cfg.WriteTimeout)) //nolint:errcheck
-		conn.Write(AppendFrame(nil, &hello, nil))                 //nolint:errcheck // best effort
-	}
-	if err != nil || h.Type != TypeHello || plen != 0 {
-		conn.Close()
-		return
-	}
-	conn.SetReadDeadline(time.Time{}) //nolint:errcheck
-	peerID := int(h.SrcWorld)
-	if peerID < 0 || peerID >= len(t.peers) || peerID == t.cfg.Self || h.Xid != t.cfg.WorldKey {
-		conn.Close()
-		return
-	}
-	p := t.peers[peerID]
-	p.recvMu.Lock()
-	p.sendMu.Lock()
-	// A restarted peer announces a higher incarnation: reset the stream,
-	// revive it if it was down, and let the fresh connection displace any
-	// stale one regardless of the dial tie-break (the old socket belongs
-	// to a dead process, so there is no flap to avoid).
-	bumped := p.noteHelloLocked(&h)
-	if t.closed.Load() || p.down || (p.conn != nil && peerID > t.cfg.Self && !bumped) {
-		p.sendMu.Unlock()
-		p.recvMu.Unlock()
-		conn.Close()
-		return
-	}
-	p.installLocked(conn)
-	if err := p.writeHelloLocked(); err != nil {
-		p.severLocked(err)
-		p.sendMu.Unlock()
-		p.recvMu.Unlock()
-		return
-	}
-	p.sendMu.Unlock()
-	p.recvMu.Unlock()
-	// Complete the handshake from their resume point, then read.
-	p.handleHello(conn, &h)
-	p.runReader(conn, br)
+// stopAck disarms the quiescence ack. The flag is cleared after Stop,
+// so an armAck racing with it cannot leave the flag set with no timer
+// pending.
+func (p *tcpPeer) stopAck() {
+	p.ackTimer.Stop()
+	p.s.ackArmed.Store(false)
 }
 
 // runReader is the per-connection progress goroutine: it decodes frames
@@ -1055,9 +507,6 @@ func (p *tcpPeer) runReader(c net.Conn, br *bufio.Reader) {
 	// reaches the sink, and handleBatch copies every sub-frame out of it.
 	var batch []byte
 	for {
-		if t.cfg.ReadIdleTimeout > 0 {
-			c.SetReadDeadline(time.Now().Add(t.cfg.ReadIdleTimeout)) //nolint:errcheck
-		}
 		plen, err := readHeader(br, h, &scratch)
 		if err != nil {
 			var ve *VersionError
@@ -1074,22 +523,13 @@ func (p *tcpPeer) runReader(c net.Conn, br *bufio.Reader) {
 		var payload []byte
 		var token any
 		if plen > 0 {
-			if t.sink != nil && (h.Type == TypeEager || h.Type == TypeData || h.Type == TypeDataSeg) {
-				payload, token = t.sink.Alloc(p.id, h)
-			}
-			if len(payload) != plen {
-				if token != nil {
-					t.sink.Free(p.id, token)
-					token = nil
+			if h.Type == TypeBatch {
+				if cap(batch) < plen {
+					batch = make([]byte, plen)
 				}
-				if h.Type == TypeBatch {
-					if cap(batch) < plen {
-						batch = make([]byte, plen)
-					}
-					payload = batch[:plen]
-				} else {
-					payload = make([]byte, plen)
-				}
+				payload = batch[:plen]
+			} else {
+				payload, token = p.allocPayload(h, plen)
 			}
 			if _, err := io.ReadFull(br, payload); err != nil {
 				if token != nil {
@@ -1101,35 +541,40 @@ func (p *tcpPeer) runReader(c net.Conn, br *bufio.Reader) {
 		}
 		t.framesRecv.Add(1)
 		t.bytesRecv.Add(uint64(frameOverhead + plen))
-		switch h.Type {
-		case TypeHello:
+		if h.Type == TypeHello {
 			p.handleHello(c, h)
+			continue
+		}
+		if h.Seq == 0 {
+			// Unsequenced (Ack, Ping, Pong, Batch): take its cumulative
+			// ack here; a sequenced frame's is taken with its claim.
+			p.sendMu.Lock()
+			p.s.trim(h.Ack)
+			p.sendMu.Unlock()
+		}
+		switch h.Type {
 		case TypeAck:
-			p.handleAck(h.Ack)
+			continue
 		case TypePing:
-			// Unsequenced clock probe: answer with our timestamps. The
-			// receive time is captured here, before the reply queues.
-			p.handleAck(h.Ack)
-			p.sendPong(h.Xid, time.Now().UnixNano())
+			// Clock probe: answer with our timestamps. The receive time
+			// is captured here, before the reply queues.
+			p.sendCtl(&Header{Type: TypePong, Xid: h.Xid, Ctx: time.Now().UnixNano()})
+			continue
 		case TypePong:
-			p.handleAck(h.Ack)
 			p.handlePong(h)
+			continue
 		case TypeBatch:
-			p.handleAck(h.Ack)
 			if !p.handleBatch(c, payload, &f) {
 				return
-			}
-			if br.Buffered() == 0 {
-				p.quiesce()
 			}
 		default:
 			f.Payload, f.Token = payload, token
 			if !p.claimAndDeliver(c, &f) {
 				return // connection severed on protocol error
 			}
-			if br.Buffered() == 0 {
-				p.quiesce()
-			}
+		}
+		if br.Buffered() == 0 {
+			p.quiesce()
 		}
 	}
 }
@@ -1142,7 +587,9 @@ func (p *tcpPeer) runReader(c net.Conn, br *bufio.Reader) {
 // reader to reach its next (empty) read and park, or for another thread
 // to be woken across CPUs to steal it.
 func (p *tcpPeer) quiesce() {
-	p.deferAck()
+	if p.s.armAck() {
+		p.ackTimer.Reset(ackDelay)
+	}
 	runtime.Gosched()
 }
 
@@ -1160,40 +607,52 @@ func (p *tcpPeer) claimAndDeliver(c net.Conn, f *Frame) bool {
 	defer func() { f.Payload, f.Token = nil, nil }()
 	p.recvMu.Lock()
 	p.sendMu.Lock()
-	p.trimAckedLocked(h.Ack)
+	p.s.trim(h.Ack)
 	cur := p.conn
 	p.sendMu.Unlock()
-	if cur != c || h.Seq <= p.recvSeq.Load() {
+	deliver, err := false, error(nil)
+	if cur == c {
+		deliver, err = p.s.claim(h.Seq)
+	}
+	if !deliver {
 		p.recvMu.Unlock()
 		if token != nil {
 			t.sink.Free(p.id, token)
+		}
+		if err != nil {
+			p.sever(c, err)
+			return false
 		}
 		return true
 	}
-	if h.Seq != p.recvSeq.Load()+1 {
-		p.recvMu.Unlock()
-		if token != nil {
-			t.sink.Free(p.id, token)
-		}
-		p.sever(c, fmt.Errorf("wire: sequence gap: got %d, expected %d", h.Seq, p.recvSeq.Load()+1))
-		return false
-	}
-	p.recvSeq.Store(h.Seq)
 	t.sink.Frame(p.id, f)
-	needAck := h.Seq-max(p.lastAck, p.ackedOut.Load()) >= ackEvery
-	if needAck {
-		p.lastAck = h.Seq
-	}
+	owed := p.s.ackOwed(ackEvery)
 	p.recvMu.Unlock()
-	if needAck {
-		p.sendAck()
+	if owed {
+		p.sendCtl(&Header{Type: TypeAck})
 	}
 	return true
 }
 
-// errBatchSevered aborts a batch walk after claimAndDeliver already
-// severed the connection (the sever error, not this sentinel, is what
-// surfaces).
+// allocPayload returns the buffer an n-byte payload of h is read into:
+// the sink's for eager and data frames, else a fresh one. The token is
+// the sink's, or nil.
+func (p *tcpPeer) allocPayload(h *Header, n int) ([]byte, any) {
+	t := p.tr
+	if t.sink != nil && (h.Type == TypeEager || h.Type == TypeData || h.Type == TypeDataSeg) {
+		b, token := t.sink.Alloc(p.id, h)
+		if len(b) == n {
+			return b, token
+		}
+		if token != nil {
+			t.sink.Free(p.id, token)
+		}
+	}
+	return make([]byte, n), nil
+}
+
+// errBatchSevered aborts a batch walk after claimAndDeliver severed the
+// connection.
 var errBatchSevered = errors.New("wire: batch delivery severed")
 
 // handleBatch unpacks a TypeBatch container: each sub-frame goes through
@@ -1204,38 +663,20 @@ var errBatchSevered = errors.New("wire: batch delivery severed")
 // through f, the reader's reused frame, so the walk itself allocates
 // nothing.
 func (p *tcpPeer) handleBatch(c net.Conn, payload []byte, f *Frame) bool {
-	t := p.tr
-	severed := false
 	h := &f.Header
 	_, err := DecodeBatch(payload, h, func(sub []byte) error {
-		var body []byte
-		var token any
+		f.Payload, f.Token = nil, nil
 		if len(sub) > 0 {
-			if t.sink != nil && (h.Type == TypeEager || h.Type == TypeData || h.Type == TypeDataSeg) {
-				body, token = t.sink.Alloc(p.id, h)
-			}
-			if len(body) != len(sub) {
-				if token != nil {
-					t.sink.Free(p.id, token)
-					token = nil
-				}
-				body = make([]byte, len(sub))
-			}
-			copy(body, sub)
+			f.Payload, f.Token = p.allocPayload(h, len(sub))
+			copy(f.Payload, sub)
 		}
-		f.Payload, f.Token = body, token
 		if !p.claimAndDeliver(c, f) {
-			severed = true
 			return errBatchSevered
 		}
 		return nil
 	})
-	if severed {
-		return false
-	}
-	if err != nil {
+	if err != nil && err != errBatchSevered {
 		p.sever(c, err)
-		return false
 	}
-	return true
+	return err == nil
 }

@@ -127,9 +127,6 @@ type Config struct {
 	// deadline runs 2*WriteTimeout ahead and is moved only when less
 	// than WriteTimeout remains, not on every frame.)
 	WriteTimeout time.Duration
-	// ReadIdleTimeout bounds silence on a connection (default 0 = none).
-	// On expiry the connection is severed and redialed.
-	ReadIdleTimeout time.Duration
 	// ReconnectMax caps reconnect attempts per outage before the peer is
 	// declared down (default 5).
 	ReconnectMax int
