@@ -33,14 +33,28 @@ type barrierNode struct {
 	blkBarrier, blkSingle, blkDegraded any // pre-boxed "hls <key>" strings
 }
 
-// await synchronizes world rank with its instance siblings; body (may be
+// await synchronizes task t with its instance siblings; body (may be
 // nil) is executed by exactly one task, after everyone arrived and before
-// anyone leaves. Reports whether this task executed body.
-func (bn *barrierNode) await(rank int, body func()) bool {
+// anyone leaves. Reports whether this task executed body. An aborted
+// barrier raises its error as op on t.
+func (bn *barrierNode) await(t *mpi.Task, op string, blk any, body func()) bool {
+	t.BlockOnBoxed(blk)
+	var last bool
+	var err error
 	if bn.mtx != nil {
-		return bn.mtx.Await(body)
+		last, err = bn.mtx.Await(body)
+	} else {
+		last, err = bn.tree.Await(bn.slot[t.Rank()], body)
 	}
-	return bn.tree.Await(bn.slot[rank], body)
+	t.Unblock()
+	t.Raise(op, err)
+	return last
+}
+
+// has reports whether world rank wr takes part in the barrier.
+func (bn *barrierNode) has(wr int) bool {
+	_, ok := bn.slot[wr]
+	return ok
 }
 
 // abort poisons every level of the barrier.
@@ -108,16 +122,7 @@ func (r *Registry) buildBarrier(s topology.Scope, key scopeKey) *barrierNode {
 	bn.blkDegraded = "hls " + bn.obsSingle + " (degraded)"
 	// Barriers built after a failure are born aborted: a participant is
 	// already dead (or the world cancelled), so nobody may wait on them.
-	if r.cancelErr != nil {
-		bn.abort(r.cancelErr)
-	}
-	for dr, err := range r.deadRanks {
-		for _, rank := range ranks {
-			if rank == dr {
-				bn.abort(err)
-			}
-		}
-	}
+	bn.abort(r.world.FailureIn(bn.has)) // nil while healthy
 	return bn
 }
 
@@ -127,9 +132,7 @@ func (r *Registry) BarrierScope(t *mpi.Task, s topology.Scope) {
 	s = r.resolveScope(s)
 	bn, key := r.barrierFor(t, s, "barrier")
 	r.arrive(bn.obsBarrier, t.Rank())
-	t.BlockOnBoxed(bn.blkBarrier)
-	last := bn.await(t.Rank(), nil)
-	t.Unblock()
+	last := bn.await(t, "hls barrier", bn.blkBarrier, nil)
 	r.depart(bn.obsBarrier, t.Rank())
 	r.countDirective(t, key, last)
 }
@@ -140,9 +143,7 @@ func (r *Registry) singleScope(t *mpi.Task, s topology.Scope, body func()) bool 
 	s = r.resolveScope(s)
 	bn, key := r.barrierFor(t, s, "single")
 	r.arrive(bn.obsSingle, t.Rank())
-	t.BlockOnBoxed(bn.blkSingle)
-	executed := bn.await(t.Rank(), body)
-	t.Unblock()
+	executed := bn.await(t, "hls single", bn.blkSingle, body)
 	r.depart(bn.obsSingle, t.Rank())
 	r.countSingle(t.Rank(), executed)
 	r.countDirective(t, key, executed)
@@ -159,13 +160,9 @@ func (r *Registry) singleScopeAll(t *mpi.Task, s topology.Scope, body func()) bo
 	s = r.resolveScope(s)
 	bn, key := r.barrierFor(t, s, "single")
 	r.arrive(bn.obsSingle, t.Rank())
-	t.BlockOnBoxed(bn.blkDegraded)
-	bn.await(t.Rank(), nil)
-	t.Unblock()
+	bn.await(t, "hls single", bn.blkDegraded, nil)
 	body()
-	t.BlockOnBoxed(bn.blkDegraded)
-	last := bn.await(t.Rank(), nil)
-	t.Unblock()
+	last := bn.await(t, "hls single", bn.blkDegraded, nil)
 	r.depart(bn.obsSingle, t.Rank())
 	r.countSingle(t.Rank(), true)
 	r.countDirective(t, key, last)

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"hls/internal/mpi"
 	"hls/internal/topology"
 )
 
@@ -117,42 +116,19 @@ func (r *Registry) checkSequenceLocked(rank int, key scopeKey, kind string) {
 	}
 }
 
-// failHandler is registered with the world's failure layer: when a rank
-// dies, every barrier whose scope instance contains it is aborted so the
-// sibling tasks blocked there unwind with a typed error instead of
-// waiting forever; on world cancellation (rank == -1) every barrier is
-// aborted. Barriers built after the failure are born aborted.
-func (r *Registry) failHandler(rank int, cause error) {
-	var err error
-	if rank >= 0 {
-		err = &mpi.DeadRankError{Rank: -1, Op: "hls barrier", Dead: rank}
-	} else {
-		err = &mpi.CancelledError{Rank: -1, Op: "hls barrier", Cause: cause}
-	}
+// wake is registered with the world's failure layer: when a rank dies,
+// every barrier whose instance contains it is aborted so the sibling
+// tasks blocked there unwind, each raising the world's error for the
+// instance; on world cancellation (rank == -1) every barrier is aborted.
+// Barriers built after the failure are born aborted (buildBarrier).
+func (r *Registry) wake(rank int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if rank >= 0 {
-		r.deadRanks[rank] = err
-	} else {
-		r.cancelErr = err
-	}
-	for key, bn := range r.barriers {
-		if rank < 0 || r.instanceContainsLocked(key, rank) {
-			bn.abort(err)
+	for _, bn := range r.barriers {
+		if rank < 0 || bn.has(rank) {
+			bn.abort(r.world.FailureIn(bn.has))
 		}
 	}
-}
-
-// instanceContainsLocked reports whether world rank is pinned inside the
-// given scope instance. Caller holds r.mu.
-func (r *Registry) instanceContainsLocked(key scopeKey, rank int) bool {
-	s := topology.Scope{Kind: key.kind, Level: key.level}
-	for _, rr := range r.pin.RanksInInstance(s, key.inst) {
-		if rr == rank {
-			return true
-		}
-	}
-	return false
 }
 
 // directiveReport renders the per-rank directive counters for deadlock

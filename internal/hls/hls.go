@@ -120,12 +120,6 @@ type Registry struct {
 	barriers map[scopeKey]*barrierNode
 	nowaits  map[scopeKey]*nowaitState
 
-	// failure state: ranks known dead (with the abort error barriers get)
-	// and the cancellation error once the world is torn down. Guarded by
-	// mu; consulted when barriers are built lazily after a failure.
-	deadRanks map[int]error
-	cancelErr error
-
 	// sequence-mismatch detection: dirIdx[rank][scope] is the unified
 	// per-scope directive index (barrier, single and nowait share it);
 	// dirSeq logs which directive kind each index was, per instance.
@@ -167,7 +161,6 @@ func New(w *mpi.World, opts ...Option) *Registry {
 		instCounts:   make(map[scopeKey]*atomic.Int64),
 		taskCounts:   make([]map[scopeLK]int64, w.Size()),
 		singles:      make([]singleCount, w.Size()),
-		deadRanks:    make(map[int]error),
 		dirIdx:       make([]map[scopeLK]int64, w.Size()),
 		dirSeq:       make(map[scopeKey]*seqLog),
 		allocRetries: 3,
@@ -182,7 +175,7 @@ func New(w *mpi.World, opts ...Option) *Registry {
 	}
 	// Wire into the world's failure layer: abort our barriers when a rank
 	// dies and contribute directive counters to deadlock diagnostics.
-	w.OnFailure(r.failHandler)
+	w.OnFailure(r.wake)
 	w.AddBlockReporter(r.directiveReport)
 	return r
 }

@@ -1,24 +1,27 @@
 package mpi
 
 import (
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
 
 // failureState is the world's per-rank failure bookkeeping. The fast
-// paths only ever touch the dead/finished atomics; the mutex guards the
-// slow path taken when a rank actually dies or the world is cancelled.
+// paths only ever touch the atomics; the mutex guards the slow path
+// taken when a rank actually dies or the world is cancelled.
 type failureState struct {
 	dead     []atomic.Bool // rank failed (panicked or was killed)
 	finished []atomic.Bool // task body returned (normally or not)
 
-	// cancelFlag is the lock-free fast path of Cancelled, checked on
-	// every posted receive.
-	cancelFlag atomic.Bool
+	// failed is the lock-free fast path of FailureIn and Cancelled: it is
+	// set, before anyone is woken, once a rank died or the world was
+	// cancelled.
+	failed atomic.Bool
 
 	mu        sync.Mutex
 	causes    map[int]error // rank -> what killed it
-	handlers  []func(rank int, cause error)
+	handlers  []*func(rank int)
 	reporters []func() string
 	cancelled error      // non-nil once the world has been cancelled
 	shm       []*shmColl // fast-path collective state, aborted on failure
@@ -30,16 +33,26 @@ func (w *World) initFailure() {
 	w.fail.causes = make(map[int]error)
 }
 
-// OnFailure registers a handler invoked when a rank dies (rank >= 0) or
+// OnFailure registers h to wake the waiters a layer keeps outside the
+// runtime's own queues (the HLS registry's barriers, RMA windows' epoch
+// channels and passive locks). h runs when a rank dies (rank >= 0) or
 // the world is cancelled (rank == -1, e.g. by the deadlock watchdog or
-// the Run timeout). Layers holding their own synchronization state (the
-// HLS registry's barriers, RMA windows' epoch channels and passive
-// locks) register here so their blocked tasks fail fast alongside the
-// message layer's. Register before Run; handlers must not block.
-func (w *World) OnFailure(h func(rank int, cause error)) {
+// the Run timeout), after the failure is recorded, so a woken waiter
+// asks FailureIn for its error and Task.Raise re-raises it. h must not
+// block. The returned func unregisters h, so a freed object stops being
+// reachable from the world.
+func (w *World) OnFailure(h func(rank int)) (remove func()) {
+	hp := &h
 	w.fail.mu.Lock()
-	w.fail.handlers = append(w.fail.handlers, h)
+	w.fail.handlers = append(w.fail.handlers, hp)
 	w.fail.mu.Unlock()
+	return func() {
+		w.fail.mu.Lock()
+		defer w.fail.mu.Unlock()
+		if i := slices.Index(w.fail.handlers, hp); i >= 0 {
+			w.fail.handlers = slices.Delete(w.fail.handlers, i, i+1)
+		}
+	}
 }
 
 // AddBlockReporter registers a callback whose output is appended to
@@ -81,7 +94,7 @@ func (w *World) FailureCause(r int) error {
 // Cancelled returns the cancellation cause, or nil while the world runs
 // normally. The nil path is a single atomic load.
 func (w *World) Cancelled() error {
-	if !w.fail.cancelFlag.Load() {
+	if !w.fail.failed.Load() {
 		return nil
 	}
 	w.fail.mu.Lock()
@@ -89,37 +102,119 @@ func (w *World) Cancelled() error {
 	return w.fail.cancelled
 }
 
-// rankFailed records the death of rank r and unblocks every operation
-// that can no longer complete:
+// FailureIn is the runtime's one failure rule. It returns the error an
+// operation among the world ranks for which member reports true (nil
+// member: every rank) must fail with, or nil while it can complete:
 //
-//   - posted receives (and probes) whose specific source is r complete
-//     with a DeadRankError;
+//   - a cancelled world reports a *CancelledError carrying the cancel
+//     cause, whatever else failed: a rank that exits after the cancel
+//     most likely exited because of it;
+//   - otherwise a *DeadRankError naming the lowest dead member that
+//     failed on its own, or, when every dead member died re-raising a
+//     peer's failure, the lowest dead member. A survivor that unwinds
+//     with the root's error never becomes a new root.
+//
+// The error carries Rank -1 and no Op; Task.Raise attributes it. A
+// healthy world answers with one atomic load.
+func (w *World) FailureIn(member func(worldRank int) bool) error {
+	if !w.fail.failed.Load() {
+		return nil
+	}
+	// member is the caller's code: it runs on a snapshot, not under mu.
+	w.fail.mu.Lock()
+	cancelled, causes := w.fail.cancelled, maps.Clone(w.fail.causes)
+	w.fail.mu.Unlock()
+	return failure(cancelled, causes, member)
+}
+
+// failureLocked is FailureIn for the runtime's own member funcs. Caller
+// holds w.fail.mu.
+func (w *World) failureLocked(member func(worldRank int) bool) error {
+	return failure(w.fail.cancelled, w.fail.causes, member)
+}
+
+// failure is FailureIn's rule over a cancel cause and the dead ranks'
+// causes.
+func failure(cancelled error, causes map[int]error, member func(worldRank int) bool) error {
+	if cancelled != nil {
+		return &CancelledError{Rank: -1, Cause: cancelled}
+	}
+	dead, root := -1, -1
+	for r, cause := range causes {
+		if member != nil && !member(r) {
+			continue
+		}
+		if dead < 0 || r < dead {
+			dead = r
+		}
+		if !reraised(cause) && (root < 0 || r < root) {
+			root = r
+		}
+	}
+	if root >= 0 {
+		dead = root
+	}
+	if dead < 0 {
+		return nil
+	}
+	return &DeadRankError{Rank: -1, Dead: dead}
+}
+
+// reraised reports whether a rank died of another rank's failure: it
+// re-raised the runtime's failure error instead of failing itself.
+func reraised(cause error) bool {
+	switch cause.(type) {
+	case *DeadRankError, *CancelledError:
+		return true
+	}
+	return false
+}
+
+// Raise panics with err attributed to this task and op, and returns at
+// once for a nil err. It is the one way the runtime re-raises a failure
+// — from FailureIn, a failed request or an aborted barrier — so every
+// rank reports its own error value, naming itself.
+func (t *Task) Raise(op string, err error) {
+	if err != nil {
+		panic(attribute(err, t.rank, op))
+	}
+}
+
+// attribute copies a failure error for world rank (-1 if unknown) and
+// op. Other errors pass through unchanged.
+func attribute(err error, rank int, op string) error {
+	switch e := err.(type) {
+	case *DeadRankError:
+		return &DeadRankError{Rank: rank, Op: op, Dead: e.Dead}
+	case *CancelledError:
+		return &CancelledError{Rank: rank, Op: op, Cause: e.Cause}
+	}
+	return err
+}
+
+// rankFailed records the death of rank r and unblocks every operation
+// that can no longer complete, each with the error FailureIn gives for
+// r (the cancel cause in a cancelled world):
+//
+//   - posted receives (and probes) whose specific source is r fail;
 //   - rendezvous senders whose message sits unmatched in r's queue have
 //     their requests failed, so their blocking Send unwinds;
 //   - registered failure handlers run, aborting HLS barriers whose
 //     instance contains r and poisoning RMA epochs towards r.
 //
-// In a cancelled world the receives and senders fail with a
-// CancelledError carrying the cancel cause instead: r most likely exited
-// because cancel reached it first, and a rank that cancel has not yet
-// reached must still report the root cause, not r's exit.
-//
 // It runs on the dying rank's goroutine, from Run's recover.
 func (w *World) rankFailed(r int, cause error) {
-	if w.fail.dead[r].Swap(true) {
+	w.fail.mu.Lock()
+	if w.fail.dead[r].Load() {
+		w.fail.mu.Unlock()
 		return // already recorded
 	}
-	w.fail.mu.Lock()
 	w.fail.causes[r] = cause
-	handlers := append([]func(rank int, cause error){}, w.fail.handlers...)
-	cancelled := w.fail.cancelled
+	w.fail.dead[r].Store(true)
+	w.fail.failed.Store(true)
+	err := w.failureLocked(func(x int) bool { return x == r })
+	handlers := slices.Clone(w.fail.handlers)
 	w.fail.mu.Unlock()
-	failed := func(rank int, op string) error {
-		if cancelled != nil {
-			return &CancelledError{Rank: rank, Op: op, Cause: cancelled}
-		}
-		return &DeadRankError{Rank: rank, Op: op, Dead: r}
-	}
 
 	// Fail the rendezvous senders parked on messages r will never match.
 	// The dead flag is already set, so sends racing with this scan either
@@ -129,7 +224,7 @@ func (w *World) rankFailed(r int, cause error) {
 	epDead.mu.Lock()
 	epDead.eachUnexpectedLocked(func(msg *message) {
 		if msg.rendezvous && msg.sreq != nil {
-			msg.sreq.fail(failed(-1, "Send"))
+			msg.sreq.fail(attribute(err, -1, "Send"))
 		}
 	})
 	epDead.mu.Unlock()
@@ -145,20 +240,20 @@ func (w *World) rankFailed(r int, cause error) {
 			if pr.worldSrc != r {
 				return nil
 			}
-			return failed(pr.recvRank, "Recv")
+			return attribute(err, pr.recvRank, "Recv")
 		})
 		ep.wakeAllLocked()
 		ep.mu.Unlock()
 	}
 
 	for _, h := range handlers {
-		h(r, cause)
+		(*h)(r)
 	}
 
 	// A distributed world also fails the wire transactions naming r and,
 	// when r died here, tells the other processes so they cascade too.
 	if w.net != nil {
-		w.net.onRankFailed(r, cause)
+		w.net.onRankFailed(r, err, cause)
 	}
 }
 
@@ -175,18 +270,19 @@ func (w *World) cancel(cause error) {
 		return
 	}
 	w.fail.cancelled = cause
-	handlers := append([]func(rank int, cause error){}, w.fail.handlers...)
+	w.fail.failed.Store(true)
+	err := w.failureLocked(nil)
+	handlers := slices.Clone(w.fail.handlers)
 	w.fail.mu.Unlock()
-	w.fail.cancelFlag.Store(true)
 
 	for _, ep := range w.eps {
 		ep.mu.Lock()
 		ep.failRecvsLocked(func(pr *postedRecv) error {
-			return &CancelledError{Rank: pr.recvRank, Op: "Recv", Cause: cause}
+			return attribute(err, pr.recvRank, "Recv")
 		})
 		ep.eachUnexpectedLocked(func(msg *message) {
 			if msg.rendezvous && msg.sreq != nil {
-				msg.sreq.fail(&CancelledError{Rank: -1, Op: "Send", Cause: cause})
+				msg.sreq.fail(attribute(err, -1, "Send"))
 			}
 		})
 		ep.wakeAllLocked()
@@ -194,11 +290,11 @@ func (w *World) cancel(cause error) {
 	}
 
 	for _, h := range handlers {
-		h(-1, cause)
+		(*h)(-1)
 	}
 
 	if w.net != nil {
-		w.net.failAll(cause)
+		w.net.failAll(err)
 	}
 }
 
@@ -212,34 +308,15 @@ func (w *World) Cancel(cause error) {
 	w.cancel(cause)
 }
 
-// checkReq panics with a typed, rank/op-attributed error if the request
-// failed. Called by every blocking wrapper after Wait returns.
-func (t *Task) checkReq(op string, r *Request) {
-	err := r.err
-	if err == nil {
-		return
-	}
-	switch e := err.(type) {
-	case *DeadRankError:
-		panic(&DeadRankError{Rank: t.rank, Op: op, Dead: e.Dead})
-	case *CancelledError:
-		panic(&CancelledError{Rank: t.rank, Op: op, Cause: e.Cause})
-	default:
-		panic(err)
-	}
-}
+// checkReq re-raises the request's failure, if any, attributed to this
+// rank and op. Called by every blocking wrapper after Wait returns.
+func (t *Task) checkReq(op string, r *Request) { t.Raise(op, r.err) }
 
-// checkPeer raises a CancelledError if the world has been cancelled, and
-// a DeadRankError if the peer world rank is already dead — the fail-fast
-// path for operations started after a failure.
+// checkPeer raises the world's failure for an operation with the peer
+// world rank (-1: none, so only a cancel counts) — the fail-fast path for
+// operations started after a failure.
 func (t *Task) checkPeer(op string, worldPeer int) {
-	w := t.world
-	if c := w.Cancelled(); c != nil {
-		panic(&CancelledError{Rank: t.rank, Op: op, Cause: c})
-	}
-	if worldPeer >= 0 && w.rankDead(worldPeer) {
-		panic(&DeadRankError{Rank: t.rank, Op: op, Dead: worldPeer})
-	}
+	t.Raise(op, t.world.FailureIn(func(r int) bool { return r == worldPeer }))
 }
 
 // taskStates snapshots every rank's blocking state for diagnostics.

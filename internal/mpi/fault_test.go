@@ -289,7 +289,7 @@ func TestRankExitAfterCancelReportsCause(t *testing.T) {
 		w.fail.mu.Lock()
 		w.fail.cancelled = cause
 		w.fail.mu.Unlock()
-		w.fail.cancelFlag.Store(true)
+		w.fail.failed.Store(true)
 		panic(&CancelledError{Rank: 0, Op: "Recv", Cause: cause})
 	})
 	if !errors.Is(err, cause) {

@@ -297,21 +297,14 @@ func irecvDT[T Scalar](t *Task, comm *Comm, ctx int64, buf []T, dt *Datatype, sr
 		w.deliverTo(msg, pr)
 		return req
 	}
-	// Under ep.mu the dead/cancelled flags are ordered against the
-	// failure layer's scan of this endpoint: either we observe the flag
-	// here and fail the request immediately, or the scan observes our
-	// posted receive and fails it. A cancelled world reports its cause
-	// even when the source is dead too (it may have died of the cancel).
-	if c := w.Cancelled(); c != nil {
+	// Under ep.mu the failure flags are ordered against the failure
+	// layer's scan of this endpoint: either we observe the failure here
+	// and fail the request immediately, or the scan observes our posted
+	// receive and fails it.
+	if err := w.FailureIn(func(r int) bool { return r == worldSrc }); err != nil {
 		ep.mu.Unlock()
 		putPostedRecv(pr)
-		req.fail(&CancelledError{Rank: t.rank, Op: op, Cause: c})
-		return req
-	}
-	if worldSrc >= 0 && w.rankDead(worldSrc) {
-		ep.mu.Unlock()
-		putPostedRecv(pr)
-		req.fail(&DeadRankError{Rank: t.rank, Op: op, Dead: worldSrc})
+		req.fail(attribute(err, t.rank, op))
 		return req
 	}
 	ep.postSeq++
@@ -362,12 +355,7 @@ func probe(t *Task, comm *Comm, src, tag int, block bool) (Status, bool) {
 		// The failure layer wakes blocked probes when a rank dies or the
 		// world is cancelled, so they re-check here and fail fast instead
 		// of waiting for a message that cannot come.
-		if worldSrc >= 0 && w.rankDead(worldSrc) {
-			panic(&DeadRankError{Rank: t.rank, Op: "Probe", Dead: worldSrc})
-		}
-		if c := w.Cancelled(); c != nil {
-			panic(&CancelledError{Rank: t.rank, Op: "Probe", Cause: c})
-		}
+		t.Raise("Probe", w.FailureIn(func(r int) bool { return r == worldSrc }))
 		if !block {
 			return Status{}, false
 		}

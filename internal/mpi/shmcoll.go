@@ -184,15 +184,7 @@ func newShmColl(w *World, c, parent *Comm) *shmColl {
 	sc.verifyFn = sc.verifyAndFold
 	w.fail.mu.Lock()
 	w.fail.shm = append(w.fail.shm, sc)
-	if w.fail.cancelled != nil {
-		sc.tree.Abort(&CancelledError{Rank: -1, Op: "collective", Cause: w.fail.cancelled})
-	}
-	for r := range w.fail.causes {
-		if sc.involves(r) {
-			sc.tree.Abort(&DeadRankError{Rank: -1, Op: "collective", Dead: r})
-			break
-		}
-	}
+	sc.tree.Abort(w.failureLocked(sc.involves)) // nil while healthy
 	w.fail.mu.Unlock()
 	return sc
 }
@@ -208,21 +200,15 @@ func (sc *shmColl) involves(r int) bool {
 }
 
 // abortShmColls is the failure handler registered by worlds running the
-// fast path: a dead rank aborts the tree of every communicator containing
-// it; cancellation (rank -1) aborts them all.
-func (w *World) abortShmColls(rank int, cause error) {
-	var err error
-	if rank >= 0 {
-		err = &DeadRankError{Rank: -1, Op: "collective", Dead: rank}
-	} else {
-		err = &CancelledError{Rank: -1, Op: "collective", Cause: cause}
-	}
+// fast path: a dead rank aborts the tree of every communicator it
+// involves, cancellation (rank -1) all of them, each with the world's
+// error for the communicator.
+func (w *World) abortShmColls(rank int) {
 	w.fail.mu.Lock()
-	colls := append([]*shmColl(nil), w.fail.shm...)
-	w.fail.mu.Unlock()
-	for _, sc := range colls {
+	defer w.fail.mu.Unlock()
+	for _, sc := range w.fail.shm {
 		if rank < 0 || sc.involves(rank) {
-			sc.tree.Abort(err)
+			sc.tree.Abort(w.failureLocked(sc.involves))
 		}
 	}
 }
@@ -290,36 +276,11 @@ func shmErr(op, format string, args ...any) *Error {
 	return &Error{Rank: -1, Op: op, Msg: fmt.Sprintf(format, args...)}
 }
 
-// await runs one tree barrier, translating an abort panic into a typed
-// error attributed to this rank and operation (the shape checkReq gives
-// channel-path failures).
+// await runs one tree barrier and re-raises an abort attributed to this
+// rank and operation (the shape checkReq gives channel-path failures).
 func (sc *shmColl) await(t *Task, op string, member int, body func()) {
-	err := sc.awaitErr(member, body)
-	if err == nil {
-		return
-	}
-	switch e := err.(type) {
-	case *DeadRankError:
-		panic(&DeadRankError{Rank: t.rank, Op: op, Dead: e.Dead})
-	case *CancelledError:
-		panic(&CancelledError{Rank: t.rank, Op: op, Cause: e.Cause})
-	default:
-		panic(err)
-	}
-}
-
-func (sc *shmColl) awaitErr(member int, body func()) (err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			e, ok := p.(error)
-			if !ok {
-				panic(p)
-			}
-			err = e
-		}
-	}()
-	sc.tree.Await(member, body)
-	return nil
+	_, err := sc.tree.Await(member, body)
+	t.Raise(op, err)
 }
 
 // check raises the leader's verification verdict on every member.

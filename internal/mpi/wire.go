@@ -737,10 +737,11 @@ func (n *netLayer) PeerDown(peer int, err error) {
 // failure/cancel integration ------------------------------------------
 
 // onRankFailed runs at the tail of rankFailed: it fails the wire
-// transactions that involve the dead rank, and — when the rank died in
-// this process — broadcasts a failure frame so the other nodes cascade
-// too. Failure frames for remotely-learned deaths are not rebroadcast.
-func (n *netLayer) onRankFailed(r int, cause error) {
+// transactions that involve the dead rank with err, the world's failure
+// for r, and — when the rank died in this process — broadcasts a failure
+// frame carrying cause so the other nodes cascade too. Failure frames for
+// remotely-learned deaths are not rebroadcast.
+func (n *netLayer) onRankFailed(r int, err, cause error) {
 	n.mu.Lock()
 	var failSends []*wirePendingSend
 	for xid, ps := range n.sends {
@@ -758,11 +759,11 @@ func (n *netLayer) onRankFailed(r int, cause error) {
 	}
 	n.mu.Unlock()
 	for _, ps := range failSends {
-		ps.msg.sreq.fail(&DeadRankError{Rank: ps.src, Op: "Send", Dead: r})
+		ps.msg.sreq.fail(attribute(err, ps.src, "Send"))
 		putMessage(ps.msg)
 	}
 	for _, wr := range failRecvs {
-		wr.pr.req.fail(&DeadRankError{Rank: wr.pr.recvRank, Op: "Recv", Dead: r})
+		wr.pr.req.fail(attribute(err, wr.pr.recvRank, "Recv"))
 		// pr is not recycled: a data frame already in flight may still be
 		// read into its buffer by the transport before the stream carries
 		// the failure news; leaking one pooled object is the safe choice.
@@ -780,9 +781,9 @@ func (n *netLayer) onRankFailed(r int, cause error) {
 	}
 }
 
-// failAll fails every parked wire transaction with a CancelledError —
-// the cancel path (timeout, explicit Cancel).
-func (n *netLayer) failAll(cause error) {
+// failAll fails every parked wire transaction with err, the world's
+// CancelledError — the cancel path (timeout, explicit Cancel).
+func (n *netLayer) failAll(err error) {
 	n.mu.Lock()
 	sends := n.sends
 	recvs := n.recvs
@@ -790,11 +791,11 @@ func (n *netLayer) failAll(cause error) {
 	n.recvs = make(map[uint64]*wirePendingRecv)
 	n.mu.Unlock()
 	for _, ps := range sends {
-		ps.msg.sreq.fail(&CancelledError{Rank: ps.src, Op: "Send", Cause: cause})
+		ps.msg.sreq.fail(attribute(err, ps.src, "Send"))
 		putMessage(ps.msg)
 	}
 	for _, wr := range recvs {
-		wr.pr.req.fail(&CancelledError{Rank: wr.pr.recvRank, Op: "Recv", Cause: cause})
+		wr.pr.req.fail(attribute(err, wr.pr.recvRank, "Recv"))
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -243,6 +244,51 @@ func TestWirePeerKillMidRendezvousFailsSender(t *testing.T) {
 	var rf *RankFailure
 	if !errors.As(err1, &rf) || rf.Rank != 2 {
 		t.Fatalf("world 1: want RankFailure{Rank: 2}, got %v", err1)
+	}
+}
+
+// TestRankExitAfterCancelReportsCauseOverWire is
+// TestRankExitAfterCancelReportsCause for a receive parked in the wire
+// transaction table: world 0 is cancelled only as far as recording the
+// cause, then the remote source exits. The exit reaches world 0 as a
+// failure frame and fails the transaction, which must report the cancel
+// cause, not the exit.
+func TestRankExitAfterCancelReportsCauseOverWire(t *testing.T) {
+	cause := errors.New("test cancel")
+	exit := make(chan struct{})
+	w0, _, err0, _ := runWirePair(t, 1, func(tk *Task) error {
+		if tk.Rank() == 1 {
+			<-exit
+			panic("exits after the cancel")
+		}
+		w := tk.world
+		go func() {
+			for w.taskStates()[0].BlockedOn == "" {
+				time.Sleep(time.Millisecond)
+			}
+			// Rank 1's RTS, matched by the posted receive: the
+			// transaction parks waiting for data that never comes (world
+			// 1 knows no such send, so it ignores the CTS).
+			w.net.onRTS(1, &wire.Frame{Header: wire.Header{
+				Type: wire.TypeRTS, Kind: uint8(reflect.Int64), Xid: 2<<48 | 1,
+				Ctx: w.world.ctxUser, SrcComm: 1, SrcWorld: 1, DstWorld: 0, Elems: 8,
+			}})
+			// cancel's first half: the cause is recorded, nothing swept.
+			w.fail.mu.Lock()
+			w.fail.cancelled = cause
+			w.fail.mu.Unlock()
+			w.fail.failed.Store(true)
+			close(exit)
+		}()
+		Recv(tk, nil, make([]int64, 8), 1, 0)
+		return errors.New("receive from an exited rank completed")
+	})
+	if !errors.Is(err0, cause) {
+		t.Fatalf("world 0 error = %v, want the cancel cause", err0)
+	}
+	var ce *CancelledError
+	if re := w0.RankErrors()[0]; !errors.As(re, &ce) || ce.Rank != 0 || !errors.Is(re, cause) {
+		t.Fatalf("rank 0 error = %v, want *CancelledError{Rank: 0} with the cancel cause", re)
 	}
 }
 

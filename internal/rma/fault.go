@@ -7,11 +7,9 @@ import (
 )
 
 // This file is the RMA side of the fault-tolerance layer. A window
-// registers one handler with the world's failure layer; when a member
-// rank dies (or the world is cancelled) the handler
+// registers one wake handler with the world's failure layer; when a
+// member rank dies (or the world is cancelled) the handler
 //
-//   - marks the window failed, so every subsequent synchronization call
-//     fails fast with a typed error instead of deadlocking,
 //   - poisons the PSCW token channels of the dead rank, unblocking
 //     origins stuck in Start (target died before Post) and targets stuck
 //     in Wait (origin died before Complete), and
@@ -19,41 +17,26 @@ import (
 //     survivors blocked in Lock acquire, observe the failure, and unwind
 //     with a typed error.
 //
-// Fence needs no handling of its own: it rides on mpi.Barrier, which the
-// mpi failure layer already fails fast.
+// The window keeps no failure state: every synchronization call, and
+// every waiter the handler wakes, asks the world (checkFailed) and
+// raises the world's error for the window's members. Fence needs no
+// handling of its own: it rides on mpi.Barrier, which the mpi failure
+// layer already fails fast.
 
 // failToken is the poison value injected into PSCW channels when a rank
-// dies; Start and Wait convert it into a panic with err.
-type failToken struct{ err error }
+// dies; Start and Wait raise the world's failure on receiving it.
+type failToken struct{}
 
-// failHandler runs on the world's failure path (from the dying rank's
+// wake runs on the world's failure path (from the dying rank's
 // goroutine, after its stack unwound). rank is a world rank, or -1 for
 // world cancellation.
-func (w *Window[T]) failHandler(rank int, cause error) {
+func (w *Window[T]) wake(rank int) {
 	d := -1 // dead comm rank, if a member
 	if rank >= 0 {
-		for r := 0; r < w.comm.Size(); r++ {
-			if w.comm.WorldRank(r) == rank {
-				d = r
-				break
-			}
-		}
-		if d < 0 {
+		if d = w.commRank(rank); d < 0 {
 			return // not a member of this window's communicator
 		}
 	}
-
-	var err error
-	if rank >= 0 {
-		err = &mpi.DeadRankError{Rank: -1, Op: "rma window " + w.name, Dead: rank}
-	} else {
-		err = &mpi.CancelledError{Rank: -1, Op: "rma window " + w.name, Cause: cause}
-	}
-	w.failMu.Lock()
-	if w.failErr == nil {
-		w.failErr = err
-	}
-	w.failMu.Unlock()
 
 	// Poison the dead rank's PSCW channels (all of them on cancellation).
 	// Capacity-1 channels: a non-blocking send either lands the token or
@@ -63,11 +46,11 @@ func (w *Window[T]) failHandler(rank int, cause error) {
 	poison := func(r int) {
 		for x := 0; x < w.comm.Size(); x++ {
 			select {
-			case w.st[r].post[x] <- failToken{err}:
+			case w.st[r].post[x] <- failToken{}:
 			default:
 			}
 			select {
-			case w.st[x].done[r] <- failToken{err}:
+			case w.st[x].done[r] <- failToken{}:
 			default:
 			}
 		}
@@ -96,28 +79,25 @@ func (w *Window[T]) failHandler(rank int, cause error) {
 	}
 }
 
-// checkFailed panics with a typed error attributed to t when the window
-// has a dead member or the world was cancelled.
-func (w *Window[T]) checkFailed(t *mpi.Task, op string) {
-	w.failMu.Lock()
-	err := w.failErr
-	w.failMu.Unlock()
-	if err == nil {
-		return
+// commRank returns world rank wr's rank in the window's communicator, or
+// -1 for a non-member.
+func (w *Window[T]) commRank(wr int) int {
+	for r := 0; r < w.comm.Size(); r++ {
+		if w.comm.WorldRank(r) == wr {
+			return r
+		}
 	}
-	w.failPanic(t, op, err)
+	return -1
 }
 
-// failPanic re-raises a window failure with the caller's rank and
-// operation.
-func (w *Window[T]) failPanic(t *mpi.Task, op string, err error) {
-	switch e := err.(type) {
-	case *mpi.DeadRankError:
-		panic(&mpi.DeadRankError{Rank: t.Rank(), Op: "rma." + op, Dead: e.Dead})
-	case *mpi.CancelledError:
-		panic(&mpi.CancelledError{Rank: t.Rank(), Op: "rma." + op, Cause: e.Cause})
-	default:
-		panic(&mpi.CancelledError{Rank: t.Rank(), Op: "rma." + op, Cause: err})
+// member reports whether world rank wr belongs to the window.
+func (w *Window[T]) member(wr int) bool { return w.commRank(wr) >= 0 }
+
+// checkFailed raises the world's failure for the window's members, if
+// any, as op on t.
+func (w *Window[T]) checkFailed(t *mpi.Task, op string) {
+	if err := w.world.FailureIn(w.member); err != nil {
+		t.Raise("rma."+op, err)
 	}
 }
 

@@ -59,16 +59,13 @@ func (w *Window[T]) Lock(t *mpi.Task, typ LockType, target int) {
 	// A failure while we were blocked may be the very thing that released
 	// the lock (the failure handler frees a dead holder's locks): give it
 	// back and unwind typed instead of entering a poisoned epoch.
-	w.failMu.Lock()
-	ferr := w.failErr
-	w.failMu.Unlock()
-	if ferr != nil {
+	if err := w.world.FailureIn(w.member); err != nil {
 		if typ == LockExclusive {
 			w.st[target].lock.Unlock()
 		} else {
 			w.st[target].lock.RUnlock()
 		}
-		w.failPanic(t, "Lock", ferr)
+		t.Raise("rma.Lock", err)
 	}
 	if o := w.cfg.observer; o != nil {
 		o.Depart(w.lockKey(target), t.Rank())

@@ -2,6 +2,7 @@ package rma
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -440,4 +441,38 @@ func TestTwoWindowsSameComm(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestFreedWindowsAreNotRetained: a world allocates, fences and frees
+// fifty windows of 256 KiB per rank. Once freed, nothing the world keeps
+// (its failure handlers included) may hold their segments.
+func TestFreedWindowsAreNotRetained(t *testing.T) {
+	const n, windows, elems = 4, 50, 256 << 10 / 8
+	w := testWorld(t, n)
+	before := liveHeap()
+	if err := w.Run(func(task *mpi.Task) error {
+		for i := 0; i < windows; i++ {
+			win := WinAllocate[float64](task, nil, elems)
+			win.Fence(task)
+			win.Fence(task)
+			win.Free(task)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	retained := liveHeap() - before
+	runtime.KeepAlive(w)
+	if retained > 1<<20 {
+		t.Fatalf("%d freed windows leave %.1f MiB live, want <= 1 MiB", windows, float64(retained)/(1<<20))
+	}
+}
+
+// liveHeap returns the bytes of live heap objects after two collections.
+func liveHeap() int64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
 }

@@ -88,8 +88,8 @@ func (w *Window[T]) Start(t *mpi.Task, targets ...int) {
 		t.BlockOn("rma.Start")
 		meta := <-w.st[g].post[me]
 		t.Unblock()
-		if ft, ok := meta.(failToken); ok {
-			w.failPanic(t, "Start", ft.err)
+		if _, ok := meta.(failToken); ok {
+			w.checkFailed(t, "Start")
 		}
 		if hooks != nil {
 			hooks.OnDeliver(t.Rank(), meta)
@@ -142,8 +142,8 @@ func (w *Window[T]) Wait(t *mpi.Task) {
 		t.BlockOn("rma.Wait")
 		meta := <-w.st[me].done[o]
 		t.Unblock()
-		if ft, ok := meta.(failToken); ok {
-			w.failPanic(t, "Wait", ft.err)
+		if _, ok := meta.(failToken); ok {
+			w.checkFailed(t, "Wait")
 		}
 		if hooks != nil {
 			hooks.OnDeliver(t.Rank(), meta)

@@ -29,10 +29,9 @@ type Window[T mpi.Scalar] struct {
 	free    sync.Once
 	persist *persistState // non-nil when created with WithPersist
 
-	// failMu guards failErr, the first member failure (or cancellation)
-	// observed by the window's failure handler; see fault.go.
-	failMu  sync.Mutex
-	failErr error
+	// unwake unregisters the window's failure handler (fault.go), so a
+	// freed window is not kept reachable by its world.
+	unwake func()
 }
 
 // targetState is the synchronization state other tasks address when this
@@ -161,6 +160,7 @@ func (w *Window[T]) Free(t *mpi.Task) {
 			}
 		}
 		forgetWindow(w.world, w.comm.ID())
+		w.unwake()
 	})
 	if persistErr != nil {
 		raise(t.Rank(), "Free", "persist window %q: %v", w.name, persistErr)
@@ -262,7 +262,7 @@ func buildWindow[T mpi.Scalar](world *mpi.World, wc *mpi.Comm, rank int, op stri
 	// Fail fast instead of deadlocking when a member rank dies: the
 	// handler poisons PSCW channels and releases the dead rank's held
 	// locks (fault.go).
-	world.OnFailure(win.failHandler)
+	win.unwake = world.OnFailure(win.wake)
 	return win
 }
 

@@ -5,11 +5,11 @@
 // nests barriers along the machine's cache hierarchy so synchronization
 // traffic stays inside the smallest shared cache.
 //
-// All primitives share the abort/poison protocol of the HLS runtime's
-// failure model: Abort wakes every waiter (and fails every later
-// arriver) with a typed error delivered by panic, and a completed
-// generation wins over a concurrent abort — the barrier's work was done
-// before the failure reached it.
+// All primitives share one abort/poison protocol: Abort wakes every
+// waiter (and fails every later arriver), whose Await returns the abort
+// error, and a completed generation wins over a concurrent abort — the
+// barrier's work was done before the failure reached it. Nothing here
+// panics on abort; the caller decides how to raise the error.
 package spin
 
 import (
@@ -64,17 +64,17 @@ func (b *Barrier) Size() int { return int(b.size) }
 // runs body (if non-nil) before anyone is released — the single
 // directive's "the last MPI task entering the barrier executes the code
 // block before releasing the others" — and Await reports whether this
-// caller was that executor. An aborted barrier panics with the typed
-// abort error instead of blocking forever.
-func (b *Barrier) Await(body func()) bool {
-	if !b.Arrive() {
-		return false
+// caller was that executor. On an aborted barrier Await returns the
+// abort error instead of blocking forever (and runs no body).
+func (b *Barrier) Await(body func()) (bool, error) {
+	if last, err := b.Arrive(); !last {
+		return false, err
 	}
 	if body != nil {
 		body()
 	}
 	b.Release()
-	return true
+	return true, nil
 }
 
 // Arrive is the split half of Await used by Tree: the last arriver
@@ -83,10 +83,10 @@ func (b *Barrier) Await(body func()) bool {
 // until that task calls Release and then returns false. Between an
 // Arrive that returned true and the matching Release the barrier is
 // quiescent: all other participants are blocked in Arrive and none can
-// start the next generation.
-func (b *Barrier) Arrive() bool {
+// start the next generation. An aborted barrier returns the abort error.
+func (b *Barrier) Arrive() (bool, error) {
 	if b.aborted.Load() {
-		b.panicAborted()
+		return false, b.AbortErr()
 	}
 	g := b.gen.Load()
 	if b.arrived.Add(1) == b.size {
@@ -94,10 +94,9 @@ func (b *Barrier) Arrive() bool {
 		// observe the generation flip in wait, so the counter is never
 		// concurrently incremented here.
 		b.arrived.Store(0)
-		return true
+		return true, nil
 	}
-	b.wait(g)
-	return false
+	return false, b.wait(g)
 }
 
 // Release completes the generation the caller's true-returning Arrive
@@ -117,9 +116,9 @@ func (b *Barrier) Release() {
 }
 
 // wait sleeps under the condvar until generation g completes or the
-// barrier is aborted. A completed generation wins over a concurrent
-// abort.
-func (b *Barrier) wait(g uint32) {
+// barrier is aborted, and returns the abort error in the latter case. A
+// completed generation wins over a concurrent abort.
+func (b *Barrier) wait(g uint32) error {
 	b.mu.Lock()
 	b.parked.Add(1)
 	for b.gen.Load() == g && b.abortErr == nil {
@@ -129,13 +128,14 @@ func (b *Barrier) wait(g uint32) {
 	err := b.abortErr
 	released := b.gen.Load() != g
 	b.mu.Unlock()
-	if !released && err != nil {
-		panic(err)
+	if released {
+		return nil
 	}
+	return err
 }
 
-// Abort poisons the barrier: current waiters wake and panic with err,
-// and every later arriver panics immediately. Aborting an already
+// Abort poisons the barrier: current waiters wake with err, and every
+// later arrival returns err at once. Aborting an already
 // aborted barrier keeps the first error. A nil err is ignored.
 func (b *Barrier) Abort(err error) {
 	if err == nil {
@@ -156,15 +156,6 @@ func (b *Barrier) AbortErr() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.abortErr
-}
-
-func (b *Barrier) panicAborted() {
-	b.mu.Lock()
-	err := b.abortErr
-	b.mu.Unlock()
-	if err != nil {
-		panic(err)
-	}
 }
 
 // MutexBarrier is the flat mutex+condvar barrier the spin barrier
@@ -199,32 +190,31 @@ func (b *MutexBarrier) Size() int { return b.size }
 
 // Await blocks until all participants have arrived; the last arriver
 // runs body before anyone is released and Await reports whether this
-// caller executed it. Panics with the abort error on a poisoned
-// barrier.
-func (b *MutexBarrier) Await(body func()) bool {
-	if !b.Arrive() {
-		return false
+// caller executed it. Returns the abort error on a poisoned barrier.
+func (b *MutexBarrier) Await(body func()) (bool, error) {
+	if last, err := b.Arrive(); !last {
+		return false, err
 	}
 	if body != nil {
 		body()
 	}
 	b.Release()
-	return true
+	return true, nil
 }
 
 // Arrive/Release split, with the same contract as Barrier's.
-func (b *MutexBarrier) Arrive() bool {
+func (b *MutexBarrier) Arrive() (bool, error) {
 	b.mu.Lock()
 	if err := b.abortErr; err != nil {
 		b.mu.Unlock()
-		panic(err)
+		return false, err
 	}
 	myGen := b.gen
 	b.count++
 	if b.count == b.size {
 		b.count = 0
 		b.mu.Unlock()
-		return true
+		return true, nil
 	}
 	cond := b.conds[myGen&1]
 	for b.gen == myGen && b.abortErr == nil {
@@ -233,10 +223,10 @@ func (b *MutexBarrier) Arrive() bool {
 	err := b.abortErr
 	released := b.gen != myGen
 	b.mu.Unlock()
-	if !released && err != nil {
-		panic(err)
+	if released {
+		return false, nil
 	}
-	return false
+	return false, err
 }
 
 // Release completes the generation opened by a true-returning Arrive.

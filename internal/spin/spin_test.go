@@ -10,8 +10,7 @@ import (
 	"time"
 )
 
-// run spawns n goroutines executing fn(member) and waits for them,
-// funneling panics into errors.
+// run spawns n goroutines executing fn(member) and waits for them.
 func run(n int, fn func(int) error) []error {
 	errs := make([]error, n)
 	var wg sync.WaitGroup
@@ -19,15 +18,6 @@ func run(n int, fn func(int) error) []error {
 	for i := 0; i < n; i++ {
 		go func(i int) {
 			defer wg.Done()
-			defer func() {
-				if p := recover(); p != nil {
-					if e, ok := p.(error); ok {
-						errs[i] = e
-					} else {
-						errs[i] = fmt.Errorf("panic: %v", p)
-					}
-				}
-			}()
 			errs[i] = fn(i)
 		}(i)
 	}
@@ -70,7 +60,7 @@ func TestBarrierSingleExecutor(t *testing.T) {
 	var execs atomic.Int64
 	errs := run(n, func(int) error {
 		for r := 0; r < rounds; r++ {
-			if b.Await(func() {}) {
+			if last, _ := b.Await(func() {}); last {
 				execs.Add(1)
 			}
 		}
@@ -115,7 +105,9 @@ func TestBarrierAbortWakesWaiters(t *testing.T) {
 			b.Abort(poison)
 			return nil
 		}
-		b.Await(nil) // can never complete: member 2 aborts instead
+		if _, err := b.Await(nil); err != nil { // member 2 aborts instead
+			return err
+		}
 		return errors.New("released from an aborted barrier")
 	})
 	for i := 0; i < 2; i++ {
@@ -123,8 +115,8 @@ func TestBarrierAbortWakesWaiters(t *testing.T) {
 			t.Errorf("member %d: %v, want poison", i, errs[i])
 		}
 	}
-	// Later arrivals panic immediately.
-	err := run(1, func(int) error { b.Await(nil); return nil })[0]
+	// Later arrivals fail immediately.
+	_, err := b.Await(nil)
 	if !errors.Is(err, poison) {
 		t.Errorf("post-abort arrival: %v, want poison", err)
 	}
@@ -149,7 +141,7 @@ func TestMutexBarrierMatchesSemantics(t *testing.T) {
 	var execs, phase atomic.Int64
 	errs := run(n, func(int) error {
 		for r := 0; r < rounds; r++ {
-			if b.Await(func() { phase.Add(1) }) {
+			if last, _ := b.Await(func() { phase.Add(1) }); last {
 				execs.Add(1)
 			}
 			if got := phase.Load(); got < int64(r+1) {
@@ -177,7 +169,9 @@ func TestMutexBarrierAbort(t *testing.T) {
 			b.Abort(poison)
 			return nil
 		}
-		b.Await(nil)
+		if _, err := b.Await(nil); err != nil {
+			return err
+		}
 		return errors.New("released from an aborted barrier")
 	})
 	if !errors.Is(errs[0], poison) {
@@ -270,7 +264,7 @@ func TestTreeBarrierCorrectness(t *testing.T) {
 			var execs atomic.Int64
 			errs := run(n, func(m int) error {
 				for r := 0; r < rounds; r++ {
-					if tr.Await(m, func() { phase.Add(1) }) {
+					if last, _ := tr.Await(m, func() { phase.Add(1) }); last {
 						execs.Add(1)
 					}
 					if got := phase.Load(); got < int64(r+1) {
@@ -305,7 +299,9 @@ func TestTreeAbortReachesEveryLevel(t *testing.T) {
 		tr.Abort(poison)
 	}()
 	errs := run(8, func(m int) error {
-		tr.Await(m, nil)
+		if _, err := tr.Await(m, nil); err != nil {
+			return err
+		}
 		return errors.New("released from an aborted tree")
 	})
 	for m, err := range errs {

@@ -103,13 +103,18 @@ func (t *Tree) Depth() int { return len(t.levels) }
 // Await synchronizes member (0-based) with every other member. The
 // dynamically elected leader — the globally last arriver — runs body
 // (if non-nil) after everyone arrived and before anyone is released;
-// Await reports whether this member executed it. An aborted tree panics
-// with the typed abort error.
-func (t *Tree) Await(member int, body func()) bool {
+// Await reports whether this member executed it. On an aborted tree
+// Await returns the abort error; the levels this member won stay
+// unreleased, since Abort poisons every level and wakes their waiters.
+func (t *Tree) Await(member int, body func()) (bool, error) {
 	p := t.paths[member]
 	climbed := 0
 	for ; climbed < len(t.levels); climbed++ {
-		if !t.levels[climbed][p[climbed]].Arrive() {
+		last, err := t.levels[climbed][p[climbed]].Arrive()
+		if err != nil {
+			return false, err
+		}
+		if !last {
 			// A later arriver of this group represented us upward and,
 			// on its way back down, released this level — but we still
 			// lead every level we won below it and must release those.
@@ -118,12 +123,15 @@ func (t *Tree) Await(member int, body func()) bool {
 	}
 	executed := false
 	if climbed == len(t.levels) {
-		executed = t.top.Await(body)
+		var err error
+		if executed, err = t.top.Await(body); err != nil {
+			return false, err
+		}
 	}
 	for l := climbed - 1; l >= 0; l-- {
 		t.levels[l][p[l]].Release()
 	}
-	return executed
+	return executed, nil
 }
 
 // Abort poisons every barrier of the tree (see Barrier.Abort).

@@ -268,7 +268,11 @@ func TestDecodeBatchAllocs(t *testing.T) {
 // connection promptly (the fake peer reads EOF) instead of hanging or
 // desynchronizing its frame stream.
 func TestCorruptBatchSeversConnection(t *testing.T) {
-	tr0, _, _ := newLoneTCP(t, Config{WorldKey: 7})
+	// One redial, to a node that no longer listens: the sever is followed
+	// by the peer going down, and the down error must still carry the
+	// sever's cause.
+	tr0, sink, ln1 := newLoneTCP(t, Config{WorldKey: 7, ReconnectMax: 1, ReconnectBackoff: time.Millisecond})
+	ln1.Close()
 	conn, err := net.Dial("tcp", tr0.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -296,5 +300,14 @@ func TestCorruptBatchSeversConnection(t *testing.T) {
 		t.Fatal("connection survived a corrupt batch")
 	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
 		t.Fatal("transport hung on a corrupt batch instead of severing")
+	}
+	select {
+	case down := <-sink.downCh:
+		var be *BatchError
+		if !errors.As(down, &be) {
+			t.Fatalf("PeerDown error %v does not carry the sever's *BatchError", down)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("peer not declared down after its one redial failed")
 	}
 }

@@ -33,8 +33,10 @@ func (p *tcpPeer) closeConnLocked() {
 }
 
 // severLocked tears the current connection down (keeping the unacked
-// ring for retransmission) and triggers a reconnect.
+// ring for retransmission) and triggers a reconnect. err is kept as the
+// sever cause: if the redials run out, markDown reports it.
 func (p *tcpPeer) severLocked(err error) {
+	p.severCause = err
 	p.clearBatchLocked()
 	p.closeConnLocked()
 	if !p.tr.closed.Load() {
@@ -54,13 +56,16 @@ func (p *tcpPeer) sever(c net.Conn, err error) {
 	p.severLocked(err)
 }
 
-// markDown declares the peer permanently unreachable.
+// markDown declares the peer permanently unreachable. The reported
+// error joins the last sever cause (what tore the connection down) and
+// err (why it could not be restored).
 func (p *tcpPeer) markDown(err error) {
 	p.sendMu.Lock()
 	if p.down {
 		p.sendMu.Unlock()
 		return
 	}
+	err = errors.Join(p.severCause, err)
 	p.down, p.downErr, p.dialing = true, err, false
 	p.clearBatchLocked()
 	p.stopAck()

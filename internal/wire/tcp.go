@@ -158,6 +158,8 @@ type tcpPeer struct {
 	dialing bool
 	down    bool
 	downErr error
+	// severCause is the error of the last sever, kept for markDown.
+	severCause error
 	// hadConn: a connection was installed before, so a redial backs
 	// off first. handshook: the last installed connection received the
 	// peer's Hello, so writes may use it while it is current, and
