@@ -20,14 +20,16 @@ import (
 // the tree to a single flat spin barrier; WithMutexBarriers swaps in the
 // pre-tree mutex+condvar baseline for ablation.
 //
-// The node also caches the directive's observer keys and pre-boxed
-// BlockOn values: directives are the hot path, and rebuilding
+// The node also caches the directive's observer keys, pre-boxed Block
+// labels and its waker: directives are the hot path, and rebuilding
 // "hls barrier/node:0/0" (or re-boxing it into the endpoint's
-// atomic.Value) on every call is a per-directive allocation.
+// atomic.Value, or binding a method value) on every call is a
+// per-directive allocation.
 type barrierNode struct {
 	tree *spin.Tree         // default and WithFlatBarriers (empty paths)
 	mtx  *spin.MutexBarrier // WithMutexBarriers ablation baseline
 	slot map[int]int        // world rank -> tree member index
+	wake func(rank int)     // failure wake-up (Registry.waker)
 
 	obsBarrier, obsSingle              string
 	blkBarrier, blkSingle, blkDegraded any // pre-boxed "hls <key>" strings
@@ -35,15 +37,16 @@ type barrierNode struct {
 
 // await synchronizes task t with its instance siblings; body (may be
 // nil) is executed by exactly one task, after everyone arrived and before
-// anyone leaves. Reports whether this task executed body. An aborted
-// barrier raises its error as op on t.
+// anyone leaves. Reports whether this task executed body. A failure in
+// the instance, seen on arrival or through an abort, raises as op on t.
 func (bn *barrierNode) await(t *mpi.Task, op string, blk any, body func()) bool {
-	t.BlockOnBoxed(blk)
-	var last bool
-	var err error
-	if bn.mtx != nil {
+	t.Block(blk, bn.wake)
+	last, err := false, t.World().FailureIn(bn.has)
+	switch {
+	case err != nil:
+	case bn.mtx != nil:
 		last, err = bn.mtx.Await(body)
-	} else {
+	default:
 		last, err = bn.tree.Await(bn.slot[t.Rank()], body)
 	}
 	t.Unblock()
@@ -55,15 +58,6 @@ func (bn *barrierNode) await(t *mpi.Task, op string, blk any, body func()) bool 
 func (bn *barrierNode) has(wr int) bool {
 	_, ok := bn.slot[wr]
 	return ok
-}
-
-// abort poisons every level of the barrier.
-func (bn *barrierNode) abort(err error) {
-	if bn.mtx != nil {
-		bn.mtx.Abort(err)
-		return
-	}
-	bn.tree.Abort(err)
 }
 
 // depth returns the number of grouping levels below the top barrier
@@ -120,9 +114,7 @@ func (r *Registry) buildBarrier(s topology.Scope, key scopeKey) *barrierNode {
 	bn.blkBarrier = "hls " + bn.obsBarrier
 	bn.blkSingle = "hls " + bn.obsSingle
 	bn.blkDegraded = "hls " + bn.obsSingle + " (degraded)"
-	// Barriers built after a failure are born aborted: a participant is
-	// already dead (or the world cancelled), so nobody may wait on them.
-	bn.abort(r.world.FailureIn(bn.has)) // nil while healthy
+	bn.wake = r.waker(bn)
 	return bn
 }
 

@@ -116,17 +116,20 @@ func (r *Registry) checkSequenceLocked(rank int, key scopeKey, kind string) {
 	}
 }
 
-// wake is registered with the world's failure layer: when a rank dies,
-// every barrier whose instance contains it is aborted so the sibling
-// tasks blocked there unwind, each raising the world's error for the
-// instance; on world cancellation (rank == -1) every barrier is aborted.
-// Barriers built after the failure are born aborted (buildBarrier).
-func (r *Registry) wake(rank int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, bn := range r.barriers {
-		if rank < 0 || bn.has(rank) {
-			bn.abort(r.world.FailureIn(bn.has))
+// waker returns bn's failure wake-up, which a task publishes with
+// mpi.Task.Block while it waits on bn: when a rank of bn's instance dies,
+// or the world is cancelled (rank -1), it aborts every level of bn, so
+// the siblings blocked there unwind, each raising the world's error for
+// the instance. A task arriving later sees the failure in await.
+func (r *Registry) waker(bn *barrierNode) func(rank int) {
+	return func(rank int) {
+		if rank >= 0 && !bn.has(rank) {
+			return
+		}
+		if err := r.world.FailureIn(bn.has); bn.mtx != nil {
+			bn.mtx.Abort(err)
+		} else {
+			bn.tree.Abort(err)
 		}
 	}
 }

@@ -173,9 +173,7 @@ func New(w *mpi.World, opts ...Option) *Registry {
 	for _, o := range opts {
 		o(r)
 	}
-	// Wire into the world's failure layer: abort our barriers when a rank
-	// dies and contribute directive counters to deadlock diagnostics.
-	w.OnFailure(r.wake)
+	// Contribute directive counters to deadlock diagnostics.
 	w.AddBlockReporter(r.directiveReport)
 	return r
 }

@@ -266,6 +266,10 @@ type endpoint struct {
 	blockPeer  atomic.Int64
 	blockTag   atomic.Int64
 
+	// waker holds the func(rank int) a task in a Block bracket published
+	// for the failure path (World.wake); empty or nil outside a bracket.
+	waker atomic.Value
+
 	// progress counts blocking-state transitions; the deadlock watchdog
 	// samples the world-wide sum to distinguish a stall from slow
 	// progress.

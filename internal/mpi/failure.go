@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"maps"
-	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -21,38 +20,14 @@ type failureState struct {
 
 	mu        sync.Mutex
 	causes    map[int]error // rank -> what killed it
-	handlers  []*func(rank int)
 	reporters []func() string
-	cancelled error      // non-nil once the world has been cancelled
-	shm       []*shmColl // fast-path collective state, aborted on failure
+	cancelled error // non-nil once the world has been cancelled
 }
 
 func (w *World) initFailure() {
 	w.fail.dead = make([]atomic.Bool, w.cfg.NumTasks)
 	w.fail.finished = make([]atomic.Bool, w.cfg.NumTasks)
 	w.fail.causes = make(map[int]error)
-}
-
-// OnFailure registers h to wake the waiters a layer keeps outside the
-// runtime's own queues (the HLS registry's barriers, RMA windows' epoch
-// channels and passive locks). h runs when a rank dies (rank >= 0) or
-// the world is cancelled (rank == -1, e.g. by the deadlock watchdog or
-// the Run timeout), after the failure is recorded, so a woken waiter
-// asks FailureIn for its error and Task.Raise re-raises it. h must not
-// block. The returned func unregisters h, so a freed object stops being
-// reachable from the world.
-func (w *World) OnFailure(h func(rank int)) (remove func()) {
-	hp := &h
-	w.fail.mu.Lock()
-	w.fail.handlers = append(w.fail.handlers, hp)
-	w.fail.mu.Unlock()
-	return func() {
-		w.fail.mu.Lock()
-		defer w.fail.mu.Unlock()
-		if i := slices.Index(w.fail.handlers, hp); i >= 0 {
-			w.fail.handlers = slices.Delete(w.fail.handlers, i, i+1)
-		}
-	}
 }
 
 // AddBlockReporter registers a callback whose output is appended to
@@ -164,11 +139,16 @@ func failure(cancelled error, causes map[int]error, member func(worldRank int) b
 // re-raised the runtime's failure error instead of failing itself.
 func reraised(cause error) bool {
 	switch cause.(type) {
-	case *DeadRankError, *CancelledError:
+	case *DeadRankError, *CancelledError, remoteReraise:
 		return true
 	}
 	return false
 }
+
+// remoteReraise is the cause recorded for a rank of another process that
+// died re-raising a peer's failure: its failure frame says so and
+// carries the text of its error.
+type remoteReraise struct{ error }
 
 // Raise panics with err attributed to this task and op, and returns at
 // once for a nil err. It is the one way the runtime re-raises a failure
@@ -199,8 +179,7 @@ func attribute(err error, rank int, op string) error {
 //   - posted receives (and probes) whose specific source is r fail;
 //   - rendezvous senders whose message sits unmatched in r's queue have
 //     their requests failed, so their blocking Send unwinds;
-//   - registered failure handlers run, aborting HLS barriers whose
-//     instance contains r and poisoning RMA epochs towards r.
+//   - the wakers blocked tasks published (see wake) run with r.
 //
 // It runs on the dying rank's goroutine, from Run's recover.
 func (w *World) rankFailed(r int, cause error) {
@@ -213,7 +192,6 @@ func (w *World) rankFailed(r int, cause error) {
 	w.fail.dead[r].Store(true)
 	w.fail.failed.Store(true)
 	err := w.failureLocked(func(x int) bool { return x == r })
-	handlers := slices.Clone(w.fail.handlers)
 	w.fail.mu.Unlock()
 
 	// Fail the rendezvous senders parked on messages r will never match.
@@ -246,9 +224,7 @@ func (w *World) rankFailed(r int, cause error) {
 		ep.mu.Unlock()
 	}
 
-	for _, h := range handlers {
-		(*h)(r)
-	}
+	w.wake(r)
 
 	// A distributed world also fails the wire transactions naming r and,
 	// when r died here, tells the other processes so they cascade too.
@@ -258,11 +234,12 @@ func (w *World) rankFailed(r int, cause error) {
 }
 
 // cancel abandons the world: every pending receive and rendezvous send
-// fails with a CancelledError wrapping cause, probes wake, and failure
-// handlers run with rank -1 so higher layers (HLS barriers, RMA epochs)
-// release their own waiters. Tasks blocked in runtime operations unwind
-// with typed errors; tasks blocked outside the runtime (user code) are
-// beyond reach and reported as leaked by Run.
+// fails with a CancelledError wrapping cause, probes wake, and the
+// published wakers run with rank -1, so the objects tasks wait on outside
+// the queues (shm trees, HLS barriers, RMA epochs) release them. Tasks
+// blocked in runtime operations unwind with typed errors; tasks blocked
+// outside the runtime (user code) are beyond reach and reported as
+// leaked by Run.
 func (w *World) cancel(cause error) {
 	w.fail.mu.Lock()
 	if w.fail.cancelled != nil {
@@ -272,7 +249,6 @@ func (w *World) cancel(cause error) {
 	w.fail.cancelled = cause
 	w.fail.failed.Store(true)
 	err := w.failureLocked(nil)
-	handlers := slices.Clone(w.fail.handlers)
 	w.fail.mu.Unlock()
 
 	for _, ep := range w.eps {
@@ -289,12 +265,22 @@ func (w *World) cancel(cause error) {
 		ep.mu.Unlock()
 	}
 
-	for _, h := range handlers {
-		(*h)(-1)
-	}
+	w.wake(-1)
 
 	if w.net != nil {
 		w.net.failAll(err)
+	}
+}
+
+// wake calls, in world rank order, the waker each task in a Block
+// bracket published, with the failed rank (-1: cancel). failed is set
+// before this walk, and a bracketed wait checks FailureIn after it
+// publishes, so either the check sees the failure or the walk the waker.
+func (w *World) wake(rank int) {
+	for _, ep := range w.eps {
+		if wk, _ := ep.waker.Load().(func(int)); wk != nil {
+			wk(rank)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -165,12 +166,12 @@ func TestIdleFlushCountNoDrift(t *testing.T) {
 	w0, w1, err0, err1 := runWirePairWindow(t, 2, CollAuto, neverWindow, func(task *Task) error {
 		err := driftRounds(task, rounds)
 		g := task.Rank() / 2
-		// Meet inside a BlockOn bracket first. A task that waited for
+		// Meet inside a Block bracket first. A task that waited for
 		// its sibling outside the runtime would hold the idle flush
 		// back, stranding a frame the sibling just batched for the
 		// other node (its last Ssend, say); the second task to block
 		// here flushes it.
-		task.BlockOn("test: drift rounds done")
+		task.Block("test: drift rounds done", nil)
 		done[g].Done()
 		done[g].Wait()
 		task.Unblock()
@@ -193,6 +194,30 @@ func TestIdleFlushCountNoDrift(t *testing.T) {
 			t.Errorf("busy count with both local tasks running = %v, want 2", inGate)
 			break
 		}
+	}
+	for i, w := range []*World{w0, w1} {
+		if b := w.idle.busy.Load(); b != 0 {
+			t.Errorf("world %d: busy count after Run = %d, want 0", i, b)
+		}
+	}
+}
+
+// TestIdleFlushNoDriftOnRaise: rank 3 is killed between two Barriers of
+// a batched two-level world, so the survivors' second Barrier raises
+// from inside its wait bracket (the node-local shm phase). The bracket
+// is closed before the raise, so each world's busy count still reads 0
+// after Run: a raising task is taken off it once, at its exit.
+func TestIdleFlushNoDriftOnRaise(t *testing.T) {
+	w0, w1, err0, err1 := runWirePairWindow(t, 2, CollTwoLevel, neverWindow, func(task *Task) error {
+		Barrier(task, nil)
+		if task.Rank() == 3 {
+			panic("rank 3 killed")
+		}
+		Barrier(task, nil)
+		return errors.New("barrier with a killed member completed")
+	})
+	if err0 == nil || err1 == nil {
+		t.Fatalf("world errors: %v / %v, want both to report the failure", err0, err1)
 	}
 	for i, w := range []*World{w0, w1} {
 		if b := w.idle.busy.Load(); b != 0 {
@@ -266,7 +291,7 @@ func driftRounds(task *Task, rounds int) error {
 	return nil
 }
 
-// TestIdleFlushCountsBlockOn: a task waiting in a BlockOn/Unblock
+// TestIdleFlushCountsBlockOn: a task waiting in a Block/Unblock
 // bracket counts as blocked, so it does not hold a batched world's
 // flush back. Rank 0 sends 8 B to rank 2 on the other node and then
 // waits, bracketed, on a channel that closes only once rank 2's reply
@@ -286,7 +311,7 @@ func TestIdleFlushCountsBlockOn(t *testing.T) {
 		case 0:
 			start := time.Now()
 			Send(task, nil, []int64{7}, 2, 0)
-			task.BlockOn("test: reply reached rank 1")
+			task.Block("test: reply reached rank 1", nil)
 			<-replied
 			task.Unblock()
 			waited = time.Since(start)

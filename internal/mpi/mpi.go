@@ -347,9 +347,6 @@ func NewWorld(cfg Config) (*World, error) {
 		}
 	}
 	w.initFailure()
-	if w.shmOn || w.twoLevel {
-		w.OnFailure(w.abortShmColls)
-	}
 	w.eps = make([]*endpoint, cfg.NumTasks)
 	for i := range w.eps {
 		w.eps[i] = newEndpoint(i)

@@ -430,8 +430,8 @@ func (t *Task) awaitKeep(req *Request, label any, peer, tag int, op string) Stat
 // enter publishes what the task is about to block on outside a request
 // wait and counts it idle for a batched world's flush (see idleFlush);
 // leave counts it busy again and clears the state. Probe's cond wait
-// and the BlockOn/Unblock bracket use the pair; request waits go
-// through await, where park does the counting.
+// and the Block/Unblock bracket use the pair; request waits go through
+// await, where park does the counting.
 func (t *Task) enter(label any, peer int64, tag int) {
 	t.world.eps[t.rank].publish(label, peer, tag)
 	if f := t.world.idle; f != nil {
@@ -446,29 +446,28 @@ func (t *Task) leave() {
 	t.world.eps[t.rank].publish(labelEmpty, blockNone, 0)
 }
 
-// BlockOn publishes a human-readable description of what the task is
-// about to block on, for the deadlock watchdog and timeout diagnostics,
-// and counts the task blocked for a batched world's idle flush (see
-// idleFlush): a task waiting in such a bracket cannot grow a batch, so
-// it must not hold the flush back. Layers built on the runtime
-// (internal/hls barriers, internal/rma epochs, the fast-path
-// collectives) bracket their own blocking waits with BlockOn/Unblock so
-// their stalls are attributed, and their waits counted, like
-// message-layer ones. Every BlockOn must be matched by exactly one
-// Unblock. Work done inside a bracket (a single block's body, run by the
-// last arriver) counts as idle too: frames it sends go out at the next
-// idle moment or when the window expires.
-func (t *Task) BlockOn(what string) { t.BlockOnBoxed(what) }
+// Block opens the task's bracket around a wait outside the runtime's
+// request queues (shm collective phases, HLS barriers, RMA epochs). It
+// publishes what (pre-boxed on hot paths) for the watchdog and timeout
+// diagnostics and wake, the failure wake-up of the object the task is
+// about to wait on, and counts the task idle for a batched world's flush
+// (see idleFlush). wake gets the dead world rank, or -1 on cancel, after
+// the failure is recorded, and must not block; bind it once per object,
+// as a method value bound per call allocates. After Block the caller
+// checks World.FailureIn for the object's members before it waits
+// (World.wake says why no failure is missed). Unblock closes the
+// bracket; close it before raising, so the task is not counted idle
+// twice. A single body run inside a bracket counts as idle too.
+func (t *Task) Block(what any, wake func(rank int)) {
+	t.world.eps[t.rank].waker.Store(wake)
+	t.enter(what, blockNone, 0)
+}
 
-// BlockOnBoxed is BlockOn for hot paths: what must be a string already
-// boxed into an any (typically a package- or structure-level constant
-// built once), so publishing it does not re-box and therefore does not
-// allocate per call.
-func (t *Task) BlockOnBoxed(what any) { t.enter(what, blockNone, 0) }
-
-// Unblock clears the description published by BlockOn and counts the
-// task busy again.
-func (t *Task) Unblock() { t.leave() }
+// Unblock closes the bracket Block opened and counts the task busy again.
+func (t *Task) Unblock() {
+	t.leave()
+	t.world.eps[t.rank].waker.Store((func(int))(nil))
+}
 
 // commOrWorld substitutes the world communicator for a nil comm argument.
 func (t *Task) commOrWorld(c *Comm) *Comm {

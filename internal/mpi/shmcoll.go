@@ -30,9 +30,11 @@ import (
 // happens-before tracker, the trace recorder and chaos all need the
 // per-step messages the fast path elides. Counting needs no hooks: the
 // fast path ticks World.Stats like every other path. Rank failures are
-// still honored: the world's failure layer aborts the trees of every
-// communicator containing a dead rank, so members blocked in a
-// collective unwind with the same typed errors the channel path raises.
+// still honored: a member publishes its communicator's waker (wake) when
+// it opens its wait bracket (block), so a dead rank or a cancel aborts
+// the tree it waits on, and it checks the world's failure before it
+// arrives. Members unwind with the same typed errors the channel path
+// raises.
 //
 // The steady-state path is allocation-free: slots hold raw pointers, the
 // blocked-on descriptions are pre-boxed, and the verification/fold body
@@ -160,14 +162,14 @@ type shmColl struct {
 	// verifyErr is written by the entry barrier's leader body and read by
 	// every member after release; the tree's atomics order the accesses.
 	verifyErr *Error
-	// verifyFn is the entry-barrier body, built once so the hot path
-	// creates no closure.
+	// verifyFn is the entry-barrier body and wakeFn the waker members
+	// publish (wake), both built once so the hot path creates no closure.
 	verifyFn func()
+	wakeFn   func(rank int)
 }
 
-// newShmColl builds the fast-path state for comm and registers it with
-// the failure layer; state built after a failure is born aborted. parent
-// is the enclosing communicator when comm is a two-level node-local
+// newShmColl builds the fast-path state for comm. parent is the
+// enclosing communicator when comm is a two-level node-local
 // sub-communicator (nil otherwise); see shmColl.parent.
 func newShmColl(w *World, c, parent *Comm) *shmColl {
 	threads := make([]int, len(c.group))
@@ -181,11 +183,7 @@ func newShmColl(w *World, c, parent *Comm) *shmColl {
 		tree:   spin.NewAdaptiveTree(w.machine.SyncPathsAll(threads)),
 		slots:  make([]shmSlot, len(c.group)),
 	}
-	sc.verifyFn = sc.verifyAndFold
-	w.fail.mu.Lock()
-	w.fail.shm = append(w.fail.shm, sc)
-	sc.tree.Abort(w.failureLocked(sc.involves)) // nil while healthy
-	w.fail.mu.Unlock()
+	sc.verifyFn, sc.wakeFn = sc.verifyAndFold, sc.wake
 	return sc
 }
 
@@ -199,17 +197,12 @@ func (sc *shmColl) involves(r int) bool {
 	return sc.parent != nil && sc.parent.rankOf(r) >= 0
 }
 
-// abortShmColls is the failure handler registered by worlds running the
-// fast path: a dead rank aborts the tree of every communicator it
-// involves, cancellation (rank -1) all of them, each with the world's
-// error for the communicator.
-func (w *World) abortShmColls(rank int) {
-	w.fail.mu.Lock()
-	defer w.fail.mu.Unlock()
-	for _, sc := range w.fail.shm {
-		if rank < 0 || sc.involves(rank) {
-			sc.tree.Abort(w.failureLocked(sc.involves))
-		}
+// wake is the waker a member publishes while it waits on the tree: a
+// dead rank the tree involves, or a cancel (rank -1), aborts the tree
+// with the world's error for the communicator.
+func (sc *shmColl) wake(rank int) {
+	if rank < 0 || sc.involves(rank) {
+		sc.tree.Abort(sc.w.FailureIn(sc.involves))
 	}
 }
 
@@ -276,17 +269,30 @@ func shmErr(op, format string, args ...any) *Error {
 	return &Error{Rank: -1, Op: op, Msg: fmt.Sprintf(format, args...)}
 }
 
-// await runs one tree barrier and re-raises an abort attributed to this
-// rank and operation (the shape checkReq gives channel-path failures).
-func (sc *shmColl) await(t *Task, op string, member int, body func()) {
-	_, err := sc.tree.Await(member, body)
-	t.Raise(op, err)
+// block opens t's wait bracket on the tree and raises the world's
+// failure for the communicator, if any, before t arrives.
+func (sc *shmColl) block(t *Task, label any, op string) {
+	t.Block(label, sc.wakeFn)
+	sc.raise(t, op, sc.w.FailureIn(sc.involves))
 }
 
-// check raises the leader's verification verdict on every member.
-func (sc *shmColl) check(t *Task, op string) {
-	if e := sc.verifyErr; e != nil {
-		panic(&Error{Rank: t.rank, Op: op, Msg: e.Msg})
+// await runs one tree barrier inside t's wait bracket. After the entry
+// barrier (body set) every member also raises the leader's verification
+// verdict.
+func (sc *shmColl) await(t *Task, op string, member int, body func()) {
+	_, err := sc.tree.Await(member, body)
+	if e := sc.verifyErr; err == nil && body != nil && e != nil {
+		err = &Error{Rank: t.rank, Op: op, Msg: e.Msg}
+	}
+	sc.raise(t, op, err)
+}
+
+// raise closes t's wait bracket and raises err as op on t; a nil err
+// leaves the bracket open.
+func (sc *shmColl) raise(t *Task, op string, err error) {
+	if err != nil {
+		t.Unblock()
+		t.Raise(op, err)
 	}
 }
 
@@ -304,10 +310,9 @@ func shmBarrier(t *Task, c *Comm, seq int) {
 	me := c.Rank(t)
 	s := &sc.slots[me]
 	*s = shmSlot{seq: seq, kind: shmKindBarrier}
-	t.BlockOnBoxed(boxShmBarrier)
+	sc.block(t, boxShmBarrier, "Barrier")
 	sc.await(t, "Barrier", me, sc.verifyFn)
 	t.Unblock()
-	sc.check(t, "Barrier")
 	t.world.stats.sharedCollectives.Add(1)
 }
 
@@ -320,9 +325,8 @@ func shmBcast[T Scalar](t *Task, c *Comm, buf []T, root, seq int) {
 		typ: shmType[T](), elem: elemSize[T](),
 		seq: seq, kind: shmKindBcast, root: root,
 	}
-	t.BlockOnBoxed(boxShmBcast)
+	sc.block(t, boxShmBcast, "Bcast")
 	sc.await(t, "Bcast", me, sc.verifyFn)
-	sc.check(t, "Bcast")
 	if me != root && len(buf) > 0 {
 		src := sc.slots[root].send
 		if s.send == src {
@@ -353,12 +357,11 @@ func shmReduce[T Scalar](t *Task, c *Comm, sendBuf, recvBuf []T, op Op, root, se
 		s.recv = unsafe.Pointer(unsafe.SliceData(recvBuf))
 		s.recvLen = len(recvBuf)
 	}
-	t.BlockOnBoxed(boxShmReduce)
+	sc.block(t, boxShmReduce, "Reduce")
 	// The leader folds inside the entry barrier, so when it releases the
 	// result is complete and every send buffer is free: no exit barrier.
 	sc.await(t, "Reduce", me, sc.verifyFn)
 	t.Unblock()
-	sc.check(t, "Reduce")
 	t.world.stats.sharedCollectives.Add(1)
 }
 
@@ -373,9 +376,8 @@ func shmAllreduce[T Scalar](t *Task, c *Comm, sendBuf, recvBuf []T, op Op, seq i
 		typ: typ, fold: shmFoldFor[T](typ), elem: elemSize[T](),
 		seq: seq, kind: shmKindAllreduce, op: op,
 	}
-	t.BlockOnBoxed(boxShmAllreduce)
+	sc.block(t, boxShmAllreduce, "Allreduce")
 	sc.await(t, "Allreduce", me, sc.verifyFn) // leader folds into rank 0's recv
-	sc.check(t, "Allreduce")
 	k := len(sendBuf)
 	if me != 0 && k > 0 {
 		src := sc.slots[0].recv
@@ -402,9 +404,8 @@ func shmAllgather[T Scalar](t *Task, c *Comm, sendBuf, recvBuf []T, seq int) {
 		typ: shmType[T](), elem: elemSize[T](),
 		seq: seq, kind: shmKindAllgather,
 	}
-	t.BlockOnBoxed(boxShmAllgather)
+	sc.block(t, boxShmAllgather, "Allgather")
 	sc.await(t, "Allgather", me, sc.verifyFn)
-	sc.check(t, "Allgather")
 	if k > 0 {
 		for r := 0; r < n; r++ {
 			dst := recvBuf[r*k : (r+1)*k]

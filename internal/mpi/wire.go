@@ -144,8 +144,10 @@ func (w *World) initWire(cfg *WireConfig) error {
 // (Task.await, Waitall, Waitany), takes the waiter off; the completer
 // that claims a parked request (claimParked) adds it back before the
 // waiter runs. Task.enter/leave, under Probe's cond wait and every
-// BlockOn/Unblock bracket (the fast-path collective phases, hls and rma
-// waits), take the task off and add it back when it runs again.
+// Block/Unblock bracket (the fast-path collective phases, hls and rma
+// waits), take the task off and add it back when it runs again; a
+// bracket is closed before its wait raises, so the raising task's exit
+// takes it off only once.
 // Whoever moves the count to zero flushes. The window still bounds every
 // batch, so a miscount can only flush early or fall back to the window:
 // it cannot lose, reorder or strand a frame.
@@ -718,8 +720,15 @@ func (n *netLayer) onFailure(f *wire.Frame) {
 	if len(f.Payload) > 0 {
 		msg = string(f.Payload)
 	}
-	n.w.rankFailed(r, &RankFailure{Rank: r, Cause: errors.New(msg)})
+	var cause error = &RankFailure{Rank: r, Cause: errors.New(msg)}
+	if f.Tag == failReraised {
+		cause = remoteReraise{errors.New(msg)}
+	}
+	n.w.rankFailed(r, cause)
 }
+
+// failReraised is a failure frame's Tag when the rank died re-raising.
+const failReraised = 1
 
 // PeerDown turns a permanently lost node into a ULFM-style failure of
 // every rank that lived on it.
@@ -772,6 +781,9 @@ func (n *netLayer) onRankFailed(r int, err, cause error) {
 		return
 	}
 	h := wire.Header{Type: wire.TypeFailure, SrcWorld: int32(r)}
+	if reraised(cause) {
+		h.Tag = failReraised
+	}
 	payload := []byte(cause.Error())
 	for node := 0; node < n.tr.Peers(); node++ {
 		if node == n.self {

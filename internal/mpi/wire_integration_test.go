@@ -292,6 +292,33 @@ func TestRankExitAfterCancelReportsCauseOverWire(t *testing.T) {
 	}
 }
 
+// TestCrossProcessRootCause: rank 3 is killed, and rank 2, on the same
+// node, dies re-raising that failure in Recv(…, 3, …). Both deaths reach
+// node 0 as failure frames. There FailureIn must still name rank 3, the
+// root, and not rank 2, the lower dead rank.
+func TestCrossProcessRootCause(t *testing.T) {
+	w0, _, _, _ := runWirePairMode(t, 2, CollChannels, func(tk *Task) error {
+		switch tk.Rank() {
+		case 3:
+			panic("rank 3 killed")
+		case 2:
+			Recv(tk, nil, make([]int64, 1), 3, 0)
+			return errors.New("receive from a killed rank completed")
+		}
+		for deadline := time.Now().Add(10 * time.Second); !tk.world.RankDead(2) || !tk.world.RankDead(3); {
+			if time.Now().After(deadline) {
+				return errors.New("node 0 did not learn of both deaths")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		return nil
+	})
+	var dre *DeadRankError
+	if err := w0.FailureIn(nil); !errors.As(err, &dre) || dre.Dead != 3 {
+		t.Fatalf("node 0: FailureIn(nil) = %v, want a *DeadRankError naming rank 3", err)
+	}
+}
+
 func TestWireConcurrentCrossTraffic(t *testing.T) {
 	const msgs = 120
 	fn := func(task *Task) error {

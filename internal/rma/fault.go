@@ -6,9 +6,9 @@ import (
 	"hls/internal/mpi"
 )
 
-// This file is the RMA side of the fault-tolerance layer. A window
-// registers one wake handler with the world's failure layer; when a
-// member rank dies (or the world is cancelled) the handler
+// This file is the RMA side of the fault-tolerance layer. A task waiting
+// on the window (Lock, Start, Wait) publishes wake through block. When a
+// member rank dies (or the world is cancelled) while a task waits, wake
 //
 //   - poisons the PSCW token channels of the dead rank, unblocking
 //     origins stuck in Start (target died before Post) and targets stuck
@@ -18,18 +18,18 @@ import (
 //     with a typed error.
 //
 // The window keeps no failure state: every synchronization call, and
-// every waiter the handler wakes, asks the world (checkFailed) and
+// every waiter wake releases, asks the world (checkFailed, block) and
 // raises the world's error for the window's members. Fence needs no
-// handling of its own: it rides on mpi.Barrier, which the mpi failure
-// layer already fails fast.
+// handling of its own: it rides on mpi.Barrier.
 
 // failToken is the poison value injected into PSCW channels when a rank
 // dies; Start and Wait raise the world's failure on receiving it.
 type failToken struct{}
 
 // wake runs on the world's failure path (from the dying rank's
-// goroutine, after its stack unwound). rank is a world rank, or -1 for
-// world cancellation.
+// goroutine, after its stack unwound), once for each task waiting on the
+// window, so it is idempotent. rank is a world rank, or -1 for world
+// cancellation.
 func (w *Window[T]) wake(rank int) {
 	d := -1 // dead comm rank, if a member
 	if rank >= 0 {
@@ -98,6 +98,18 @@ func (w *Window[T]) member(wr int) bool { return w.commRank(wr) >= 0 }
 func (w *Window[T]) checkFailed(t *mpi.Task, op string) {
 	if err := w.world.FailureIn(w.member); err != nil {
 		t.Raise("rma."+op, err)
+	}
+}
+
+// block opens t's wait bracket on the window and raises the world's
+// failure for the window's members, if any, before t waits. label is
+// the operation name ("rma.Lock"), a constant, so boxing it allocates
+// nothing.
+func (w *Window[T]) block(t *mpi.Task, label any) {
+	t.Block(label, w.waker)
+	if err := w.world.FailureIn(w.member); err != nil {
+		t.Unblock()
+		t.Raise(label.(string), err)
 	}
 }
 

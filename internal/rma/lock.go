@@ -48,8 +48,7 @@ func (w *Window[T]) Lock(t *mpi.Task, typ LockType, target int) {
 	if _, ok := ep.locked[target]; ok {
 		raise(t.Rank(), "Lock", "lock epoch to target %d already open on window %q", target, w.name)
 	}
-	w.checkFailed(t, "Lock")
-	t.BlockOn("rma.Lock")
+	w.block(t, "rma.Lock")
 	if typ == LockExclusive {
 		w.st[target].lock.Lock()
 	} else {
@@ -57,8 +56,8 @@ func (w *Window[T]) Lock(t *mpi.Task, typ LockType, target int) {
 	}
 	t.Unblock()
 	// A failure while we were blocked may be the very thing that released
-	// the lock (the failure handler frees a dead holder's locks): give it
-	// back and unwind typed instead of entering a poisoned epoch.
+	// the lock (wake frees a dead holder's locks): give it back and
+	// unwind typed instead of entering a poisoned epoch.
 	if err := w.world.FailureIn(w.member); err != nil {
 		if typ == LockExclusive {
 			w.st[target].lock.Unlock()

@@ -76,7 +76,6 @@ func (w *Window[T]) Start(t *mpi.Task, targets ...int) {
 	if len(targets) == 0 {
 		raise(t.Rank(), "Start", "empty target group")
 	}
-	w.checkFailed(t, "Start")
 	hooks := w.world.Hooks()
 	for _, g := range targets {
 		if g < 0 || g >= w.comm.Size() {
@@ -85,7 +84,7 @@ func (w *Window[T]) Start(t *mpi.Task, targets ...int) {
 		if ep.started[g] {
 			raise(t.Rank(), "Start", "duplicate target rank %d", g)
 		}
-		t.BlockOn("rma.Start")
+		w.block(t, "rma.Start")
 		meta := <-w.st[g].post[me]
 		t.Unblock()
 		if _, ok := meta.(failToken); ok {
@@ -139,7 +138,7 @@ func (w *Window[T]) Wait(t *mpi.Task) {
 	}
 	hooks := w.world.Hooks()
 	for _, o := range ep.postedTo {
-		t.BlockOn("rma.Wait")
+		w.block(t, "rma.Wait")
 		meta := <-w.st[me].done[o]
 		t.Unblock()
 		if _, ok := meta.(failToken); ok {

@@ -29,9 +29,9 @@ type Window[T mpi.Scalar] struct {
 	free    sync.Once
 	persist *persistState // non-nil when created with WithPersist
 
-	// unwake unregisters the window's failure handler (fault.go), so a
-	// freed window is not kept reachable by its world.
-	unwake func()
+	// waker is wake (fault.go), bound once: tasks publish it while they
+	// wait on the window.
+	waker func(rank int)
 }
 
 // targetState is the synchronization state other tasks address when this
@@ -160,7 +160,6 @@ func (w *Window[T]) Free(t *mpi.Task) {
 			}
 		}
 		forgetWindow(w.world, w.comm.ID())
-		w.unwake()
 	})
 	if persistErr != nil {
 		raise(t.Rank(), "Free", "persist window %q: %v", w.name, persistErr)
@@ -259,10 +258,7 @@ func buildWindow[T mpi.Scalar](world *mpi.World, wc *mpi.Comm, rank int, op stri
 		}
 	}
 	win.account(sizes, shared)
-	// Fail fast instead of deadlocking when a member rank dies: the
-	// handler poisons PSCW channels and releases the dead rank's held
-	// locks (fault.go).
-	win.unwake = world.OnFailure(win.wake)
+	win.waker = win.wake
 	return win
 }
 

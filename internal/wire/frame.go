@@ -139,7 +139,7 @@ type Header struct {
 	SrcComm int32
 	// SrcWorld / DstWorld are world ranks: the sending task and the task
 	// the frame is addressed to. For TypeFailure, SrcWorld is the dead
-	// rank.
+	// rank, and Tag is 1 when it died re-raising a peer's failure.
 	SrcWorld int32
 	DstWorld int32
 	Tag      int32
